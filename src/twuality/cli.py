@@ -4,7 +4,9 @@ Every subcommand reads canonical JSON files and writes canonical JSON to
 stdout (``--format text`` switches to a human-readable sketch).  Identical
 inputs produce byte-identical outputs.  Exit codes: 0 ok, 1 validation
 error, 2 budget exceeded, 3 a verification subcommand found a concrete
-counterexample (which is always printed).
+counterexample (which is always printed), 4 internal error: a
+re-verification inside the package failed, which is a bug and not bad
+input (one ``internal error: ...`` line on stderr).
 
 Operation strings for ``apply`` are read left-to-right and applied
 left-to-right: ``--ops "*{1} +{2} (1 2)"`` twists at 1, loop-complements
@@ -22,7 +24,7 @@ import json
 import re
 import sys
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ConsistencyError, ValidationError
 from .multimatroid import (
     Multimatroid,
     Projection,
@@ -135,10 +137,13 @@ def _parse_triple(text: str | None, n: int) -> TransversalTriple:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"bad transversal triple {text!r}: {exc}") from None
-    if isinstance(data, dict):
-        tau = TransversalTriple.from_json(data)
-    else:
-        tau = TransversalTriple(data)
+    roles = data.get("roles") if isinstance(data, dict) else data
+    if not isinstance(roles, list) or not all(
+        isinstance(r, list) and all(isinstance(s, int) and not isinstance(s, bool) for s in r)
+        for r in roles
+    ):
+        raise ValidationError(f"bad transversal triple {text!r}: expected a list of slot lists")
+    tau = TransversalTriple(roles)
     if tau.n != n:
         raise ValidationError(f"triple covers {tau.n} classes, expected {n}")
     return tau
@@ -304,6 +309,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 1:
             raise ValidationError("--threads must be positive")
+        if args.max_n is not None and args.max_n < 0:
+            raise ValidationError("--max-n must be non-negative")
         payload, code = args.fn(args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -311,6 +318,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         sys.stderr.write(f"budget exceeded: {exc}\n")
         return 2
+    except ConsistencyError as exc:
+        sys.stderr.write(f"internal error: {exc}\n")
+        return 4
     _emit(payload, args.format)
     return code
 

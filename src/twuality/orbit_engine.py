@@ -40,7 +40,6 @@ from .twuality_group import (
     act,
     flip_mul,
     flip_pow,
-    sd_identity,
     uniform_flip,
     vec_inv,
     vec_mul,

@@ -22,8 +22,8 @@ application is a tested property, not an implementation shortcut.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -216,6 +216,47 @@ def _submasks(mask: int) -> Iterator[int]:
 
 
 # ---------------------------------------------------------------------------
+# truth tables
+#
+# The truth table of a family over [n] is the 2**n-bit int whose bit X is
+# set iff the mask X is feasible.  On it the single-element flips at k are
+# a few whole-int ops, with ``half`` the bits of the sets without k and
+# ``shift == 1 << k``:
+#   twist            ((F & half) << shift) | ((F >> shift) & half)
+#   loop complement  F ^ ((F & half) << shift)
+
+
+@functools.lru_cache(maxsize=None)
+def _half_masks(n: int) -> tuple[int, ...]:
+    """Per element index ``k``, the truth-table bits of the sets without it."""
+    out = []
+    for k in range(n):
+        half = (1 << (1 << k)) - 1
+        width = 2 << k
+        while width < 1 << n:
+            half |= half << width
+            width <<= 1
+        out.append(half)
+    return tuple(out)
+
+
+def _table_of(masks: Iterable[int]) -> int:
+    table = 0
+    for m in masks:
+        table |= 1 << m
+    return table
+
+
+def _masks_of_table(table: int) -> list[int]:
+    out = []
+    while table:
+        low = table & -table
+        out.append(low.bit_length() - 1)
+        table ^= low
+    return out
+
+
+# ---------------------------------------------------------------------------
 # bulk operations
 
 def twist(D: SetSystem, I: Iterable[int]) -> SetSystem:
@@ -256,28 +297,44 @@ def dual_twist(D: SetSystem, I: Iterable[int]) -> SetSystem:
 # ---------------------------------------------------------------------------
 # structure checks
 
-def _exchange_ok_masks(mask_set: frozenset[int]) -> bool:
-    """Symmetric exchange over a raw family; any iteration order."""
-    if not mask_set:
-        return False
-    for x in mask_set:
-        for y in mask_set:
-            diff = x ^ y
-            d = diff
-            while d:
-                ub = d & -d
-                d ^= ub
-                if (x ^ ub) in mask_set:
-                    continue
-                e = diff
-                while e:
-                    vb = e & -e
-                    e ^= vb
-                    if vb != ub and (x ^ ub ^ vb) in mask_set:
-                        break
-                else:
-                    return False
-    return True
+def _exchange_failure(ordered: list[int], n: int) -> tuple[int, int, int] | None:
+    """First ``(X, Y, u)`` refuting symmetric exchange, or ``None``.
+
+    ``X`` and then ``Y`` run over ``ordered``, a family over [n], and ``u``
+    over the bits of ``X symdiff Y`` in ascending order.  For a feasible
+    ``X`` and a bit ``u`` with ``X symdiff {u}`` infeasible, let ``R`` be
+    the bits ``v != u`` with ``X symdiff {u, v}`` feasible: a ``Y`` fails
+    with ``u`` iff it differs from ``X`` at ``u`` and agrees with it on
+    ``R``.  Whether such a ``Y`` exists is one AND of truth-table masks per
+    bit of ``R``; only an ``X`` for which one does is scanned against every
+    ``Y``.
+    """
+    fam = frozenset(ordered)
+    table = _table_of(ordered)
+    bits = [(1 << k, half) for k, half in enumerate(_half_masks(n))]
+    for x in ordered:
+        # per bit, the truth-table positions that agree with x there
+        agree = [~half if x & bit else half for bit, half in bits]
+        stuck = []
+        for k, (ub, _) in enumerate(bits):
+            xu = x ^ ub
+            if xu in fam:
+                continue
+            reach = 0
+            ys = table & ~agree[k]
+            for j, (vb, _) in enumerate(bits):
+                if j != k and (xu ^ vb) in fam:
+                    reach |= vb
+                    ys &= agree[j]
+            if ys:
+                stuck.append((ub, reach))
+        if stuck:
+            for y in ordered:
+                diff = x ^ y
+                for ub, reach in stuck:
+                    if diff & ub and not diff & reach:
+                        return x, y, ub
+    return None
 
 
 def is_delta_matroid(D: SetSystem) -> DeltaMatroidWitness:
@@ -288,29 +345,11 @@ def is_delta_matroid(D: SetSystem) -> DeltaMatroidWitness:
     """
     if not D.is_proper:
         return DeltaMatroidWitness(False, "not proper")
-    fam = D.mask_set()
-    ordered = sorted(fam, key=shortlex_key)
-    for x in ordered:
-        for y in ordered:
-            diff = x ^ y
-            d = diff
-            while d:
-                ub = d & -d
-                d ^= ub
-                ok = (x ^ ub) in fam
-                if not ok:
-                    e = diff
-                    while e:
-                        vb = e & -e
-                        e ^= vb
-                        if vb != ub and (x ^ ub ^ vb) in fam:
-                            ok = True
-                            break
-                if not ok:
-                    return DeltaMatroidWitness(
-                        False, "exchange", members_of(x), members_of(y), ub.bit_length()
-                    )
-    return DeltaMatroidWitness(True)
+    failure = _exchange_failure(sorted(D.masks, key=shortlex_key), D.n)
+    if failure is None:
+        return DeltaMatroidWitness(True)
+    x, y, ub = failure
+    return DeltaMatroidWitness(False, "exchange", members_of(x), members_of(y), ub.bit_length())
 
 
 def min_max_matroids(D: SetSystem) -> tuple[SetSystem, SetSystem]:
@@ -348,26 +387,47 @@ def classify_element(D: SetSystem, i: int) -> RibbonLoopClass:
     return RibbonLoopClass.ORIENTABLE_LOOP
 
 
-def _relabel_mask(mask: int, images: tuple[int, ...]) -> int:
-    out = 0
-    m = mask
-    i = 0
-    while m:
-        if m & 1:
-            out |= 1 << (images[i] - 1)
-        m >>= 1
-        i += 1
-    return out
+# ---------------------------------------------------------------------------
+# vf-safety closure over twist classes
+
+@functools.lru_cache(maxsize=None)
+def _gray_twists(n: int) -> tuple[tuple[int, int], ...]:
+    """``(shift, half)`` of the single twist made at each step of a
+    Gray-code walk that visits all ``2**n`` twists of a truth table."""
+    halves = _half_masks(n)
+    return tuple((i & -i, halves[(i & -i).bit_length() - 1]) for i in range(1, 1 << n))
 
 
-def _relabel_canonical_key(n: int, masks: tuple[int, ...]) -> tuple:
-    """Least canonical encoding over all relabelings (tiny n only)."""
-    best = None
-    for images in itertools.permutations(range(1, n + 1)):
-        cand = tuple(sorted(_relabel_mask(m, images) for m in masks))
-        if best is None or cand < best:
-            best = cand
-    return (n, best)
+@functools.lru_cache(maxsize=None)
+def _relabel_positions(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per relabeling of [n], the image of every truth-table position."""
+    return tuple(
+        tuple(sum(1 << (images[i] - 1) for i in range(n) if p >> i & 1) for p in range(1 << n))
+        for images in itertools.permutations(range(1, n + 1))
+    )
+
+
+def _twists(table: int, n: int) -> Iterator[int]:
+    """The ``2**n`` twists of a truth table, in Gray-code order."""
+    yield table
+    for shift, half in _gray_twists(n):
+        table = ((table & half) << shift) | ((table >> shift) & half)
+        yield table
+
+
+def _vf_cache_key(n: int, class_key: int) -> tuple[int, int]:
+    """Cache key of a twist class: its key, or for tiny ``n`` the least
+    class key over all relabelings."""
+    if n > _RELABEL_KEY_CAP:
+        return (n, class_key)
+    positions = _masks_of_table(class_key)
+    return (
+        n,
+        min(
+            min(_twists(_table_of(image[p] for p in positions), n))
+            for image in _relabel_positions(n)
+        ),
+    )
 
 
 def is_vf_safe(
@@ -378,44 +438,48 @@ def is_vf_safe(
     """Whether every system reachable from ``D`` by single-element twists
     and loop complementations is a delta-matroid.
 
-    Breadth-first closure with generators ordered ``*1, +1, *2, +2, ..``;
-    the reachable set has at most ``6**n`` members.  An optional ``cache``
-    dict memoizes verdicts across calls (keyed up to relabeling for small
-    ``n``, which is sound because the property is relabel-invariant and
-    shared by the whole closure).
+    The search is a breadth-first walk over twist classes, each held by its
+    key: the least truth table among its ``2**n`` twists (a Gray-code walk).
+    Twisting preserves properness and the symmetric exchange axiom (Bouchet
+    1987), so the exchange check runs once per class, on its key.  Flips at
+    different elements commute, so the classes next to the class of ``F``
+    are those of ``+k F`` and ``+k *k F`` for each ``k``.  Every twist of
+    each class found is kept, so a move into a known class is dropped by
+    one set lookup and each class is walked once.
+
+    An optional ``cache`` dict memoizes verdicts across calls, one entry
+    per twist class of the closure.  The entry is keyed by ``(n, class
+    key)``, and for ``n <= 4`` by the least class key over all relabelings;
+    both are sound because the verdict is shared by the whole closure and
+    is invariant under relabeling.
     """
     if D.n > max_n:
         raise BudgetError(f"vf-safe closure needs n <= {max_n}, got {D.n}")
-    use_relabel = D.n <= _RELABEL_KEY_CAP
-
-    def key_of(masks: tuple[int, ...]):
-        if use_relabel:
-            return _relabel_canonical_key(D.n, masks)
-        return (D.n, masks)
-
-    seed = D.masks
+    n = D.n
+    twists = list(_twists(_table_of(D.masks), n))
     if cache is not None:
-        hit = cache.get(key_of(seed))
+        hit = cache.get(_vf_cache_key(n, min(twists)))
         if hit is not None:
             return hit
 
-    bits = [1 << k for k in range(D.n)]
-    seen: set[tuple[int, ...]] = {seed}
-    queue = deque([frozenset(seed)])
+    flips = [(1 << k, half) for k, half in enumerate(_half_masks(n))]
+    reached = set(twists)  # every system of the classes found so far
+    keys = [min(twists)]
     verdict = True
-    while queue:
-        state = queue.popleft()
-        if not _exchange_ok_masks(state):
+    for key in keys:  # breadth first: the loop visits the keys it appends
+        masks = _masks_of_table(key)
+        if not masks or _exchange_failure(masks, n) is not None:
             verdict = False
             break
-        for bit in bits:
-            for op in (twist1, loop_complement1):
-                nxt = op(state, bit)
-                canon = tuple(sorted(nxt))
-                if canon not in seen:
-                    seen.add(canon)
-                    queue.append(nxt)
+        for shift, half in flips:
+            twisted = ((key & half) << shift) | ((key >> shift) & half)
+            for base in (key, twisted):
+                table = base ^ ((base & half) << shift)
+                if table not in reached:
+                    twists = list(_twists(table, n))
+                    reached.update(twists)
+                    keys.append(min(twists))
     if cache is not None:
-        for canon in seen:
-            cache[key_of(canon)] = verdict
+        for key in keys:
+            cache[_vf_cache_key(n, key)] = verdict
     return verdict

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from twuality import Multimatroid, RibbonGraph, SetSystem
+from twuality import ConsistencyError, Multimatroid, RibbonGraph, SetSystem
 from twuality.cli import main
 
 import ribbon_catalog as cat
@@ -167,6 +167,15 @@ class TestMultimatroidCommands:
         assert data["tight_witness"]["non_bases"] == [2, 3]
 
 
+    @pytest.mark.parametrize(
+        "tau", ["5", "[5]", '{"roles": 5}', '{"slots": []}', '[[1, 2, 3], [2, 1, 3], [true, 2, 3]]']
+    )
+    def test_lift_rejects_malformed_tau(self, capsys, cone_file, tau):
+        code, out, err = run(capsys, "lift", cone_file, "--tau", tau)
+        assert code == 1 and out == ""
+        assert err.startswith("error: bad transversal triple") and err.count("\n") == 1
+
+
 class TestRibbonCommands:
     @pytest.fixture()
     def loop_file(self, tmp_path):
@@ -213,6 +222,23 @@ class TestHarness:
         _, out1, _ = run(capsys, "orbit", cone_file)
         _, out2, _ = run(capsys, "orbit", cone_file)
         assert out1 == out2
+
+    def test_negative_max_n(self, capsys, cone_file):
+        code, out, err = run(capsys, "check", cone_file, "--max-n", "-1")
+        assert code == 1 and out == ""
+        assert err == "error: --max-n must be non-negative\n"
+
+    def test_internal_error_exit_code(self, capsys, tmp_path, monkeypatch):
+        import twuality.cli as cli_mod
+
+        def broken(G):
+            raise ConsistencyError("quasi-tree family fails symmetric exchange")
+
+        monkeypatch.setattr(cli_mod, "delta_matroid_of", broken)
+        path = write(tmp_path, "loop.json", cat.twisted_loop().to_json())
+        code, out, err = run(capsys, "ribbon", "dm", path)
+        assert code == 4 and out == ""
+        assert err == "internal error: quasi-tree family fails symmetric exchange\n"
 
     def test_threads_flag_accepted(self, capsys, cone_file):
         _, out1, _ = run(capsys, "check", cone_file)

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from twuality import (
     BAR,
@@ -9,10 +9,13 @@ from twuality import (
     ONE,
     PLUS,
     STAR,
+    Perm,
     RibbonLoopClass,
     SetSystem,
+    TwualityElement,
     ValidationError,
     BudgetError,
+    act,
     apply_flip,
     classify_element,
     dual_twist,
@@ -22,16 +25,47 @@ from twuality import (
     members_of,
     min_max_matroids,
     reduce_word,
+    spanning_quasi_trees,
     twist,
 )
+from twuality import set_system
+from twuality.set_system import shortlex_key
 
+import ribbon_catalog as cat
 from conftest import set_systems, subset_of
+from oracles import first_exchange_failure, vf_safe_oracle
 
 ss = SetSystem.from_sets
 
 
 def all_subsets_but_full(n):
     return [s for r in range(n) for s in itertools.combinations(range(1, n + 1), r)]
+
+
+def quasi_tree_systems(max_edges=5):
+    named = [G for G in cat.named_fixtures().values() if G.n <= max_edges]
+    graphs = st.one_of(
+        st.sampled_from(named),
+        st.randoms(use_true_random=False).map(lambda r: cat.random_ribbon(r, max_edges=max_edges)),
+    )
+    return graphs.map(lambda G: SetSystem.from_sets(G.n, spanning_quasi_trees(G)))
+
+
+def vf_inputs():
+    """Quasi-tree systems (vf-safe), their single loop complements (members
+    of the same closure), the same systems with one set added or removed
+    (often not vf-safe), and random families, empty and improper ones
+    included; all with n <= 5."""
+    qt = quasi_tree_systems()
+    nonempty = qt.filter(lambda D: D.n >= 1)
+    return st.one_of(
+        qt,
+        nonempty.flatmap(lambda D: st.integers(1, D.n).map(lambda i: loop_complement(D, (i,)))),
+        qt.flatmap(
+            lambda D: subset_of(D.n).map(lambda m: SetSystem(D.n, D.mask_set() ^ {m}))
+        ),
+        set_systems(max_n=5),
+    )
 
 
 def exchange_refuted(D, X, Y, u):
@@ -216,6 +250,16 @@ class TestDeltaMatroid:
         if not w.valid:
             assert exchange_refuted(D, w.X, w.Y, w.u)
 
+    @given(set_systems(max_n=5, proper=True))
+    def test_witness_is_first_in_canonical_order(self, D):
+        w = is_delta_matroid(D)
+        first = first_exchange_failure(sorted(D.masks, key=shortlex_key), D.mask_set())
+        if first is None:
+            assert w.valid
+        else:
+            x, y, ub = first
+            assert (w.X, w.Y, w.u) == (members_of(x), members_of(y), ub.bit_length())
+
     @given(set_systems(max_n=4, proper=True), st.data())
     def test_closed_under_twist(self, D, data):
         assume(is_delta_matroid(D).valid)
@@ -271,7 +315,7 @@ class TestVfSafe:
         with pytest.raises(BudgetError):
             is_vf_safe(SetSystem(5, [0]), max_n=4)
 
-    def test_cache_consistency(self):
+    def test_cache_consistency(self, monkeypatch):
         cache = {}
         D = ss(3, [(3,), (1, 3), (2, 3)])
         assert is_vf_safe(D, cache=cache) is True
@@ -280,6 +324,49 @@ class TestVfSafe:
         bad = ss(3, all_subsets_but_full(3))
         assert is_vf_safe(bad, cache=cache) is False
         assert is_vf_safe(bad, cache=cache) is False
+
+        # After one cached call, twists of the input and of a member of its
+        # closure, and for n <= 4 their relabelings, hit the cache (no
+        # exchange check runs) and add no key.  A safe verdict has walked
+        # the whole closure; a failing one may have stopped at the input's
+        # own twist class.
+        def no_search(ordered, n):
+            raise AssertionError("cache miss")
+
+        for D in (
+            D,
+            bad,
+            SetSystem.from_sets(4, spanning_quasi_trees(cat.bouquet([1, -1, 1, 1], interleaved=True))),
+            SetSystem.from_sets(5, spanning_quasi_trees(cat.bouquet([1, -1, 1, 1, -1], interleaved=True))),
+        ):
+            cache = {}
+            verdict = is_vf_safe(D, cache=cache)
+            keys = set(cache)
+            members = [D]
+            if verdict:
+                members.append(apply_flip(twist(D, (1,)), PLUS, 2))
+            cycle = TwualityElement((ONE,) * D.n, Perm([D.n, *range(1, D.n)]))
+            moved = []
+            for M in members:
+                moved += [twist(M, (2, D.n)), twist(M, range(1, D.n + 1))]
+            if D.n <= 4:
+                moved += [act(cycle, E) for E in moved]
+            with monkeypatch.context() as m:
+                m.setattr(set_system, "_exchange_failure", no_search)
+                for E in moved:
+                    assert is_vf_safe(E, cache=cache) is verdict
+                    assert set(cache) == keys
+
+    @given(vf_inputs())
+    @example(SetSystem(0, []))
+    @example(SetSystem(0, [0]))
+    @example(SetSystem(5, []))
+    def test_matches_oracle(self, D):
+        expected = vf_safe_oracle(D)
+        assert is_vf_safe(D) is expected
+        cache = {}
+        assert is_vf_safe(D, cache=cache) is expected
+        assert is_vf_safe(D, cache=cache) is expected
 
 
 class TestWordProperties:
