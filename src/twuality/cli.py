@@ -20,6 +20,7 @@ whose words apply rightmost-first.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -135,15 +136,9 @@ def _parse_triple(text: str | None, n: int) -> TransversalTriple:
         return TransversalTriple.reference(n)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        tau = TransversalTriple.from_json(data if isinstance(data, dict) else {"roles": data})
+    except (json.JSONDecodeError, ValidationError) as exc:
         raise ValidationError(f"bad transversal triple {text!r}: {exc}") from None
-    roles = data.get("roles") if isinstance(data, dict) else data
-    if not isinstance(roles, list) or not all(
-        isinstance(r, list) and all(isinstance(s, int) and not isinstance(s, bool) for s in r)
-        for r in roles
-    ):
-        raise ValidationError(f"bad transversal triple {text!r}: expected a list of slot lists")
-    tau = TransversalTriple(roles)
     if tau.n != n:
         raise ValidationError(f"triple covers {tau.n} classes, expected {n}")
     return tau
@@ -259,6 +254,7 @@ def _cmd_ribbon(args) -> tuple[dict, int]:
     return report.to_json(), 0 if report.equal else 3
 
 
+@functools.cache
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")

@@ -12,6 +12,7 @@ classes it misses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -55,10 +56,13 @@ class TransversalTriple:
     __slots__ = ("roles",)
 
     def __init__(self, roles: Iterable[Iterable[int]]):
-        roles = tuple(tuple(r) for r in roles)
+        try:
+            roles = tuple(tuple(r) for r in roles)
+        except TypeError:
+            raise ValidationError(f"roles {roles!r} must be a list of slot lists") from None
         for r in roles:
-            if tuple(sorted(r)) != (1, 2, 3):
-                raise ValidationError(f"class roles {r} must be a permutation of (1, 2, 3)")
+            if any(type(s) is not int for s in r) or sorted(r) != [1, 2, 3]:
+                raise ValidationError(f"class roles {list(r)} must be a permutation of (1, 2, 3)")
         object.__setattr__(self, "roles", roles)
 
     def __setattr__(self, name, value):
@@ -178,6 +182,8 @@ class Multimatroid:
         n = data["n"]
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValidationError("'n' must be a non-negative integer")
+        if not isinstance(data["bases"], list):
+            raise ValidationError("'bases' must be a list of bases")
         bases = []
         for raw in data["bases"]:
             choice = [0] * n
@@ -187,7 +193,7 @@ class Multimatroid:
                 if not (isinstance(pair, list) and len(pair) == 2):
                     raise ValidationError(f"carrier element {pair!r} must be an [index, role] pair")
                 i, r = pair
-                if not (isinstance(i, int) and 1 <= i <= n and r in (1, 2, 3)):
+                if not (type(i) is int and 1 <= i <= n and type(r) is int and r in (1, 2, 3)):
                     raise ValidationError(f"carrier element {pair!r} out of range")
                 if choice[i - 1]:
                     raise ValidationError(f"basis {raw!r} visits class {i} twice")
@@ -342,19 +348,14 @@ def lift(
     if not is_vf_safe(D, max_n=max(n, 1), cache=vf_cache):
         raise ValidationError("lift requires a vf-safe delta-matroid")
     label_bit = [1 << (sigma.label_of(i) - 1) for i in range(1, n + 1)]
-    dual_memo: dict[int, frozenset[int]] = {}
 
-    def family_after(s_mask: int) -> frozenset[int]:
-        fam = dual_memo.get(s_mask)
-        if fam is None:
-            fam = D.mask_set()
-            m = s_mask
-            while m:
-                bit = m & -m
-                m ^= bit
-                fam = dual_twist1(fam, bit)
-            dual_memo[s_mask] = fam
-        return fam
+    @functools.cache
+    def table_after(s_mask: int) -> int:
+        table = D.table
+        for k in range(n):
+            if s_mask >> k & 1:
+                table = dual_twist1(table, n, k)
+        return table
 
     bases = []
     for choice in itertools.product((1, 2, 3), repeat=n):
@@ -366,7 +367,7 @@ def lift(
                 f_mask |= label_bit[idx]
             elif slot == 3:
                 s_mask |= label_bit[idx]
-        if f_mask in family_after(s_mask):
+        if table_after(s_mask) >> f_mask & 1:
             bases.append(choice)
     return Multimatroid(n, bases)
 
@@ -379,7 +380,7 @@ def extract(Z: Multimatroid, tau: TransversalTriple, sigma: Projection) -> SetSy
     """
     if tau.n != Z.n or sigma.n != Z.n:
         raise ValidationError("triple/projection size must match the carrier")
-    fam = set()
+    table = 0
     for b in Z.bases:
         f_mask = 0
         for idx, r in enumerate(b):
@@ -389,8 +390,8 @@ def extract(Z: Multimatroid, tau: TransversalTriple, sigma: Projection) -> SetSy
             if slot == 2:
                 f_mask |= 1 << (sigma.label_of(idx + 1) - 1)
         else:
-            fam.add(f_mask)
-    return SetSystem(Z.n, fam)
+            table |= 1 << f_mask
+    return SetSystem.from_table(Z.n, table)
 
 
 def triple_flip(tau: TransversalTriple, g: Flip, i: int) -> TransversalTriple:

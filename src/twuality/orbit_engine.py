@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 
@@ -21,6 +20,7 @@ from .set_system import (
     RibbonLoopClass,
     SetSystem,
     VF_SAFE_DEFAULT_CAP,
+    _swap_adjacent,
     classify_element,
     is_vf_safe,
     loop_complement,
@@ -107,18 +107,15 @@ class UniformizationResult:
 
 
 def _orbit_generators(n: int, mode: str):
-    """Generator list as (token, state -> state) pairs, in the fixed order
+    """Generator list as (token, table -> table) pairs, in the fixed order
     ``*1, +1, *2, +2, .."`` plus adjacent transpositions in full mode."""
     gens = []
-    for i in range(1, n + 1):
-        bit = 1 << (i - 1)
-        gens.append((f"*{i}", lambda s, b=bit: twist1(s, b)))
-        gens.append((f"+{i}", lambda s, b=bit: loop_complement1(s, b)))
+    for k in range(n):
+        gens.append((f"*{k + 1}", lambda t, k=k: twist1(t, n, k)))
+        gens.append((f"+{k + 1}", lambda t, k=k: loop_complement1(t, n, k)))
     if mode == "full":
-        for i in range(1, n):
-            swap = Perm.identity(n).images[: i - 1] + (i + 1, i) + tuple(range(i + 2, n + 1))
-            p = Perm(swap)
-            gens.append((f"({i} {i+1})", lambda s, q=p: frozenset(q.apply_mask(m) for m in s)))
+        for k in range(n - 1):
+            gens.append((f"({k + 1} {k + 2})", lambda t, k=k: _swap_adjacent(t, n, k)))
     return gens
 
 
@@ -131,19 +128,16 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
     if D.n > cap:
         raise BudgetError(f"orbit({mode}) capped at n <= {cap}, got {D.n}")
     gens = _orbit_generators(D.n, mode)
-    seed = D.masks
-    paths: dict[tuple[int, ...], tuple[str, ...]] = {seed: ()}
-    queue = deque([frozenset(seed)])
-    while queue:
-        state = queue.popleft()
-        base = paths[tuple(sorted(state))]
+    paths: dict[int, tuple[str, ...]] = {D.table: ()}
+    queue = [D.table]
+    for state in queue:  # breadth first: the loop visits the states it appends
+        base = paths[state]
         for token, step in gens:
             nxt = step(state)
-            canon = tuple(sorted(nxt))
-            if canon not in paths:
-                paths[canon] = base + (token,)
+            if nxt not in paths:
+                paths[nxt] = base + (token,)
                 queue.append(nxt)
-    systems = {SetSystem(D.n, canon): path for canon, path in paths.items()}
+    systems = {SetSystem.from_table(D.n, table): path for table, path in paths.items()}
     elements = tuple(sorted(systems, key=SetSystem.canonical_key))
     return OrbitReport(D, mode, elements, {d: systems[d] for d in elements})
 

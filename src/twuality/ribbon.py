@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BudgetError, ConsistencyError, ValidationError
 from .multimatroid import Multimatroid, Projection, TransversalTriple, lift
@@ -59,8 +59,13 @@ class RibbonGraph:
 
     __slots__ = ("vertices", "edges", "_next", "_prev", "_vertex_of", "_partner", "_sign", "_label_of")
 
-    def __init__(self, vertices: Iterable[Sequence[int]], edges: Iterable):
-        vertices = tuple(_canon_rotation(rot) for rot in vertices)
+    def __init__(self, vertices: Sequence[Sequence[int]], edges: Sequence):
+        if not isinstance(vertices, (list, tuple)) or not all(
+            isinstance(rot, (list, tuple)) for rot in vertices
+        ):
+            raise ValidationError(f"vertices {vertices!r} must be a list of rotation lists")
+        if not isinstance(edges, (list, tuple)):
+            raise ValidationError(f"edges {edges!r} must be a list")
         norm_edges = []
         for e in edges:
             if isinstance(e, RibbonEdge):
@@ -70,14 +75,17 @@ class RibbonGraph:
                     ends, sign, label = e["ends"], e["sign"], e["label"]
                 except KeyError as missing:
                     raise ValidationError(f"edge object missing key {missing}") from None
-            else:
+            elif isinstance(e, (list, tuple)) and len(e) == 3:
                 ends, sign, label = e
-            ends = tuple(ends)
-            if len(ends) != 2 or ends[0] == ends[1]:
-                raise ValidationError(f"edge ends {ends} must be two distinct half-edges")
-            if sign not in (1, -1):
+            else:
+                raise ValidationError(f"edge {e!r} must be [ends, sign, label]")
+            if not isinstance(ends, (list, tuple)) or len(ends) != 2 or ends[0] == ends[1]:
+                raise ValidationError(f"edge ends {ends!r} must be two distinct half-edges")
+            if type(sign) is not int or sign not in (1, -1):
                 raise ValidationError(f"edge sign must be +1 or -1, got {sign!r}")
-            norm_edges.append(RibbonEdge(ends, sign, label))
+            if type(label) is not int:
+                raise ValidationError(f"edge label {label!r} must be an integer")
+            norm_edges.append(RibbonEdge(tuple(ends), sign, label))
         norm_edges.sort(key=lambda e: e.label)
         n = len(norm_edges)
         if [e.label for e in norm_edges] != list(range(1, n + 1)):
@@ -93,6 +101,7 @@ class RibbonGraph:
             raise ValidationError("a half-edge appears twice among the edge ends")
         if set(rot_ids) != set(end_ids):
             raise ValidationError("rotations and edge ends must use the same half-edges")
+        vertices = tuple(_canon_rotation(rot) for rot in vertices)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(norm_edges))
         nxt, prv, vert = {}, {}, {}

@@ -2,10 +2,11 @@
 
 A set system is a ground size ``n`` together with a family of feasible
 subsets of ``{1, .., n}``.  Subsets are encoded as bit masks (element ``i``
-is bit ``i - 1``), so every operation below is a handful of integer ops on
-small sets of masks.  Ground sizes are capped at 16; the exhaustive
-routines elsewhere in the package are exponential in ``n`` and 16 already
-exceeds every scale they are meant for.
+is bit ``i - 1``) and a family as its truth table, the ``2**n``-bit int
+whose bit ``X`` is set iff ``X`` is feasible, so each single-element flip
+is a few whole-table integer ops.  Ground sizes are capped at 16; the
+exhaustive routines elsewhere in the package are exponential in ``n`` and
+16 already exceeds every scale they are meant for.
 
 Operations:
 
@@ -75,24 +76,31 @@ class SetSystem:
     """An immutable family of feasible subsets of ``{1, .., n}``.
 
     Two systems are equal iff they have the same ground size and the same
-    family.  The family is deduplicated on construction; serialization
-    always lists each set in ascending order and the family in canonical
-    (cardinality, then lexicographic) order.
+    family, which is stored only as its truth table ``table``.
+    Serialization lists each set in ascending order and the family in
+    canonical (cardinality, then lexicographic) order.
     """
 
-    __slots__ = ("n", "masks", "_mask_set")
+    __slots__ = ("n", "table")
 
     def __init__(self, n: int, masks: Iterable[int] = ()):
         if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_GROUND:
             raise ValidationError(f"ground size must be an integer in 0..{MAX_GROUND}, got {n!r}")
-        mask_set = frozenset(masks)
-        full = (1 << n) - 1
-        for m in mask_set:
-            if not isinstance(m, int) or m < 0 or m & ~full:
+        table = 0
+        for m in masks:
+            if not isinstance(m, int) or m < 0 or m >> n:
                 raise ValidationError(f"mask {m!r} does not encode a subset of [{n}]")
+            table |= 1 << m
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_mask_set", mask_set)
-        object.__setattr__(self, "masks", tuple(sorted(mask_set)))
+        object.__setattr__(self, "table", table)
+
+    @classmethod
+    def from_table(cls, n: int, table: int) -> "SetSystem":
+        """Trusted constructor: ``table`` must be a truth table over [n]."""
+        D = object.__new__(cls)
+        object.__setattr__(D, "n", n)
+        object.__setattr__(D, "table", table)
+        return D
 
     def __setattr__(self, name, value):
         raise AttributeError("SetSystem is immutable")
@@ -102,34 +110,39 @@ class SetSystem:
         return cls(n, (mask_of(s, n) for s in sets))
 
     @property
+    def masks(self) -> tuple[int, ...]:
+        """The feasible masks in ascending order."""
+        return tuple(_masks_of_table(self.table))
+
+    @property
     def is_proper(self) -> bool:
-        return bool(self._mask_set)
+        return self.table != 0
 
     @property
     def is_normal(self) -> bool:
-        return 0 in self._mask_set
+        return bool(self.table & 1)
 
     def has_mask(self, mask: int) -> bool:
-        return mask in self._mask_set
+        return mask >= 0 and bool(self.table >> mask & 1)
 
     def mask_set(self) -> frozenset[int]:
-        return self._mask_set
+        return frozenset(self.masks)
 
     def feasible_sets(self) -> tuple[tuple[int, ...], ...]:
         """The family in canonical order, each set as an ascending tuple."""
-        return tuple(members_of(m) for m in sorted(self._mask_set, key=shortlex_key))
+        return tuple(members_of(m) for m in sorted(self.masks, key=shortlex_key))
 
     def canonical_key(self):
         """Total-order key for sorting collections of systems."""
-        return (self.n, tuple(sorted(shortlex_key(m) for m in self._mask_set)))
+        return (self.n, tuple(sorted(shortlex_key(m) for m in self.masks)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetSystem):
             return NotImplemented
-        return self.n == other.n and self._mask_set == other._mask_set
+        return self.n == other.n and self.table == other.table
 
     def __hash__(self) -> int:
-        return hash((self.n, self._mask_set))
+        return hash((self.n, self.table))
 
     def __repr__(self) -> str:
         fam = ", ".join("{" + ",".join(map(str, s)) + "}" for s in self.feasible_sets())
@@ -144,8 +157,8 @@ class SetSystem:
         if not isinstance(data, dict) or "n" not in data or "feasible" not in data:
             raise ValidationError("set-system object needs 'n' and 'feasible'")
         n = data["n"]
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValidationError("'n' must be an integer")
+        if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_GROUND:
+            raise ValidationError(f"'n' must be an integer in 0..{MAX_GROUND}, got {n!r}")
         fam = data["feasible"]
         if not isinstance(fam, list):
             raise ValidationError("'feasible' must be a list of lists")
@@ -153,7 +166,7 @@ class SetSystem:
         for s in fam:
             if not isinstance(s, list):
                 raise ValidationError("each feasible set must be a list")
-            masks.append(mask_of(s, n if 0 <= n <= MAX_GROUND else 0))
+            masks.append(mask_of(s, n))
         if len(set(masks)) != len(masks):
             raise ValidationError("duplicate feasible sets")
         return cls(n, masks)
@@ -189,22 +202,6 @@ class RibbonLoopClass(Enum):
     NON_ORIENTABLE_LOOP = "non-orientable-loop"
 
 
-# ---------------------------------------------------------------------------
-# single-element operations on raw mask sets (shared by the bulk operations,
-# the group action, and the closure searches)
-
-def twist1(masks: frozenset[int] | set[int], bit: int) -> frozenset[int]:
-    return frozenset(m ^ bit for m in masks)
-
-
-def loop_complement1(masks: frozenset[int] | set[int], bit: int) -> frozenset[int]:
-    return frozenset(masks ^ {m | bit for m in masks if not m & bit})
-
-
-def dual_twist1(masks: frozenset[int] | set[int], bit: int) -> frozenset[int]:
-    return frozenset(masks ^ {m & ~bit for m in masks if m & bit})
-
-
 def _submasks(mask: int) -> Iterator[int]:
     """All subsets of ``mask``, including 0 and ``mask`` itself."""
     sub = mask
@@ -216,17 +213,9 @@ def _submasks(mask: int) -> Iterator[int]:
 
 
 # ---------------------------------------------------------------------------
-# truth tables
-#
-# The truth table of a family over [n] is the 2**n-bit int whose bit X is
-# set iff the mask X is feasible.  On it the single-element flips at k are
-# a few whole-int ops, with ``half`` the bits of the sets without k and
-# ``shift == 1 << k``:
-#   twist            ((F & half) << shift) | ((F >> shift) & half)
-#   loop complement  F ^ ((F & half) << shift)
+# truth tables and the single-element flips on them, shared by every engine
 
 
-@functools.lru_cache(maxsize=None)
 def _half_masks(n: int) -> tuple[int, ...]:
     """Per element index ``k``, the truth-table bits of the sets without it."""
     out = []
@@ -238,6 +227,10 @@ def _half_masks(n: int) -> tuple[int, ...]:
             width <<= 1
         out.append(half)
     return tuple(out)
+
+
+#: per ground size, its ``_half_masks``; a flip reads them on every call
+_HALVES = tuple(_half_masks(n) for n in range(MAX_GROUND + 1))
 
 
 def _table_of(masks: Iterable[int]) -> int:
@@ -254,6 +247,30 @@ def _masks_of_table(table: int) -> list[int]:
         out.append(low.bit_length() - 1)
         table ^= low
     return out
+
+
+def twist1(table: int, n: int, k: int) -> int:
+    """``*`` at element ``e = k + 1``: each ``X`` trades places with ``X ^ {e}``."""
+    half, shift = _HALVES[n][k], 1 << k
+    return ((table & half) << shift) | ((table >> shift) & half)
+
+
+def loop_complement1(table: int, n: int, k: int) -> int:
+    """``+`` at element ``e = k + 1``: each feasible ``X`` without ``e`` toggles ``X | {e}``."""
+    half, shift = _HALVES[n][k], 1 << k
+    return table ^ ((table & half) << shift)
+
+
+def dual_twist1(table: int, n: int, k: int) -> int:
+    """``~`` at element ``e = k + 1``: each feasible ``X`` with ``e`` toggles ``X - {e}``."""
+    half, shift = _HALVES[n][k], 1 << k
+    return table ^ ((table >> shift) & half)
+
+
+def _swap_adjacent(table: int, n: int, k: int) -> int:
+    """Relabel by the transposition ``(k+1 k+2)``, a delta swap of the table."""
+    t = ((table >> (1 << k)) ^ table) & ~_HALVES[n][k] & _HALVES[n][k + 1]
+    return table ^ t ^ (t << (1 << k))
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +314,20 @@ def dual_twist(D: SetSystem, I: Iterable[int]) -> SetSystem:
 # ---------------------------------------------------------------------------
 # structure checks
 
-def _exchange_failure(ordered: list[int], n: int) -> tuple[int, int, int] | None:
+def _exchange_failure(ordered: list[int], table: int, n: int) -> tuple[int, int, int] | None:
     """First ``(X, Y, u)`` refuting symmetric exchange, or ``None``.
 
-    ``X`` and then ``Y`` run over ``ordered``, a family over [n], and ``u``
-    over the bits of ``X symdiff Y`` in ascending order.  For a feasible
-    ``X`` and a bit ``u`` with ``X symdiff {u}`` infeasible, let ``R`` be
-    the bits ``v != u`` with ``X symdiff {u, v}`` feasible: a ``Y`` fails
-    with ``u`` iff it differs from ``X`` at ``u`` and agrees with it on
-    ``R``.  Whether such a ``Y`` exists is one AND of truth-table masks per
-    bit of ``R``; only an ``X`` for which one does is scanned against every
-    ``Y``.
+    ``X`` and then ``Y`` run over ``ordered``, the family over [n] with
+    truth table ``table``, and ``u`` over the bits of ``X symdiff Y`` in
+    ascending order.  For a feasible ``X`` and a bit ``u`` with ``X symdiff
+    {u}`` infeasible, let ``R`` be the bits ``v != u`` with ``X symdiff
+    {u, v}`` feasible: a ``Y`` fails with ``u`` iff it differs from ``X``
+    at ``u`` and agrees with it on ``R``.  Whether such a ``Y`` exists is
+    one AND of truth-table masks per bit of ``R``; only an ``X`` for which
+    one does is scanned against every ``Y``.
     """
     fam = frozenset(ordered)
-    table = _table_of(ordered)
-    bits = [(1 << k, half) for k, half in enumerate(_half_masks(n))]
+    bits = [(1 << k, half) for k, half in enumerate(_HALVES[n])]
     for x in ordered:
         # per bit, the truth-table positions that agree with x there
         agree = [~half if x & bit else half for bit, half in bits]
@@ -345,7 +361,7 @@ def is_delta_matroid(D: SetSystem) -> DeltaMatroidWitness:
     """
     if not D.is_proper:
         return DeltaMatroidWitness(False, "not proper")
-    failure = _exchange_failure(sorted(D.masks, key=shortlex_key), D.n)
+    failure = _exchange_failure(sorted(D.masks, key=shortlex_key), D.table, D.n)
     if failure is None:
         return DeltaMatroidWitness(True)
     x, y, ub = failure
@@ -391,11 +407,10 @@ def classify_element(D: SetSystem, i: int) -> RibbonLoopClass:
 # vf-safety closure over twist classes
 
 @functools.lru_cache(maxsize=None)
-def _gray_twists(n: int) -> tuple[tuple[int, int], ...]:
-    """``(shift, half)`` of the single twist made at each step of a
-    Gray-code walk that visits all ``2**n`` twists of a truth table."""
-    halves = _half_masks(n)
-    return tuple((i & -i, halves[(i & -i).bit_length() - 1]) for i in range(1, 1 << n))
+def _gray_twists(n: int) -> tuple[int, ...]:
+    """The element index twisted at each step of a Gray-code walk that
+    visits all ``2**n`` twists of a truth table."""
+    return tuple((i & -i).bit_length() - 1 for i in range(1, 1 << n))
 
 
 @functools.lru_cache(maxsize=None)
@@ -410,8 +425,8 @@ def _relabel_positions(n: int) -> tuple[tuple[int, ...], ...]:
 def _twists(table: int, n: int) -> Iterator[int]:
     """The ``2**n`` twists of a truth table, in Gray-code order."""
     yield table
-    for shift, half in _gray_twists(n):
-        table = ((table & half) << shift) | ((table >> shift) & half)
+    for k in _gray_twists(n):
+        table = twist1(table, n, k)
         yield table
 
 
@@ -456,25 +471,22 @@ def is_vf_safe(
     if D.n > max_n:
         raise BudgetError(f"vf-safe closure needs n <= {max_n}, got {D.n}")
     n = D.n
-    twists = list(_twists(_table_of(D.masks), n))
+    twists = list(_twists(D.table, n))
     if cache is not None:
         hit = cache.get(_vf_cache_key(n, min(twists)))
         if hit is not None:
             return hit
 
-    flips = [(1 << k, half) for k, half in enumerate(_half_masks(n))]
     reached = set(twists)  # every system of the classes found so far
     keys = [min(twists)]
     verdict = True
     for key in keys:  # breadth first: the loop visits the keys it appends
-        masks = _masks_of_table(key)
-        if not masks or _exchange_failure(masks, n) is not None:
+        if not key or _exchange_failure(_masks_of_table(key), key, n) is not None:
             verdict = False
             break
-        for shift, half in flips:
-            twisted = ((key & half) << shift) | ((key >> shift) & half)
-            for base in (key, twisted):
-                table = base ^ ((base & half) << shift)
+        for k in range(n):
+            for base in (key, twist1(key, n, k)):
+                table = loop_complement1(base, n, k)
                 if table not in reached:
                     twists = list(_twists(table, n))
                     reached.update(twists)

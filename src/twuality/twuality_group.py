@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .set_system import SetSystem, dual_twist1, loop_complement1, twist1
+from .set_system import SetSystem, _table_of, dual_twist1, loop_complement1, twist1
 
 
 class Flip:
@@ -327,31 +327,22 @@ def sd_inv(a: TwualityElement) -> TwualityElement:
 # ---------------------------------------------------------------------------
 # the action on set systems
 
-def _apply_seq(masks: frozenset[int], seq: tuple[str, ...], bit: int) -> frozenset[int]:
+def _apply_seq(table: int, n: int, seq: tuple[str, ...], k: int) -> int:
     for step in seq:
         if step == "*":
-            masks = twist1(masks, bit)
+            table = twist1(table, n, k)
         elif step == "+":
-            masks = loop_complement1(masks, bit)
+            table = loop_complement1(table, n, k)
         else:
-            masks = dual_twist1(masks, bit)
-    return masks
+            table = dual_twist1(table, n, k)
+    return table
 
 
 def apply_flip(D: SetSystem, g: Flip, i: int) -> SetSystem:
     """Apply the flip ``g`` at element ``i`` (its word, rightmost first)."""
     if not 1 <= i <= D.n:
         raise ValidationError(f"element {i} out of range 1..{D.n}")
-    return SetSystem(D.n, _apply_seq(D.mask_set(), g.app_seq, 1 << (i - 1)))
-
-
-def _act_masks(a: TwualityElement, masks: frozenset[int]) -> frozenset[int]:
-    if not a.perm.is_identity():
-        masks = frozenset(a.perm.apply_mask(m) for m in masks)
-    for i, g in enumerate(a.gvec):
-        if g is not ONE:
-            masks = _apply_seq(masks, g.app_seq, 1 << i)
-    return masks
+    return SetSystem.from_table(D.n, _apply_seq(D.table, D.n, g.app_seq, i - 1))
 
 
 def act(a: TwualityElement, D: SetSystem) -> SetSystem:
@@ -362,4 +353,8 @@ def act(a: TwualityElement, D: SetSystem) -> SetSystem:
     """
     if a.n != D.n:
         raise ValidationError(f"element acts on [{a.n}] but system has ground [{D.n}]")
-    return SetSystem(D.n, _act_masks(a, D.mask_set()))
+    table = D.table if a.perm.is_identity() else _table_of(map(a.perm.apply_mask, D.masks))
+    for k, g in enumerate(a.gvec):
+        if g is not ONE:
+            table = _apply_seq(table, D.n, g.app_seq, k)
+    return SetSystem.from_table(D.n, table)

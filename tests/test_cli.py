@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twuality import ConsistencyError, Multimatroid, RibbonGraph, SetSystem
-from twuality.cli import main
+from twuality.cli import build_parser, main
 
 import ribbon_catalog as cat
 
@@ -14,6 +17,13 @@ def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return str(path)
+
+
+FILE = object()  # stands for the input file's path in an argument list
+
+
+def with_file(argv, path):
+    return [path if a is FILE else a for a in argv]
 
 
 def run(capsys, *argv):
@@ -257,3 +267,113 @@ class TestHarness:
         assert Multimatroid.from_json(json.loads(json.dumps(Z.to_json()))) == Z
         G = cat.theta((1, -1, 1))
         assert RibbonGraph.from_json(json.loads(json.dumps(G.to_json()))).to_json() == G.to_json()
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["mm-check", FILE], {"n": 1, "bases": 5}),
+            (["extract", FILE, "--tau", "[[1,2,3]]", "--sigma", "[1]"], {"n": 1, "bases": 5}),
+            (["mm-check", FILE], {"n": 1, "bases": [[[True, 1]]]}),
+            (["mm-check", FILE], {"n": 1, "bases": [[[1, True]]]}),
+            (["ribbon", "dm", FILE], {"vertices": 3, "edges": []}),
+            (["ribbon", "dm", FILE], {"vertices": [5], "edges": []}),
+            (["ribbon", "dm", FILE], {"vertices": [[1, 2]], "edges": [[[1, 2], 1]]}),
+            (["ribbon", "dm", FILE], {"vertices": [[1, 2]], "edges": [[[1, 2], True, 1]]}),
+            (["check", FILE], {"n": 99, "feasible": [[1]]}),
+        ],
+    )
+    def test_malformed_input_is_one_error_line(self, capsys, tmp_path, argv, payload):
+        path = write(tmp_path, "in.json", payload)
+        code, out, err = run(capsys, *with_file(argv, path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_ground_size_checked_before_sets(self, capsys, tmp_path):
+        path = write(tmp_path, "big.json", {"n": 99, "feasible": [[1]]})
+        assert run(capsys, "check", path)[2] == "error: 'n' must be an integer in 0..16, got 99\n"
+
+    def test_parser_reuse_matches_fresh_parser(self, capsys, cone_file):
+        calls = [
+            ("orbit", cone_file, "--iota"),
+            ("orbit", cone_file),
+            ("check", cone_file, "--format", "text"),
+            ("check", cone_file),
+        ]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert [run(capsys, *argv) for argv in calls] == fresh
+        assert fresh[0] != fresh[1] and fresh[2] != fresh[3]
+
+
+_KEYS = ("n", "feasible", "bases", "roles", "vertices", "edges", "ends", "sign", "label")
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 4), st.sampled_from([99, 1.0, -1.0, "", "1"])
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+_SMALL = st.integers(-1, 4)
+_SETS = st.lists(st.lists(_SMALL, max_size=3), max_size=4)
+_SET_SYSTEMS = st.fixed_dictionaries({"n": st.one_of(_SMALL, _JSON), "feasible": st.one_of(_SETS, _JSON)})
+_PAIRS = st.lists(st.lists(st.lists(_SMALL, min_size=2, max_size=2), max_size=3), max_size=3)
+_MULTIMATROIDS = st.fixed_dictionaries({"n": st.one_of(_SMALL, _JSON), "bases": st.one_of(_PAIRS, _JSON)})
+_EDGES = st.lists(st.one_of(st.tuples(st.lists(_SMALL, max_size=3), _SMALL, _SMALL).map(list), _JSON), max_size=3)
+_RIBBONS = st.fixed_dictionaries(
+    {"vertices": st.one_of(st.lists(st.lists(_SMALL, max_size=4), max_size=3), _JSON), "edges": st.one_of(_EDGES, _JSON)}
+)
+_TAU = st.one_of(st.just("[[1,2,3]]"), _JSON.map(json.dumps))
+# (input strategy, argument list); a trailing --tau takes a drawn value
+_COMMANDS = [
+    (_SET_SYSTEMS, ["check", FILE]),
+    (_SET_SYSTEMS, ["apply", FILE, "--ops", "*{1} +{2} (1 2)"]),
+    (_SET_SYSTEMS, ["orbit", FILE]),
+    (_SET_SYSTEMS, ["orbit", FILE, "--iota"]),
+    (_SET_SYSTEMS, ["selftwual", FILE]),
+    (_SET_SYSTEMS, ["selftwual", FILE, "--uniform-only"]),
+    (_SET_SYSTEMS, ["uniformize", FILE, "--gvec", "*,+,+", "--mu", "[1,2,3]", "--g", "~"]),
+    (_SET_SYSTEMS, ["lift", FILE, "--tau"]),
+    (_SET_SYSTEMS, ["orbit-via-lift", FILE, "--iota", "--tau"]),
+    (_MULTIMATROIDS, ["extract", FILE, "--sigma", "[1]", "--tau"]),
+    (_MULTIMATROIDS, ["mm-check", FILE]),
+    (_RIBBONS, ["ribbon", "dm", FILE]),
+    (_RIBBONS, ["ribbon", "medial", FILE]),
+    (_RIBBONS, ["ribbon", "verify-t63", FILE]),
+]
+
+
+@st.composite
+def _cli_calls(draw):
+    kind, argv = draw(st.sampled_from(_COMMANDS))
+    payload = draw(st.one_of(kind, _JSON))
+    extra = [draw(_TAU)] if argv[-1] == "--tau" else []
+    return payload, argv + extra
+
+
+@settings(max_examples=150)
+@given(_cli_calls())
+def test_fuzz_malformed_json_never_crashes(tmp_path_factory, call):
+    """Every subcommand on malformed JSON shapes, with --max-n 3 bounding
+    the work: exit 0-3 (4 is a bug), no traceback, canonical JSON on
+    stdout whenever there is a result."""
+    payload, argv = call
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    full = with_file(argv, str(path)) + ["--max-n", "3"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(full)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3), (full, payload, err)
+    assert "Traceback" not in err
+    if code in (0, 3):
+        assert out == json.dumps(json.loads(out), sort_keys=True, separators=(",", ":")) + "\n"
+    else:
+        assert out == "" and err

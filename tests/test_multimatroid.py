@@ -74,8 +74,11 @@ class TestTypes:
         assert tau.slot_of(2, 1) == 2
         assert tau.member_in_slot(2, 1) == 2
         assert TransversalTriple.from_json(tau.to_json()) == tau
+        for roles in (((1, 2, 2),), [[True, 2, 3]], [[1.0, 2, 3]], 5, [5], ["123"]):
+            with pytest.raises(ValidationError):
+                TransversalTriple(roles)
         with pytest.raises(ValidationError):
-            TransversalTriple(((1, 2, 2),))
+            TransversalTriple.from_json({"roles": 5})
 
     def test_reference_triple(self):
         tau = TransversalTriple.reference(2)
@@ -101,6 +104,9 @@ class TestTypes:
             Multimatroid.from_json({"n": 1, "bases": [[[1, 4]]]})
         with pytest.raises(ValidationError):
             Multimatroid.from_json({"n": 1, "bases": [[[1, 1]], [[1, 1]]]})
+        for bases in (5, [[[True, 1]]], [[[1, True]]], [[[1, 1.0]]]):
+            with pytest.raises(ValidationError):
+                Multimatroid.from_json({"n": 1, "bases": bases})
         with pytest.raises(ValidationError):
             Multimatroid(1, [(1, 2)])
 

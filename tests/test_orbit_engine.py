@@ -2,7 +2,7 @@ import itertools
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twuality import (
     BAR,
@@ -31,6 +31,7 @@ from twuality import (
 )
 
 from conftest import set_systems
+from oracles import orbit_oracle
 
 ss = SetSystem.from_sets
 
@@ -85,6 +86,13 @@ class TestOrbit:
                 for i in range(1, D.n):
                     swap = Perm(tuple(range(1, i)) + (i + 1, i) + tuple(range(i + 2, D.n + 1)))
                     assert act(TwualityElement((ONE,) * D.n, swap), E) in members
+
+    @given(set_systems(max_n=3), st.sampled_from(["iota", "full"]))
+    @example(ss(4, [(), (1, 2), (1, 3), (2, 4), (1, 2, 3, 4)]), "iota")
+    @example(ss(4, [(), (1, 2), (1, 3), (2, 4), (1, 2, 3, 4)]), "full")
+    @example(ss(4, [(1,), (2, 3), (1, 2, 4)]), "full")
+    def test_matches_oracle(self, D, mode):
+        assert orbit(D, mode=mode).to_json() == orbit_oracle(D, mode).to_json()
 
     def test_deterministic(self):
         a = orbit(D_CONE, mode="full")

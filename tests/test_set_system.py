@@ -33,6 +33,7 @@ from twuality.set_system import shortlex_key
 
 import ribbon_catalog as cat
 from conftest import set_systems, subset_of
+import oracles
 from oracles import first_exchange_failure, vf_safe_oracle
 
 ss = SetSystem.from_sets
@@ -123,6 +124,32 @@ class TestSetSystemType:
         D = ss(0, [()])
         assert D.is_proper and D.is_normal
         assert D.to_json() == {"n": 0, "feasible": [[]]}
+
+
+class TestTruthTable:
+    @given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), st.frozensets(subset_of(n)))))
+    def test_table_round_trip(self, case):
+        n, masks = case
+        D = SetSystem(n, masks)
+        assert D.table == sum(1 << m for m in masks)
+        assert D.masks == tuple(sorted(masks))
+        assert D.mask_set() == masks
+        assert D.is_proper == bool(masks) and D.is_normal == (0 in masks)
+        assert all(D.has_mask(m) == (m in masks) for m in range(-1, 1 << (n + 1)))
+        E = SetSystem.from_table(n, D.table)
+        assert E == D and hash(E) == hash(D) and E.masks == D.masks
+        assert E.to_json() == D.to_json()
+
+    @given(set_systems(max_n=5))
+    def test_flips_match_frozenset_reference(self, D):
+        for k in range(D.n):
+            for table_flip, set_flip in (
+                (set_system.twist1, oracles.twist1),
+                (set_system.loop_complement1, oracles.loop_complement1),
+                (set_system.dual_twist1, oracles.dual_twist1),
+            ):
+                expected = SetSystem(D.n, set_flip(D.mask_set(), 1 << k))
+                assert SetSystem.from_table(D.n, table_flip(D.table, D.n, k)) == expected
 
 
 class TestTwist:
@@ -330,7 +357,7 @@ class TestVfSafe:
         # exchange check runs) and add no key.  A safe verdict has walked
         # the whole closure; a failing one may have stopped at the input's
         # own twist class.
-        def no_search(ordered, n):
+        def no_search(ordered, table, n):
             raise AssertionError("cache miss")
 
         for D in (
