@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BudgetError, ValidationError
-from .set_system import SetSystem, dual_twist1, is_vf_safe
+from .set_system import SetSystem, dual_twist1, fold_flip, is_vf_safe, relabel
 from .twuality_group import Flip, Perm
 
 #: the six role permutations in lexicographic order
@@ -152,9 +152,11 @@ class Multimatroid:
     __slots__ = ("n", "bases")
 
     def __init__(self, n: int, bases: Iterable[tuple[int, ...]]):
+        if type(n) is not int or n < 0:
+            raise ValidationError(f"class count must be a non-negative integer, got {n!r}")
         bases = frozenset(tuple(b) for b in bases)
         for b in bases:
-            if len(b) != n or any(r not in (1, 2, 3) for r in b):
+            if len(b) != n or any(type(r) is not int or not 1 <= r <= 3 for r in b):
                 raise ValidationError(f"basis {b} is not a transversal choice on {n} classes")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bases", bases)
@@ -351,11 +353,7 @@ def lift(
 
     @functools.cache
     def table_after(s_mask: int) -> int:
-        table = D.table
-        for k in range(n):
-            if s_mask >> k & 1:
-                table = dual_twist1(table, n, k)
-        return table
+        return fold_flip(dual_twist1, D.table, n, s_mask)
 
     bases = []
     for choice in itertools.product((1, 2, 3), repeat=n):
@@ -375,8 +373,10 @@ def lift(
 def extract(Z: Multimatroid, tau: TransversalTriple, sigma: Projection) -> SetSystem:
     """The set system of slot-2 labels of bases avoiding slot 3 entirely.
 
-    An empty selection yields an improper (empty-family) system, which the
-    caller can detect via ``is_proper``.
+    Each basis avoiding slot 3 sets the bit of its slot-2 classes in a
+    truth table over class indices, which is relabeled once by ``sigma``
+    at the end.  An empty selection yields an improper (empty-family)
+    system, which the caller can detect via ``is_proper``.
     """
     if tau.n != Z.n or sigma.n != Z.n:
         raise ValidationError("triple/projection size must match the carrier")
@@ -388,10 +388,10 @@ def extract(Z: Multimatroid, tau: TransversalTriple, sigma: Projection) -> SetSy
             if slot == 3:
                 break
             if slot == 2:
-                f_mask |= 1 << (sigma.label_of(idx + 1) - 1)
+                f_mask |= 1 << idx
         else:
             table |= 1 << f_mask
-    return SetSystem.from_table(Z.n, table)
+    return SetSystem.from_table(Z.n, relabel(table, Z.n, sigma.relabel.images))
 
 
 def triple_flip(tau: TransversalTriple, g: Flip, i: int) -> TransversalTriple:
@@ -430,9 +430,10 @@ def orbit_via_lift(
     max_n: int | None = None,
     vf_cache: dict | None = None,
 ) -> tuple[SetSystem, ...]:
-    """Orbit of ``D`` computed through its lift: one lift, then an
-    extraction per transversal triple (and per projection in full mode),
-    deduplicated and canonically sorted."""
+    """Orbit of ``D`` computed through its lift: one lift, one extraction
+    per transversal triple at the identity projection, then every distinct
+    extracted table relabeled by ``sigma`` (iota mode) or by each of the
+    ``n!`` projections (full mode), deduplicated and canonically sorted."""
     if mode not in ORBIT_VIA_LIFT_CAPS:
         raise ValidationError(f"mode must be 'full' or 'iota', got {mode!r}")
     cap = ORBIT_VIA_LIFT_CAPS[mode] if max_n is None else max_n
@@ -442,12 +443,11 @@ def orbit_via_lift(
     tau = TransversalTriple.reference(n) if tau is None else tau
     sigma = Projection.identity(n) if sigma is None else sigma
     Z = lift(D, tau, sigma, max_n=max(n, 1), vf_cache=vf_cache)
+    ident = Projection.identity(n)
+    tables = {extract(Z, tau_p, ident).table for tau_p in all_triples(n)}
     if mode == "iota":
-        projections = [sigma]
+        relabelings = [sigma.relabel.images]
     else:
-        projections = [Projection(Perm(p)) for p in itertools.permutations(range(1, n + 1))]
-    seen: set[SetSystem] = set()
-    for tau_p in all_triples(n):
-        for sigma_p in projections:
-            seen.add(extract(Z, tau_p, sigma_p))
+        relabelings = itertools.permutations(range(1, n + 1))
+    seen = {SetSystem.from_table(n, relabel(t, n, p)) for p in relabelings for t in tables}
     return tuple(sorted(seen, key=SetSystem.canonical_key))

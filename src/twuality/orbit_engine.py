@@ -27,6 +27,7 @@ from .set_system import (
     loop_complement1,
     min_max_matroids,
     members_of,
+    relabel,
     shortlex_key,
     twist,
     twist1,
@@ -147,10 +148,12 @@ def stabilizer_search(
 ) -> list[StabilizerHit]:
     """Enumerate group elements fixing ``D``.
 
-    The vector part must not be the identity vector.  ``all`` mode scans
-    the whole semidirect product; ``uniform`` mode scans only the five
-    uniform vectors.  Permutations are enumerated in lexicographic
-    one-line order, vectors in the fixed flip order.
+    The vector part must not be the identity vector.  ``all`` mode ranges
+    over the whole semidirect product; ``uniform`` mode over the five
+    uniform vectors only.  ``(g, p)`` fixes ``D`` iff ``p.D == g^-1.D``:
+    the ``n!`` relabelings of ``D`` are bucketed by image once, and each
+    vector ``g`` (in the fixed flip order) emits the permutations (in
+    lexicographic one-line order) in the bucket of ``g^-1.D``.
     """
     if mode not in STABILIZER_CAPS:
         raise ValidationError(f"stabilizer mode must be 'all' or 'uniform', got {mode!r}")
@@ -162,13 +165,15 @@ def stabilizer_search(
         gvecs = [(g,) * n for g in FLIPS[1:]] if n else []
     else:
         gvecs = [g for g in itertools.product(FLIPS, repeat=n) if any(x is not ONE for x in g)]
-    perms = [Perm(p) for p in itertools.permutations(range(1, n + 1))]
+    by_image: dict[int, list[Perm]] = {}
+    for images in itertools.permutations(range(1, n + 1)):
+        by_image.setdefault(relabel(D.table, n, images), []).append(Perm(images))
+    ident = Perm.identity(n)
     hits = []
     for gvec in gvecs:
-        for perm in perms:
-            element = TwualityElement(gvec, perm)
-            if act(element, D) == D:
-                hits.append(StabilizerHit(element, uniform_flip(gvec)))
+        target = act(TwualityElement(vec_inv(gvec), ident), D).table
+        for perm in by_image.get(target, ()):
+            hits.append(StabilizerHit(TwualityElement(gvec, perm), uniform_flip(gvec)))
     return hits
 
 

@@ -239,12 +239,13 @@ def spanning_quasi_trees(G: RibbonGraph, max_e: int = QUASI_TREE_CAP) -> tuple[t
     each component having exactly one boundary walk."""
     if G.n > max_e:
         raise BudgetError(f"quasi-tree enumeration capped at {max_e} edges, got {G.n}")
+    # Every component of (V, A) has a boundary walk, so boundary(A) >= comp(A)
+    # >= comp(G), and boundary(A) == comp(G) already forces comp(A) == comp(G).
     k_full = _component_count(G, frozenset(e.label for e in G.edges))
     out = []
     for r in range(G.n + 1):
         for combo in itertools.combinations(range(1, G.n + 1), r):
-            sub = frozenset(combo)
-            if _component_count(G, sub) == k_full and _sub_boundary(G, sub) == k_full:
+            if _sub_boundary(G, frozenset(combo)) == k_full:
                 out.append(combo)
     return tuple(out)
 

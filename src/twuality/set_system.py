@@ -4,9 +4,10 @@ A set system is a ground size ``n`` together with a family of feasible
 subsets of ``{1, .., n}``.  Subsets are encoded as bit masks (element ``i``
 is bit ``i - 1``) and a family as its truth table, the ``2**n``-bit int
 whose bit ``X`` is set iff ``X`` is feasible, so each single-element flip
-is a few whole-table integer ops.  Ground sizes are capped at 16; the
-exhaustive routines elsewhere in the package are exponential in ``n`` and
-16 already exceeds every scale they are meant for.
+and each adjacent transposition of the ground set is a few whole-table
+integer ops.  Ground sizes are capped at 16; the exhaustive routines
+elsewhere in the package are exponential in ``n`` and 16 already exceeds
+every scale they are meant for.
 
 Operations:
 
@@ -15,10 +16,13 @@ Operations:
   ``Y`` with ``X \\ I <= Y <= X`` is odd.
 * ``dual_twist(D, I)`` keeps ``X`` feasible iff the number of feasible
   ``Y`` with ``X <= Y <= X | I`` is odd.
+* ``relabel(table, n, images)`` moves every feasible ``X`` to its image
+  under a permutation of the ground set.
 
-The two parity rules are implemented directly (not by iterating the
-single-element operations); agreement with sequential single-element
-application is a tested property, not an implementation shortcut.
+Flips at distinct elements commute, so each bulk operation is the fold of
+its single-element flip over the elements of ``I``; for the parity rules
+this is the GF(2) subset-sum (zeta) transform restricted to ``I``.  Their
+agreement with the direct parity rules is a tested property.
 """
 
 from __future__ import annotations
@@ -202,16 +206,6 @@ class RibbonLoopClass(Enum):
     NON_ORIENTABLE_LOOP = "non-orientable-loop"
 
 
-def _submasks(mask: int) -> Iterator[int]:
-    """All subsets of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 # ---------------------------------------------------------------------------
 # truth tables and the single-element flips on them, shared by every engine
 
@@ -231,13 +225,6 @@ def _half_masks(n: int) -> tuple[int, ...]:
 
 #: per ground size, its ``_half_masks``; a flip reads them on every call
 _HALVES = tuple(_half_masks(n) for n in range(MAX_GROUND + 1))
-
-
-def _table_of(masks: Iterable[int]) -> int:
-    table = 0
-    for m in masks:
-        table |= 1 << m
-    return table
 
 
 def _masks_of_table(table: int) -> list[int]:
@@ -273,13 +260,40 @@ def _swap_adjacent(table: int, n: int, k: int) -> int:
     return table ^ t ^ (t << (1 << k))
 
 
+def relabel(table: int, n: int, images: Iterable[int]) -> int:
+    """The truth table of ``{p(X)}`` for ``p: i -> images[i-1]``.
+
+    Bubble-sorts the one-line ``images``.  Exchanging entries ``k`` and
+    ``k + 1`` composes ``p`` on the right with the transposition
+    ``(k+1 k+2)``, so ``p`` is the product of the exchanges in reverse
+    order of discovery, and the table takes them in the order found.
+    """
+    line = list(images)
+    for end in range(n - 1, 0, -1):
+        for k in range(end):
+            if line[k] > line[k + 1]:
+                line[k], line[k + 1] = line[k + 1], line[k]
+                table = _swap_adjacent(table, n, k)
+    return table
+
+
+def fold_flip(flip, table: int, n: int, mask: int) -> int:
+    """Apply the single-element ``flip`` at every element of ``mask``.
+
+    Flips at distinct elements commute, so the order is immaterial.
+    """
+    for k in range(n):
+        if mask >> k & 1:
+            table = flip(table, n, k)
+    return table
+
+
 # ---------------------------------------------------------------------------
-# bulk operations
+# bulk operations: one single-element flip per element of ``I``
 
 def twist(D: SetSystem, I: Iterable[int]) -> SetSystem:
     """Symmetric difference of every feasible set with ``I``."""
-    imask = mask_of(I, D.n)
-    return SetSystem(D.n, (m ^ imask for m in D.masks))
+    return SetSystem.from_table(D.n, fold_flip(twist1, D.table, D.n, mask_of(I, D.n)))
 
 
 def loop_complement(D: SetSystem, I: Iterable[int]) -> SetSystem:
@@ -289,12 +303,7 @@ def loop_complement(D: SetSystem, I: Iterable[int]) -> SetSystem:
     satisfy ``X \\ I <= Y <= X``; equivalently the result is the symmetric
     difference, over feasible ``Y``, of the intervals ``[Y, Y | I]``.
     """
-    imask = mask_of(I, D.n)
-    out: set[int] = set()
-    for y in D.masks:
-        for s in _submasks(imask & ~y):
-            out ^= {y | s}
-    return SetSystem(D.n, out)
+    return SetSystem.from_table(D.n, fold_flip(loop_complement1, D.table, D.n, mask_of(I, D.n)))
 
 
 def dual_twist(D: SetSystem, I: Iterable[int]) -> SetSystem:
@@ -303,12 +312,7 @@ def dual_twist(D: SetSystem, I: Iterable[int]) -> SetSystem:
     ``X`` is feasible in the result iff an odd number of feasible ``Y``
     satisfy ``X <= Y <= X | I``.
     """
-    imask = mask_of(I, D.n)
-    out: set[int] = set()
-    for y in D.masks:
-        for s in _submasks(imask & y):
-            out ^= {y ^ s}
-    return SetSystem(D.n, out)
+    return SetSystem.from_table(D.n, fold_flip(dual_twist1, D.table, D.n, mask_of(I, D.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +417,6 @@ def _gray_twists(n: int) -> tuple[int, ...]:
     return tuple((i & -i).bit_length() - 1 for i in range(1, 1 << n))
 
 
-@functools.lru_cache(maxsize=None)
-def _relabel_positions(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per relabeling of [n], the image of every truth-table position."""
-    return tuple(
-        tuple(sum(1 << (images[i] - 1) for i in range(n) if p >> i & 1) for p in range(1 << n))
-        for images in itertools.permutations(range(1, n + 1))
-    )
-
-
 def _twists(table: int, n: int) -> Iterator[int]:
     """The ``2**n`` twists of a truth table, in Gray-code order."""
     yield table
@@ -435,14 +430,8 @@ def _vf_cache_key(n: int, class_key: int) -> tuple[int, int]:
     class key over all relabelings."""
     if n > _RELABEL_KEY_CAP:
         return (n, class_key)
-    positions = _masks_of_table(class_key)
-    return (
-        n,
-        min(
-            min(_twists(_table_of(image[p] for p in positions), n))
-            for image in _relabel_positions(n)
-        ),
-    )
+    perms = itertools.permutations(range(1, n + 1))
+    return (n, min(min(_twists(relabel(class_key, n, p), n)) for p in perms))
 
 
 def is_vf_safe(

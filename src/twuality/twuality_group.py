@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .set_system import SetSystem, _table_of, dual_twist1, loop_complement1, twist1
+from .set_system import SetSystem, dual_twist1, loop_complement1, relabel, twist1
 
 
 class Flip:
@@ -188,16 +188,6 @@ class Perm:
             out.append(tuple(cyc))
         return tuple(out)
 
-    def apply_mask(self, mask: int) -> int:
-        out = 0
-        i = 0
-        while mask:
-            if mask & 1:
-                out |= 1 << (self.images[i] - 1)
-            mask >>= 1
-            i += 1
-        return out
-
     def one_line(self) -> list[int]:
         return list(self.images)
 
@@ -353,7 +343,7 @@ def act(a: TwualityElement, D: SetSystem) -> SetSystem:
     """
     if a.n != D.n:
         raise ValidationError(f"element acts on [{a.n}] but system has ground [{D.n}]")
-    table = D.table if a.perm.is_identity() else _table_of(map(a.perm.apply_mask, D.masks))
+    table = relabel(D.table, D.n, a.perm.images)
     for k, g in enumerate(a.gvec):
         if g is not ONE:
             table = _apply_seq(table, D.n, g.app_seq, k)

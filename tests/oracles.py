@@ -11,11 +11,113 @@ compared against.
   library applies them to truth tables.
 * ``orbit_oracle``: the breadth-first orbit closure over frozenset states
   keyed by their sorted masks.  The library keys states by truth table.
+* ``relabel_mask``: a permutation applied to one mask.  The library
+  relabels whole truth tables by adjacent transpositions.
+* ``twist``, ``loop_complement``, ``dual_twist``: the bulk operations
+  read directly off their definitions, the parity rules by interval
+  counting.  The library folds single-element flips.
+* ``stabilizer_oracle``: one action per group element.  The library
+  matches relabelings of the system by their image.
+* ``quasi_trees_oracle``: both conditions of a spanning quasi-tree, a
+  component count and a boundary count.  The library counts boundaries
+  only.
 """
 
+import itertools
 from collections import deque
 
-from twuality import OrbitReport, Perm, SetSystem
+from twuality import (
+    FLIPS,
+    ONE,
+    OrbitReport,
+    Perm,
+    SetSystem,
+    StabilizerHit,
+    TwualityElement,
+    act,
+    uniform_flip,
+)
+from twuality.ribbon import _component_count, _sub_boundary
+from twuality.set_system import mask_of
+
+
+def relabel_mask(images, mask):
+    """The image of ``mask`` under ``i -> images[i-1]``."""
+    out = 0
+    for i, img in enumerate(images):
+        if mask >> i & 1:
+            out |= 1 << (img - 1)
+    return out
+
+
+def _submasks(mask):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def twist(D, I):
+    """Every feasible ``X`` replaced by ``X symdiff I``."""
+    imask = mask_of(I, D.n)
+    return SetSystem(D.n, (m ^ imask for m in D.masks))
+
+
+def loop_complement(D, I):
+    """``X`` is feasible iff an odd number of feasible ``Y`` satisfy
+    ``X \\ I <= Y <= X``."""
+    imask = mask_of(I, D.n)
+    out = set()
+    for y in D.masks:
+        for s in _submasks(imask & ~y):
+            out ^= {y | s}
+    return SetSystem(D.n, out)
+
+
+def dual_twist(D, I):
+    """``X`` is feasible iff an odd number of feasible ``Y`` satisfy
+    ``X <= Y <= X | I``."""
+    imask = mask_of(I, D.n)
+    out = set()
+    for y in D.masks:
+        for s in _submasks(imask & y):
+            out ^= {y ^ s}
+    return SetSystem(D.n, out)
+
+
+def stabilizer_oracle(D, mode):
+    """``stabilizer_search`` without its budget check: every non-identity
+    vector in the fixed flip order (only the uniform ones in ``uniform``
+    mode), and for each every permutation in lexicographic order, kept
+    when it fixes ``D``."""
+    n = D.n
+    if mode == "uniform":
+        gvecs = [(g,) * n for g in FLIPS[1:]] if n else []
+    else:
+        gvecs = [g for g in itertools.product(FLIPS, repeat=n) if any(x is not ONE for x in g)]
+    perms = [Perm(p) for p in itertools.permutations(range(1, n + 1))]
+    hits = []
+    for gvec in gvecs:
+        for perm in perms:
+            element = TwualityElement(gvec, perm)
+            if act(element, D) == D:
+                hits.append(StabilizerHit(element, uniform_flip(gvec)))
+    return hits
+
+
+def quasi_trees_oracle(G):
+    """Label sets of spanning subgraphs with as many components as ``G``
+    and as many boundary walks as components."""
+    k_full = _component_count(G, frozenset(e.label for e in G.edges))
+    out = []
+    for r in range(G.n + 1):
+        for combo in itertools.combinations(range(1, G.n + 1), r):
+            sub = frozenset(combo)
+            if _component_count(G, sub) == k_full and _sub_boundary(G, sub) == k_full:
+                out.append(combo)
+    return tuple(out)
 
 
 def twist1(masks, bit):
@@ -85,8 +187,8 @@ def orbit_oracle(D, mode):
         gens.append((f"+{i}", lambda s, b=bit: loop_complement1(s, b)))
     if mode == "full":
         for i in range(1, D.n):
-            p = Perm([*range(1, i), i + 1, i, *range(i + 2, D.n + 1)])
-            gens.append((f"({i} {i+1})", lambda s, q=p: frozenset(q.apply_mask(m) for m in s)))
+            p = (*range(1, i), i + 1, i, *range(i + 2, D.n + 1))
+            gens.append((f"({i} {i+1})", lambda s, q=p: frozenset(relabel_mask(q, m) for m in s)))
     seed = D.masks
     paths = {seed: ()}
     queue = deque([frozenset(seed)])

@@ -110,6 +110,20 @@ class TestTypes:
         with pytest.raises(ValidationError):
             Multimatroid(1, [(1, 2)])
 
+    @pytest.mark.parametrize(
+        "n, bases",
+        [
+            (True, []),  # bool class count
+            (1.0, []),  # non-int class count
+            (-1, []),  # negative class count
+            (1, [(True,)]),  # bool role
+            (1, [(1.0,)]),  # non-int role
+        ],
+    )
+    def test_multimatroid_rejects_library_input(self, n, bases):
+        with pytest.raises(ValidationError):
+            Multimatroid(n, bases)
+
     def test_carrier(self):
         Z = Multimatroid(2, [(1, 1)])
         assert Z.carrier.skew_class(1) == ((1, 1), (1, 2), (1, 3))

@@ -24,14 +24,16 @@ from twuality import (
     orbit,
     parse_perm,
     sd_identity,
+    delta_matroid_of,
     stabilizer_search,
     transport,
     twist,
     uniformize,
 )
 
+import ribbon_catalog as cat
 from conftest import set_systems
-from oracles import orbit_oracle
+from oracles import orbit_oracle, stabilizer_oracle
 
 ss = SetSystem.from_sets
 
@@ -138,6 +140,19 @@ class TestStabilizerSearch:
     def test_budget(self):
         with pytest.raises(BudgetError):
             stabilizer_search(SetSystem(6, [0]), mode="all")
+
+    @given(set_systems(max_n=3), st.sampled_from(["all", "uniform"]))
+    @settings(max_examples=40)
+    def test_matches_oracle(self, D, mode):
+        hits = [h.to_json() for h in stabilizer_search(D, mode=mode)]
+        assert hits == [h.to_json() for h in stabilizer_oracle(D, mode)]
+
+    @pytest.mark.parametrize("key", ["bouquet4-pmpm", "bouquet4i-pmpm"])
+    @pytest.mark.parametrize("mode", ["all", "uniform"])
+    def test_matches_oracle_on_quasi_tree_systems(self, key, mode):
+        D = delta_matroid_of(cat.named_fixtures()[key])
+        hits = [h.to_json() for h in stabilizer_search(D, mode=mode)]
+        assert hits == [h.to_json() for h in stabilizer_oracle(D, mode)]
 
 
 class TestTransport:

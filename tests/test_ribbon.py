@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -25,6 +26,7 @@ from twuality import (
 )
 
 import ribbon_catalog as cat
+from oracles import quasi_trees_oracle
 
 ss = SetSystem.from_sets
 
@@ -119,6 +121,14 @@ class TestQuasiTrees:
     def test_budget(self):
         with pytest.raises(BudgetError):
             spanning_quasi_trees(cat.path_graph([1]), max_e=0)
+
+    def test_matches_two_condition_oracle(self):
+        r = random.Random(6)
+        graphs = itertools.chain(
+            cat.enumerate_all(), (cat.random_ribbon(r, max_edges=6) for _ in range(300))
+        )
+        for G in graphs:
+            assert spanning_quasi_trees(G) == quasi_trees_oracle(G), G
 
 
 class TestQuasiTreeSystems:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -150,6 +151,27 @@ class TestTruthTable:
             ):
                 expected = SetSystem(D.n, set_flip(D.mask_set(), 1 << k))
                 assert SetSystem.from_table(D.n, table_flip(D.table, D.n, k)) == expected
+
+
+class TestRelabel:
+    @staticmethod
+    def reference(D, images):
+        return SetSystem(D.n, (oracles.relabel_mask(images, m) for m in D.masks))
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_permutation_matches_mask_reference(self, n):
+        r = random.Random(n)
+        families = [SetSystem(n, (m for m in range(1 << n) if r.random() < 0.5)) for _ in range(8)]
+        for images in itertools.permutations(range(1, n + 1)):
+            for D in families:
+                out = SetSystem.from_table(n, set_system.relabel(D.table, n, images))
+                assert out == self.reference(D, images), (D, images)
+
+    @given(set_systems(max_n=6), st.randoms(use_true_random=False))
+    def test_matches_mask_reference(self, D, r):
+        images = r.sample(range(1, D.n + 1), D.n)
+        out = SetSystem.from_table(D.n, set_system.relabel(D.table, D.n, images))
+        assert out == self.reference(D, images)
 
 
 class TestTwist:
@@ -439,8 +461,13 @@ class TestWordProperties:
         I = data.draw(
             st.lists(st.integers(1, max(D.n, 1)), min_size=size, max_size=size, unique=True)
         ) if D.n else []
-        for bulk_op, flip in ((loop_complement, PLUS), (dual_twist, BAR)):
+        for bulk_op, flip, direct in (
+            (twist, STAR, oracles.twist),
+            (loop_complement, PLUS, oracles.loop_complement),
+            (dual_twist, BAR, oracles.dual_twist),
+        ):
             expected = bulk_op(D, I)
+            assert expected == direct(D, I)
             for order in itertools.permutations(I):
                 out = D
                 for i in order:
