@@ -38,8 +38,8 @@ class Carrier:
     n: int
 
     def skew_class(self, i: int) -> tuple[tuple[int, int], ...]:
-        if not 1 <= i <= self.n:
-            raise ValidationError(f"class index {i} out of range 1..{self.n}")
+        if type(i) is not int or not 1 <= i <= self.n:
+            raise ValidationError(f"class index {i!r} out of range 1..{self.n}")
         return ((i, 1), (i, 2), (i, 3))
 
     def elements(self) -> tuple[tuple[int, int], ...]:
@@ -226,10 +226,6 @@ def _down_closure(Z: Multimatroid) -> frozenset[tuple[int, ...]]:
     return frozenset(out)
 
 
-def _compatible(I: tuple[int, ...], T: tuple[int, ...]) -> bool:
-    return all(a == 0 or a == b for a, b in zip(I, T))
-
-
 def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     """Check both multimatroid axioms on the independents spanned by the
     bases; returns ``(flag, witness)`` with the first failure found.
@@ -237,31 +233,33 @@ def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     Axiom 1 requires every transversal to induce a matroid (nonempty,
     hereditary by construction, augmentation).  Axiom 2 requires every
     skew pair of a class missed by an independent set to extend it.
+
+    For each transversal ``T`` only its ``2**n`` subtransversals are looked
+    up among the independents, generated in sorted order, so the members
+    of ``T`` are scanned in the order of the sorted independents.  A member
+    ``I`` fails augmentation against a larger member ``J`` iff ``J`` misses
+    every class that extends ``I``, a test on class masks.
     """
     if Z.n > max_n:
         raise BudgetError(f"is_multimatroid capped at n <= {max_n}, got {Z.n}")
+    n = Z.n
     independents = _down_closure(Z)
     if not independents:
         return False, {"axiom": 1, "reason": "no independent sets"}
-    ordered = sorted(independents)
-    for T in itertools.product((1, 2, 3), repeat=Z.n):
-        members = [I for I in ordered if _compatible(I, T)]
-        for I in members:
-            size_i = sum(1 for r in I if r)
-            for J in members:
-                if sum(1 for r in J if r) <= size_i:
-                    continue
-                can_augment = False
-                for k in range(Z.n):
-                    if I[k] == 0 and J[k] != 0:
-                        ext = I[:k] + (J[k],) + I[k + 1 :]
-                        if ext in independents:
-                            can_augment = True
-                            break
-                if not can_augment:
+    for T in itertools.product((1, 2, 3), repeat=n):
+        members = []  # (subtransversal, its class mask), in sorted order
+        for I in itertools.product(*((0, r) for r in T)):
+            if I in independents:
+                members.append((I, sum(1 << k for k in range(n) if I[k])))
+        masks = {m for _, m in members}
+        for I, m in members:
+            size_i = m.bit_count()
+            ext = sum(1 << k for k in range(n) if not m >> k & 1 and m | 1 << k in masks)
+            for J, mj in members:
+                if mj.bit_count() > size_i and not mj & ext:
                     return False, {"axiom": 1, "transversal": list(T), "I": list(I), "J": list(J)}
-    for I in ordered:
-        for k in range(Z.n):
+    for I in sorted(independents):
+        for k in range(n):
             if I[k] != 0:
                 continue
             for x, y in ((1, 2), (1, 3), (2, 3)):
@@ -305,7 +303,7 @@ def restrict(Z: Multimatroid, X: Iterable[tuple[int, int]]) -> Restriction:
             i, r = pair
         except (TypeError, ValueError):
             raise ValidationError(f"carrier element {pair!r} must be an (index, role) pair") from None
-        if not (isinstance(i, int) and 1 <= i <= Z.n and r in (1, 2, 3)):
+        if not (type(i) is int and 1 <= i <= Z.n and type(r) is int and r in (1, 2, 3)):
             raise ValidationError(f"carrier element {pair!r} out of range")
         allowed[i - 1].add(r)
     inside = frozenset(
@@ -398,8 +396,8 @@ def triple_flip(tau: TransversalTriple, g: Flip, i: int) -> TransversalTriple:
     """Act with ``g`` on the roles of class ``i``: the twist swaps slots 1
     and 2, loop complementation swaps 2 and 3, the dual twist swaps 1 and
     3, and composites act as the corresponding slot permutations."""
-    if not 1 <= i <= tau.n:
-        raise ValidationError(f"class index {i} out of range 1..{tau.n}")
+    if type(i) is not int or not 1 <= i <= tau.n:
+        raise ValidationError(f"class index {i!r} out of range 1..{tau.n}")
     new_roles = tuple(g.perm[slot - 1] for slot in tau.roles[i - 1])
     return TransversalTriple(tau.roles[: i - 1] + (new_roles,) + tau.roles[i:])
 
@@ -422,6 +420,58 @@ def all_triples(n: int) -> Iterator[TransversalTriple]:
         yield TransversalTriple(combo)
 
 
+@functools.cache
+def _digit_zero_masks(n: int) -> tuple[int, ...]:
+    """Per class index ``k``, the bits of a ``4**n``-bit table whose index
+    has base-4 digit ``k`` equal to 0."""
+    out = []
+    for k in range(n):
+        mask, width = (1 << (1 << 2 * k)) - 1, 4 << 2 * k
+        while width < 1 << 2 * n:
+            mask |= mask << width
+            width <<= 1
+        out.append(mask)
+    return tuple(out)
+
+
+#: the (slot-1 role, slot-2 role) pair of each role table in ``PERM3``
+_SLOT_ROLES = tuple((p.index(1) + 1, p.index(2) + 1) for p in PERM3)
+
+
+def _extracted_tables(Z: Multimatroid) -> set[int]:
+    """The truth tables of ``extract(Z, tau, identity)`` over all ``6**n``
+    triples ``tau``, in one depth-first walk of the classes.
+
+    The bases are one ``4**n``-bit table: basis ``b`` sets bit
+    ``sum(b[k] * 4**k)``.  Each class ``k`` in turn keeps the entries
+    whose digit ``k`` is the role in slot 1 or in slot 2, moving them to
+    index bit ``k`` clear or set: a right shift by the role's digit value
+    and an AND with the "digit ``k`` is 0" mask select them, and the slot-2
+    ones shift up by ``2**k``.  Digits below ``k`` are then already packed
+    into index bits below ``k``, so a leaf is the ``2**n``-bit table itself.
+    """
+    n = Z.n
+    table = 0
+    for b in Z.bases:
+        table |= 1 << sum(r << 2 * k for k, r in enumerate(b))
+    if n == 0:
+        return {table}
+    zero = _digit_zero_masks(n)
+    out: set[int] = set()
+
+    def walk(t: int, k: int) -> None:
+        digit, bit, mask = 1 << 2 * k, 1 << k, zero[k]
+        for r1, r2 in _SLOT_ROLES:
+            child = ((t >> r1 * digit) & mask) | (((t >> r2 * digit) & mask) << bit)
+            if k == n - 1:
+                out.add(child)
+            else:
+                walk(child, k + 1)
+
+    walk(table, 0)
+    return out
+
+
 def orbit_via_lift(
     D: SetSystem,
     tau: TransversalTriple | None = None,
@@ -430,10 +480,11 @@ def orbit_via_lift(
     max_n: int | None = None,
     vf_cache: dict | None = None,
 ) -> tuple[SetSystem, ...]:
-    """Orbit of ``D`` computed through its lift: one lift, one extraction
-    per transversal triple at the identity projection, then every distinct
-    extracted table relabeled by ``sigma`` (iota mode) or by each of the
-    ``n!`` projections (full mode), deduplicated and canonically sorted."""
+    """Orbit of ``D`` computed through its lift: one lift, the extractions
+    at the identity projection over all transversal triples in one table
+    walk (``_extracted_tables``), then every distinct extracted table
+    relabeled by ``sigma`` (iota mode) or by each of the ``n!`` projections
+    (full mode), deduplicated and canonically sorted."""
     if mode not in ORBIT_VIA_LIFT_CAPS:
         raise ValidationError(f"mode must be 'full' or 'iota', got {mode!r}")
     cap = ORBIT_VIA_LIFT_CAPS[mode] if max_n is None else max_n
@@ -443,8 +494,7 @@ def orbit_via_lift(
     tau = TransversalTriple.reference(n) if tau is None else tau
     sigma = Projection.identity(n) if sigma is None else sigma
     Z = lift(D, tau, sigma, max_n=max(n, 1), vf_cache=vf_cache)
-    ident = Projection.identity(n)
-    tables = {extract(Z, tau_p, ident).table for tau_p in all_triples(n)}
+    tables = _extracted_tables(Z)
     if mode == "iota":
         relabelings = [sigma.relabel.images]
     else:

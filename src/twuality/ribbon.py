@@ -154,23 +154,45 @@ class RibbonGraph:
 
 
 class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-        self.count = len(self.parent)
+    """Union by size over ``0..m-1``, counting its classes.
 
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
+    Without path compression every union changes one parent, so
+    ``rollback`` undoes the unions made since a ``mark`` exactly.
+    """
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            self.count -= 1
+    __slots__ = ("parent", "size", "count", "_log")
+
+    def __init__(self, m: int):
+        self.parent = list(range(m))
+        self.size = [1] * m
+        self.count = m
+        self._log: list[int] = []
+
+    def union(self, a: int, b: int) -> None:
+        parent, size = self.parent, self.size
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
+            return
+        if size[a] > size[b]:
+            a, b = b, a
+        parent[a] = b
+        size[b] += size[a]
+        self.count -= 1
+        self._log.append(a)
+
+    def mark(self) -> int:
+        return len(self._log)
+
+    def rollback(self, mark: int) -> None:
+        log, parent, size = self._log, self.parent, self.size
+        while len(log) > mark:
+            ra = log.pop()
+            size[parent[ra]] -= size[ra]
+            parent[ra] = ra
+            self.count += 1
 
 
 def _trace_boundary(vertices: Sequence[tuple[int, ...]], edges) -> int:
@@ -219,7 +241,7 @@ def boundary_components(G: RibbonGraph) -> int:
 
 
 def _component_count(G: RibbonGraph, labels: frozenset[int]) -> int:
-    uf = _UnionFind(range(len(G.vertices)))
+    uf = _UnionFind(len(G.vertices))
     for e in G.edges:
         if e.label in labels:
             uf.union(G._vertex_of[e.ends[0]], G._vertex_of[e.ends[1]])
@@ -373,6 +395,23 @@ def all_white(Fm: FourRegularGraph) -> tuple[str, ...]:
     return ("white",) * Fm.n
 
 
+def _transition_steps(Fm: FourRegularGraph) -> tuple[int, list]:
+    """Corner-edge count ``m`` and, per medial vertex and role (black,
+    white, crossing), the two unions of corner-edge ids its pairing makes.
+
+    Every tag lies on exactly one corner edge, so the split graph's
+    components are the classes of the corner edges under those unions.
+    """
+    corner_of = {}
+    for c, (a, b) in enumerate(Fm.corner_edges):
+        corner_of[a] = corner_of[b] = c
+    steps = [
+        [((corner_of[a], corner_of[b]), (corner_of[c], corner_of[d])) for (a, b), (c, d) in pairings]
+        for pairings in ((v.black, v.white, v.crossing) for v in Fm.medial_vertices)
+    ]
+    return len(Fm.corner_edges), steps
+
+
 def split_components(Fm: FourRegularGraph, T: Sequence[str]) -> int:
     """Components of the 2-regular graph after replacing every medial
     vertex by its chosen pairing; free loops each count one."""
@@ -381,37 +420,53 @@ def split_components(Fm: FourRegularGraph, T: Sequence[str]) -> int:
     for name in T:
         if name not in TRANSITION_NAMES:
             raise ValidationError(f"unknown transition {name!r}")
-    tags = [tag for v in Fm.medial_vertices for tag in v.tags()]
-    uf = _UnionFind(tags)
-    for a, b in Fm.corner_edges:
-        uf.union(a, b)
-    for v, name in zip(Fm.medial_vertices, T):
-        for a, b in v.transition(name):
+    m, steps = _transition_steps(Fm)
+    uf = _UnionFind(m)
+    for pairs, name in zip(steps, T):
+        for a, b in pairs[TRANSITION_NAMES.index(name)]:
             uf.union(a, b)
-    roots = {uf.find(t) for t in tags}
-    return len(roots) + Fm.free_loops
+    return uf.count + Fm.free_loops
 
 
 def _medial_component_count(Fm: FourRegularGraph) -> int:
-    labels = [v.label for v in Fm.medial_vertices]
-    uf = _UnionFind(labels)
+    index = {v.label: k for k, v in enumerate(Fm.medial_vertices)}
+    uf = _UnionFind(Fm.n)
     for a, b in Fm.corner_edges:
-        uf.union(Fm.label_of_tag(a), Fm.label_of_tag(b))
+        uf.union(index[Fm.label_of_tag(a)], index[Fm.label_of_tag(b)])
     return uf.count + Fm.free_loops
 
 
 def transition_matroid(Fm: FourRegularGraph, max_v: int = TRANSITION_MATROID_CAP) -> Multimatroid:
     """3-matroid on one skew class per medial vertex whose bases are the
     transition systems preserving the component count.  Roles follow the
-    fixed order black = 1, white = 2, crossing = 3."""
+    fixed order black = 1, white = 2, crossing = 3.
+
+    The transition systems are walked depth first over the medial
+    vertices with one union-find over corner edges: each choice makes its
+    two unions and is rolled back on return, so a prefix is split once.
+    """
     if Fm.n > max_v:
         raise BudgetError(f"transition matroid capped at {max_v} medial vertices, got {Fm.n}")
     k_full = _medial_component_count(Fm)
+    m, steps = _transition_steps(Fm)
+    uf = _UnionFind(m)
+    choice = [0] * Fm.n
     bases = []
-    for choice in itertools.product((1, 2, 3), repeat=Fm.n):
-        names = tuple(TRANSITION_NAMES[r - 1] for r in choice)
-        if split_components(Fm, names) == k_full:
-            bases.append(choice)
+
+    def walk(k: int) -> None:
+        if k == Fm.n:
+            if uf.count + Fm.free_loops == k_full:
+                bases.append(tuple(choice))
+            return
+        for role, pairs in enumerate(steps[k], start=1):
+            mark = uf.mark()
+            for a, b in pairs:
+                uf.union(a, b)
+            choice[k] = role
+            walk(k + 1)
+            uf.rollback(mark)
+
+    walk(0)
     return Multimatroid(Fm.n, bases)
 
 

@@ -21,6 +21,17 @@ compared against.
 * ``quasi_trees_oracle``: both conditions of a spanning quasi-tree, a
   component count and a boundary count.  The library counts boundaries
   only.
+* ``orbit_via_lift_oracle``: one ``extract`` per transversal triple, each
+  scanning every basis.  The library walks the classes once over a
+  ``4**n``-bit table of the bases, sharing prefixes.
+* ``is_multimatroid_oracle``: every independent set filtered by
+  compatibility for each transversal, then every pair of the survivors
+  tried for augmentation.  The library looks up the subtransversals of
+  each transversal and tests augmentation on class masks.
+* ``transition_matroid_oracle``: one split per transition system, each a
+  fresh union-find keyed by ``(half-edge, slot)`` tags
+  (``split_components_oracle``).  The library walks the medial vertices
+  depth first with one rollback union-find over corner edges.
 """
 
 import itertools
@@ -37,7 +48,16 @@ from twuality import (
     act,
     uniform_flip,
 )
-from twuality.ribbon import _component_count, _sub_boundary
+from twuality.multimatroid import (
+    Multimatroid,
+    Projection,
+    TransversalTriple,
+    _down_closure,
+    all_triples,
+    extract,
+    lift,
+)
+from twuality.ribbon import TRANSITION_NAMES, _component_count, _sub_boundary
 from twuality.set_system import mask_of
 
 
@@ -204,3 +224,115 @@ def orbit_oracle(D, mode):
     systems = {SetSystem(D.n, canon): path for canon, path in paths.items()}
     elements = tuple(sorted(systems, key=SetSystem.canonical_key))
     return OrbitReport(D, mode, elements, {d: systems[d] for d in elements})
+
+
+def orbit_via_lift_oracle(D, tau=None, sigma=None, mode="full", vf_cache=None):
+    """``orbit_via_lift`` without its budget check: one ``extract`` per
+    transversal triple at the identity projection, then every distinct
+    table relabeled by ``sigma`` (iota) or every projection (full)."""
+    n = D.n
+    tau = TransversalTriple.reference(n) if tau is None else tau
+    sigma = Projection.identity(n) if sigma is None else sigma
+    Z = lift(D, tau, sigma, max_n=max(n, 1), vf_cache=vf_cache)
+    ident = Projection.identity(n)
+    tables = {extract(Z, tau_p, ident).table for tau_p in all_triples(n)}
+    if mode == "iota":
+        relabelings = [sigma.relabel.images]
+    else:
+        relabelings = list(itertools.permutations(range(1, n + 1)))
+    seen = set()
+    for p in relabelings:
+        for t in tables:
+            masks = SetSystem.from_table(n, t).masks
+            seen.add(SetSystem(n, (relabel_mask(p, m) for m in masks)))
+    return tuple(sorted(seen, key=SetSystem.canonical_key))
+
+
+def _compatible(I, T):
+    return all(a == 0 or a == b for a, b in zip(I, T))
+
+
+def is_multimatroid_oracle(Z):
+    """``is_multimatroid`` without its budget check: for each transversal
+    ``T``, every compatible independent ``I`` against every larger
+    compatible ``J``, then every skew pair of every missed class."""
+    independents = _down_closure(Z)
+    if not independents:
+        return False, {"axiom": 1, "reason": "no independent sets"}
+    ordered = sorted(independents)
+    for T in itertools.product((1, 2, 3), repeat=Z.n):
+        members = [I for I in ordered if _compatible(I, T)]
+        for I in members:
+            size_i = sum(1 for r in I if r)
+            for J in members:
+                if sum(1 for r in J if r) <= size_i:
+                    continue
+                can_augment = False
+                for k in range(Z.n):
+                    if I[k] == 0 and J[k] != 0:
+                        ext = I[:k] + (J[k],) + I[k + 1 :]
+                        if ext in independents:
+                            can_augment = True
+                            break
+                if not can_augment:
+                    return False, {"axiom": 1, "transversal": list(T), "I": list(I), "J": list(J)}
+    for I in ordered:
+        for k in range(Z.n):
+            if I[k] != 0:
+                continue
+            for x, y in ((1, 2), (1, 3), (2, 3)):
+                if (
+                    I[:k] + (x,) + I[k + 1 :] not in independents
+                    and I[:k] + (y,) + I[k + 1 :] not in independents
+                ):
+                    return False, {"axiom": 2, "independent": list(I), "class": k + 1, "pair": [x, y]}
+    return True, None
+
+
+class _TagUnionFind:
+    """Union-find over arbitrary hashable items, counting its classes."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+        self.count = len(self.parent)
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+            self.count -= 1
+
+
+def split_components_oracle(Fm, T):
+    """Components after choosing transition ``T[k]`` at medial vertex
+    ``k``: a union-find over the four ``(half-edge, slot)`` tags of every
+    vertex, joined along corner edges and the chosen pairings."""
+    tags = [tag for v in Fm.medial_vertices for tag in v.tags()]
+    uf = _TagUnionFind(tags)
+    for a, b in Fm.corner_edges:
+        uf.union(a, b)
+    for v, name in zip(Fm.medial_vertices, T):
+        for a, b in v.transition(name):
+            uf.union(a, b)
+    return uf.count + Fm.free_loops
+
+
+def transition_matroid_oracle(Fm):
+    """``transition_matroid`` without its budget check: every transition
+    system split from scratch, kept when it has as many components as the
+    medial graph itself."""
+    uf = _TagUnionFind(v.label for v in Fm.medial_vertices)
+    for a, b in Fm.corner_edges:
+        uf.union(Fm.label_of_tag(a), Fm.label_of_tag(b))
+    k_full = uf.count + Fm.free_loops
+    bases = []
+    for choice in itertools.product((1, 2, 3), repeat=Fm.n):
+        names = tuple(TRANSITION_NAMES[r - 1] for r in choice)
+        if split_components_oracle(Fm, names) == k_full:
+            bases.append(choice)
+    return Multimatroid(Fm.n, bases)

@@ -176,6 +176,42 @@ class TestMultimatroidCommands:
         assert data["tight"] is False
         assert data["tight_witness"]["non_bases"] == [2, 3]
 
+    # Exact stdout, witness order included, of the per-transversal scan
+    # that the subtransversal lookup in is_multimatroid replaced.
+    @pytest.mark.parametrize(
+        "payload, expected",
+        [
+            (  # augmentation fails in the transversal (1, 1, 1)
+                {"n": 3, "bases": [[[1, 1], [2, 1], [3, 2]], [[1, 2], [2, 2], [3, 1]]]},
+                '{"multimatroid":false,"n":3,"tight":false,'
+                '"tight_witness":{"basis":[1,1,2],"class":1,"non_bases":[2,3]},'
+                '"witness":{"I":[0,0,1],"J":[1,1,0],"axiom":1,"transversal":[1,1,1]}}\n',
+            ),
+            (  # the skew pair (2, 3) of class 1 cannot extend [0, 1]
+                {"n": 2, "bases": [[[1, 1], [2, 1]], [[1, 2], [2, 2]]]},
+                '{"multimatroid":false,"n":2,"tight":false,'
+                '"tight_witness":{"basis":[1,1],"class":1,"non_bases":[2,3]},'
+                '"witness":{"axiom":2,"class":1,"independent":[0,1],"pair":[2,3]}}\n',
+            ),
+        ],
+    )
+    def test_mm_check_failure_stdout_pinned(self, capsys, tmp_path, payload, expected):
+        code, out, _ = run(capsys, "mm-check", write(tmp_path, "mm.json", payload))
+        assert (code, out) == (0, expected)
+
+    def test_orbit_via_lift_iota_stdout_pinned(self, capsys, tmp_path):
+        path = write(tmp_path, "d.json", {"n": 2, "feasible": [[], [1]]})
+        code, out, _ = run(
+            capsys, "orbit-via-lift", path, "--iota", "--sigma", "[2,1]", "--tau", "[[2,1,3],[1,3,2]]"
+        )
+        assert code == 0
+        assert out == (
+            '{"elements":[{"feasible":[[]],"n":2},{"feasible":[[],[1]],"n":2},'
+            '{"feasible":[[],[1],[2],[1,2]],"n":2},{"feasible":[[],[2]],"n":2},'
+            '{"feasible":[[1]],"n":2},{"feasible":[[1],[1,2]],"n":2},{"feasible":[[2]],"n":2},'
+            '{"feasible":[[2],[1,2]],"n":2},{"feasible":[[1,2]],"n":2}],"size":9}\n'
+        )
+
 
     @pytest.mark.parametrize(
         "tau", ["5", "[5]", '{"roles": 5}', '{"slots": []}', '[[1, 2, 3], [2, 1, 3], [true, 2, 3]]']

@@ -36,6 +36,7 @@ from twuality import (
 )
 
 import ribbon_catalog
+from oracles import is_multimatroid_oracle, orbit_via_lift_oracle
 from twuality import delta_matroid_of
 
 ss = SetSystem.from_sets
@@ -128,6 +129,8 @@ class TestTypes:
         Z = Multimatroid(2, [(1, 1)])
         assert Z.carrier.skew_class(1) == ((1, 1), (1, 2), (1, 3))
         assert len(Z.carrier.elements()) == 6
+        with pytest.raises(ValidationError):
+            Z.carrier.skew_class(True)
 
 
 class TestLiftExtract:
@@ -197,6 +200,31 @@ class TestAxioms:
         ok, witness = is_multimatroid(Z)
         assert not ok, witness
 
+    def test_random_base_sets_match_oracle(self, rng):
+        """Flag and witness agree with the per-transversal pair scan on
+        random base sets, the empty one and failures of both axioms among
+        them."""
+        axioms = set()
+        for _ in range(300):
+            n = rng.randint(0, 4)
+            choices = list(itertools.product((1, 2, 3), repeat=n))
+            Z = Multimatroid(n, rng.sample(choices, rng.randint(0, min(len(choices), 12))))
+            result = is_multimatroid(Z)
+            assert result == is_multimatroid_oracle(Z), Z
+            if not result[0]:
+                axioms.add(result[1]["axiom"])
+        assert axioms == {1, 2}
+
+    def test_lifts_match_oracle(self, pool, rng, vf_cache):
+        systems = [D for D in pool if D.n <= 4][:6]
+        while len(systems) < 8:
+            G = ribbon_catalog.random_ribbon(rng, max_edges=5)
+            if G.n == 5:
+                systems.append(delta_matroid_of(G, vf_cache=vf_cache))
+        for D in systems:
+            Z = lift(D, rand_triple(rng, D.n), rand_projection(rng, D.n), vf_cache=vf_cache)
+            assert is_multimatroid(Z) == is_multimatroid_oracle(Z) == (True, None)
+
     def test_budget(self):
         with pytest.raises(BudgetError):
             is_multimatroid(Multimatroid(7, [(1,) * 7]))
@@ -222,6 +250,11 @@ class TestRestrict:
             restrict(Z, [(1, 4)])
         with pytest.raises(ValidationError):
             restrict(Z, [7])
+
+    @pytest.mark.parametrize("pair", [(1, True), (1, 1.0), (True, 1)])
+    def test_rejects_bool_and_non_int_members(self, pair):
+        with pytest.raises(ValidationError):
+            restrict(Multimatroid(1, [(1,)]), [pair])
 
     def test_identity_on_lifts(self, pool, rng, vf_cache):
         """Bases of the restriction to the first two transversals equal
@@ -274,6 +307,8 @@ class TestTripleOperations:
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             triple_flip(TransversalTriple.reference(2), STAR, 3)
+        with pytest.raises(ValidationError):
+            triple_flip(TransversalTriple.reference(2), STAR, True)
 
 
 class TestLiftInvariance:
@@ -341,6 +376,14 @@ class TestOrbitCharacterizations:
         for D in small:
             assert orbit_via_lift(D, mode="full", vf_cache=vf_cache) == orbit(D, "full").elements
             assert orbit_via_lift(D, mode="iota", vf_cache=vf_cache) == orbit(D, "iota").elements
+
+    def test_matches_per_triple_oracle(self, pool, rng, vf_cache):
+        for D in pool[:12]:
+            tau, sigma = rand_triple(rng, D.n), rand_projection(rng, D.n)
+            for mode in ("full", "iota"):
+                assert orbit_via_lift(D, tau, sigma, mode=mode, vf_cache=vf_cache) == (
+                    orbit_via_lift_oracle(D, tau, sigma, mode=mode, vf_cache=vf_cache)
+                ), (D, tau, sigma, mode)
 
     def test_budget(self):
         with pytest.raises(BudgetError):

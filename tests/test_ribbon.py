@@ -26,7 +26,7 @@ from twuality import (
 )
 
 import ribbon_catalog as cat
-from oracles import quasi_trees_oracle
+from oracles import quasi_trees_oracle, split_components_oracle, transition_matroid_oracle
 
 ss = SetSystem.from_sets
 
@@ -213,6 +213,24 @@ class TestTransitionMatroid:
             assert ok, (G, witness)
             tight, witness = is_tight(Z)
             assert tight, (G, witness)
+
+    def test_matches_per_choice_oracle_on_catalog(self):
+        for G in cat.enumerate_all(max_edges=3, max_vertices=3):
+            Fm = medial(G)
+            assert transition_matroid(Fm) == transition_matroid_oracle(Fm), G
+
+    def test_matches_per_choice_oracle_on_random_graphs(self):
+        rng = random.Random(4321)
+        names = ("black", "white", "crossing")
+        for _ in range(30):
+            G = cat.random_ribbon(rng, max_edges=6, max_vertices=4)
+            while G.n < 4:
+                G = cat.random_ribbon(rng, max_edges=6, max_vertices=4)
+            Fm = medial(cat.with_isolated(G, rng.randint(0, 2)))
+            assert transition_matroid(Fm) == transition_matroid_oracle(Fm), G
+            for _ in range(8):
+                T = tuple(rng.choice(names) for _ in range(Fm.n))
+                assert split_components(Fm, T) == split_components_oracle(Fm, T), (G, T)
 
     def test_budget(self):
         with pytest.raises(BudgetError):
