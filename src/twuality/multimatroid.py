@@ -6,8 +6,8 @@ Carrier elements are always pairs ``(i, r)`` with ``i`` a class index in
 ``1..n`` and ``r`` a role in ``{1, 2, 3}``; arbitrary carriers are
 normalized to this shape at the boundary, which makes transversal triples
 and projections finite and serializable.  A transversal is a choice tuple
-``(r_1, .., r_n)``; a subtransversal additionally allows ``0`` entries for
-classes it misses.
+``(r_1, .., r_n)``, a subtransversal also has ``0`` for classes it misses,
+and a multimatroid keeps each as one bit of a ``4**n``-bit table.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BudgetError, ValidationError
-from .set_system import SetSystem, dual_twist1, fold_flip, is_vf_safe, relabel
+from .set_system import SetSystem, _masks_of_table, _zero_masks, is_vf_safe, relabel
 from .twuality_group import Flip, Perm
 
 #: the six role permutations in lexicographic order
@@ -29,6 +29,10 @@ PERM3: tuple[tuple[int, int, int], ...] = tuple(
 MULTIMATROID_CAP = 6
 LIFT_CAP = 8
 ORBIT_VIA_LIFT_CAPS = {"full": 4, "iota": 7}
+
+#: a multimatroid is a ``4**n``-bit table, so its size grows fourfold per
+#: class; 10 classes is a 128 KiB int, above every cap in this module
+MAX_CLASSES = 10
 
 
 @dataclass(frozen=True)
@@ -146,20 +150,62 @@ class Projection:
         return f"Projection({self.relabel.one_line()})"
 
 
-class Multimatroid:
-    """A 3-matroid given by its transversal bases on the reference carrier."""
+def _check_class_count(n) -> None:
+    if type(n) is not int or not 0 <= n <= MAX_CLASSES:
+        raise ValidationError(f"class count must be an integer in 0..{MAX_CLASSES}, got {n!r}")
 
-    __slots__ = ("n", "bases")
+
+def _index(choice: Iterable[int]) -> int:
+    """The table bit of a (sub)transversal choice: ``sum(r_k * 4**k)``."""
+    return sum(r << 2 * k for k, r in enumerate(choice))
+
+
+def _choices(n: int, table: int) -> list[tuple[int, ...]]:
+    """The choice tuples of the set bits of a table, in ascending bit order."""
+    return [tuple(i >> 2 * k & 3 for k in range(n)) for i in _masks_of_table(table)]
+
+
+#: per class count, the ``_zero_masks`` of its ``4**n``-bit tables
+_zeros = functools.cache(functools.partial(_zero_masks, width=2))
+
+
+def _split(table: int, k: int, zero: int) -> tuple[int, int, int, int]:
+    """The entries of ``table`` by their digit ``k``: item ``r`` holds the
+    entries whose digit ``k`` is ``r``, moved to digit 0.  A right shift
+    by ``r * 4**k`` takes digit ``r`` to 0 and any other digit to a
+    nonzero one, so the AND with ``zero`` keeps exactly those."""
+    d = 1 << 2 * k
+    return table & zero, (table >> d) & zero, (table >> 2 * d) & zero, (table >> 3 * d) & zero
+
+
+class Multimatroid:
+    """A 3-matroid on the reference carrier, stored as its base table:
+    basis ``b`` sets bit ``sum(b[k] * 4**k)`` of the ``4**n``-bit int
+    ``table``.  Digit 0 marks a missed class, so the independent sets share
+    the index space with the bases.  Classes are capped at ``MAX_CLASSES``.
+    """
+
+    __slots__ = ("n", "table")
 
     def __init__(self, n: int, bases: Iterable[tuple[int, ...]]):
-        if type(n) is not int or n < 0:
-            raise ValidationError(f"class count must be a non-negative integer, got {n!r}")
-        bases = frozenset(tuple(b) for b in bases)
+        _check_class_count(n)
+        table = 0
         for b in bases:
+            b = tuple(b)
             if len(b) != n or any(type(r) is not int or not 1 <= r <= 3 for r in b):
                 raise ValidationError(f"basis {b} is not a transversal choice on {n} classes")
+            table |= 1 << _index(b)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bases", bases)
+        object.__setattr__(self, "table", table)
+
+    @classmethod
+    def from_table(cls, n: int, table: int) -> "Multimatroid":
+        """Trusted constructor: ``table`` must be a base table on
+        ``n <= MAX_CLASSES`` classes."""
+        Z = object.__new__(cls)
+        object.__setattr__(Z, "n", n)
+        object.__setattr__(Z, "table", table)
+        return Z
 
     def __setattr__(self, name, value):
         raise AttributeError("Multimatroid is immutable")
@@ -168,8 +214,13 @@ class Multimatroid:
     def carrier(self) -> Carrier:
         return Carrier(self.n)
 
+    @property
+    def bases(self) -> frozenset[tuple[int, ...]]:
+        """The bases as choice tuples ``(r_1, .., r_n)``, decoded from the table."""
+        return frozenset(_choices(self.n, self.table))
+
     def sorted_bases(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(sorted(self.bases))
+        return tuple(sorted(_choices(self.n, self.table)))
 
     def to_json(self) -> dict:
         return {
@@ -182,48 +233,49 @@ class Multimatroid:
         if not isinstance(data, dict) or "n" not in data or "bases" not in data:
             raise ValidationError("multimatroid object needs 'n' and 'bases'")
         n = data["n"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise ValidationError("'n' must be a non-negative integer")
+        _check_class_count(n)
         if not isinstance(data["bases"], list):
             raise ValidationError("'bases' must be a list of bases")
-        bases = []
+        table = 0
         for raw in data["bases"]:
-            choice = [0] * n
             if not isinstance(raw, list) or len(raw) != n:
                 raise ValidationError(f"basis {raw!r} must list one member per class")
+            index = seen = 0
             for pair in raw:
                 if not (isinstance(pair, list) and len(pair) == 2):
                     raise ValidationError(f"carrier element {pair!r} must be an [index, role] pair")
                 i, r = pair
                 if not (type(i) is int and 1 <= i <= n and type(r) is int and r in (1, 2, 3)):
                     raise ValidationError(f"carrier element {pair!r} out of range")
-                if choice[i - 1]:
+                if seen >> i & 1:
                     raise ValidationError(f"basis {raw!r} visits class {i} twice")
-                choice[i - 1] = r
-            bases.append(tuple(choice))
-        if len(set(bases)) != len(bases):
-            raise ValidationError("duplicate bases")
-        return cls(n, bases)
+                seen |= 1 << i
+                index |= r << 2 * (i - 1)
+            if table >> index & 1:
+                raise ValidationError("duplicate bases")
+            table |= 1 << index
+        return cls.from_table(n, table)
 
     def __eq__(self, other):
         if not isinstance(other, Multimatroid):
             return NotImplemented
-        return self.n == other.n and self.bases == other.bases
+        return self.n == other.n and self.table == other.table
 
     def __hash__(self):
-        return hash((self.n, self.bases))
+        return hash((self.n, self.table))
 
     def __repr__(self):
-        return f"Multimatroid({self.n}, {sorted(self.bases)})"
+        return f"Multimatroid({self.n}, {list(self.sorted_bases())})"
 
 
-def _down_closure(Z: Multimatroid) -> frozenset[tuple[int, ...]]:
-    """All subtransversals of bases; entries 0 mark missed classes."""
-    out: set[tuple[int, ...]] = set()
-    for b in Z.bases:
-        for pattern in itertools.product((False, True), repeat=Z.n):
-            out.add(tuple(r if keep else 0 for r, keep in zip(b, pattern)))
-    return frozenset(out)
+def _independents(Z: Multimatroid) -> int:
+    """The table of all subtransversals of bases: per class, the entries
+    with a nonzero digit there are copied to digit 0."""
+    table = Z.table
+    for k, zero in enumerate(_zeros(Z.n)):
+        _, r1, r2, r3 = _split(table, k, zero)
+        table |= r1 | r2 | r3
+    return table
 
 
 def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
@@ -234,40 +286,46 @@ def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     hereditary by construction, augmentation).  Axiom 2 requires every
     skew pair of a class missed by an independent set to extend it.
 
-    For each transversal ``T`` only its ``2**n`` subtransversals are looked
-    up among the independents, generated in sorted order, so the members
-    of ``T`` are scanned in the order of the sorted independents.  A member
-    ``I`` fails augmentation against a larger member ``J`` iff ``J`` misses
-    every class that extends ``I``, a test on class masks.
+    For each transversal ``T`` only the table bits of its ``2**n``
+    subtransversals are tested, in the order of the subtransversals sorted
+    as tuples.  A member ``I`` fails augmentation against a larger member
+    ``J`` iff ``J`` misses every class that extends ``I``, a test on class
+    masks.  Axiom 2 is three masked table ops per class; its witness is
+    the least failing independent set as a tuple.
     """
     if Z.n > max_n:
         raise BudgetError(f"is_multimatroid capped at n <= {max_n}, got {Z.n}")
     n = Z.n
-    independents = _down_closure(Z)
+    independents = _independents(Z)
     if not independents:
         return False, {"axiom": 1, "reason": "no independent sets"}
+    # per class mask, the table digits it keeps; masks in sorted-tuple order
+    digits = [sum(3 << 2 * k for k in range(n) if m >> k & 1) for m in range(1 << n)]
+    order = sorted(range(1 << n), key=lambda m: [m >> k & 1 for k in range(n)])
     for T in itertools.product((1, 2, 3), repeat=n):
-        members = []  # (subtransversal, its class mask), in sorted order
-        for I in itertools.product(*((0, r) for r in T)):
-            if I in independents:
-                members.append((I, sum(1 << k for k in range(n) if I[k])))
-        masks = {m for _, m in members}
-        for I, m in members:
+        t = _index(T)
+        members = [m for m in order if independents >> (t & digits[m]) & 1]
+        masks = set(members)
+        for m in members:
             size_i = m.bit_count()
             ext = sum(1 << k for k in range(n) if not m >> k & 1 and m | 1 << k in masks)
-            for J, mj in members:
+            for mj in members:
                 if mj.bit_count() > size_i and not mj & ext:
-                    return False, {"axiom": 1, "transversal": list(T), "I": list(I), "J": list(J)}
-    for I in sorted(independents):
-        for k in range(n):
-            if I[k] != 0:
-                continue
-            for x, y in ((1, 2), (1, 3), (2, 3)):
-                if (
-                    I[:k] + (x,) + I[k + 1 :] not in independents
-                    and I[:k] + (y,) + I[k + 1 :] not in independents
-                ):
-                    return False, {"axiom": 2, "independent": list(I), "class": k + 1, "pair": [x, y]}
+                    I, J = ([r if mm >> k & 1 else 0 for k, r in enumerate(T)] for mm in (m, mj))
+                    return False, {"axiom": 1, "transversal": list(T), "I": I, "J": J}
+    # per class and skew pair, the independents missing the class that neither extends
+    failures, bad = [], 0
+    for k, zero in enumerate(_zeros(n)):
+        parts = _split(independents, k, zero)
+        for x, y in ((1, 2), (1, 3), (2, 3)):
+            f = parts[0] & ~(parts[x] | parts[y])
+            failures.append((k + 1, [x, y], f))
+            bad |= f
+    if bad:
+        I = min(_choices(n, bad))
+        for k, pair, f in failures:
+            if f >> _index(I) & 1:
+                return False, {"axiom": 2, "independent": list(I), "class": k, "pair": pair}
     return True, None
 
 
@@ -276,9 +334,11 @@ def is_tight(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     fail to be a basis; returns ``(flag, witness)``."""
     if Z.n > max_n:
         raise BudgetError(f"is_tight capped at n <= {max_n}, got {Z.n}")
-    for b in sorted(Z.bases):
+    for b in Z.sorted_bases():
+        at = _index(b)
         for k in range(Z.n):
-            non_bases = [r for r in (1, 2, 3) if b[:k] + (r,) + b[k + 1 :] not in Z.bases]
+            line = at - (b[k] << 2 * k)
+            non_bases = [r for r in (1, 2, 3) if not Z.table >> (line + (r << 2 * k)) & 1]
             if len(non_bases) != 1:
                 return False, {"basis": list(b), "class": k + 1, "non_bases": non_bases}
     return True, None
@@ -296,7 +356,9 @@ class Restriction:
 
 def restrict(Z: Multimatroid, X: Iterable[tuple[int, int]]) -> Restriction:
     """Restrict to the carrier elements in ``X``: independents within
-    ``X`` on the induced class partition, bases the maximal ones."""
+    ``X`` on the induced class partition, bases the maximal ones.  An
+    extension by an allowed role stays within ``X``, so it is looked up
+    among all independents."""
     allowed: list[set[int]] = [set() for _ in range(Z.n)]
     for pair in X:
         try:
@@ -306,23 +368,21 @@ def restrict(Z: Multimatroid, X: Iterable[tuple[int, int]]) -> Restriction:
         if not (type(i) is int and 1 <= i <= Z.n and type(r) is int and r in (1, 2, 3)):
             raise ValidationError(f"carrier element {pair!r} out of range")
         allowed[i - 1].add(r)
-    inside = frozenset(
-        I
-        for I in _down_closure(Z)
-        if all(r == 0 or r in allowed[k] for k, r in enumerate(I))
+    independents = _independents(Z)
+    inside, extendable = independents, 0
+    for k, zero in enumerate(_zeros(Z.n)):
+        parts = _split(independents, k, zero)
+        for r in (1, 2, 3):
+            if r in allowed[k]:
+                extendable |= parts[r]
+            else:
+                inside &= ~(zero << (r << 2 * k))
+    return Restriction(
+        Z.n,
+        tuple(frozenset(a) for a in allowed),
+        frozenset(_choices(Z.n, inside)),
+        tuple(sorted(_choices(Z.n, inside & ~extendable))),
     )
-    bases = []
-    for I in sorted(inside):
-        maximal = True
-        for k in range(Z.n):
-            if I[k] != 0:
-                continue
-            if any(I[:k] + (r,) + I[k + 1 :] in inside for r in allowed[k]):
-                maximal = False
-                break
-        if maximal:
-            bases.append(I)
-    return Restriction(Z.n, tuple(frozenset(a) for a in allowed), inside, tuple(bases))
 
 
 def lift(
@@ -335,60 +395,55 @@ def lift(
     """The 3-matroid whose bases are the transversals ``B`` with the slot-2
     labels of ``B`` feasible in ``D`` dual-twisted at the slot-3 labels.
 
-    ``D`` must be vf-safe (checked); the dual twist is memoized per label
-    subset.
+    ``D`` must be vf-safe (checked).  Each feasible set sets the table bit
+    with digit 2 at the classes of its labels and 1 elsewhere.  Per class,
+    digit 3 is then the XOR of digits 1 and 2, since the dual twist at
+    ``e`` keeps ``X`` without ``e`` iff exactly one of ``X``, ``X | {e}``
+    is feasible, and dual twists at distinct elements commute.  Last the
+    class's digits, so far its slots, move to their roles under ``tau``.
     """
     n = D.n
     if n > max_n:
         raise BudgetError(f"lift capped at n <= {max_n}, got {n}")
+    _check_class_count(n)
     tau = TransversalTriple.reference(n) if tau is None else tau
     sigma = Projection.identity(n) if sigma is None else sigma
     if tau.n != n or sigma.n != n:
         raise ValidationError("triple/projection size must match the ground size")
     if not is_vf_safe(D, max_n=max(n, 1), cache=vf_cache):
         raise ValidationError("lift requires a vf-safe delta-matroid")
-    label_bit = [1 << (sigma.label_of(i) - 1) for i in range(1, n + 1)]
+    ones, table = _index((1,) * n), 0
+    for f in _masks_of_table(D.table):
+        labeled = (1 << 2 * k for k, i in enumerate(sigma.relabel.images) if f >> (i - 1) & 1)
+        table |= 1 << (ones + sum(labeled))
+    for k, zero in enumerate(_zeros(n)):
+        _, s1, s2, _ = _split(table, k, zero)
+        slots = (s1, s2, s1 ^ s2)
+        table = sum(slots[s - 1] << (r << 2 * k) for r, s in enumerate(tau.roles[k], start=1))
+    return Multimatroid.from_table(n, table)
 
-    @functools.cache
-    def table_after(s_mask: int) -> int:
-        return fold_flip(dual_twist1, D.table, n, s_mask)
 
-    bases = []
-    for choice in itertools.product((1, 2, 3), repeat=n):
-        f_mask = 0
-        s_mask = 0
-        for idx, r in enumerate(choice):
-            slot = tau.roles[idx][r - 1]
-            if slot == 2:
-                f_mask |= label_bit[idx]
-            elif slot == 3:
-                s_mask |= label_bit[idx]
-        if table_after(s_mask) >> f_mask & 1:
-            bases.append(choice)
-    return Multimatroid(n, bases)
+def _keep_slots(table: int, k: int, zero: int, role_pairs) -> list[int]:
+    """The class-``k`` step of extraction for each ``(r1, r2)`` in
+    ``role_pairs``, the roles in slots 1 and 2: keep the entries whose
+    digit ``k`` is ``r1`` or ``r2``, at index bit ``k`` clear or set.
+    Taken for ``k = 0, 1, ..``, the digits below ``k`` are already packed
+    into index bits below ``k``, so the last step leaves a truth table."""
+    parts = _split(table, k, zero)
+    return [parts[r1] | parts[r2] << (1 << k) for r1, r2 in role_pairs]
 
 
 def extract(Z: Multimatroid, tau: TransversalTriple, sigma: Projection) -> SetSystem:
-    """The set system of slot-2 labels of bases avoiding slot 3 entirely.
-
-    Each basis avoiding slot 3 sets the bit of its slot-2 classes in a
-    truth table over class indices, which is relabeled once by ``sigma``
-    at the end.  An empty selection yields an improper (empty-family)
-    system, which the caller can detect via ``is_proper``.
-    """
+    """The set system of slot-2 labels of bases avoiding slot 3 entirely:
+    one ``_keep_slots`` step per class, then one relabeling by ``sigma``.
+    An empty selection yields an improper (empty-family) system, which the
+    caller can detect via ``is_proper``."""
     if tau.n != Z.n or sigma.n != Z.n:
         raise ValidationError("triple/projection size must match the carrier")
-    table = 0
-    for b in Z.bases:
-        f_mask = 0
-        for idx, r in enumerate(b):
-            slot = tau.roles[idx][r - 1]
-            if slot == 3:
-                break
-            if slot == 2:
-                f_mask |= 1 << idx
-        else:
-            table |= 1 << f_mask
+    table = Z.table
+    for k, zero in enumerate(_zeros(Z.n)):
+        roles = tau.roles[k]
+        (table,) = _keep_slots(table, k, zero, [(roles.index(1) + 1, roles.index(2) + 1)])
     return SetSystem.from_table(Z.n, relabel(table, Z.n, sigma.relabel.images))
 
 
@@ -420,55 +475,29 @@ def all_triples(n: int) -> Iterator[TransversalTriple]:
         yield TransversalTriple(combo)
 
 
-@functools.cache
-def _digit_zero_masks(n: int) -> tuple[int, ...]:
-    """Per class index ``k``, the bits of a ``4**n``-bit table whose index
-    has base-4 digit ``k`` equal to 0."""
-    out = []
-    for k in range(n):
-        mask, width = (1 << (1 << 2 * k)) - 1, 4 << 2 * k
-        while width < 1 << 2 * n:
-            mask |= mask << width
-            width <<= 1
-        out.append(mask)
-    return tuple(out)
-
-
 #: the (slot-1 role, slot-2 role) pair of each role table in ``PERM3``
 _SLOT_ROLES = tuple((p.index(1) + 1, p.index(2) + 1) for p in PERM3)
 
 
 def _extracted_tables(Z: Multimatroid) -> set[int]:
     """The truth tables of ``extract(Z, tau, identity)`` over all ``6**n``
-    triples ``tau``, in one depth-first walk of the classes.
-
-    The bases are one ``4**n``-bit table: basis ``b`` sets bit
-    ``sum(b[k] * 4**k)``.  Each class ``k`` in turn keeps the entries
-    whose digit ``k`` is the role in slot 1 or in slot 2, moving them to
-    index bit ``k`` clear or set: a right shift by the role's digit value
-    and an AND with the "digit ``k`` is 0" mask select them, and the slot-2
-    ones shift up by ``2**k``.  Digits below ``k`` are then already packed
-    into index bits below ``k``, so a leaf is the ``2**n``-bit table itself.
-    """
+    triples ``tau``, in one depth-first walk of the classes: the children
+    of a node are the ``_keep_slots`` steps of the six role tables."""
     n = Z.n
-    table = 0
-    for b in Z.bases:
-        table |= 1 << sum(r << 2 * k for k, r in enumerate(b))
     if n == 0:
-        return {table}
-    zero = _digit_zero_masks(n)
+        return {Z.table}
+    zero = _zeros(n)
     out: set[int] = set()
 
     def walk(t: int, k: int) -> None:
-        digit, bit, mask = 1 << 2 * k, 1 << k, zero[k]
-        for r1, r2 in _SLOT_ROLES:
-            child = ((t >> r1 * digit) & mask) | (((t >> r2 * digit) & mask) << bit)
-            if k == n - 1:
-                out.add(child)
-            else:
+        children = _keep_slots(t, k, zero[k], _SLOT_ROLES)
+        if k == n - 1:
+            out.update(children)
+        else:
+            for child in children:
                 walk(child, k + 1)
 
-    walk(table, 0)
+    walk(Z.table, 0)
     return out
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError, ConsistencyError, ValidationError
-from .multimatroid import Multimatroid, Projection, TransversalTriple, lift
+from .multimatroid import Multimatroid, Projection, TransversalTriple, _check_class_count, lift
 from .set_system import SetSystem, VF_SAFE_DEFAULT_CAP, is_delta_matroid, is_vf_safe
 
 QUASI_TREE_CAP = 16
@@ -57,7 +57,7 @@ class RibbonGraph:
     """A signed rotation system.  Rotations are stored starting from their
     least half-edge id; that normalization never changes the surface."""
 
-    __slots__ = ("vertices", "edges", "_next", "_prev", "_vertex_of", "_partner", "_sign", "_label_of")
+    __slots__ = ("vertices", "edges", "_next", "_vertex_of", "_label_of")
 
     def __init__(self, vertices: Sequence[Sequence[int]], edges: Sequence):
         if not isinstance(vertices, (list, tuple)) or not all(
@@ -104,26 +104,15 @@ class RibbonGraph:
         vertices = tuple(_canon_rotation(rot) for rot in vertices)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(norm_edges))
-        nxt, prv, vert = {}, {}, {}
+        nxt, vert = {}, {}
         for vi, rot in enumerate(vertices):
             k = len(rot)
             for idx, h in enumerate(rot):
                 nxt[h] = rot[(idx + 1) % k]
-                prv[h] = rot[(idx - 1) % k]
                 vert[h] = vi
-        partner, sign, label_of = {}, {}, {}
-        for e in norm_edges:
-            a, b = e.ends
-            partner[a] = b
-            partner[b] = a
-            sign[a] = sign[b] = e.sign
-            label_of[a] = label_of[b] = e.label
         object.__setattr__(self, "_next", nxt)
-        object.__setattr__(self, "_prev", prv)
         object.__setattr__(self, "_vertex_of", vert)
-        object.__setattr__(self, "_partner", partner)
-        object.__setattr__(self, "_sign", sign)
-        object.__setattr__(self, "_label_of", label_of)
+        object.__setattr__(self, "_label_of", {h: e.label for e in norm_edges for h in e.ends})
 
     def __setattr__(self, name, value):
         raise AttributeError("RibbonGraph is immutable")
@@ -382,9 +371,7 @@ def medial(G: RibbonGraph) -> FourRegularGraph:
         for h in rot:
             corners.append(tuple(sorted(((h, AFTER), (G._next[h], BEFORE)))))
     free_loops = sum(1 for rot in G.vertices if not rot)
-    return FourRegularGraph(
-        vertices, sorted(corners), free_loops, {h: G._label_of[h] for h in G._partner}
-    )
+    return FourRegularGraph(vertices, sorted(corners), free_loops, G._label_of)
 
 
 def all_black(Fm: FourRegularGraph) -> tuple[str, ...]:
@@ -447,27 +434,26 @@ def transition_matroid(Fm: FourRegularGraph, max_v: int = TRANSITION_MATROID_CAP
     """
     if Fm.n > max_v:
         raise BudgetError(f"transition matroid capped at {max_v} medial vertices, got {Fm.n}")
+    _check_class_count(Fm.n)
     k_full = _medial_component_count(Fm)
     m, steps = _transition_steps(Fm)
     uf = _UnionFind(m)
-    choice = [0] * Fm.n
-    bases = []
+    bits = []  # the base-table bit of each transition system kept
 
-    def walk(k: int) -> None:
+    def walk(k: int, index: int) -> None:
         if k == Fm.n:
             if uf.count + Fm.free_loops == k_full:
-                bases.append(tuple(choice))
+                bits.append(index)
             return
         for role, pairs in enumerate(steps[k], start=1):
             mark = uf.mark()
             for a, b in pairs:
                 uf.union(a, b)
-            choice[k] = role
-            walk(k + 1)
+            walk(k + 1, index | role << 2 * k)
             uf.rollback(mark)
 
-    walk(0)
-    return Multimatroid(Fm.n, bases)
+    walk(0, 0)
+    return Multimatroid.from_table(Fm.n, sum(1 << i for i in bits))
 
 
 @dataclass(frozen=True)
@@ -505,6 +491,6 @@ def verify_medial_lift(
         Projection.identity(G.n),
         vf_cache=vf_cache,
     )
-    only_medial = tuple(sorted(Zm.bases - Zl.bases))
-    only_lift = tuple(sorted(Zl.bases - Zm.bases))
+    only_medial = Multimatroid.from_table(G.n, Zm.table & ~Zl.table).sorted_bases()
+    only_lift = Multimatroid.from_table(G.n, Zl.table & ~Zm.table).sorted_bases()
     return MedialLiftReport(not only_medial and not only_lift, only_medial, only_lift)

@@ -28,7 +28,6 @@ agreement with the direct parity rules is a tested property.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -39,9 +38,6 @@ MAX_GROUND = 16
 
 #: default cap on the ground size of the vf-safe closure search
 VF_SAFE_DEFAULT_CAP = 10
-
-# relabel-quotient cache keys are only worth computing for tiny n
-_RELABEL_KEY_CAP = 4
 
 
 def mask_of(members: Iterable[int], n: int) -> int:
@@ -210,21 +206,21 @@ class RibbonLoopClass(Enum):
 # truth tables and the single-element flips on them, shared by every engine
 
 
-def _half_masks(n: int) -> tuple[int, ...]:
-    """Per element index ``k``, the truth-table bits of the sets without it."""
+def _zero_masks(n: int, width: int) -> tuple[int, ...]:
+    """Per digit index ``k``, the bits of a ``2**(width * n)``-bit table
+    whose index has base-``2**width`` digit ``k`` equal to 0."""
     out = []
     for k in range(n):
-        half = (1 << (1 << k)) - 1
-        width = 2 << k
-        while width < 1 << n:
-            half |= half << width
-            width <<= 1
-        out.append(half)
+        mask, block = (1 << (1 << width * k)) - 1, 1 << width * (k + 1)
+        while block < 1 << width * n:
+            mask |= mask << block
+            block <<= 1
+        out.append(mask)
     return tuple(out)
 
 
-#: per ground size, its ``_half_masks``; a flip reads them on every call
-_HALVES = tuple(_half_masks(n) for n in range(MAX_GROUND + 1))
+#: per ground size, its ``_zero_masks(n, 1)``; a flip reads them on every call
+_HALVES = tuple(_zero_masks(n, 1) for n in range(MAX_GROUND + 1))
 
 
 def _masks_of_table(table: int) -> list[int]:
@@ -390,11 +386,9 @@ def classify_element(D: SetSystem, i: int) -> RibbonLoopClass:
     set; a ribbon loop is non-orientable when it is again a ribbon loop
     after twisting at ``i``, and orientable otherwise.
     """
-    if not 1 <= i <= D.n:
-        raise ValidationError(f"element {i} out of range 1..{D.n}")
+    bit = mask_of((i,), D.n)
     if not is_delta_matroid(D).valid:
         raise ValidationError("classify_element requires a delta-matroid")
-    bit = 1 << (i - 1)
 
     def ribbon_loop(system: SetSystem) -> bool:
         dmin, _ = min_max_matroids(system)
@@ -425,15 +419,6 @@ def _twists(table: int, n: int) -> Iterator[int]:
         yield table
 
 
-def _vf_cache_key(n: int, class_key: int) -> tuple[int, int]:
-    """Cache key of a twist class: its key, or for tiny ``n`` the least
-    class key over all relabelings."""
-    if n > _RELABEL_KEY_CAP:
-        return (n, class_key)
-    perms = itertools.permutations(range(1, n + 1))
-    return (n, min(min(_twists(relabel(class_key, n, p), n)) for p in perms))
-
-
 def is_vf_safe(
     D: SetSystem,
     max_n: int = VF_SAFE_DEFAULT_CAP,
@@ -452,17 +437,15 @@ def is_vf_safe(
     one set lookup and each class is walked once.
 
     An optional ``cache`` dict memoizes verdicts across calls, one entry
-    per twist class of the closure.  The entry is keyed by ``(n, class
-    key)``, and for ``n <= 4`` by the least class key over all relabelings;
-    both are sound because the verdict is shared by the whole closure and
-    is invariant under relabeling.
+    per twist class of the closure, keyed by ``(n, class key)``; this is
+    sound because the verdict is shared by the whole closure.
     """
     if D.n > max_n:
         raise BudgetError(f"vf-safe closure needs n <= {max_n}, got {D.n}")
     n = D.n
     twists = list(_twists(D.table, n))
     if cache is not None:
-        hit = cache.get(_vf_cache_key(n, min(twists)))
+        hit = cache.get((n, min(twists)))
         if hit is not None:
             return hit
 
@@ -482,5 +465,5 @@ def is_vf_safe(
                     keys.append(min(twists))
     if cache is not None:
         for key in keys:
-            cache[_vf_cache_key(n, key)] = verdict
+            cache[n, key] = verdict
     return verdict

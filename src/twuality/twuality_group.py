@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .set_system import SetSystem, dual_twist1, loop_complement1, relabel, twist1
+from .set_system import SetSystem, dual_twist1, loop_complement1, mask_of, relabel, twist1
 
 
 class Flip:
@@ -330,9 +330,8 @@ def _apply_seq(table: int, n: int, seq: tuple[str, ...], k: int) -> int:
 
 def apply_flip(D: SetSystem, g: Flip, i: int) -> SetSystem:
     """Apply the flip ``g`` at element ``i`` (its word, rightmost first)."""
-    if not 1 <= i <= D.n:
-        raise ValidationError(f"element {i} out of range 1..{D.n}")
-    return SetSystem.from_table(D.n, _apply_seq(D.table, D.n, g.app_seq, i - 1))
+    k = mask_of((i,), D.n).bit_length() - 1
+    return SetSystem.from_table(D.n, _apply_seq(D.table, D.n, g.app_seq, k))
 
 
 def act(a: TwualityElement, D: SetSystem) -> SetSystem:

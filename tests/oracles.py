@@ -26,8 +26,13 @@ compared against.
   ``4**n``-bit table of the bases, sharing prefixes.
 * ``is_multimatroid_oracle``: every independent set filtered by
   compatibility for each transversal, then every pair of the survivors
-  tried for augmentation.  The library looks up the subtransversals of
-  each transversal and tests augmentation on class masks.
+  tried for augmentation.  The library tests the table bits of the
+  subtransversals of each transversal and augmentation on class masks.
+* ``down_closure``, ``is_tight_oracle``, ``restrict_oracle``,
+  ``lift_oracle``, ``extract_oracle``: the multimatroid engines on a
+  frozenset of choice tuples, one tuple per basis or independent set.
+  The library keeps a multimatroid as its ``4**n``-bit base table and
+  works per class with masked shifts of the whole table.
 * ``transition_matroid_oracle``: one split per transition system, each a
   fresh union-find keyed by ``(half-edge, slot)`` tags
   (``split_components_oracle``).  The library walks the medial vertices
@@ -51,8 +56,8 @@ from twuality import (
 from twuality.multimatroid import (
     Multimatroid,
     Projection,
+    Restriction,
     TransversalTriple,
-    _down_closure,
     all_triples,
     extract,
     lift,
@@ -248,6 +253,72 @@ def orbit_via_lift_oracle(D, tau=None, sigma=None, mode="full", vf_cache=None):
     return tuple(sorted(seen, key=SetSystem.canonical_key))
 
 
+def down_closure(Z):
+    """All subtransversals of bases; entries 0 mark missed classes."""
+    out = set()
+    for b in Z.bases:
+        for pattern in itertools.product((False, True), repeat=Z.n):
+            out.add(tuple(r if keep else 0 for r, keep in zip(b, pattern)))
+    return frozenset(out)
+
+
+def is_tight_oracle(Z):
+    """``is_tight`` without its budget check, by set membership."""
+    bases = Z.bases
+    for b in sorted(bases):
+        for k in range(Z.n):
+            non_bases = [r for r in (1, 2, 3) if b[:k] + (r,) + b[k + 1 :] not in bases]
+            if len(non_bases) != 1:
+                return False, {"basis": list(b), "class": k + 1, "non_bases": non_bases}
+    return True, None
+
+
+def restrict_oracle(Z, X):
+    """``restrict`` on well-formed ``X``: the independents within ``X``,
+    and of those the ones no allowed role of a missed class extends."""
+    allowed = [set() for _ in range(Z.n)]
+    for i, r in X:
+        allowed[i - 1].add(r)
+    inside = frozenset(
+        I for I in down_closure(Z) if all(r == 0 or r in allowed[k] for k, r in enumerate(I))
+    )
+    bases = []
+    for I in sorted(inside):
+        if not any(
+            I[:k] + (r,) + I[k + 1 :] in inside
+            for k in range(Z.n)
+            if I[k] == 0
+            for r in allowed[k]
+        ):
+            bases.append(I)
+    return Restriction(Z.n, tuple(frozenset(a) for a in allowed), inside, tuple(bases))
+
+
+def lift_oracle(D, tau, sigma):
+    """``lift`` without its checks: every transversal choice tried, its
+    slot-2 labels looked up in ``D`` dual-twisted at its slot-3 labels by
+    interval counting."""
+    bases = []
+    for choice in itertools.product((1, 2, 3), repeat=D.n):
+        labels = {1: [], 2: [], 3: []}
+        for i, r in enumerate(choice, start=1):
+            labels[tau.slot_of(i, r)].append(sigma.label_of(i))
+        if dual_twist(D, labels[3]).has_mask(mask_of(labels[2], D.n)):
+            bases.append(choice)
+    return Multimatroid(D.n, bases)
+
+
+def extract_oracle(Z, tau, sigma):
+    """``extract`` one basis at a time: the slot-2 classes of each basis
+    that avoids slot 3, relabeled by ``sigma``."""
+    masks = set()
+    for b in Z.bases:
+        slots = [tau.slot_of(i, r) for i, r in enumerate(b, start=1)]
+        if 3 not in slots:
+            masks.add(sum(1 << k for k, slot in enumerate(slots) if slot == 2))
+    return SetSystem(Z.n, (relabel_mask(sigma.relabel.images, m) for m in masks))
+
+
 def _compatible(I, T):
     return all(a == 0 or a == b for a, b in zip(I, T))
 
@@ -256,7 +327,7 @@ def is_multimatroid_oracle(Z):
     """``is_multimatroid`` without its budget check: for each transversal
     ``T``, every compatible independent ``I`` against every larger
     compatible ``J``, then every skew pair of every missed class."""
-    independents = _down_closure(Z)
+    independents = down_closure(Z)
     if not independents:
         return False, {"axiom": 1, "reason": "no independent sets"}
     ordered = sorted(independents)

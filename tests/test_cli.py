@@ -199,6 +199,28 @@ class TestMultimatroidCommands:
         code, out, _ = run(capsys, "mm-check", write(tmp_path, "mm.json", payload))
         assert (code, out) == (0, expected)
 
+    # Exact stdout of the per-choice lift that the base-table lift replaced;
+    # the table lists class 1 in its lowest digit, so the order is a sort.
+    @pytest.mark.parametrize(
+        "options, bases",
+        [
+            (
+                [],
+                "[[[1,1],[2,1],[3,2]],[[1,1],[2,1],[3,3]],[[1,1],[2,2],[3,2]],[[1,1],[2,2],[3,3]],"
+                "[[1,2],[2,1],[3,2]],[[1,2],[2,1],[3,3]],[[1,2],[2,3],[3,2]],[[1,2],[2,3],[3,3]],"
+                "[[1,3],[2,2],[3,2]],[[1,3],[2,2],[3,3]],[[1,3],[2,3],[3,2]],[[1,3],[2,3],[3,3]]]",
+            ),
+            (
+                ["--tau", "[[2,1,3],[1,3,2],[3,2,1]]", "--sigma", "[2,3,1]"],
+                "[[[1,1],[2,2],[3,1]],[[1,1],[2,2],[3,3]],[[1,1],[2,3],[3,1]],[[1,1],[2,3],[3,3]],"
+                "[[1,2],[2,2],[3,2]],[[1,2],[2,2],[3,3]],[[1,2],[2,3],[3,2]],[[1,2],[2,3],[3,3]],"
+                "[[1,3],[2,2],[3,1]],[[1,3],[2,2],[3,2]],[[1,3],[2,3],[3,1]],[[1,3],[2,3],[3,2]]]",
+            ),
+        ],
+    )
+    def test_lift_stdout_pinned(self, capsys, cone_file, options, bases):
+        assert run(capsys, "lift", cone_file, *options) == (0, '{"bases":' + bases + ',"n":3}\n', "")
+
     def test_orbit_via_lift_iota_stdout_pinned(self, capsys, tmp_path):
         path = write(tmp_path, "d.json", {"n": 2, "feasible": [[], [1]]})
         code, out, _ = run(
@@ -318,6 +340,12 @@ class TestInputBoundary:
             (["ribbon", "dm", FILE], {"vertices": [[1, 2]], "edges": [[[1, 2], 1]]}),
             (["ribbon", "dm", FILE], {"vertices": [[1, 2]], "edges": [[[1, 2], True, 1]]}),
             (["check", FILE], {"n": 99, "feasible": [[1]]}),
+            # a multimatroid is a 4**n-bit table, capped at 10 classes
+            (["mm-check", FILE], {"n": 11, "bases": [[[k, 1] for k in range(1, 12)]]}),
+            (
+                ["extract", FILE, "--tau", json.dumps([[1, 2, 3]] * 11), "--sigma", json.dumps([*range(1, 12)])],
+                {"n": 11, "bases": []},
+            ),
         ],
     )
     def test_malformed_input_is_one_error_line(self, capsys, tmp_path, argv, payload):

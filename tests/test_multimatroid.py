@@ -36,7 +36,14 @@ from twuality import (
 )
 
 import ribbon_catalog
-from oracles import is_multimatroid_oracle, orbit_via_lift_oracle
+from oracles import (
+    extract_oracle,
+    is_multimatroid_oracle,
+    is_tight_oracle,
+    lift_oracle,
+    orbit_via_lift_oracle,
+    restrict_oracle,
+)
 from twuality import delta_matroid_of
 
 ss = SetSystem.from_sets
@@ -67,6 +74,13 @@ def rand_triple(rng, n):
 
 def rand_projection(rng, n):
     return Projection(Perm(rng.sample(range(1, n + 1), n)))
+
+
+def rand_multimatroid(rng, max_n=4):
+    """A random base set on at most ``max_n`` classes, possibly empty."""
+    n = rng.randint(0, max_n)
+    choices = list(itertools.product((1, 2, 3), repeat=n))
+    return Multimatroid(n, rng.sample(choices, rng.randint(0, min(len(choices), 12))))
 
 
 class TestTypes:
@@ -110,6 +124,8 @@ class TestTypes:
                 Multimatroid.from_json({"n": 1, "bases": bases})
         with pytest.raises(ValidationError):
             Multimatroid(1, [(1, 2)])
+        with pytest.raises(ValidationError):
+            Multimatroid.from_json({"n": 11, "bases": []})
 
     @pytest.mark.parametrize(
         "n, bases",
@@ -119,11 +135,19 @@ class TestTypes:
             (-1, []),  # negative class count
             (1, [(True,)]),  # bool role
             (1, [(1.0,)]),  # non-int role
+            (11, []),  # more classes than a base table holds
         ],
     )
     def test_multimatroid_rejects_library_input(self, n, bases):
         with pytest.raises(ValidationError):
             Multimatroid(n, bases)
+
+    def test_from_table_round_trip(self, rng):
+        for _ in range(50):
+            Z = rand_multimatroid(rng)
+            assert Multimatroid.from_table(Z.n, Z.table) == Z
+            assert hash(Multimatroid.from_table(Z.n, Z.table)) == hash(Z)
+            assert Multimatroid(Z.n, Z.bases) == Z
 
     def test_carrier(self):
         Z = Multimatroid(2, [(1, 1)])
@@ -156,6 +180,18 @@ class TestLiftExtract:
     def test_lift_budget(self):
         with pytest.raises(BudgetError):
             lift(SetSystem(9, [0]))
+
+    def test_lift_matches_per_choice_oracle(self, pool, rng, vf_cache):
+        for D in pool:
+            tau, sigma = rand_triple(rng, D.n), rand_projection(rng, D.n)
+            Z = lift(D, tau, sigma, vf_cache=vf_cache)
+            assert Z == lift_oracle(D, tau, sigma), (D, tau, sigma)
+
+    def test_extract_matches_per_basis_oracle(self, rng):
+        for _ in range(200):
+            Z = rand_multimatroid(rng)
+            tau, sigma = rand_triple(rng, Z.n), rand_projection(rng, Z.n)
+            assert extract(Z, tau, sigma) == extract_oracle(Z, tau, sigma), (Z, tau, sigma)
 
     def test_round_trip_random(self, pool, rng, vf_cache):
         for _ in range(40):
@@ -206,14 +242,25 @@ class TestAxioms:
         them."""
         axioms = set()
         for _ in range(300):
-            n = rng.randint(0, 4)
-            choices = list(itertools.product((1, 2, 3), repeat=n))
-            Z = Multimatroid(n, rng.sample(choices, rng.randint(0, min(len(choices), 12))))
+            Z = rand_multimatroid(rng)
             result = is_multimatroid(Z)
             assert result == is_multimatroid_oracle(Z), Z
             if not result[0]:
                 axioms.add(result[1]["axiom"])
         assert axioms == {1, 2}
+
+    def test_tightness_matches_oracle(self, pool, rng, vf_cache):
+        """Flag and witness agree with the set-membership scan on random
+        base sets and on lifts, so both outcomes occur."""
+        lifts = [
+            lift(D, rand_triple(rng, D.n), rand_projection(rng, D.n), vf_cache=vf_cache) for D in pool
+        ]
+        flags = set()
+        for Z in [rand_multimatroid(rng) for _ in range(300)] + lifts:
+            result = is_tight(Z)
+            assert result == is_tight_oracle(Z), Z
+            flags.add(result[0])
+        assert flags == {True, False}
 
     def test_lifts_match_oracle(self, pool, rng, vf_cache):
         systems = [D for D in pool if D.n <= 4][:6]
@@ -255,6 +302,14 @@ class TestRestrict:
     def test_rejects_bool_and_non_int_members(self, pair):
         with pytest.raises(ValidationError):
             restrict(Multimatroid(1, [(1,)]), [pair])
+
+    def test_matches_oracle(self, rng):
+        """Independents and bases agree with the tuple scan on random base
+        sets restricted to random carrier subsets."""
+        for _ in range(300):
+            Z = rand_multimatroid(rng)
+            X = [x for x in Z.carrier.elements() if rng.random() < 0.7]
+            assert restrict(Z, X) == restrict_oracle(Z, X), (Z, X)
 
     def test_identity_on_lifts(self, pool, rng, vf_cache):
         """Bases of the restriction to the first two transversals equal

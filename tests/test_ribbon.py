@@ -24,6 +24,7 @@ from twuality import (
     transition_matroid,
     verify_medial_lift,
 )
+from twuality import ribbon
 
 import ribbon_catalog as cat
 from oracles import quasi_trees_oracle, split_components_oracle, transition_matroid_oracle
@@ -273,6 +274,22 @@ class TestMedialLiftAgreement:
                 continue
             report = verify_medial_lift(G, vf_cache=vf_cache)
             assert report.equal, (key, report.only_medial, report.only_lift)
+
+    def test_mismatch_lists_sorted_differences(self, monkeypatch, vf_cache):
+        """With two bases of the medial side swapped for two non-bases,
+        the report names exactly those, each side sorted as tuples.  The
+        pairs differ in class 1 and in opposite order in class 2, so the
+        base-table order would list them the other way round."""
+        G = cat.path_graph([1, -1])
+        Zm = transition_matroid(medial(G))
+        removed, added = [(2, 3), (3, 2)], [(1, 3), (3, 1)]
+        assert set(removed) <= Zm.bases and not set(added) & Zm.bases
+        fake = Multimatroid(2, (Zm.bases - set(removed)) | set(added))
+        monkeypatch.setattr(ribbon, "transition_matroid", lambda Fm: fake)
+        report = verify_medial_lift(G, vf_cache=vf_cache)
+        assert not report.equal
+        assert (report.only_medial, report.only_lift) == (tuple(added), tuple(removed))
+        assert report.to_json()["only_lift"] == [[[1, 2], [2, 3]], [[1, 3], [2, 2]]]
 
     def test_budget(self):
         with pytest.raises(BudgetError):
