@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BudgetError, ValidationError
-from .set_system import SetSystem, _masks_of_table, _zero_masks, is_vf_safe, relabel
+from .set_system import (
+    SetSystem,
+    _iter_checked,
+    _masks_of_table,
+    _zero_masks,
+    is_vf_safe,
+    relabel,
+    sorted_systems,
+)
 from .twuality_group import Flip, Perm
 
 #: the six role permutations in lexicographic order
@@ -190,8 +198,8 @@ class Multimatroid:
     def __init__(self, n: int, bases: Iterable[tuple[int, ...]]):
         _check_class_count(n)
         table = 0
-        for b in bases:
-            b = tuple(b)
+        for b in _iter_checked(bases, "the bases"):
+            b = tuple(_iter_checked(b, "a basis"))
             if len(b) != n or any(type(r) is not int or not 1 <= r <= 3 for r in b):
                 raise ValidationError(f"basis {b} is not a transversal choice on {n} classes")
             table |= 1 << _index(b)
@@ -360,7 +368,7 @@ def restrict(Z: Multimatroid, X: Iterable[tuple[int, int]]) -> Restriction:
     extension by an allowed role stays within ``X``, so it is looked up
     among all independents."""
     allowed: list[set[int]] = [set() for _ in range(Z.n)]
-    for pair in X:
+    for pair in _iter_checked(X, "the carrier elements"):
         try:
             i, r = pair
         except (TypeError, ValueError):
@@ -528,5 +536,4 @@ def orbit_via_lift(
         relabelings = [sigma.relabel.images]
     else:
         relabelings = itertools.permutations(range(1, n + 1))
-    seen = {SetSystem.from_table(n, relabel(t, n, p)) for p in relabelings for t in tables}
-    return tuple(sorted(seen, key=SetSystem.canonical_key))
+    return sorted_systems({relabel(t, n, p) for p in relabelings for t in tables}, n)

@@ -26,9 +26,8 @@ from .set_system import (
     loop_complement,
     loop_complement1,
     min_max_matroids,
-    members_of,
     relabel,
-    shortlex_key,
+    sorted_systems,
     twist,
     twist1,
 )
@@ -138,9 +137,8 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
             if nxt not in paths:
                 paths[nxt] = base + (token,)
                 queue.append(nxt)
-    systems = {SetSystem.from_table(D.n, table): path for table, path in paths.items()}
-    elements = tuple(sorted(systems, key=SetSystem.canonical_key))
-    return OrbitReport(D, mode, elements, {d: systems[d] for d in elements})
+    elements = sorted_systems(paths, D.n)
+    return OrbitReport(D, mode, elements, {d: paths[d.table] for d in elements})
 
 
 def stabilizer_search(
@@ -271,8 +269,7 @@ def normalize_rep(D: SetSystem, max_n: int = VF_SAFE_DEFAULT_CAP) -> SetSystem:
     if not is_vf_safe(D, max_n=max_n):
         raise ValidationError("normalize_rep requires a vf-safe delta-matroid")
     dmin, _ = min_max_matroids(D)
-    base = min(dmin.masks, key=shortlex_key)
-    normal = twist(D, members_of(base))
+    normal = twist(D, dmin.feasible_sets()[0])
     singles = [i for i in range(1, D.n + 1) if normal.has_mask(1 << (i - 1))]
     rep = loop_complement(normal, singles)
     if not rep.is_normal or any(rep.has_mask(1 << (i - 1)) for i in range(1, D.n + 1)):

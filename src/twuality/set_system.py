@@ -9,6 +9,13 @@ integer ops.  Ground sizes are capped at 16; the exhaustive routines
 elsewhere in the package are exponential in ``n`` and 16 already exceeds
 every scale they are meant for.
 
+Canonical order lists sets by cardinality, then lexicographically
+(shortlex), and families by the sorted list of their sets.  One table per
+ground size, built on first use, holds the subsets in shortlex order and
+the rank of every mask.  ``shortlex_ranks`` reads a family's sorted ranks
+off its truth table, and every canonical order in the package sorts by
+them; ``sorted_systems`` sorts truth tables into canonical order.
+
 Operations:
 
 * ``twist(D, I)`` replaces every feasible ``X`` by ``X symdiff I``.
@@ -28,6 +35,7 @@ agreement with the direct parity rules is a tested property.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
@@ -40,10 +48,18 @@ MAX_GROUND = 16
 VF_SAFE_DEFAULT_CAP = 10
 
 
+def _iter_checked(items, what: str) -> Iterator:
+    """``iter(items)``, raising ``ValidationError`` when ``items`` is not iterable."""
+    try:
+        return iter(items)
+    except TypeError:
+        raise ValidationError(f"{what} must be iterable, got {items!r}") from None
+
+
 def mask_of(members: Iterable[int], n: int) -> int:
     """Encode a subset of [n] as a bit mask, rejecting junk and duplicates."""
     mask = 0
-    for i in members:
+    for i in _iter_checked(members, "a subset"):
         if not isinstance(i, int) or isinstance(i, bool):
             raise ValidationError(f"element {i!r} is not an integer")
         if not 1 <= i <= n:
@@ -67,9 +83,35 @@ def members_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def shortlex_key(mask: int) -> tuple[int, tuple[int, ...]]:
-    """Sort key ordering subsets by cardinality, then lexicographically."""
-    return (mask.bit_count(), members_of(mask))
+@functools.cache
+def _shortlex_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The subsets of [n] in shortlex order (by cardinality, then
+    lexicographically): their member tuples, and per mask its rank."""
+
+    def shortlex(items):
+        sizes = range(n + 1)
+        return itertools.chain.from_iterable(itertools.combinations(items, k) for k in sizes)
+
+    members = tuple(shortlex(range(1, n + 1)))
+    rank = [0] * (1 << n)
+    for r, bits in enumerate(shortlex([1 << k for k in range(n)])):
+        rank[sum(bits)] = r
+    return members, tuple(rank)
+
+
+#: maps the digits of ``bin`` to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def shortlex_ranks(table: int, n: int) -> list[int]:
+    """The ascending shortlex ranks of the feasible sets of a truth table
+    over [n]; lists of ranks compare as the families do in canonical order.
+
+    Byte ``X`` of ``bits`` is bit ``X`` of the table, so one ``compress``
+    selects the ranks of the feasible masks in C, however dense the table.
+    """
+    bits = bin(table)[:1:-1].encode().translate(_BIT_BYTES)
+    return sorted(itertools.compress(_shortlex_table(n)[1], bits))
 
 
 class SetSystem:
@@ -87,8 +129,8 @@ class SetSystem:
         if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_GROUND:
             raise ValidationError(f"ground size must be an integer in 0..{MAX_GROUND}, got {n!r}")
         table = 0
-        for m in masks:
-            if not isinstance(m, int) or m < 0 or m >> n:
+        for m in _iter_checked(masks, "the masks"):
+            if type(m) is not int or m < 0 or m >> n:
                 raise ValidationError(f"mask {m!r} does not encode a subset of [{n}]")
             table |= 1 << m
         object.__setattr__(self, "n", n)
@@ -107,7 +149,7 @@ class SetSystem:
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
-        return cls(n, (mask_of(s, n) for s in sets))
+        return cls(n, (mask_of(s, n) for s in _iter_checked(sets, "the sets")))
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -130,11 +172,12 @@ class SetSystem:
 
     def feasible_sets(self) -> tuple[tuple[int, ...], ...]:
         """The family in canonical order, each set as an ascending tuple."""
-        return tuple(members_of(m) for m in sorted(self.masks, key=shortlex_key))
+        members = _shortlex_table(self.n)[0]
+        return tuple(members[r] for r in shortlex_ranks(self.table, self.n))
 
     def canonical_key(self):
         """Total-order key for sorting collections of systems."""
-        return (self.n, tuple(sorted(shortlex_key(m) for m in self.masks)))
+        return (self.n, tuple(shortlex_ranks(self.table, self.n)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SetSystem):
@@ -149,7 +192,9 @@ class SetSystem:
         return f"SetSystem({self.n}, [{fam}])"
 
     def to_json(self) -> dict:
-        return {"n": self.n, "feasible": [list(s) for s in self.feasible_sets()]}
+        members = _shortlex_table(self.n)[0]
+        ranks = shortlex_ranks(self.table, self.n)
+        return {"n": self.n, "feasible": [list(members[r]) for r in ranks]}
 
     @classmethod
     def from_json(cls, data: dict) -> "SetSystem":
@@ -170,6 +215,12 @@ class SetSystem:
         if len(set(masks)) != len(masks):
             raise ValidationError("duplicate feasible sets")
         return cls(n, masks)
+
+
+def sorted_systems(tables: Iterable[int], n: int) -> tuple[SetSystem, ...]:
+    """The systems with the given truth tables over [n], in canonical order."""
+    ordered = sorted(tables, key=lambda t: shortlex_ranks(t, n))
+    return tuple(SetSystem.from_table(n, t) for t in ordered)
 
 
 @dataclass(frozen=True)
@@ -361,7 +412,8 @@ def is_delta_matroid(D: SetSystem) -> DeltaMatroidWitness:
     """
     if not D.is_proper:
         return DeltaMatroidWitness(False, "not proper")
-    failure = _exchange_failure(sorted(D.masks, key=shortlex_key), D.table, D.n)
+    ordered = sorted(D.masks, key=_shortlex_table(D.n)[1].__getitem__)
+    failure = _exchange_failure(ordered, D.table, D.n)
     if failure is None:
         return DeltaMatroidWitness(True)
     x, y, ub = failure

@@ -9,6 +9,10 @@ compared against.
 * ``twist1``, ``loop_complement1``, ``dual_twist1``: the single-element
   flips on a frozenset of masks, ``bit`` the mask of the element.  The
   library applies them to truth tables.
+* ``shortlex_key``, ``canonical_key_oracle``: the canonical order as
+  tuples, a subset keyed by its size and its member tuple and a family by
+  the sorted keys of its sets.  The library compares shortlex ranks read
+  from one table per ground size.
 * ``orbit_oracle``: the breadth-first orbit closure over frozenset states
   keyed by their sorted masks.  The library keys states by truth table.
 * ``relabel_mask``: a permutation applied to one mask.  The library
@@ -63,7 +67,17 @@ from twuality.multimatroid import (
     lift,
 )
 from twuality.ribbon import TRANSITION_NAMES, _component_count, _sub_boundary
-from twuality.set_system import mask_of
+from twuality.set_system import mask_of, members_of
+
+
+def shortlex_key(mask):
+    """Sort key ordering subsets by cardinality, then lexicographically."""
+    return (mask.bit_count(), members_of(mask))
+
+
+def canonical_key_oracle(D):
+    """Total-order key for sorting collections of systems."""
+    return (D.n, tuple(sorted(shortlex_key(m) for m in D.masks)))
 
 
 def relabel_mask(images, mask):
@@ -227,7 +241,7 @@ def orbit_oracle(D, mode):
                 paths[canon] = base + (token,)
                 queue.append(nxt)
     systems = {SetSystem(D.n, canon): path for canon, path in paths.items()}
-    elements = tuple(sorted(systems, key=SetSystem.canonical_key))
+    elements = tuple(sorted(systems, key=canonical_key_oracle))
     return OrbitReport(D, mode, elements, {d: systems[d] for d in elements})
 
 
@@ -250,7 +264,7 @@ def orbit_via_lift_oracle(D, tau=None, sigma=None, mode="full", vf_cache=None):
         for t in tables:
             masks = SetSystem.from_table(n, t).masks
             seen.add(SetSystem(n, (relabel_mask(p, m) for m in masks)))
-    return tuple(sorted(seen, key=SetSystem.canonical_key))
+    return tuple(sorted(seen, key=canonical_key_oracle))
 
 
 def down_closure(Z):

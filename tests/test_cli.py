@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -121,6 +122,19 @@ class TestOrbitCommands:
     def test_budget_exit_code(self, capsys, cone_file):
         code, _, err = run(capsys, "orbit", cone_file, "--max-n", "2")
         assert code == 2 and "capped" in err
+
+    # sha256 of the stdout of the tuple-keyed canonical sort that the
+    # shortlex rank table replaced (54 and 18 elements)
+    @pytest.mark.parametrize(
+        "options, digest",
+        [
+            ([], "818c1176b5f0b435e3c9996d11dcee92e40701ecfc4bebb9be7f57d477ec6cd7"),
+            (["--iota"], "3c34812cf13cc5c4f289ca7c7c9e17d26baf867d8bb138f455d1a4eb0742877b"),
+        ],
+    )
+    def test_orbit_stdout_pinned(self, capsys, cone_file, options, digest):
+        code, out, _ = run(capsys, "orbit", cone_file, *options)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_orbit_via_lift_matches_orbit(self, capsys, cone_file):
         direct = run_json(capsys, "orbit", cone_file)

@@ -136,6 +136,8 @@ class TestTypes:
             (1, [(True,)]),  # bool role
             (1, [(1.0,)]),  # non-int role
             (11, []),  # more classes than a base table holds
+            (1, [5]),  # a basis that is not iterable
+            (1, 5),  # bases that are not iterable
         ],
     )
     def test_multimatroid_rejects_library_input(self, n, bases):
@@ -297,6 +299,8 @@ class TestRestrict:
             restrict(Z, [(1, 4)])
         with pytest.raises(ValidationError):
             restrict(Z, [7])
+        with pytest.raises(ValidationError):
+            restrict(Z, 5)
 
     @pytest.mark.parametrize("pair", [(1, True), (1, 1.0), (True, 1)])
     def test_rejects_bool_and_non_int_members(self, pair):

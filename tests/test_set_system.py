@@ -27,12 +27,10 @@ from twuality import (
     twist,
 )
 from twuality import set_system
-from twuality.set_system import shortlex_key
-
 import ribbon_catalog as cat
 from conftest import set_systems, subset_of
 import oracles
-from oracles import first_exchange_failure, vf_safe_oracle
+from oracles import canonical_key_oracle, first_exchange_failure, shortlex_key, vf_safe_oracle
 
 ss = SetSystem.from_sets
 
@@ -101,6 +99,14 @@ class TestSetSystemType:
             SetSystem(17, [])
         with pytest.raises(ValidationError):
             SetSystem(2, [4])
+        with pytest.raises(ValidationError):
+            SetSystem(1, [True])  # a bool is not a mask
+        with pytest.raises(ValidationError):
+            SetSystem(2, 5)  # not an iterable of masks
+        with pytest.raises(ValidationError):
+            ss(2, 5)
+        with pytest.raises(ValidationError):
+            ss(2, [5])
 
     def test_json_round_trip(self):
         D = ss(3, [(3,), (1, 3), (2, 3)])
@@ -122,6 +128,39 @@ class TestSetSystemType:
         D = ss(0, [()])
         assert D.is_proper and D.is_normal
         assert D.to_json() == {"n": 0, "feasible": [[]]}
+
+
+def tuple_key_feasible_sets(masks):
+    """The family in canonical order, sorted by the tuple key."""
+    return tuple(members_of(m) for m in sorted(set(masks), key=shortlex_key))
+
+
+class TestShortlexOrder:
+    def test_matches_tuple_key_oracle(self, rng):
+        systems = []
+        for n in range(9):
+            full = 1 << n
+            systems += [SetSystem(n), SetSystem(n, range(full))]
+            for _ in range(30):
+                masks = set(rng.sample(range(full), rng.randint(0, min(full, 40))))
+                toggled = masks ^ {rng.randrange(full)}  # shares all but one set
+                systems += [SetSystem(n, masks), SetSystem(n, toggled)]
+        rng.shuffle(systems)
+        assert sorted(systems, key=SetSystem.canonical_key) == sorted(
+            systems, key=canonical_key_oracle
+        )
+        for D in systems:
+            assert D.feasible_sets() == tuple_key_feasible_sets(D.masks)
+            assert D.to_json() == {"n": D.n, "feasible": [list(s) for s in D.feasible_sets()]}
+
+    @pytest.mark.parametrize("masks", [(0xFFFF, 1, 0x8001), range(1 << 16)], ids=["three", "all"])
+    def test_feasible_sets_at_n16(self, masks):
+        D = SetSystem(16, masks)
+        assert D.feasible_sets() == tuple_key_feasible_sets(masks)
+        E = SetSystem(16, masks[1:])
+        assert (E.canonical_key() < D.canonical_key()) == (
+            canonical_key_oracle(E) < canonical_key_oracle(D)
+        )
 
 
 class TestTruthTable:
