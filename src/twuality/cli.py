@@ -70,7 +70,9 @@ def _load_json(path: str) -> dict:
 
 def _emit(payload, fmt: str) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        # every payload is a tree built by a ``to_json``, so no cycle check
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
+        sys.stdout.write(text + "\n")
         return
     for line in _text_lines(payload, ""):
         sys.stdout.write(line + "\n")

@@ -107,15 +107,16 @@ class UniformizationResult:
 
 
 def _orbit_generators(n: int, mode: str):
-    """Generator list as (token, table -> table) pairs, in the fixed order
-    ``*1, +1, *2, +2, .."`` plus adjacent transpositions in full mode."""
+    """Generator list as ``(token, flip, k)`` triples, each acting on a
+    truth table as ``flip(table, n, k)``, in the fixed order ``*1, +1, *2,
+    +2, ..`` plus adjacent transpositions in full mode."""
     gens = []
     for k in range(n):
-        gens.append((f"*{k + 1}", lambda t, k=k: twist1(t, n, k)))
-        gens.append((f"+{k + 1}", lambda t, k=k: loop_complement1(t, n, k)))
+        gens.append((f"*{k + 1}", twist1, k))
+        gens.append((f"+{k + 1}", loop_complement1, k))
     if mode == "full":
         for k in range(n - 1):
-            gens.append((f"({k + 1} {k + 2})", lambda t, k=k: _swap_adjacent(t, n, k)))
+            gens.append((f"({k + 1} {k + 2})", _swap_adjacent, k))
     return gens
 
 
@@ -127,17 +128,18 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
     cap = ORBIT_CAPS[mode] if max_n is None else max_n
     if D.n > cap:
         raise BudgetError(f"orbit({mode}) capped at n <= {cap}, got {D.n}")
-    gens = _orbit_generators(D.n, mode)
+    n = D.n
+    gens = _orbit_generators(n, mode)
     paths: dict[int, tuple[str, ...]] = {D.table: ()}
     queue = [D.table]
     for state in queue:  # breadth first: the loop visits the states it appends
         base = paths[state]
-        for token, step in gens:
-            nxt = step(state)
+        for token, flip, k in gens:
+            nxt = flip(state, n, k)
             if nxt not in paths:
                 paths[nxt] = base + (token,)
                 queue.append(nxt)
-    elements = sorted_systems(paths, D.n)
+    elements = sorted_systems(paths, n)
     return OrbitReport(D, mode, elements, {d: paths[d.table] for d in elements})
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ConsistencyError, ValidationError
 
 MAX_GROUND = 16
 
@@ -365,43 +365,91 @@ def dual_twist(D: SetSystem, I: Iterable[int]) -> SetSystem:
 # ---------------------------------------------------------------------------
 # structure checks
 
+@functools.cache
+def _other_flips(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per element index ``k`` of [n], the ``(half, shift)`` pair of the
+    twist at every other element, in ascending order."""
+    flips = [(half, 1 << j) for j, half in enumerate(_HALVES[n])]
+    return tuple(tuple(flips[:k] + flips[k + 1:]) for k in range(n))
+
+
+def _exchange_failures(table: int, n: int) -> int:
+    """The truth table of the feasible ``X`` that refute symmetric exchange
+    with some feasible ``Y`` and some ``u``.
+
+    Fix ``u``.  A feasible ``X`` with ``X symdiff {u}`` infeasible (a bit
+    of ``F & ~*u F``) fails iff some feasible ``Y`` differs from ``X`` at
+    ``u`` and agrees with it on ``R``, the ``v != u`` with ``X symdiff {u,
+    v}`` feasible (bit ``X`` of ``*v *u F``).  A depth-first walk decides
+    for each ``v`` in turn whether it lies in ``R``: ``S`` keeps the
+    candidates that match every decision so far, and ``E`` the family with
+    each ``v`` decided out of ``R`` forgotten (``E | *v E``).  At a leaf,
+    ``S & *u E`` are the candidates that fail with ``u``.  A branch whose
+    ``S`` is empty is pruned, so the walk has at most one leaf per
+    candidate.
+    """
+    bad = 0
+    for k, (half, others) in enumerate(zip(_HALVES[n], _other_flips(n))):
+        shift = 1 << k
+        flipped = ((table & half) << shift) | ((table >> shift) & half)
+        candidates = table & ~flipped
+        if candidates:
+            steps = None
+            for h, sh in reversed(others):
+                steps = (((flipped & h) << sh) | ((flipped >> sh) & h), h, sh, steps)
+            bad |= _refuted(candidates, table, steps, half, shift)
+    return bad
+
+
+def _refuted(s: int, e: int, steps: tuple | None, half: int, shift: int) -> int:
+    """One node of the walk of ``_exchange_failures``.  ``steps`` holds the
+    undecided ``v`` as nested ``(reach, half, shift, rest)`` tuples, where
+    bit ``X`` of ``reach`` says whether ``X symdiff {u, v}`` is feasible;
+    ``half`` and ``shift`` twist at ``u``."""
+    if steps is None:
+        return s & (((e & half) << shift) | ((e >> shift) & half))
+    reach, h, sh, rest = steps
+    out = 0
+    inside = s & reach
+    if inside:
+        out = _refuted(inside, e, rest, half, shift)
+    if inside != s:
+        forgot = e | ((e & h) << sh) | ((e >> sh) & h)
+        out |= _refuted(s ^ inside, forgot, rest, half, shift)
+    return out
+
+
 def _exchange_failure(ordered: list[int], table: int, n: int) -> tuple[int, int, int] | None:
     """First ``(X, Y, u)`` refuting symmetric exchange, or ``None``.
 
     ``X`` and then ``Y`` run over ``ordered``, the family over [n] with
     truth table ``table``, and ``u`` over the bits of ``X symdiff Y`` in
-    ascending order.  For a feasible ``X`` and a bit ``u`` with ``X symdiff
-    {u}`` infeasible, let ``R`` be the bits ``v != u`` with ``X symdiff
-    {u, v}`` feasible: a ``Y`` fails with ``u`` iff it differs from ``X``
-    at ``u`` and agrees with it on ``R``.  Whether such a ``Y`` exists is
-    one AND of truth-table masks per bit of ``R``; only an ``X`` for which
-    one does is scanned against every ``Y``.
+    ascending order.  ``_exchange_failures`` marks every ``X`` that fails;
+    only the first one in ``ordered`` is scanned against every ``Y``.  For
+    each bit ``u`` with ``X symdiff {u}`` infeasible, let ``R`` be the bits
+    ``v != u`` with ``X symdiff {u, v}`` feasible: ``Y`` fails with ``u``
+    iff it differs from ``X`` at ``u`` and agrees with it on ``R``.
     """
-    fam = frozenset(ordered)
-    bits = [(1 << k, half) for k, half in enumerate(_HALVES[n])]
-    for x in ordered:
-        # per bit, the truth-table positions that agree with x there
-        agree = [~half if x & bit else half for bit, half in bits]
-        stuck = []
-        for k, (ub, _) in enumerate(bits):
-            xu = x ^ ub
-            if xu in fam:
-                continue
-            reach = 0
-            ys = table & ~agree[k]
-            for j, (vb, _) in enumerate(bits):
-                if j != k and (xu ^ vb) in fam:
-                    reach |= vb
-                    ys &= agree[j]
-            if ys:
-                stuck.append((ub, reach))
-        if stuck:
-            for y in ordered:
-                diff = x ^ y
-                for ub, reach in stuck:
-                    if diff & ub and not diff & reach:
-                        return x, y, ub
-    return None
+    bad = _exchange_failures(table, n)
+    if not bad:
+        return None
+    x = next(x for x in ordered if bad >> x & 1)
+    stuck = []
+    for k in range(n):
+        ub = 1 << k
+        if table >> (x ^ ub) & 1:
+            continue
+        reach = 0
+        for j in range(n):
+            if j != k and table >> (x ^ ub ^ 1 << j) & 1:
+                reach |= 1 << j
+        stuck.append((ub, reach))
+    for y in ordered:
+        diff = x ^ y
+        for ub, reach in stuck:
+            if diff & ub and not diff & reach:
+                return x, y, ub
+    raise ConsistencyError(f"no exchange partner for the failing set {members_of(x)}")
 
 
 def is_delta_matroid(D: SetSystem) -> DeltaMatroidWitness:
@@ -412,11 +460,10 @@ def is_delta_matroid(D: SetSystem) -> DeltaMatroidWitness:
     """
     if not D.is_proper:
         return DeltaMatroidWitness(False, "not proper")
-    ordered = sorted(D.masks, key=_shortlex_table(D.n)[1].__getitem__)
-    failure = _exchange_failure(ordered, D.table, D.n)
-    if failure is None:
+    if not _exchange_failures(D.table, D.n):
         return DeltaMatroidWitness(True)
-    x, y, ub = failure
+    ordered = sorted(D.masks, key=_shortlex_table(D.n)[1].__getitem__)
+    x, y, ub = _exchange_failure(ordered, D.table, D.n)
     return DeltaMatroidWitness(False, "exchange", members_of(x), members_of(y), ub.bit_length())
 
 
@@ -456,19 +503,22 @@ def classify_element(D: SetSystem, i: int) -> RibbonLoopClass:
 # ---------------------------------------------------------------------------
 # vf-safety closure over twist classes
 
-@functools.lru_cache(maxsize=None)
-def _gray_twists(n: int) -> tuple[int, ...]:
-    """The element index twisted at each step of a Gray-code walk that
-    visits all ``2**n`` twists of a truth table."""
-    return tuple((i & -i).bit_length() - 1 for i in range(1, 1 << n))
+@functools.cache
+def _gray_twists(n: int) -> tuple[tuple[int, int], ...]:
+    """The ``(half, shift)`` pair of the element twisted at each step of a
+    Gray-code walk that visits all ``2**n`` twists of a truth table."""
+    halves = _HALVES[n]
+    steps = ((i & -i).bit_length() - 1 for i in range(1, 1 << n))
+    return tuple((halves[k], 1 << k) for k in steps)
 
 
-def _twists(table: int, n: int) -> Iterator[int]:
+def _twists(table: int, n: int) -> list[int]:
     """The ``2**n`` twists of a truth table, in Gray-code order."""
-    yield table
-    for k in _gray_twists(n):
-        table = twist1(table, n, k)
-        yield table
+    out = [table]
+    for half, shift in _gray_twists(n):
+        table = ((table & half) << shift) | ((table >> shift) & half)
+        out.append(table)
+    return out
 
 
 def is_vf_safe(
@@ -482,7 +532,8 @@ def is_vf_safe(
     The search is a breadth-first walk over twist classes, each held by its
     key: the least truth table among its ``2**n`` twists (a Gray-code walk).
     Twisting preserves properness and the symmetric exchange axiom (Bouchet
-    1987), so the exchange check runs once per class, on its key.  Flips at
+    1987), so the exchange check runs once per class, on its key, as the
+    whole-table walk of ``_exchange_failures``; no mask is decoded.  Flips at
     different elements commute, so the classes next to the class of ``F``
     are those of ``+k F`` and ``+k *k F`` for each ``k``.  Every twist of
     each class found is kept, so a move into a known class is dropped by
@@ -495,7 +546,7 @@ def is_vf_safe(
     if D.n > max_n:
         raise BudgetError(f"vf-safe closure needs n <= {max_n}, got {D.n}")
     n = D.n
-    twists = list(_twists(D.table, n))
+    twists = _twists(D.table, n)
     if cache is not None:
         hit = cache.get((n, min(twists)))
         if hit is not None:
@@ -505,14 +556,14 @@ def is_vf_safe(
     keys = [min(twists)]
     verdict = True
     for key in keys:  # breadth first: the loop visits the keys it appends
-        if not key or _exchange_failure(_masks_of_table(key), key, n) is not None:
+        if not key or _exchange_failures(key, n):
             verdict = False
             break
         for k in range(n):
             for base in (key, twist1(key, n, k)):
                 table = loop_complement1(base, n, k)
                 if table not in reached:
-                    twists = list(_twists(table, n))
+                    twists = _twists(table, n)
                     reached.update(twists)
                     keys.append(min(twists))
     if cache is not None:

@@ -27,8 +27,9 @@ def subset_of(n):
 
 @pytest.fixture(scope="session")
 def vf_cache():
-    """Shared vf-safety verdict cache; sound because the verdict depends
-    only on the system up to relabeling."""
+    """Shared vf-safety verdict cache, keyed by ``(n, class key)`` (the
+    least truth table of a twist class); sound because the verdict is
+    shared by every system of the closure."""
     return {}
 
 

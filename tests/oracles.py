@@ -1,8 +1,12 @@
 """Plain reference implementations that the library's fast engines are
 compared against.
 
-* ``first_exchange_failure``: the symmetric-exchange triple loop, pair by
-  pair.  The library prunes it with truth-table masks.
+* ``first_exchange_failure``, ``exchange_failures_oracle``: the
+  symmetric-exchange triple loop, pair by pair; the first refuting triple,
+  and the truth table of every ``X`` that has one.  The library walks the
+  whole truth table once per element.
+* ``exchange_scan``: the per-set scan that the library ran before its
+  whole-table walk, pruned by one AND of truth-table masks per bit.
 * ``vf_safe_oracle``: the breadth-first closure over single systems, one
   exchange check per reachable system.  The library walks twist classes of
   truth tables instead.
@@ -67,7 +71,7 @@ from twuality.multimatroid import (
     lift,
 )
 from twuality.ribbon import TRANSITION_NAMES, _component_count, _sub_boundary
-from twuality.set_system import mask_of, members_of
+from twuality.set_system import _HALVES, mask_of, members_of
 
 
 def shortlex_key(mask):
@@ -171,27 +175,85 @@ def dual_twist1(masks, bit):
     return frozenset(masks ^ {m & ~bit for m in masks if m & bit})
 
 
+def _first_refuting_bit(x, y, fam):
+    """The least bit ``u`` of ``x ^ y`` for which no ``v`` there makes
+    ``x ^ u ^ v`` a member of ``fam`` (``v = u`` included), or ``None``."""
+    diff = x ^ y
+    d = diff
+    while d:
+        ub = d & -d
+        d ^= ub
+        if (x ^ ub) in fam:
+            continue
+        e = diff
+        while e:
+            vb = e & -e
+            e ^= vb
+            if vb != ub and (x ^ ub ^ vb) in fam:
+                break
+        else:
+            return ub
+    return None
+
+
 def first_exchange_failure(ordered, fam):
     """First ``(X, Y, u)`` refuting symmetric exchange, ``X`` and then ``Y``
     in the order of ``ordered`` (the members of ``fam``) and ``u``
     ascending; ``None`` when the axiom holds."""
     for x in ordered:
         for y in ordered:
-            diff = x ^ y
-            d = diff
-            while d:
-                ub = d & -d
-                d ^= ub
-                if (x ^ ub) in fam:
-                    continue
-                e = diff
-                while e:
-                    vb = e & -e
-                    e ^= vb
-                    if vb != ub and (x ^ ub ^ vb) in fam:
-                        break
-                else:
-                    return x, y, ub
+            ub = _first_refuting_bit(x, y, fam)
+            if ub is not None:
+                return x, y, ub
+    return None
+
+
+def exchange_failures_oracle(fam):
+    """The truth table of every ``X`` in ``fam`` that refutes symmetric
+    exchange with some ``Y`` in ``fam`` and some ``u``."""
+    bad = 0
+    for x in fam:
+        if any(_first_refuting_bit(x, y, fam) is not None for y in fam):
+            bad |= 1 << x
+    return bad
+
+
+def exchange_scan(ordered, table, n):
+    """First ``(X, Y, u)`` refuting symmetric exchange, or ``None``, in the
+    order of ``first_exchange_failure``; ``ordered`` is the family over [n]
+    with truth table ``table``.
+
+    For a feasible ``X`` and a bit ``u`` with ``X symdiff {u}`` infeasible,
+    let ``R`` be the bits ``v != u`` with ``X symdiff {u, v}`` feasible: a
+    ``Y`` fails with ``u`` iff it differs from ``X`` at ``u`` and agrees
+    with it on ``R``.  Whether such a ``Y`` exists is one AND of truth-table
+    masks per bit of ``R``; only an ``X`` for which one does is scanned
+    against every ``Y``.
+    """
+    fam = frozenset(ordered)
+    bits = [(1 << k, half) for k, half in enumerate(_HALVES[n])]
+    for x in ordered:
+        # per bit, the truth-table positions that agree with x there
+        agree = [~half if x & bit else half for bit, half in bits]
+        stuck = []
+        for k, (ub, _) in enumerate(bits):
+            xu = x ^ ub
+            if xu in fam:
+                continue
+            reach = 0
+            ys = table & ~agree[k]
+            for j, (vb, _) in enumerate(bits):
+                if j != k and (xu ^ vb) in fam:
+                    reach |= vb
+                    ys &= agree[j]
+            if ys:
+                stuck.append((ub, reach))
+        if stuck:
+            for y in ordered:
+                diff = x ^ y
+                for ub, reach in stuck:
+                    if diff & ub and not diff & reach:
+                        return x, y, ub
     return None
 
 

@@ -48,6 +48,13 @@ def quasi_tree_systems(max_edges=5):
     return graphs.map(lambda G: SetSystem.from_sets(G.n, spanning_quasi_trees(G)))
 
 
+def toggled(systems):
+    """The drawn systems with one set added or removed."""
+    return systems.flatmap(
+        lambda D: subset_of(D.n).map(lambda m: SetSystem(D.n, D.mask_set() ^ {m}))
+    )
+
+
 def vf_inputs():
     """Quasi-tree systems (vf-safe), their single loop complements (members
     of the same closure), the same systems with one set added or removed
@@ -58,9 +65,7 @@ def vf_inputs():
     return st.one_of(
         qt,
         nonempty.flatmap(lambda D: st.integers(1, D.n).map(lambda i: loop_complement(D, (i,)))),
-        qt.flatmap(
-            lambda D: subset_of(D.n).map(lambda m: SetSystem(D.n, D.mask_set() ^ {m}))
-        ),
+        toggled(qt),
         set_systems(max_n=5),
     )
 
@@ -353,6 +358,43 @@ class TestDeltaMatroid:
         assert is_delta_matroid(twist(D, I)).valid
 
 
+class TestExchangeWalk:
+    """The whole-table walk of ``_exchange_failures`` against the triple
+    loop, and the witness it leads to against the per-set scan."""
+
+    @given(
+        st.one_of(
+            quasi_tree_systems(max_edges=6),
+            toggled(quasi_tree_systems(max_edges=6)),
+            set_systems(max_n=6),
+        )
+    )
+    @example(SetSystem(0, []))
+    @example(SetSystem(0, [0]))
+    @example(SetSystem(6, []))
+    def test_failing_sets_match_triple_loop(self, D):
+        expected = oracles.exchange_failures_oracle(D.mask_set())
+        assert set_system._exchange_failures(D.table, D.n) == expected
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_vf_class_keys_match_scan(self, n):
+        """Every class key the vf-safety closure of the interleaved bouquet
+        reaches (all delta-matroids), and each with one set toggled."""
+        D = SetSystem.from_sets(n, spanning_quasi_trees(cat.bouquet([1] * n, interleaved=True)))
+        cache = {}
+        assert is_vf_safe(D, cache=cache)
+        rng = random.Random(n)
+        failing = 0
+        for _, key in cache:
+            for table in (key, key ^ 1 << rng.randrange(1 << n)):
+                ordered = sorted(SetSystem.from_table(n, table).masks, key=shortlex_key)
+                expected = oracles.exchange_scan(ordered, table, n)
+                assert bool(set_system._exchange_failures(table, n)) == (expected is not None)
+                assert set_system._exchange_failure(ordered, table, n) == expected
+                failing += expected is not None
+        assert failing  # the toggled tables reach the witness path
+
+
 class TestMinMax:
     def test_example(self):
         dmin, dmax = min_max_matroids(ss(3, [(3,), (1, 3), (2, 3)]))
@@ -421,7 +463,7 @@ class TestVfSafe:
         # closure hit the cache (no exchange check runs) and add no key.  A
         # safe verdict has walked the whole closure; a failing one may have
         # stopped at the input's own twist class.
-        def no_search(ordered, table, n):
+        def no_search(table, n):
             raise AssertionError("cache miss")
 
         for D in (
@@ -440,7 +482,7 @@ class TestVfSafe:
             for M in members:
                 moved += [twist(M, (2, D.n)), twist(M, range(1, D.n + 1))]
             with monkeypatch.context() as m:
-                m.setattr(set_system, "_exchange_failure", no_search)
+                m.setattr(set_system, "_exchange_failures", no_search)
                 for E in moved:
                     assert is_vf_safe(E, cache=cache) is verdict
                     assert set(cache) == keys
