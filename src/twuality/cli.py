@@ -247,11 +247,11 @@ def _cmd_orbit_via_lift(args) -> tuple[dict, int]:
 
 def _cmd_ribbon(args) -> tuple[dict, int]:
     G = RibbonGraph.from_json(_load_json(args.file))
-    if args.what == "dm":
-        return delta_matroid_of(G).to_json(), 0
     if args.what == "medial":
         return medial(G).to_json(), 0
     kwargs = {} if args.max_n is None else {"max_e": args.max_n}
+    if args.what == "dm":
+        return delta_matroid_of(G, **kwargs).to_json(), 0
     report = verify_medial_lift(G, **kwargs)
     return report.to_json(), 0 if report.equal else 3
 

@@ -1,15 +1,16 @@
-"""Ribbon graphs as signed rotation systems, boundary tracing, spanning
-quasi-trees, medial 4-regular graphs with their three transitions per
-vertex, transition matroids, and the medial/lift comparison check.
+"""Ribbon graphs as signed rotation systems, medial 4-regular graphs
+with their three transitions per vertex, boundary walks and spanning
+quasi-trees counted on the medial, transition matroids, and the
+medial/lift comparison check.
 
 A ribbon graph is a list of vertices, each a cyclic sequence of half-edge
 ids, plus edges pairing the half-edges with a sign (+1 untwisted, -1
-twisted) and a label in ``1..n``.  Boundary walks are traced on doubled
-half-edge sides: walking out along a half-edge on its left or right side,
-an untwisted edge swaps the side, a twisted edge keeps it, and the corner
-at the far vertex turns left sides to the next rotation position and
-right sides to the previous one.  Each boundary component is traversed
-once in each direction, so the component count is half the orbit count.
+twisted) and a label in ``1..n``.  The split of the medial that is
+white at the edges of ``A`` and black elsewhere has the boundary walks of
+``(V, A)`` as its components (Ellis-Monaghan and Moffatt, *Twisted
+duality for embedded graphs*), so boundary walks are counted as split
+components, and the quasi-trees and the transition matroid share one
+depth-first walk over transition systems.
 
 Medial transition conventions (fixed by requiring all-black splits to
 count vertices and all-white splits to count boundary walks, and kept
@@ -22,13 +23,12 @@ remaining pairing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError, ConsistencyError, ValidationError
 from .multimatroid import Multimatroid, Projection, TransversalTriple, _check_class_count, lift
-from .set_system import SetSystem, VF_SAFE_DEFAULT_CAP, is_delta_matroid, is_vf_safe
+from .set_system import MAX_GROUND, SetSystem, VF_SAFE_DEFAULT_CAP, is_delta_matroid, is_vf_safe
 
 QUASI_TREE_CAP = 16
 TRANSITION_MATROID_CAP = 8
@@ -57,7 +57,7 @@ class RibbonGraph:
     """A signed rotation system.  Rotations are stored starting from their
     least half-edge id; that normalization never changes the surface."""
 
-    __slots__ = ("vertices", "edges", "_next", "_vertex_of", "_label_of")
+    __slots__ = ("vertices", "edges", "_next", "_label_of")
 
     def __init__(self, vertices: Sequence[Sequence[int]], edges: Sequence):
         if not isinstance(vertices, (list, tuple)) or not all(
@@ -104,14 +104,8 @@ class RibbonGraph:
         vertices = tuple(_canon_rotation(rot) for rot in vertices)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(norm_edges))
-        nxt, vert = {}, {}
-        for vi, rot in enumerate(vertices):
-            k = len(rot)
-            for idx, h in enumerate(rot):
-                nxt[h] = rot[(idx + 1) % k]
-                vert[h] = vi
+        nxt = {h: rot[(idx + 1) % len(rot)] for rot in vertices for idx, h in enumerate(rot)}
         object.__setattr__(self, "_next", nxt)
-        object.__setattr__(self, "_vertex_of", vert)
         object.__setattr__(self, "_label_of", {h: e.label for e in norm_edges for h in e.ends})
 
     def __setattr__(self, name, value):
@@ -182,96 +176,6 @@ class _UnionFind:
             size[parent[ra]] -= size[ra]
             parent[ra] = ra
             self.count += 1
-
-
-def _trace_boundary(vertices: Sequence[tuple[int, ...]], edges) -> int:
-    """Boundary walks of a signed rotation system; ``edges`` yields
-    ``(h1, h2, sign)``.  Empty rotations are one disc boundary each."""
-    nxt, prv, partner, sign = {}, {}, {}, {}
-    isolated = 0
-    for rot in vertices:
-        if not rot:
-            isolated += 1
-            continue
-        k = len(rot)
-        for idx, h in enumerate(rot):
-            nxt[h] = rot[(idx + 1) % k]
-            prv[h] = rot[(idx - 1) % k]
-    for h1, h2, s in edges:
-        partner[h1] = h2
-        partner[h2] = h1
-        sign[h1] = sign[h2] = s
-
-    def successor(state):
-        h, side = state
-        h2 = partner[h]
-        side2 = side ^ 1 if sign[h] == 1 else side
-        if side2 == 0:
-            return (nxt[h2], 1)
-        return (prv[h2], 0)
-
-    todo = {(h, side) for h in partner for side in (0, 1)}
-    orbits = 0
-    while todo:
-        start = todo.pop()
-        cur = successor(start)
-        while cur != start:
-            todo.remove(cur)
-            cur = successor(cur)
-        orbits += 1
-    if orbits % 2:
-        raise ConsistencyError("boundary orbits must pair up by direction")
-    return orbits // 2 + isolated
-
-
-def boundary_components(G: RibbonGraph) -> int:
-    """Number of boundary walks of the encoded surface."""
-    return _trace_boundary(G.vertices, ((e.ends[0], e.ends[1], e.sign) for e in G.edges))
-
-
-def _component_count(G: RibbonGraph, labels: frozenset[int]) -> int:
-    uf = _UnionFind(len(G.vertices))
-    for e in G.edges:
-        if e.label in labels:
-            uf.union(G._vertex_of[e.ends[0]], G._vertex_of[e.ends[1]])
-    return uf.count
-
-
-def _sub_boundary(G: RibbonGraph, labels: frozenset[int]) -> int:
-    kept = {h for e in G.edges if e.label in labels for h in e.ends}
-    vertices = tuple(tuple(h for h in rot if h in kept) for rot in G.vertices)
-    return _trace_boundary(
-        vertices, ((e.ends[0], e.ends[1], e.sign) for e in G.edges if e.label in labels)
-    )
-
-
-def spanning_quasi_trees(G: RibbonGraph, max_e: int = QUASI_TREE_CAP) -> tuple[tuple[int, ...], ...]:
-    """Label sets of spanning subgraphs with as many components as ``G``,
-    each component having exactly one boundary walk."""
-    if G.n > max_e:
-        raise BudgetError(f"quasi-tree enumeration capped at {max_e} edges, got {G.n}")
-    # Every component of (V, A) has a boundary walk, so boundary(A) >= comp(A)
-    # >= comp(G), and boundary(A) == comp(G) already forces comp(A) == comp(G).
-    k_full = _component_count(G, frozenset(e.label for e in G.edges))
-    out = []
-    for r in range(G.n + 1):
-        for combo in itertools.combinations(range(1, G.n + 1), r):
-            if _sub_boundary(G, frozenset(combo)) == k_full:
-                out.append(combo)
-    return tuple(out)
-
-
-def delta_matroid_of(
-    G: RibbonGraph, max_e: int = QUASI_TREE_CAP, vf_cache: dict | None = None
-) -> SetSystem:
-    """Set system of spanning quasi-tree label sets; checked to satisfy
-    symmetric exchange and (within the closure-search cap) vf-safety."""
-    D = SetSystem.from_sets(G.n, spanning_quasi_trees(G, max_e=max_e))
-    if not is_delta_matroid(D).valid:
-        raise ConsistencyError(f"quasi-tree family of {G!r} fails symmetric exchange")
-    if G.n <= VF_SAFE_DEFAULT_CAP and not is_vf_safe(D, cache=vf_cache):
-        raise ConsistencyError(f"quasi-tree family of {G!r} is not vf-safe")
-    return D
 
 
 # ---------------------------------------------------------------------------
@@ -423,37 +327,89 @@ def _medial_component_count(Fm: FourRegularGraph) -> int:
     return uf.count + Fm.free_loops
 
 
-def transition_matroid(Fm: FourRegularGraph, max_v: int = TRANSITION_MATROID_CAP) -> Multimatroid:
-    """3-matroid on one skew class per medial vertex whose bases are the
-    transition systems preserving the component count.  Roles follow the
-    fixed order black = 1, white = 2, crossing = 3.
+def _kept_splits(Fm: FourRegularGraph, options: Sequence[Sequence[tuple[int, int]]]) -> int:
+    """Table whose set bits index the transition systems that keep the
+    component count of the medial.  ``options[k]`` lists the ``(role,
+    index offset)`` pairs tried at medial vertex ``k`` (role 0 black, 1
+    white, 2 crossing); a system's index is the sum of its offsets.
 
-    The transition systems are walked depth first over the medial
-    vertices with one union-find over corner edges: each choice makes its
-    two unions and is rolled back on return, so a prefix is split once.
+    The systems are walked depth first over the medial vertices with one
+    union-find over corner edges: each choice makes its two unions and is
+    rolled back on return, so a prefix is split once.
     """
-    if Fm.n > max_v:
-        raise BudgetError(f"transition matroid capped at {max_v} medial vertices, got {Fm.n}")
-    _check_class_count(Fm.n)
     k_full = _medial_component_count(Fm)
     m, steps = _transition_steps(Fm)
     uf = _UnionFind(m)
-    bits = []  # the base-table bit of each transition system kept
+    table = 0
 
     def walk(k: int, index: int) -> None:
+        nonlocal table
         if k == Fm.n:
             if uf.count + Fm.free_loops == k_full:
-                bits.append(index)
+                table |= 1 << index
             return
-        for role, pairs in enumerate(steps[k], start=1):
+        for role, offset in options[k]:
             mark = uf.mark()
-            for a, b in pairs:
+            for a, b in steps[k][role]:
                 uf.union(a, b)
-            walk(k + 1, index | role << 2 * k)
+            walk(k + 1, index | offset)
             uf.rollback(mark)
 
     walk(0, 0)
-    return Multimatroid.from_table(Fm.n, sum(1 << i for i in bits))
+    return table
+
+
+def transition_matroid(Fm: FourRegularGraph, max_v: int = TRANSITION_MATROID_CAP) -> Multimatroid:
+    """3-matroid on one skew class per medial vertex whose bases are the
+    transition systems preserving the component count.  Roles follow the
+    fixed order black = 1, white = 2, crossing = 3; the base-table bit of
+    a system is the sum of role·4^k over the medial vertices ``k``."""
+    if Fm.n > max_v:
+        raise BudgetError(f"transition matroid capped at {max_v} medial vertices, got {Fm.n}")
+    _check_class_count(Fm.n)
+    options = [[(r, (r + 1) << 2 * k) for r in range(3)] for k in range(Fm.n)]
+    return Multimatroid.from_table(Fm.n, _kept_splits(Fm, options))
+
+
+def boundary_components(G: RibbonGraph) -> int:
+    """Number of boundary walks of the encoded surface."""
+    Fm = medial(G)
+    return split_components(Fm, all_white(Fm))
+
+
+def _quasi_tree_system(G: RibbonGraph, max_e: int, Fm: FourRegularGraph | None = None) -> SetSystem:
+    """Spanning quasi-trees of ``G`` from its medial ``Fm`` (built unless
+    given): ``A`` is one when the split white on ``A``, black elsewhere,
+    keeps the component count, i.e. ``(V, A)`` has as many boundary walks
+    as ``G`` has components (then as many components, too)."""
+    if G.n > max_e:
+        raise BudgetError(f"quasi-tree enumeration capped at {max_e} edges, got {G.n}")
+    if G.n > MAX_GROUND:
+        raise ValidationError(f"ground size must be an integer in 0..{MAX_GROUND}, got {G.n}")
+    options = [((0, 0), (1, 1 << k)) for k in range(G.n)]
+    return SetSystem.from_table(G.n, _kept_splits(medial(G) if Fm is None else Fm, options))
+
+
+def spanning_quasi_trees(G: RibbonGraph, max_e: int = QUASI_TREE_CAP) -> tuple[tuple[int, ...], ...]:
+    """Label sets of spanning subgraphs with as many components as ``G``,
+    each component having exactly one boundary walk, in shortlex order."""
+    return _quasi_tree_system(G, max_e).feasible_sets()
+
+
+def _checked_delta_matroid(G: RibbonGraph, D: SetSystem, vf_cache: dict | None) -> SetSystem:
+    if not is_delta_matroid(D).valid:
+        raise ConsistencyError(f"quasi-tree family of {G!r} fails symmetric exchange")
+    if G.n <= VF_SAFE_DEFAULT_CAP and not is_vf_safe(D, cache=vf_cache):
+        raise ConsistencyError(f"quasi-tree family of {G!r} is not vf-safe")
+    return D
+
+
+def delta_matroid_of(
+    G: RibbonGraph, max_e: int = QUASI_TREE_CAP, vf_cache: dict | None = None
+) -> SetSystem:
+    """Set system of spanning quasi-tree label sets; checked to satisfy
+    symmetric exchange and (within the closure-search cap) vf-safety."""
+    return _checked_delta_matroid(G, _quasi_tree_system(G, max_e), vf_cache)
 
 
 @dataclass(frozen=True)
@@ -479,12 +435,16 @@ class MedialLiftReport:
 def verify_medial_lift(
     G: RibbonGraph, max_e: int = MEDIAL_LIFT_CAP, vf_cache: dict | None = None
 ) -> MedialLiftReport:
-    """Build the transition matroid of the medial and the lift of the
-    quasi-tree system independently and compare their base sets."""
+    """Build the transition matroid and the lift of the quasi-tree system
+    from one medial and compare their base sets.  The systems with a
+    crossing check the lift's dual twists against the medial; the
+    black/white half is checked against a half-edge boundary tracer in
+    the tests."""
     if G.n > max_e:
         raise BudgetError(f"verification capped at {max_e} edges, got {G.n}")
-    Zm = transition_matroid(medial(G))
-    D = delta_matroid_of(G, vf_cache=vf_cache)
+    Fm = medial(G)
+    Zm = transition_matroid(Fm)
+    D = _checked_delta_matroid(G, _quasi_tree_system(G, QUASI_TREE_CAP, Fm), vf_cache)
     Zl = lift(
         D,
         TransversalTriple.reference(G.n),

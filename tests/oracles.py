@@ -26,9 +26,15 @@ compared against.
   counting.  The library folds single-element flips.
 * ``stabilizer_oracle``: one action per group element.  The library
   matches relabelings of the system by their image.
+* ``trace_boundary``, ``sub_boundary``, ``boundary_oracle``: boundary
+  walks traced on half-edge sides, of a rotation system, of a spanning
+  subgraph and of a whole surface; ``component_count``: the components
+  of a spanning subgraph by union-find over vertices.  The library counts
+  boundary walks as components of a split of the medial.
 * ``quasi_trees_oracle``: both conditions of a spanning quasi-tree, a
-  component count and a boundary count.  The library counts boundaries
-  only.
+  component count and a traced boundary count, one edge subset at a
+  time.  The library keeps the black/white splits of the medial that
+  keep the component count, in one depth-first walk.
 * ``orbit_via_lift_oracle``: one ``extract`` per transversal triple, each
   scanning every basis.  The library walks the classes once over a
   ``4**n``-bit table of the bases, sharing prefixes.
@@ -70,7 +76,7 @@ from twuality.multimatroid import (
     extract,
     lift,
 )
-from twuality.ribbon import TRANSITION_NAMES, _component_count, _sub_boundary
+from twuality.ribbon import TRANSITION_NAMES, _UnionFind
 from twuality.set_system import _HALVES, mask_of, members_of
 
 
@@ -150,15 +156,86 @@ def stabilizer_oracle(D, mode):
     return hits
 
 
+def trace_boundary(vertices, edges):
+    """Boundary walks of a signed rotation system; ``edges`` yields
+    ``(h1, h2, sign)``.  Empty rotations are one disc boundary each.
+
+    Walks are traced on doubled half-edge sides: walking out along a
+    half-edge on its left or right side, an untwisted edge swaps the side,
+    a twisted edge keeps it, and the corner at the far vertex turns left
+    sides to the next rotation position and right sides to the previous
+    one.  Each boundary component is traversed once in each direction, so
+    the component count is half the orbit count.
+    """
+    nxt, prv, partner, sign = {}, {}, {}, {}
+    isolated = 0
+    for rot in vertices:
+        if not rot:
+            isolated += 1
+            continue
+        k = len(rot)
+        for idx, h in enumerate(rot):
+            nxt[h] = rot[(idx + 1) % k]
+            prv[h] = rot[(idx - 1) % k]
+    for h1, h2, s in edges:
+        partner[h1] = h2
+        partner[h2] = h1
+        sign[h1] = sign[h2] = s
+
+    def successor(state):
+        h, side = state
+        h2 = partner[h]
+        side2 = side ^ 1 if sign[h] == 1 else side
+        if side2 == 0:
+            return (nxt[h2], 1)
+        return (prv[h2], 0)
+
+    todo = {(h, side) for h in partner for side in (0, 1)}
+    orbits = 0
+    while todo:
+        start = todo.pop()
+        cur = successor(start)
+        while cur != start:
+            todo.remove(cur)
+            cur = successor(cur)
+        orbits += 1
+    assert orbits % 2 == 0, "boundary orbits must pair up by direction"
+    return orbits // 2 + isolated
+
+
+def sub_boundary(G, labels):
+    """Boundary walks of the spanning subgraph ``(V, labels)``."""
+    kept = {h for e in G.edges if e.label in labels for h in e.ends}
+    vertices = tuple(tuple(h for h in rot if h in kept) for rot in G.vertices)
+    return trace_boundary(
+        vertices, ((e.ends[0], e.ends[1], e.sign) for e in G.edges if e.label in labels)
+    )
+
+
+def boundary_oracle(G):
+    """Boundary walks of the whole surface of ``G``."""
+    return sub_boundary(G, frozenset(e.label for e in G.edges))
+
+
+def component_count(G, labels=None):
+    """Components of ``(V, labels)``, by default of ``G`` itself."""
+    vertex_of = {h: vi for vi, rot in enumerate(G.vertices) for h in rot}
+    uf = _UnionFind(len(G.vertices))
+    for e in G.edges:
+        if labels is None or e.label in labels:
+            uf.union(vertex_of[e.ends[0]], vertex_of[e.ends[1]])
+    return uf.count
+
+
 def quasi_trees_oracle(G):
     """Label sets of spanning subgraphs with as many components as ``G``
     and as many boundary walks as components."""
-    k_full = _component_count(G, frozenset(e.label for e in G.edges))
+    k_full = component_count(G)
     out = []
     for r in range(G.n + 1):
         for combo in itertools.combinations(range(1, G.n + 1), r):
             sub = frozenset(combo)
-            if _component_count(G, sub) == k_full and _sub_boundary(G, sub) == k_full:
+            if component_count(G, sub) == k_full and sub_boundary(G, sub) == k_full:
                 out.append(combo)
     return tuple(out)
 

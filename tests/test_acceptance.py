@@ -24,7 +24,6 @@ from twuality import (
     all_black,
     all_white,
     apply_flip,
-    boundary_components,
     cycle_condition,
     delta_matroid_of,
     dual_twist,
@@ -54,6 +53,7 @@ from twuality import (
 )
 
 import ribbon_catalog as cat
+from oracles import boundary_oracle
 
 ss = SetSystem.from_sets
 
@@ -322,7 +322,7 @@ def test_criterion_11_medial_split_sanity(graph_catalog):
         for G in graph_catalog:
             Fm = medial(G)
             assert split_components(Fm, all_black(Fm)) == len(G.vertices)
-            assert split_components(Fm, all_white(Fm)) == boundary_components(G)
+            assert split_components(Fm, all_white(Fm)) == boundary_oracle(G)
 
 
 def test_criterion_12_involution_property_suite(acc_rng):

@@ -275,6 +275,20 @@ class TestRibbonCommands:
         assert len(data["corner_edges"]) == 2
         assert set(data["medial_vertices"][0]["transitions"]) == {"black", "white", "crossing"}
 
+    def test_dm_honours_max_n(self, capsys, tmp_path):
+        path = write(tmp_path, "path2.json", cat.path_graph([1, -1]).to_json())
+        code, out, err = run(capsys, "ribbon", "dm", path, "--max-n", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("budget exceeded: ") and err.count("\n") == 1
+
+    def test_dm_beyond_ground_limit(self, capsys, tmp_path):
+        """A raised cap cannot build a set system on more than 16 elements."""
+        path = write(tmp_path, "path17.json", cat.path_graph([1] * 17).to_json())
+        code, out, err = run(capsys, "ribbon", "dm", path, "--max-n", "17")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_verify_t63_ok(self, capsys, loop_file):
         code, out, err = run(capsys, "ribbon", "verify-t63", loop_file)
         assert code == 0

@@ -27,7 +27,14 @@ from twuality import (
 from twuality import ribbon
 
 import ribbon_catalog as cat
-from oracles import quasi_trees_oracle, split_components_oracle, transition_matroid_oracle
+from oracles import (
+    boundary_oracle,
+    component_count,
+    quasi_trees_oracle,
+    split_components_oracle,
+    sub_boundary,
+    transition_matroid_oracle,
+)
 
 ss = SetSystem.from_sets
 
@@ -76,7 +83,7 @@ class TestBoundary:
 
     def test_rotation_start_invariance(self, named, rng):
         for G in named.values():
-            b = boundary_components(G)
+            b = boundary_oracle(G)
             rotated = [
                 rot[k % len(rot) :] + rot[: k % len(rot)] if rot else rot
                 for rot, k in ((r, rng.randrange(4)) for r in G.vertices)
@@ -95,15 +102,13 @@ class TestBoundary:
                 [[ren[h] for h in rot] for rot in G.vertices],
                 [((ren[e.ends[0]], ren[e.ends[1]]), e.sign, e.label) for e in G.edges],
             )
-            assert boundary_components(G2) == boundary_components(G)
+            assert boundary_components(G2) == boundary_oracle(G)
 
     def test_euler_parity_orientable(self):
-        from twuality.ribbon import _component_count
-
         for G in cat.enumerate_all(max_edges=2, max_vertices=2):
             if any(e.sign == -1 for e in G.edges) or not G.vertices:
                 continue
-            if _component_count(G, frozenset(e.label for e in G.edges)) != 1:
+            if component_count(G) != 1:
                 continue
             v, e, b = len(G.vertices), G.n, boundary_components(G)
             assert (v - e + b) % 2 == 0
@@ -176,7 +181,7 @@ class TestMedial:
     def test_all_white_counts_boundary(self, named):
         for G in named.values():
             Fm = medial(G)
-            assert split_components(Fm, all_white(Fm)) == boundary_components(G)
+            assert split_components(Fm, all_white(Fm)) == boundary_oracle(G)
 
     def test_split_validation(self):
         Fm = medial(cat.twisted_loop())
@@ -196,12 +201,10 @@ class TestTransitionMatroid:
         assert Z == Multimatroid(0, [()])
 
     def test_connected_graphs_have_bases(self, named):
-        from twuality.ribbon import _component_count
-
         for G in named.values():
             if not G.vertices or G.n == 0:
                 continue
-            if _component_count(G, frozenset(e.label for e in G.edges)) != 1:
+            if component_count(G) != 1:
                 continue
             assert transition_matroid(medial(G)).bases
 
@@ -256,6 +259,23 @@ class TestBridgeIdentity:
                 )
                 preserved = split_components(Fm, pattern) == k_full
                 assert preserved == (white_labels in trees), (key, pattern)
+
+
+    def test_black_white_splits_count_sub_boundaries(self):
+        """The split white at the edges of ``A`` and black elsewhere has
+        as many components as ``(V, A)`` has traced boundary walks, for
+        every ``A`` of 60% of the <=3-edge catalog and of 300 random graphs
+        with up to 6 edges."""
+        rng = random.Random(11)
+        graphs = itertools.chain(
+            (G for G in cat.enumerate_all() if rng.random() < 0.6),
+            (cat.random_ribbon(rng, max_edges=6) for _ in range(300)),
+        )
+        for G in graphs:
+            Fm = medial(G)
+            for pattern in itertools.product(("black", "white"), repeat=G.n):
+                A = frozenset(i for i, name in enumerate(pattern, start=1) if name == "white")
+                assert split_components(Fm, pattern) == sub_boundary(G, A), (G, pattern)
 
 
 class TestMedialLiftAgreement:
