@@ -79,17 +79,18 @@ def _emit(payload, fmt: str) -> None:
 
 
 def _text_lines(value, indent):
+    # a payload may hold tuples where its JSON holds arrays
     if isinstance(value, dict):
         for key in sorted(value):
             inner = value[key]
-            if isinstance(inner, (dict, list)):
+            if isinstance(inner, (dict, list, tuple)):
                 yield f"{indent}{key}:"
                 yield from _text_lines(inner, indent + "  ")
             else:
                 yield f"{indent}{key}: {json.dumps(inner)}"
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for inner in value:
-            if isinstance(inner, (dict, list)):
+            if isinstance(inner, (dict, list, tuple)):
                 yield from _text_lines(inner, indent + "  ")
             else:
                 yield f"{indent}- {json.dumps(inner)}"

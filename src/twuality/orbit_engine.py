@@ -2,34 +2,39 @@
 orbit moves, and the uniformization construction.
 
 Orbits are computed by breadth-first closure under a fixed generator
-ordering, deduplicated by canonical encoding, and reported in canonical
-order, so repeated runs are byte-identical.  Budgets are hard caps: a
-partial orbit is semantically wrong, so exceeding a cap raises instead of
-truncating.
+ordering, deduplicated by truth table, and reported in canonical order,
+so repeated runs are byte-identical.  Each element's shortlex ranks are
+decoded once, for the sort and for its family, whose sets are the shared
+member tuples of the shortlex table; a report's JSON tree thus holds
+tuples, which ``json.dumps`` writes as arrays.  Budgets are hard caps: a
+partial orbit is semantically wrong, so exceeding a cap raises, naming
+the work refused, instead of truncating.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
+from operator import itemgetter
 
 from .errors import BudgetError, ConsistencyError, ValidationError
 from .set_system import (
     RibbonLoopClass,
     SetSystem,
     VF_SAFE_DEFAULT_CAP,
-    _swap_adjacent,
+    _HALVES,
+    _family_of_ranks,
     classify_element,
     is_vf_safe,
     loop_complement,
-    loop_complement1,
     min_max_matroids,
     relabel,
-    sorted_systems,
+    shortlex_ranks,
     twist,
-    twist1,
+    twist1,  # noqa: F401  (perfbench's tracer patches it in this namespace)
 )
 from .twuality_group import (
     FLIPS,
@@ -52,23 +57,30 @@ STABILIZER_CAPS = {"all": 5, "uniform": 8}
 
 @dataclass(frozen=True)
 class OrbitReport:
-    """A generator-closed orbit with one witness word per element."""
+    """A generator-closed orbit with one witness word per element.
+
+    ``families`` holds each element's ``feasible_sets()``, which
+    ``to_json`` renders.  Its tree holds these and the witness words as
+    tuples, which ``json.dumps`` writes as arrays.
+    """
 
     seed: SetSystem
     mode: str
     elements: tuple[SetSystem, ...]
     paths: dict[SetSystem, tuple[str, ...]]
+    families: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.elements)
 
     def to_json(self) -> dict:
+        n = self.seed.n
         return {
             "mode": self.mode,
             "size": self.size,
-            "elements": [d.to_json() for d in self.elements],
-            "paths": [list(self.paths[d]) for d in self.elements],
+            "elements": [{"n": n, "feasible": fam} for fam in self.families],
+            "paths": [self.paths[d] for d in self.elements],
         }
 
 
@@ -106,41 +118,60 @@ class UniformizationResult:
         }
 
 
-def _orbit_generators(n: int, mode: str):
-    """Generator list as ``(token, flip, k)`` triples, each acting on a
-    truth table as ``flip(table, n, k)``, in the fixed order ``*1, +1, *2,
-    +2, ..`` plus adjacent transpositions in full mode."""
-    gens = []
-    for k in range(n):
-        gens.append((f"*{k + 1}", twist1, k))
-        gens.append((f"+{k + 1}", loop_complement1, k))
-    if mode == "full":
-        for k in range(n - 1):
-            gens.append((f"({k + 1} {k + 2})", _swap_adjacent, k))
-    return gens
+def _group_size(n: int, mode: str) -> str:
+    """The group ``orbit`` or ``stabilizer_search`` walks over [n] in
+    ``mode``, as its order written out: each element's flips form a group
+    of order 6 (five uniform vectors differ from the identity), and the
+    relabelings add a factor ``n!`` except in iota mode."""
+    flips, name = (5, "5") if mode == "uniform" else (6**n, f"6^{n}")
+    if mode == "iota":
+        return f"{name} = {flips:,}"
+    return f"{name}·{n}! = {flips * math.factorial(n):,}"
 
 
 def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitReport:
     """Breadth-first closure of ``D`` under single-element flips (and, in
-    full mode, adjacent relabeling transpositions)."""
+    full mode, adjacent relabeling transpositions), tried in the order
+    ``*1, +1, *2, +2, ..`` and then the swaps ``(1 2), (2 3), ..``; each
+    new table's witness word is its parent's plus the generator."""
     if mode not in ORBIT_CAPS:
         raise ValidationError(f"orbit mode must be 'full' or 'iota', got {mode!r}")
     cap = ORBIT_CAPS[mode] if max_n is None else max_n
-    if D.n > cap:
-        raise BudgetError(f"orbit({mode}) capped at n <= {cap}, got {D.n}")
     n = D.n
-    gens = _orbit_generators(n, mode)
+    if n > cap:
+        raise BudgetError(
+            f"orbit({mode}) capped at n <= {cap}, got {n} (up to {_group_size(n, mode)} elements)"
+        )
+    halves = _HALVES[n]
+    flips = [(h, 1 << k, f"*{k + 1}", f"+{k + 1}") for k, h in enumerate(halves)]
+    swaps = []  # per adjacent transposition, the delta swap of ``set_system._swap_adjacent``
+    if mode == "full":
+        swaps = [(~halves[k] & halves[k + 1], 1 << k, f"({k + 1} {k + 2})") for k in range(n - 1)]
     paths: dict[int, tuple[str, ...]] = {D.table: ()}
     queue = [D.table]
-    for state in queue:  # breadth first: the loop visits the states it appends
-        base = paths[state]
-        for token, flip, k in gens:
-            nxt = flip(state, n, k)
-            if nxt not in paths:
-                paths[nxt] = base + (token,)
-                queue.append(nxt)
-    elements = sorted_systems(paths, n)
-    return OrbitReport(D, mode, elements, {d: paths[d.table] for d in elements})
+    push = queue.append
+    for s in queue:  # breadth first: the loop visits the states it appends
+        base = paths[s]
+        for half, shift, tw, lc in flips:
+            up = (s & half) << shift
+            t = up | ((s >> shift) & half)
+            if t not in paths:
+                paths[t] = base + (tw,)
+                push(t)
+            t = s ^ up
+            if t not in paths:
+                paths[t] = base + (lc,)
+                push(t)
+        for mask, shift, tok in swaps:
+            d = ((s >> shift) ^ s) & mask
+            t = s ^ d ^ (d << shift)
+            if t not in paths:
+                paths[t] = base + (tok,)
+                push(t)
+    ranked = sorted(((shortlex_ranks(t, n), t) for t in paths), key=itemgetter(0))
+    elements = tuple(SetSystem.from_table(n, t) for _, t in ranked)
+    families = tuple(_family_of_ranks(ranks, n) for ranks, _ in ranked)
+    return OrbitReport(D, mode, elements, {d: paths[d.table] for d in elements}, families)
 
 
 def stabilizer_search(
@@ -158,9 +189,12 @@ def stabilizer_search(
     if mode not in STABILIZER_CAPS:
         raise ValidationError(f"stabilizer mode must be 'all' or 'uniform', got {mode!r}")
     cap = STABILIZER_CAPS[mode] if max_n is None else max_n
-    if D.n > cap:
-        raise BudgetError(f"stabilizer_search({mode}) capped at n <= {cap}, got {D.n}")
     n = D.n
+    if n > cap:
+        raise BudgetError(
+            f"stabilizer_search({mode}) capped at n <= {cap}, got {n}"
+            f" ({_group_size(n, mode)} group elements)"
+        )
     if mode == "uniform":
         gvecs = [(g,) * n for g in FLIPS[1:]] if n else []
     else:

@@ -439,16 +439,17 @@ def verify_medial_lift(
     from one medial and compare their base sets.  The systems with a
     crossing check the lift's dual twists against the medial; the
     black/white half is checked against a half-edge boundary tracer in
-    the tests."""
+    the tests.  ``max_e`` is also the cap of both sides' builders."""
     if G.n > max_e:
         raise BudgetError(f"verification capped at {max_e} edges, got {G.n}")
     Fm = medial(G)
-    Zm = transition_matroid(Fm)
+    Zm = transition_matroid(Fm, max_v=max_e)
     D = _checked_delta_matroid(G, _quasi_tree_system(G, QUASI_TREE_CAP, Fm), vf_cache)
     Zl = lift(
         D,
         TransversalTriple.reference(G.n),
         Projection.identity(G.n),
+        max_n=max_e,
         vf_cache=vf_cache,
     )
     only_medial = Multimatroid.from_table(G.n, Zm.table & ~Zl.table).sorted_bases()

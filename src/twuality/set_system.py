@@ -14,7 +14,8 @@ Canonical order lists sets by cardinality, then lexicographically
 ground size, built on first use, holds the subsets in shortlex order and
 the rank of every mask.  ``shortlex_ranks`` reads a family's sorted ranks
 off its truth table, and every canonical order in the package sorts by
-them; ``sorted_systems`` sorts truth tables into canonical order.
+them; ``sorted_systems`` sorts truth tables into canonical order, and
+``_family_of_ranks`` turns ranks into the table's shared member tuples.
 
 Operations:
 
@@ -38,6 +39,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import BudgetError, ConsistencyError, ValidationError
@@ -103,15 +105,26 @@ def _shortlex_table(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
+def _table_bytes(table: int) -> bytes:
+    """Byte ``X`` is bit ``X`` of ``table`` (0 or 1), up to its top set
+    bit, so one ``itertools.compress`` selects by the table in C, however
+    dense it is."""
+    return bin(table)[:1:-1].encode().translate(_BIT_BYTES)
+
+
 def shortlex_ranks(table: int, n: int) -> list[int]:
     """The ascending shortlex ranks of the feasible sets of a truth table
-    over [n]; lists of ranks compare as the families do in canonical order.
+    over [n]; lists of ranks compare as the families do in canonical order."""
+    return sorted(itertools.compress(_shortlex_table(n)[1], _table_bytes(table)))
 
-    Byte ``X`` of ``bits`` is bit ``X`` of the table, so one ``compress``
-    selects the ranks of the feasible masks in C, however dense the table.
-    """
-    bits = bin(table)[:1:-1].encode().translate(_BIT_BYTES)
-    return sorted(itertools.compress(_shortlex_table(n)[1], bits))
+
+def _family_of_ranks(ranks: list[int], n: int) -> tuple[tuple[int, ...], ...]:
+    """The subsets of [n] at the given shortlex ranks, as the member
+    tuples of the shortlex table, which every family over [n] shares."""
+    members = _shortlex_table(n)[0]
+    if len(ranks) < 2:  # an itemgetter of one index returns the item alone
+        return tuple(members[r] for r in ranks)
+    return itemgetter(*ranks)(members)
 
 
 class SetSystem:
@@ -172,8 +185,7 @@ class SetSystem:
 
     def feasible_sets(self) -> tuple[tuple[int, ...], ...]:
         """The family in canonical order, each set as an ascending tuple."""
-        members = _shortlex_table(self.n)[0]
-        return tuple(members[r] for r in shortlex_ranks(self.table, self.n))
+        return _family_of_ranks(shortlex_ranks(self.table, self.n), self.n)
 
     def canonical_key(self):
         """Total-order key for sorting collections of systems."""
@@ -275,12 +287,8 @@ _HALVES = tuple(_zero_masks(n, 1) for n in range(MAX_GROUND + 1))
 
 
 def _masks_of_table(table: int) -> list[int]:
-    out = []
-    while table:
-        low = table & -table
-        out.append(low.bit_length() - 1)
-        table ^= low
-    return out
+    """The indices of the set bits of ``table``, ascending."""
+    return list(itertools.compress(range(table.bit_length()), _table_bytes(table)))
 
 
 def twist1(table: int, n: int, k: int) -> int:

@@ -18,7 +18,12 @@ compared against.
   the sorted keys of its sets.  The library compares shortlex ranks read
   from one table per ground size.
 * ``orbit_oracle``: the breadth-first orbit closure over frozenset states
-  keyed by their sorted masks.  The library keys states by truth table.
+  keyed by their sorted masks, its report's families decoded by
+  ``feasible_sets``.  The library keys states by truth table and reuses
+  the shortlex ranks of its sort for the families.
+* ``masks_of_table_oracle``: the set bits of a truth table, lowest first,
+  one AND and one XOR of the whole int per bit.  The library selects them
+  from the table's binary digits in one ``compress``.
 * ``relabel_mask``: a permutation applied to one mask.  The library
   relabels whole truth tables by adjacent transpositions.
 * ``twist``, ``loop_complement``, ``dual_twist``: the bulk operations
@@ -88,6 +93,15 @@ def shortlex_key(mask):
 def canonical_key_oracle(D):
     """Total-order key for sorting collections of systems."""
     return (D.n, tuple(sorted(shortlex_key(m) for m in D.masks)))
+
+
+def masks_of_table_oracle(table):
+    out = []
+    while table:
+        low = table & -table
+        out.append(low.bit_length() - 1)
+        table ^= low
+    return out
 
 
 def relabel_mask(images, mask):
@@ -381,7 +395,8 @@ def orbit_oracle(D, mode):
                 queue.append(nxt)
     systems = {SetSystem(D.n, canon): path for canon, path in paths.items()}
     elements = tuple(sorted(systems, key=canonical_key_oracle))
-    return OrbitReport(D, mode, elements, {d: systems[d] for d in elements})
+    families = tuple(d.feasible_sets() for d in elements)
+    return OrbitReport(D, mode, elements, {d: systems[d] for d in elements}, families)
 
 
 def orbit_via_lift_oracle(D, tau=None, sigma=None, mode="full", vf_cache=None):

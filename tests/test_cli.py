@@ -6,10 +6,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twuality import ConsistencyError, Multimatroid, RibbonGraph, SetSystem
-from twuality.cli import build_parser, main
+from twuality import ConsistencyError, Multimatroid, RibbonGraph, SetSystem, orbit
+from twuality.cli import _text_lines, build_parser, main
 
 import ribbon_catalog as cat
+from conftest import set_systems
 
 ss = SetSystem.from_sets
 
@@ -135,6 +136,22 @@ class TestOrbitCommands:
     def test_orbit_stdout_pinned(self, capsys, cone_file, options, digest):
         code, out, _ = run(capsys, "orbit", cone_file, *options)
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_report_unchanged_by_mutated_json(self, capsys, cone_file):
+        """The payloads share no mutable state with the library: editing a
+        ``SetSystem.to_json()`` or an orbit payload changes no later report."""
+        _, before, _ = run(capsys, "orbit", cone_file)
+        rep = orbit(ss(3, [(3,), (1, 3), (2, 3)]), mode="full")
+        for D in rep.elements:
+            data = D.to_json()
+            for s in data["feasible"]:
+                s.append(4)
+            data["feasible"].append([1])
+        payload = rep.to_json()
+        payload["elements"][0]["feasible"] = []
+        payload["paths"].clear()
+        assert rep.to_json() == orbit(rep.seed, mode="full").to_json()
+        assert run(capsys, "orbit", cone_file)[1] == before
 
     def test_orbit_via_lift_matches_orbit(self, capsys, cone_file):
         direct = run_json(capsys, "orbit", cone_file)
@@ -294,6 +311,13 @@ class TestRibbonCommands:
         assert code == 0
         assert json.loads(out)["equal"] is True
 
+    def test_verify_t63_max_n_raises_inner_caps(self, capsys, tmp_path):
+        """``--max-n`` lifts the transition-matroid and lift caps (8) too."""
+        path = write(tmp_path, "b9.json", cat.bouquet([1] * 9, interleaved=True).to_json())
+        code, out, err = run(capsys, "ribbon", "verify-t63", path, "--max-n", "9")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["equal"] is True
+
     def test_verify_t63_counterexample_exit(self, capsys, loop_file, monkeypatch):
         from twuality.ribbon import MedialLiftReport
         import twuality.cli as cli_mod
@@ -303,6 +327,43 @@ class TestRibbonCommands:
         code, out, err = run(capsys, "ribbon", "verify-t63", loop_file)
         assert code == 3
         assert json.loads(out)["equal"] is False
+
+
+@st.composite
+def _orbit_cases(draw):
+    """JSON in iota mode on up to 5 elements, otherwise up to 4: a random
+    5-element system can have 6^5·5! = 933,120 elements in full mode, and
+    the text of its 7,776-element iota orbit takes over a second."""
+    mode = draw(st.sampled_from(["iota", "full"]))
+    fmt = draw(st.sampled_from(["json", "text"]))
+    D = draw(set_systems(max_n=5 if (mode, fmt) == ("iota", "json") else 4))
+    return D, mode, fmt
+
+
+@settings(max_examples=30, deadline=None)
+@given(_orbit_cases())
+def test_orbit_stdout_equals_list_payload(tmp_path_factory, case):
+    """``orbit`` prints what the report built from fresh lists prints:
+    ``SetSystem.to_json()`` per element, the witness words as lists."""
+    D, mode, fmt = case
+    path = tmp_path_factory.getbasetemp() / "orbit.json"
+    path.write_text(json.dumps(D.to_json()), encoding="utf-8")
+    argv = ["orbit", str(path), "--format", fmt] + (["--iota"] if mode == "iota" else [])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    rep = orbit(D, mode=mode)
+    payload = {
+        "mode": mode,
+        "size": rep.size,
+        "elements": [E.to_json() for E in rep.elements],
+        "paths": [list(rep.paths[E]) for E in rep.elements],
+    }
+    if fmt == "json":
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    else:
+        expected = "".join(line + "\n" for line in _text_lines(payload, ""))
+    assert out.getvalue() == expected
 
 
 class TestHarness:

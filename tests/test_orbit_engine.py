@@ -103,9 +103,9 @@ class TestOrbit:
         assert [a.paths[e] for e in a.elements] == [b.paths[e] for e in b.elements]
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"\(up to 6\^9·9! = 3,656,994,324,480 elements\)$"):
             orbit(SetSystem(9, [0]), mode="full")
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"n <= 2, got 3 \(up to 6\^3 = 216 elements\)$"):
             orbit(ss(3, [()]), mode="iota", max_n=2)
         assert orbit(ss(3, [()]), mode="iota", max_n=3).size > 0
 
@@ -138,8 +138,10 @@ class TestStabilizerSearch:
             assert any(f is not ONE for f in h.element.gvec)
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"\(6\^6·6! = 33,592,320 group elements\)$"):
             stabilizer_search(SetSystem(6, [0]), mode="all")
+        with pytest.raises(BudgetError, match=r"\(5·9! = 1,814,400 group elements\)$"):
+            stabilizer_search(SetSystem(9, [0]), mode="uniform")
 
     @given(set_systems(max_n=3), st.sampled_from(["all", "uniform"]))
     @settings(max_examples=40)

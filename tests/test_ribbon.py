@@ -305,7 +305,7 @@ class TestMedialLiftAgreement:
         removed, added = [(2, 3), (3, 2)], [(1, 3), (3, 1)]
         assert set(removed) <= Zm.bases and not set(added) & Zm.bases
         fake = Multimatroid(2, (Zm.bases - set(removed)) | set(added))
-        monkeypatch.setattr(ribbon, "transition_matroid", lambda Fm: fake)
+        monkeypatch.setattr(ribbon, "transition_matroid", lambda Fm, **kw: fake)
         report = verify_medial_lift(G, vf_cache=vf_cache)
         assert not report.equal
         assert (report.only_medial, report.only_lift) == (tuple(added), tuple(removed))

@@ -182,6 +182,19 @@ class TestTruthTable:
         assert E == D and hash(E) == hash(D) and E.masks == D.masks
         assert E.to_json() == D.to_json()
 
+    def test_masks_of_table_matches_bit_loop(self, rng):
+        """The set bits read off the binary digits in one ``compress``
+        equal those of the loop that clears the lowest bit each step."""
+        tables = [0, 1]  # n = 0: the empty table and the table of {{}}
+        for n in range(1, 17):
+            full = 1 << n
+            for _ in range(10):
+                masks = rng.sample(range(full), rng.randint(0, min(full, 40)))
+                tables.append(sum(1 << m for m in masks))
+        tables += [1 << (4**10 - 1), (1 << (1 << 16)) - 1]  # a sparse 4^10-bit, the dense n = 16 table
+        for table in tables:
+            assert set_system._masks_of_table(table) == oracles.masks_of_table_oracle(table)
+
     @given(set_systems(max_n=5))
     def test_flips_match_frozenset_reference(self, D):
         for k in range(D.n):
