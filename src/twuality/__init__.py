@@ -72,7 +72,6 @@ from .multimatroid import (
 )
 from .ribbon import (
     FourRegularGraph,
-    MedialVertex,
     RibbonEdge,
     RibbonGraph,
     MedialLiftReport,

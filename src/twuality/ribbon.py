@@ -10,7 +10,9 @@ white at the edges of ``A`` and black elsewhere has the boundary walks of
 ``(V, A)`` as its components (Ellis-Monaghan and Moffatt, *Twisted
 duality for embedded graphs*), so boundary walks are counted as split
 components, and the quasi-trees and the transition matroid share one
-depth-first walk over transition systems.
+depth-first walk over transition systems.  The medial is held as int
+tags, four per edge; a split is counted by joining open paths of tags
+at their ends, so no union-find is needed.
 
 Medial transition conventions (fixed by requiring all-black splits to
 count vertices and all-white splits to count boundary walks, and kept
@@ -57,7 +59,7 @@ class RibbonGraph:
     """A signed rotation system.  Rotations are stored starting from their
     least half-edge id; that normalization never changes the surface."""
 
-    __slots__ = ("vertices", "edges", "_next", "_label_of")
+    __slots__ = ("vertices", "edges", "_next")
 
     def __init__(self, vertices: Sequence[Sequence[int]], edges: Sequence):
         if not isinstance(vertices, (list, tuple)) or not all(
@@ -106,7 +108,6 @@ class RibbonGraph:
         object.__setattr__(self, "edges", tuple(norm_edges))
         nxt = {h: rot[(idx + 1) % len(rot)] for rot in vertices for idx, h in enumerate(rot)}
         object.__setattr__(self, "_next", nxt)
-        object.__setattr__(self, "_label_of", {h: e.label for e in norm_edges for h in e.ends})
 
     def __setattr__(self, name, value):
         raise AttributeError("RibbonGraph is immutable")
@@ -136,118 +137,82 @@ class RibbonGraph:
         return f"RibbonGraph({[list(r) for r in self.vertices]}, {list(self.edges)})"
 
 
-class _UnionFind:
-    """Union by size over ``0..m-1``, counting its classes.
-
-    Without path compression every union changes one parent, so
-    ``rollback`` undoes the unions made since a ``mark`` exactly.
-    """
-
-    __slots__ = ("parent", "size", "count", "_log")
-
-    def __init__(self, m: int):
-        self.parent = list(range(m))
-        self.size = [1] * m
-        self.count = m
-        self._log: list[int] = []
-
-    def union(self, a: int, b: int) -> None:
-        parent, size = self.parent, self.size
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a == b:
-            return
-        if size[a] > size[b]:
-            a, b = b, a
-        parent[a] = b
-        size[b] += size[a]
-        self.count -= 1
-        self._log.append(a)
-
-    def mark(self) -> int:
-        return len(self._log)
-
-    def rollback(self, mark: int) -> None:
-        log, parent, size = self._log, self.parent, self.size
-        while len(log) > mark:
-            ra = log.pop()
-            size[parent[ra]] -= size[ra]
-            parent[ra] = ra
-            self.count += 1
-
-
 # ---------------------------------------------------------------------------
 # medial graphs
 
-Tag = tuple[int, int]  # (half-edge id, BEFORE | AFTER)
-Pairing = tuple[tuple[Tag, Tag], tuple[Tag, Tag]]
-
-
-def _pairing(a: Tag, b: Tag, c: Tag, d: Tag) -> Pairing:
-    return tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d))))))
-
-
-@dataclass(frozen=True)
-class MedialVertex:
-    """The medial vertex on one edge, with its three transitions."""
-
-    label: int
-    ends: tuple[int, int]
-    sign: int
-    black: Pairing
-    white: Pairing
-    crossing: Pairing
-
-    def transition(self, name: str) -> Pairing:
-        return getattr(self, name)
-
-    def tags(self) -> tuple[Tag, ...]:
-        h1, h2 = self.ends
-        return ((h1, BEFORE), (h1, AFTER), (h2, BEFORE), (h2, AFTER))
+# Black, white and crossing tag pairs of an untwisted (+1) and a twisted
+# (-1) edge, as offsets ``2j + slot`` from the edge's first tag.
+_TRANSITION_OFFSETS = {
+    1: (((0, 1), (2, 3)), ((1, 2), (0, 3)), ((0, 2), (1, 3))),
+    -1: (((0, 1), (2, 3)), ((1, 3), (0, 2)), ((1, 2), (0, 3))),
+}
+_SLOT_NAMES = ("before", "after")
 
 
 class FourRegularGraph:
     """Medial structure: one 4-valent vertex per edge, corner edges from
-    the rotations, and a free loop per isolated vertex."""
+    the rotations, and a free loop per isolated vertex.
 
-    __slots__ = ("medial_vertices", "corner_edges", "free_loops", "_label_by_half")
+    The slot ``slot`` of end ``j`` of edge ``k`` is the tag
+    ``4k + 2j + slot``.  ``corner[t]`` is the tag that a corner edge joins
+    to ``t``; ``pairs[k][role]`` holds the two tag pairs of transition
+    ``role`` (0 black, 1 white, 2 crossing) at vertex ``k``;
+    ``components`` counts the components of the medial, free loops
+    included."""
 
-    def __init__(self, medial_vertices, corner_edges, free_loops, label_by_half):
-        object.__setattr__(self, "medial_vertices", tuple(medial_vertices))
-        object.__setattr__(self, "corner_edges", tuple(corner_edges))
-        object.__setattr__(self, "free_loops", free_loops)
-        object.__setattr__(self, "_label_by_half", dict(label_by_half))
+    __slots__ = ("edges", "corner", "pairs", "free_loops", "components")
+
+    def __init__(self, edges: Sequence[RibbonEdge], corner: Sequence[int], free_loops: int):
+        edges, corner = tuple(edges), tuple(corner)
+        pairs = tuple(
+            tuple(((4 * k + a, 4 * k + b), (4 * k + c, 4 * k + d)) for (a, b), (c, d) in roles)
+            for k, roles in enumerate(_TRANSITION_OFFSETS[e.sign] for e in edges)
+        )
+        seen = [False] * len(edges)
+        components = free_loops
+        for root in range(len(edges)):
+            if seen[root]:
+                continue
+            components += 1
+            seen[root] = True
+            stack = [root]
+            while stack:
+                k = stack.pop()
+                for t in corner[4 * k : 4 * k + 4]:
+                    if not seen[t >> 2]:
+                        seen[t >> 2] = True
+                        stack.append(t >> 2)
+        for name, value in zip(self.__slots__, (edges, corner, pairs, free_loops, components)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FourRegularGraph is immutable")
 
     @property
     def n(self) -> int:
-        return len(self.medial_vertices)
-
-    def label_of_tag(self, tag: Tag) -> int:
-        return self._label_by_half[tag[0]]
+        return len(self.edges)
 
     def to_json(self) -> dict:
-        def tag_json(tag: Tag):
-            return [tag[0], "before" if tag[1] == BEFORE else "after"]
+        """Tags decoded to ``[half-edge, "before" | "after"]``; each pair,
+        and each list of pairs, sorted by half-edge id, then slot."""
 
-        def pairing_json(p: Pairing):
-            return [[tag_json(a), tag_json(b)] for a, b in p]
+        tags = [(h, slot) for e in self.edges for h in e.ends for slot in (BEFORE, AFTER)]
+
+        def pairs_json(pairs):
+            decoded = sorted(tuple(sorted((tags[a], tags[b]))) for a, b in pairs)
+            return [[[h, _SLOT_NAMES[slot]] for h, slot in pair] for pair in decoded]
 
         return {
             "medial_vertices": [
                 {
-                    "label": v.label,
-                    "ends": list(v.ends),
-                    "sign": v.sign,
-                    "transitions": {name: pairing_json(v.transition(name)) for name in TRANSITION_NAMES},
+                    "label": e.label,
+                    "ends": list(e.ends),
+                    "sign": e.sign,
+                    "transitions": dict(zip(TRANSITION_NAMES, map(pairs_json, roles))),
                 }
-                for v in self.medial_vertices
+                for e, roles in zip(self.edges, self.pairs)
             ],
-            "corner_edges": [[tag_json(a), tag_json(b)] for a, b in self.corner_edges],
+            "corner_edges": pairs_json((t, c) for t, c in enumerate(self.corner) if t < c),
             "free_loops": self.free_loops,
         }
 
@@ -259,23 +224,12 @@ def medial(G: RibbonGraph) -> FourRegularGraph:
     ``before`` slot of the next half-edge in its rotation; transitions
     follow the module-level convention.
     """
-    vertices = []
-    for e in G.edges:
-        h1, h2 = e.ends
-        black = _pairing((h1, BEFORE), (h1, AFTER), (h2, BEFORE), (h2, AFTER))
-        if e.sign == 1:
-            white = _pairing((h1, AFTER), (h2, BEFORE), (h1, BEFORE), (h2, AFTER))
-            crossing = _pairing((h1, BEFORE), (h2, BEFORE), (h1, AFTER), (h2, AFTER))
-        else:
-            white = _pairing((h1, AFTER), (h2, AFTER), (h1, BEFORE), (h2, BEFORE))
-            crossing = _pairing((h1, AFTER), (h2, BEFORE), (h1, BEFORE), (h2, AFTER))
-        vertices.append(MedialVertex(e.label, e.ends, e.sign, black, white, crossing))
-    corners = []
-    for rot in G.vertices:
-        for h in rot:
-            corners.append(tuple(sorted(((h, AFTER), (G._next[h], BEFORE)))))
-    free_loops = sum(1 for rot in G.vertices if not rot)
-    return FourRegularGraph(vertices, sorted(corners), free_loops, G._label_of)
+    tag = {h: 4 * k + 2 * j for k, e in enumerate(G.edges) for j, h in enumerate(e.ends)}
+    corner = [0] * (4 * G.n)
+    for h, h_next in G._next.items():
+        a, b = tag[h] + AFTER, tag[h_next] + BEFORE
+        corner[a], corner[b] = b, a
+    return FourRegularGraph(G.edges, corner, sum(1 for rot in G.vertices if not rot))
 
 
 def all_black(Fm: FourRegularGraph) -> tuple[str, ...]:
@@ -286,45 +240,25 @@ def all_white(Fm: FourRegularGraph) -> tuple[str, ...]:
     return ("white",) * Fm.n
 
 
-def _transition_steps(Fm: FourRegularGraph) -> tuple[int, list]:
-    """Corner-edge count ``m`` and, per medial vertex and role (black,
-    white, crossing), the two unions of corner-edge ids its pairing makes.
-
-    Every tag lies on exactly one corner edge, so the split graph's
-    components are the classes of the corner edges under those unions.
-    """
-    corner_of = {}
-    for c, (a, b) in enumerate(Fm.corner_edges):
-        corner_of[a] = corner_of[b] = c
-    steps = [
-        [((corner_of[a], corner_of[b]), (corner_of[c], corner_of[d])) for (a, b), (c, d) in pairings]
-        for pairings in ((v.black, v.white, v.crossing) for v in Fm.medial_vertices)
-    ]
-    return len(Fm.corner_edges), steps
-
-
 def split_components(Fm: FourRegularGraph, T: Sequence[str]) -> int:
     """Components of the 2-regular graph after replacing every medial
-    vertex by its chosen pairing; free loops each count one."""
+    vertex by its chosen pairing; free loops each count one.  The pairs
+    join open paths as in ``_kept_splits``."""
     if len(T) != Fm.n:
         raise ValidationError(f"transition system must choose at all {Fm.n} medial vertices")
     for name in T:
         if name not in TRANSITION_NAMES:
             raise ValidationError(f"unknown transition {name!r}")
-    m, steps = _transition_steps(Fm)
-    uf = _UnionFind(m)
-    for pairs, name in zip(steps, T):
-        for a, b in pairs[TRANSITION_NAMES.index(name)]:
-            uf.union(a, b)
-    return uf.count + Fm.free_loops
-
-
-def _medial_component_count(Fm: FourRegularGraph) -> int:
-    index = {v.label: k for k, v in enumerate(Fm.medial_vertices)}
-    uf = _UnionFind(Fm.n)
-    for a, b in Fm.corner_edges:
-        uf.union(index[Fm.label_of_tag(a)], index[Fm.label_of_tag(b)])
-    return uf.count + Fm.free_loops
+    end = list(Fm.corner)
+    count = Fm.free_loops
+    for pairs, name in zip(Fm.pairs, T):
+        for x, y in pairs[TRANSITION_NAMES.index(name)]:
+            ex, ey = end[x], end[y]
+            if ex == y:
+                count += 1
+            else:
+                end[ex], end[ey] = ey, ex
+    return count
 
 
 def _kept_splits(Fm: FourRegularGraph, options: Sequence[Sequence[tuple[int, int]]]) -> int:
@@ -333,29 +267,42 @@ def _kept_splits(Fm: FourRegularGraph, options: Sequence[Sequence[tuple[int, int
     index offset)`` pairs tried at medial vertex ``k`` (role 0 black, 1
     white, 2 crossing); a system's index is the sum of its offsets.
 
-    The systems are walked depth first over the medial vertices with one
-    union-find over corner edges: each choice makes its two unions and is
-    rolled back on return, so a prefix is split once.
+    The systems are walked depth first over the medial vertices.  The
+    corner edges start as open paths of two tags, and ``end[t]`` is the
+    far end of the path at tag ``t``.  Joining ``x`` to ``y`` closes a
+    cycle when ``end[x] == y`` and otherwise links the two far ends; on
+    return those two entries are restored, so a prefix is split once.
     """
-    k_full = _medial_component_count(Fm)
-    m, steps = _transition_steps(Fm)
-    uf = _UnionFind(m)
+    n, pairs, end = Fm.n, Fm.pairs, list(Fm.corner)
+    target = Fm.components - Fm.free_loops
     table = 0
 
-    def walk(k: int, index: int) -> None:
+    def walk(k: int, index: int, cycles: int) -> None:
         nonlocal table
-        if k == Fm.n:
-            if uf.count + Fm.free_loops == k_full:
+        if k == n:
+            if cycles == target:
                 table |= 1 << index
             return
         for role, offset in options[k]:
-            mark = uf.mark()
-            for a, b in steps[k][role]:
-                uf.union(a, b)
-            walk(k + 1, index | offset)
-            uf.rollback(mark)
+            (x, y), (u, v) = pairs[k][role]
+            count = cycles
+            ex, ey = end[x], end[y]
+            if ex == y:
+                count += 1
+            else:
+                end[ex], end[ey] = ey, ex
+            eu, ev = end[u], end[v]
+            if eu == v:
+                count += 1
+            else:
+                end[eu], end[ev] = ev, eu
+            walk(k + 1, index | offset, count)
+            if eu != v:
+                end[eu], end[ev] = u, v
+            if ex != y:
+                end[ex], end[ey] = x, y
 
-    walk(0, 0)
+    walk(0, 0, 0)
     return table
 
 

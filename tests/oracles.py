@@ -52,10 +52,15 @@ compared against.
   frozenset of choice tuples, one tuple per basis or independent set.
   The library keeps a multimatroid as its ``4**n``-bit base table and
   works per class with masked shifts of the whole table.
-* ``transition_matroid_oracle``: one split per transition system, each a
-  fresh union-find keyed by ``(half-edge, slot)`` tags
+* ``medial_oracle``: the medial as ``(half-edge, slot)`` tag tuples, each
+  transition and the corner list a sorted tuple of sorted tag pairs.  The
+  library holds int tags ``4k + 2j + slot`` and decodes them only for
+  ``to_json``.
+* ``transition_matroid_oracle``: one split per transition system of a
+  ``medial_oracle``, each a fresh union-find over its tags
   (``split_components_oracle``).  The library walks the medial vertices
-  depth first with one rollback union-find over corner edges.
+  depth first, joining open paths at their ends and undoing each join on
+  the way back.
 """
 
 import itertools
@@ -81,7 +86,7 @@ from twuality.multimatroid import (
     extract,
     lift,
 )
-from twuality.ribbon import TRANSITION_NAMES, _UnionFind
+from twuality.ribbon import TRANSITION_NAMES
 from twuality.set_system import _HALVES, mask_of, members_of
 
 
@@ -234,7 +239,7 @@ def boundary_oracle(G):
 def component_count(G, labels=None):
     """Components of ``(V, labels)``, by default of ``G`` itself."""
     vertex_of = {h: vi for vi, rot in enumerate(G.vertices) for h in rot}
-    uf = _UnionFind(len(G.vertices))
+    uf = _TagUnionFind(range(len(G.vertices)))
     for e in G.edges:
         if labels is None or e.label in labels:
             uf.union(vertex_of[e.ends[0]], vertex_of[e.ends[1]])
@@ -547,31 +552,102 @@ class _TagUnionFind:
             self.count -= 1
 
 
-def split_components_oracle(Fm, T):
-    """Components after choosing transition ``T[k]`` at medial vertex
-    ``k``: a union-find over the four ``(half-edge, slot)`` tags of every
-    vertex, joined along corner edges and the chosen pairings."""
-    tags = [tag for v in Fm.medial_vertices for tag in v.tags()]
-    uf = _TagUnionFind(tags)
-    for a, b in Fm.corner_edges:
+BEFORE, AFTER = 0, 1
+
+
+def _pairing(a, b, c, d):
+    return tuple(sorted((tuple(sorted((a, b))), tuple(sorted((c, d))))))
+
+
+class MedialOracle:
+    """The medial of a ribbon graph as tag tuples ``(half-edge, slot)``:
+    per edge its label, ends, sign and three pairings, the sorted corner
+    edges, the free loops, every tag, and the edge label of each
+    half-edge."""
+
+    def __init__(self, vertices, corner_edges, free_loops, label_of):
+        self.vertices = vertices
+        self.corner_edges = corner_edges
+        self.free_loops = free_loops
+        self.label_of = label_of
+        self.tags = [(h, slot) for _, ends, _, _ in vertices for h in ends for slot in (BEFORE, AFTER)]
+
+    @property
+    def n(self):
+        return len(self.vertices)
+
+    def to_json(self):
+        def tag_json(tag):
+            return [tag[0], "before" if tag[1] == BEFORE else "after"]
+
+        def pairs_json(pairs):
+            return [[tag_json(a), tag_json(b)] for a, b in pairs]
+
+        return {
+            "medial_vertices": [
+                {
+                    "label": label,
+                    "ends": list(ends),
+                    "sign": sign,
+                    "transitions": {name: pairs_json(transitions[name]) for name in TRANSITION_NAMES},
+                }
+                for label, ends, sign, transitions in self.vertices
+            ],
+            "corner_edges": pairs_json(self.corner_edges),
+            "free_loops": self.free_loops,
+        }
+
+
+def medial_oracle(G):
+    """Medial of ``G`` with every pairing spelled out on tag tuples: black
+    pairs the slots at each end, white pairs ``after`` with the far
+    ``before`` on an untwisted edge and like slots on a twisted one,
+    crossing is the third pairing; corner edges join ``(h, after)`` to
+    ``(next h, before)``."""
+    vertices = []
+    for e in G.edges:
+        h1, h2 = e.ends
+        black = _pairing((h1, BEFORE), (h1, AFTER), (h2, BEFORE), (h2, AFTER))
+        if e.sign == 1:
+            white = _pairing((h1, AFTER), (h2, BEFORE), (h1, BEFORE), (h2, AFTER))
+            crossing = _pairing((h1, BEFORE), (h2, BEFORE), (h1, AFTER), (h2, AFTER))
+        else:
+            white = _pairing((h1, AFTER), (h2, AFTER), (h1, BEFORE), (h2, BEFORE))
+            crossing = _pairing((h1, AFTER), (h2, BEFORE), (h1, BEFORE), (h2, AFTER))
+        vertices.append((e.label, e.ends, e.sign, {"black": black, "white": white, "crossing": crossing}))
+    corners = []
+    for rot in G.vertices:
+        for idx, h in enumerate(rot):
+            corners.append(tuple(sorted(((h, AFTER), (rot[(idx + 1) % len(rot)], BEFORE)))))
+    free_loops = sum(1 for rot in G.vertices if not rot)
+    label_of = {h: e.label for e in G.edges for h in e.ends}
+    return MedialOracle(vertices, tuple(sorted(corners)), free_loops, label_of)
+
+
+def split_components_oracle(M, T):
+    """Components after choosing transition ``T[k]`` at vertex ``k`` of
+    the ``medial_oracle`` ``M``: a union-find over its tags, joined along
+    corner edges and the chosen pairings."""
+    uf = _TagUnionFind(M.tags)
+    for a, b in M.corner_edges:
         uf.union(a, b)
-    for v, name in zip(Fm.medial_vertices, T):
-        for a, b in v.transition(name):
+    for (_, _, _, transitions), name in zip(M.vertices, T):
+        for a, b in transitions[name]:
             uf.union(a, b)
-    return uf.count + Fm.free_loops
+    return uf.count + M.free_loops
 
 
-def transition_matroid_oracle(Fm):
-    """``transition_matroid`` without its budget check: every transition
-    system split from scratch, kept when it has as many components as the
-    medial graph itself."""
-    uf = _TagUnionFind(v.label for v in Fm.medial_vertices)
-    for a, b in Fm.corner_edges:
-        uf.union(Fm.label_of_tag(a), Fm.label_of_tag(b))
-    k_full = uf.count + Fm.free_loops
+def transition_matroid_oracle(M):
+    """``transition_matroid`` of the ``medial_oracle`` ``M`` without its
+    budget check: every transition system split from scratch, kept when
+    it has as many components as the medial graph itself."""
+    uf = _TagUnionFind(label for label, _, _, _ in M.vertices)
+    for a, b in M.corner_edges:
+        uf.union(M.label_of[a[0]], M.label_of[b[0]])
+    k_full = uf.count + M.free_loops
     bases = []
-    for choice in itertools.product((1, 2, 3), repeat=Fm.n):
+    for choice in itertools.product((1, 2, 3), repeat=M.n):
         names = tuple(TRANSITION_NAMES[r - 1] for r in choice)
-        if split_components_oracle(Fm, names) == k_full:
+        if split_components_oracle(M, names) == k_full:
             bases.append(choice)
-    return Multimatroid(Fm.n, bases)
+    return Multimatroid(M.n, bases)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -30,6 +31,7 @@ import ribbon_catalog as cat
 from oracles import (
     boundary_oracle,
     component_count,
+    medial_oracle,
     quasi_trees_oracle,
     split_components_oracle,
     sub_boundary,
@@ -156,17 +158,19 @@ class TestMedial:
     def test_twisted_loop_structure(self):
         Fm = medial(cat.twisted_loop())
         assert Fm.n == 1
-        assert len(Fm.corner_edges) == 2
-        v = Fm.medial_vertices[0]
+        data = Fm.to_json()
+        assert len(data["corner_edges"]) == 2
+        v = data["medial_vertices"][0]
         # each medial vertex has two corner loops here, and its three
         # transitions are distinct pairings of the four slots
-        assert len({v.black, v.white, v.crossing}) == 3
-        union = {t for p in (v.black, v.white, v.crossing) for pair in p for t in pair}
-        assert union == set(v.tags())
+        pairings = [json.dumps(p) for p in v["transitions"].values()]
+        assert len(pairings) == len(set(pairings)) == 3
+        union = {tuple(t) for p in v["transitions"].values() for pair in p for t in pair}
+        assert union == {(h, slot) for h in v["ends"] for slot in ("before", "after")}
 
     def test_corner_count(self, named):
         for G in named.values():
-            assert len(medial(G).corner_edges) == 2 * G.n
+            assert len(medial(G).to_json()["corner_edges"]) == 2 * G.n
 
     def test_free_loops(self):
         Fm = medial(RibbonGraph([[], []], []))
@@ -189,6 +193,46 @@ class TestMedial:
             split_components(Fm, ())
         with pytest.raises(ValidationError):
             split_components(Fm, ("purple",))
+
+
+def _canonical(payload):
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class TestMedialAgainstOracle:
+    """``medial(G).to_json()`` has the canonical bytes of the tag-tuple
+    oracle, and ``split_components`` its counts on random systems."""
+
+    @staticmethod
+    def check(G, rng):
+        Fm, M = medial(G), medial_oracle(G)
+        assert _canonical(Fm.to_json()) == _canonical(M.to_json()), G
+        for _ in range(3):
+            T = tuple(rng.choice(ribbon.TRANSITION_NAMES) for _ in range(Fm.n))
+            assert split_components(Fm, T) == split_components_oracle(M, T), (G, T)
+
+    def test_catalog(self):
+        rng = random.Random(12)
+        for G in cat.enumerate_all():
+            self.check(G, rng)
+
+    def test_random_graphs_with_isolated_vertices(self):
+        rng = random.Random(13)
+        for _ in range(300):
+            G = cat.random_ribbon(rng, max_edges=6, max_vertices=4)
+            self.check(cat.with_isolated(G, rng.randint(1, 2)), rng)
+
+    def test_sparse_half_edge_ids(self):
+        """Half-edge ids far from the tag range, in shuffled order."""
+        rng = random.Random(14)
+        for G in cat.enumerate_all():
+            ids = sorted({h for e in G.edges for h in e.ends})
+            ren = dict(zip(ids, rng.sample(range(10**12 - 10**6, 10**12 + 10**6), len(ids))))
+            G2 = RibbonGraph(
+                [[ren[h] for h in rot] for rot in G.vertices],
+                [((ren[e.ends[0]], ren[e.ends[1]]), e.sign, e.label) for e in G.edges],
+            )
+            self.check(G2, rng)
 
 
 class TestTransitionMatroid:
@@ -220,8 +264,7 @@ class TestTransitionMatroid:
 
     def test_matches_per_choice_oracle_on_catalog(self):
         for G in cat.enumerate_all(max_edges=3, max_vertices=3):
-            Fm = medial(G)
-            assert transition_matroid(Fm) == transition_matroid_oracle(Fm), G
+            assert transition_matroid(medial(G)) == transition_matroid_oracle(medial_oracle(G)), G
 
     def test_matches_per_choice_oracle_on_random_graphs(self):
         rng = random.Random(4321)
@@ -230,11 +273,12 @@ class TestTransitionMatroid:
             G = cat.random_ribbon(rng, max_edges=6, max_vertices=4)
             while G.n < 4:
                 G = cat.random_ribbon(rng, max_edges=6, max_vertices=4)
-            Fm = medial(cat.with_isolated(G, rng.randint(0, 2)))
-            assert transition_matroid(Fm) == transition_matroid_oracle(Fm), G
+            G = cat.with_isolated(G, rng.randint(0, 2))
+            Fm, M = medial(G), medial_oracle(G)
+            assert transition_matroid(Fm) == transition_matroid_oracle(M), G
             for _ in range(8):
                 T = tuple(rng.choice(names) for _ in range(Fm.n))
-                assert split_components(Fm, T) == split_components_oracle(Fm, T), (G, T)
+                assert split_components(Fm, T) == split_components_oracle(M, T), (G, T)
 
     def test_budget(self):
         with pytest.raises(BudgetError):
@@ -249,9 +293,7 @@ class TestBridgeIdentity:
             if G.n > 3:
                 continue
             Fm = medial(G)
-            from twuality.ribbon import _medial_component_count
-
-            k_full = _medial_component_count(Fm)
+            k_full = component_count(G)
             trees = set(spanning_quasi_trees(G))
             for pattern in itertools.product(("black", "white"), repeat=G.n):
                 white_labels = tuple(
