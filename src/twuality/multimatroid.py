@@ -58,6 +58,7 @@ class Carrier:
         return tuple((i, r) for i in range(1, self.n + 1) for r in (1, 2, 3))
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class TransversalTriple:
     """An ordered partition of the carrier into three disjoint transversals.
 
@@ -65,7 +66,7 @@ class TransversalTriple:
     so each class contributes a bijection between members and slots.
     """
 
-    __slots__ = ("roles",)
+    roles: tuple[tuple[int, int, int], ...]
 
     def __init__(self, roles: Iterable[Iterable[int]]):
         try:
@@ -76,9 +77,6 @@ class TransversalTriple:
             if any(type(s) is not int for s in r) or sorted(r) != [1, 2, 3]:
                 raise ValidationError(f"class roles {list(r)} must be a permutation of (1, 2, 3)")
         object.__setattr__(self, "roles", roles)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TransversalTriple is immutable")
 
     @staticmethod
     def reference(n: int) -> "TransversalTriple":
@@ -106,28 +104,15 @@ class TransversalTriple:
             raise ValidationError("transversal triple object needs 'roles'")
         return cls(data["roles"])
 
-    def __eq__(self, other):
-        if not isinstance(other, TransversalTriple):
-            return NotImplemented
-        return self.roles == other.roles
-
-    def __hash__(self):
-        return hash(self.roles)
-
     def __repr__(self):
         return f"TransversalTriple({[list(r) for r in self.roles]})"
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Projection:
     """A relabeling of classes: element ``(i, r)`` projects to ``rho(i)``."""
 
-    __slots__ = ("relabel",)
-
-    def __init__(self, relabel: Perm):
-        object.__setattr__(self, "relabel", relabel)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Projection is immutable")
+    relabel: Perm
 
     @staticmethod
     def identity(n: int) -> "Projection":
@@ -145,14 +130,6 @@ class Projection:
 
     def to_json(self) -> list[int]:
         return self.relabel.one_line()
-
-    def __eq__(self, other):
-        if not isinstance(other, Projection):
-            return NotImplemented
-        return self.relabel == other.relabel
-
-    def __hash__(self):
-        return hash(self.relabel)
 
     def __repr__(self):
         return f"Projection({self.relabel.one_line()})"
@@ -186,6 +163,7 @@ def _split(table: int, k: int, zero: int) -> tuple[int, int, int, int]:
     return table & zero, (table >> d) & zero, (table >> 2 * d) & zero, (table >> 3 * d) & zero
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Multimatroid:
     """A 3-matroid on the reference carrier, stored as its base table:
     basis ``b`` sets bit ``sum(b[k] * 4**k)`` of the ``4**n``-bit int
@@ -193,7 +171,8 @@ class Multimatroid:
     the index space with the bases.  Classes are capped at ``MAX_CLASSES``.
     """
 
-    __slots__ = ("n", "table")
+    n: int
+    table: int
 
     def __init__(self, n: int, bases: Iterable[tuple[int, ...]]):
         _check_class_count(n)
@@ -214,9 +193,6 @@ class Multimatroid:
         object.__setattr__(Z, "n", n)
         object.__setattr__(Z, "table", table)
         return Z
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multimatroid is immutable")
 
     @property
     def carrier(self) -> Carrier:
@@ -263,14 +239,6 @@ class Multimatroid:
                 raise ValidationError("duplicate bases")
             table |= 1 << index
         return cls.from_table(n, table)
-
-    def __eq__(self, other):
-        if not isinstance(other, Multimatroid):
-            return NotImplemented
-        return self.n == other.n and self.table == other.table
-
-    def __hash__(self):
-        return hash((self.n, self.table))
 
     def __repr__(self):
         return f"Multimatroid({self.n}, {list(self.sorted_bases())})"

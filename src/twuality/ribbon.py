@@ -55,11 +55,13 @@ def _canon_rotation(rot: Sequence[int]) -> tuple[int, ...]:
     return rot[k:] + rot[:k]
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class RibbonGraph:
     """A signed rotation system.  Rotations are stored starting from their
     least half-edge id; that normalization never changes the surface."""
 
-    __slots__ = ("vertices", "edges", "_next")
+    vertices: tuple[tuple[int, ...], ...]
+    edges: tuple[RibbonEdge, ...]
 
     def __init__(self, vertices: Sequence[Sequence[int]], edges: Sequence):
         if not isinstance(vertices, (list, tuple)) or not all(
@@ -106,18 +108,10 @@ class RibbonGraph:
         vertices = tuple(_canon_rotation(rot) for rot in vertices)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", tuple(norm_edges))
-        nxt = {h: rot[(idx + 1) % len(rot)] for rot in vertices for idx, h in enumerate(rot)}
-        object.__setattr__(self, "_next", nxt)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RibbonGraph is immutable")
 
     @property
     def n(self) -> int:
         return len(self.edges)
-
-    def edge_by_label(self, label: int) -> RibbonEdge:
-        return self.edges[label - 1]
 
     def to_json(self) -> dict:
         return {
@@ -149,6 +143,7 @@ _TRANSITION_OFFSETS = {
 _SLOT_NAMES = ("before", "after")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
 class FourRegularGraph:
     """Medial structure: one 4-valent vertex per edge, corner edges from
     the rotations, and a free loop per isolated vertex.
@@ -160,7 +155,11 @@ class FourRegularGraph:
     ``components`` counts the components of the medial, free loops
     included."""
 
-    __slots__ = ("edges", "corner", "pairs", "free_loops", "components")
+    edges: tuple[RibbonEdge, ...]
+    corner: tuple[int, ...]
+    pairs: tuple[tuple[tuple[tuple[int, int], tuple[int, int]], ...], ...]
+    free_loops: int
+    components: int
 
     def __init__(self, edges: Sequence[RibbonEdge], corner: Sequence[int], free_loops: int):
         edges, corner = tuple(edges), tuple(corner)
@@ -184,9 +183,6 @@ class FourRegularGraph:
                         stack.append(t >> 2)
         for name, value in zip(self.__slots__, (edges, corner, pairs, free_loops, components)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FourRegularGraph is immutable")
 
     @property
     def n(self) -> int:
@@ -226,9 +222,10 @@ def medial(G: RibbonGraph) -> FourRegularGraph:
     """
     tag = {h: 4 * k + 2 * j for k, e in enumerate(G.edges) for j, h in enumerate(e.ends)}
     corner = [0] * (4 * G.n)
-    for h, h_next in G._next.items():
-        a, b = tag[h] + AFTER, tag[h_next] + BEFORE
-        corner[a], corner[b] = b, a
+    for rot in G.vertices:
+        for h, h_next in zip(rot, rot[1:] + rot[:1]):
+            a, b = tag[h] + AFTER, tag[h_next] + BEFORE
+            corner[a], corner[b] = b, a
     return FourRegularGraph(G.edges, corner, sum(1 for rot in G.vertices if not rot))
 
 
@@ -386,9 +383,12 @@ def verify_medial_lift(
     from one medial and compare their base sets.  The systems with a
     crossing check the lift's dual twists against the medial; the
     black/white half is checked against a half-edge boundary tracer in
-    the tests.  ``max_e`` is also the cap of both sides' builders."""
+    the tests.  ``max_e`` is also the cap of both sides' builders.  Both
+    vf-safety checks share ``vf_cache``, or else a fresh dict, so the
+    closure is walked once."""
     if G.n > max_e:
         raise BudgetError(f"verification capped at {max_e} edges, got {G.n}")
+    vf_cache = {} if vf_cache is None else vf_cache
     Fm = medial(G)
     Zm = transition_matroid(Fm, max_v=max_e)
     D = _checked_delta_matroid(G, _quasi_tree_system(G, QUASI_TREE_CAP, Fm), vf_cache)

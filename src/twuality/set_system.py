@@ -127,6 +127,7 @@ def _family_of_ranks(ranks: list[int], n: int) -> tuple[tuple[int, ...], ...]:
     return itemgetter(*ranks)(members)
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class SetSystem:
     """An immutable family of feasible subsets of ``{1, .., n}``.
 
@@ -136,7 +137,8 @@ class SetSystem:
     canonical (cardinality, then lexicographic) order.
     """
 
-    __slots__ = ("n", "table")
+    n: int
+    table: int
 
     def __init__(self, n: int, masks: Iterable[int] = ()):
         if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_GROUND:
@@ -156,9 +158,6 @@ class SetSystem:
         object.__setattr__(D, "n", n)
         object.__setattr__(D, "table", table)
         return D
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SetSystem is immutable")
 
     @classmethod
     def from_sets(cls, n: int, sets: Iterable[Iterable[int]]) -> "SetSystem":
@@ -190,14 +189,6 @@ class SetSystem:
     def canonical_key(self):
         """Total-order key for sorting collections of systems."""
         return (self.n, tuple(shortlex_ranks(self.table, self.n)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SetSystem):
-            return NotImplemented
-        return self.n == other.n and self.table == other.table
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.table))
 
     def __repr__(self) -> str:
         fam = ", ".join("{" + ",".join(map(str, s)) + "}" for s in self.feasible_sets())

@@ -4,8 +4,14 @@ and the semidirect-product action on set systems.
 The flip group is generated by the twist ``*`` and the loop complementation
 ``+`` acting at one element; it is isomorphic to the symmetric group on
 three symbols via ``* -> (1 2)`` and ``+ -> (2 3)``, and each flip is
-stored as that permutation so multiplication and order queries are table
-lookups.
+stored only as that permutation, so multiplication and order queries are
+table lookups.  The three symbols are slots: at element ``e`` a truth
+table splits into the sets without ``e`` (slot 1), the sets with ``e``
+moved down to their partners without it (slot 2), and the XOR of the two
+(slot 3), the same three slots as a class of the lift in
+``multimatroid``.  A flip permutes the slots and recombines slots 1 and 2
+(``_flip_table``): the twist swaps 1 and 2, loop complementation swaps 2
+and 3, and the dual twist ``~`` swaps 1 and 3.
 
 Word convention (fixed once, used everywhere in the library): in a word of
 flips the RIGHTMOST letter is applied first, so the product ``g*h`` means
@@ -20,24 +26,19 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .set_system import SetSystem, dual_twist1, loop_complement1, mask_of, relabel, twist1
+from .set_system import _HALVES, SetSystem, mask_of, relabel
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Flip:
-    """One of the six single-element operations.
+    """One of the six single-element operations, as the permutation
+    ``perm`` of the three slots at an element: slot ``s`` goes to slot
+    ``perm[s - 1]``.  The six flips are interned, so they compare by
+    identity."""
 
-    ``app_seq`` is the sequence of primitive steps, in application order,
-    realizing the flip at one element: ``*`` twist, ``+`` loop
-    complementation, ``~`` dual twist (the single-step parity rule).
-    """
-
-    __slots__ = ("index", "token", "perm", "app_seq")
-
-    def __init__(self, index: int, token: str, perm: tuple[int, int, int], app_seq: tuple[str, ...]):
-        self.index = index
-        self.token = token
-        self.perm = perm
-        self.app_seq = app_seq
+    index: int
+    token: str
+    perm: tuple[int, int, int]
 
     @property
     def order(self) -> int:
@@ -56,12 +57,12 @@ class Flip:
         return (parse_flip, (self.token,))
 
 
-ONE = Flip(0, "1", (1, 2, 3), ())
-STAR = Flip(1, "*", (2, 1, 3), ("*",))
-PLUS = Flip(2, "+", (1, 3, 2), ("+",))
-STAR_PLUS = Flip(3, "*+", (2, 3, 1), ("+", "*"))
-PLUS_STAR = Flip(4, "+*", (3, 1, 2), ("*", "+"))
-BAR = Flip(5, "~", (3, 2, 1), ("~",))
+ONE = Flip(0, "1", (1, 2, 3))
+STAR = Flip(1, "*", (2, 1, 3))
+PLUS = Flip(2, "+", (1, 3, 2))
+STAR_PLUS = Flip(3, "*+", (2, 3, 1))
+PLUS_STAR = Flip(4, "+*", (3, 1, 2))
+BAR = Flip(5, "~", (3, 2, 1))
 
 FLIPS: tuple[Flip, ...] = (ONE, STAR, PLUS, STAR_PLUS, PLUS_STAR, BAR)
 
@@ -129,10 +130,11 @@ def reduce_word(word: str | Iterable[str]) -> Flip:
     return out
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Perm:
     """A permutation of ``{1, .., n}`` in one-line notation."""
 
-    __slots__ = ("images",)
+    images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
@@ -140,9 +142,6 @@ class Perm:
         if sorted(images) != list(range(1, n + 1)):
             raise ValidationError(f"{list(images)} is not a permutation of 1..{n}")
         object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Perm is immutable")
 
     @staticmethod
     def identity(n: int) -> "Perm":
@@ -190,14 +189,6 @@ class Perm:
 
     def one_line(self) -> list[int]:
         return list(self.images)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Perm):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
 
     def __repr__(self) -> str:
         return f"Perm({list(self.images)})"
@@ -317,21 +308,26 @@ def sd_inv(a: TwualityElement) -> TwualityElement:
 # ---------------------------------------------------------------------------
 # the action on set systems
 
-def _apply_seq(table: int, n: int, seq: tuple[str, ...], k: int) -> int:
-    for step in seq:
-        if step == "*":
-            table = twist1(table, n, k)
-        elif step == "+":
-            table = loop_complement1(table, n, k)
-        else:
-            table = dual_twist1(table, n, k)
-    return table
+def _flip_table(table: int, n: int, k: int, g: Flip) -> int:
+    """Apply ``g`` at element ``e = k + 1`` of a truth table over [n].
+
+    The three slots, each indexed by the sets without ``e``, are the sets
+    without ``e``, those with it, and their XOR.  The slots that ``g.perm``
+    sends to 1 and 2, the images of 1 and 2 under its inverse, become the
+    sets without and with ``e``.
+    """
+    half, shift = _HALVES[n][k], 1 << k
+    a = table & half
+    b = (table >> shift) & half
+    slots = (a, b, a ^ b)
+    s1, s2, _ = _INV[g.index].perm
+    return slots[s1 - 1] | slots[s2 - 1] << shift
 
 
 def apply_flip(D: SetSystem, g: Flip, i: int) -> SetSystem:
-    """Apply the flip ``g`` at element ``i`` (its word, rightmost first)."""
+    """Apply the flip ``g`` at element ``i``."""
     k = mask_of((i,), D.n).bit_length() - 1
-    return SetSystem.from_table(D.n, _apply_seq(D.table, D.n, g.app_seq, k))
+    return SetSystem.from_table(D.n, _flip_table(D.table, D.n, k, g))
 
 
 def act(a: TwualityElement, D: SetSystem) -> SetSystem:
@@ -345,5 +341,5 @@ def act(a: TwualityElement, D: SetSystem) -> SetSystem:
     table = relabel(D.table, D.n, a.perm.images)
     for k, g in enumerate(a.gvec):
         if g is not ONE:
-            table = _apply_seq(table, D.n, g.app_seq, k)
+            table = _flip_table(table, D.n, k, g)
     return SetSystem.from_table(D.n, table)

@@ -21,6 +21,21 @@ def set_systems(max_n=5, proper=False):
     return st.integers(0, max_n).flatmap(build)
 
 
+def assert_frozen(value, *names):
+    """The attributes ``names`` of ``value`` refuse rebinding and deletion
+    and keep their values, and no new attribute can be added."""
+    for name in names:
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, before)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    # CPython 3.11 raises TypeError here for a frozen dataclass with slots
+    with pytest.raises((AttributeError, TypeError)):
+        value.extra = None
+
+
 def subset_of(n):
     return st.integers(0, (1 << n) - 1)
 

@@ -13,6 +13,10 @@ compared against.
 * ``twist1``, ``loop_complement1``, ``dual_twist1``: the single-element
   flips on a frozenset of masks, ``bit`` the mask of the element.  The
   library applies them to truth tables.
+* ``flip_oracle``, ``act_oracle``: each of the six flips as its word of
+  those primitive steps (``FLIP_WORDS``), and the group action as a
+  relabeling of every mask followed by one word per element.  The library
+  applies a flip as the permutation of three slot tables that it is.
 * ``shortlex_key``, ``canonical_key_oracle``: the canonical order as
   tuples, a subset keyed by its size and its member tuple and a family by
   the sorted keys of its sets.  The library compares shortlex ranks read
@@ -269,6 +273,29 @@ def loop_complement1(masks, bit):
 
 def dual_twist1(masks, bit):
     return frozenset(masks ^ {m & ~bit for m in masks if m & bit})
+
+
+#: per flip token, its primitive steps in application order: ``*`` twist,
+#: ``+`` loop complementation, ``~`` dual twist
+FLIP_WORDS = {"1": (), "*": ("*",), "+": ("+",), "*+": ("+", "*"), "+*": ("*", "+"), "~": ("~",)}
+_PRIMITIVES = {"*": twist1, "+": loop_complement1, "~": dual_twist1}
+
+
+def flip_oracle(masks, g, bit):
+    """The flip ``g`` at the element with mask ``bit``, step by step."""
+    masks = frozenset(masks)
+    for step in FLIP_WORDS[g.token]:
+        masks = _PRIMITIVES[step](masks, bit)
+    return masks
+
+
+def act_oracle(a, D):
+    """Relabel every mask of ``D`` by ``a.perm``, then apply the flip of
+    each entry of ``a.gvec`` at its element."""
+    masks = frozenset(relabel_mask(a.perm.images, m) for m in D.masks)
+    for k, g in enumerate(a.gvec):
+        masks = flip_oracle(masks, g, 1 << k)
+    return SetSystem(D.n, masks)
 
 
 def _first_refuting_bit(x, y, fam):

@@ -36,6 +36,7 @@ from twuality import (
 )
 
 import ribbon_catalog
+from conftest import assert_frozen
 from oracles import (
     extract_oracle,
     is_multimatroid_oracle,
@@ -84,6 +85,12 @@ def rand_multimatroid(rng, max_n=4):
 
 
 class TestTypes:
+    def test_frozen(self):
+        assert_frozen(Multimatroid(2, [(1, 2), (2, 1)]), "n", "table")
+        assert_frozen(Multimatroid.from_table(1, 0b10), "n", "table")
+        assert_frozen(TransversalTriple(((1, 2, 3), (2, 1, 3))), "roles")
+        assert_frozen(Projection(Perm((2, 1))), "relabel")
+
     def test_triple_validation_and_json(self):
         tau = TransversalTriple(((1, 2, 3), (2, 1, 3)))
         assert tau.slot_of(2, 1) == 2

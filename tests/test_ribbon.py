@@ -25,9 +25,10 @@ from twuality import (
     transition_matroid,
     verify_medial_lift,
 )
-from twuality import ribbon
+from twuality import ribbon, set_system
 
 import ribbon_catalog as cat
+from conftest import assert_frozen
 from oracles import (
     boundary_oracle,
     component_count,
@@ -155,6 +156,11 @@ class TestQuasiTreeSystems:
 
 
 class TestMedial:
+    def test_frozen(self):
+        G = cat.with_isolated(cat.theta([1, -1, 1]))
+        assert_frozen(G, "vertices", "edges")
+        assert_frozen(medial(G), "edges", "corner", "pairs", "free_loops", "components")
+
     def test_twisted_loop_structure(self):
         Fm = medial(cat.twisted_loop())
         assert Fm.n == 1
@@ -352,6 +358,26 @@ class TestMedialLiftAgreement:
         assert not report.equal
         assert (report.only_medial, report.only_lift) == (tuple(added), tuple(removed))
         assert report.to_json()["only_lift"] == [[[1, 2], [2, 3]], [[1, 3], [2, 2]]]
+
+    def test_one_closure_without_a_cache(self, monkeypatch):
+        """Without ``vf_cache`` the quasi-tree check and the lift share a
+        fresh cache: the exchange walk runs as often as with an empty
+        dict, which walks the vf-safety closure once."""
+        calls = []
+        walk = set_system._exchange_failures
+
+        def counted(table, n):
+            calls.append(table)
+            return walk(table, n)
+
+        monkeypatch.setattr(set_system, "_exchange_failures", counted)
+        G = cat.bouquet([1, -1, 1, 1], interleaved=True)
+        counts = []
+        for cache in (None, {}):
+            calls.clear()
+            assert verify_medial_lift(G, vf_cache=cache).equal
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 1
 
     def test_budget(self):
         with pytest.raises(BudgetError):

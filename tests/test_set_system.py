@@ -28,7 +28,7 @@ from twuality import (
 )
 from twuality import set_system
 import ribbon_catalog as cat
-from conftest import set_systems, subset_of
+from conftest import assert_frozen, set_systems, subset_of
 import oracles
 from oracles import canonical_key_oracle, first_exchange_failure, shortlex_key, vf_safe_oracle
 
@@ -128,6 +128,11 @@ class TestSetSystemType:
             SetSystem.from_json({"n": 2, "feasible": [[1, 1]]})
         # ascending order within a set is canonical on output, not required on input
         assert SetSystem.from_json({"n": 2, "feasible": [[2, 1]]}).feasible_sets() == ((1, 2),)
+
+    def test_frozen(self):
+        D = ss(3, [(3,), (1, 3), (2, 3)])
+        assert_frozen(D, "n", "table")
+        assert_frozen(SetSystem.from_table(2, 0b1001), "n", "table")
 
     def test_zero_ground(self):
         D = ss(0, [()])

@@ -1,4 +1,6 @@
 import itertools
+import pickle
+import random
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -29,7 +31,8 @@ from twuality import (
     vec_reindex,
 )
 
-from conftest import set_systems
+from conftest import assert_frozen, set_systems
+from oracles import FLIP_WORDS, act_oracle, flip_oracle
 
 ss = SetSystem.from_sets
 
@@ -79,6 +82,62 @@ class TestFlipGroup:
             assert parse_flip(f.token) is f
         with pytest.raises(ValidationError):
             parse_flip("**")
+
+
+class TestFlipValues:
+    def test_flips_are_frozen(self):
+        for g in FLIPS:
+            assert_frozen(g, "index", "token", "perm")
+        with pytest.raises(AttributeError):
+            STAR.perm = (1, 2, 3)
+        assert STAR.perm == (2, 1, 3)
+
+    def test_pickle_returns_the_interned_flip(self):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            for g in FLIPS:
+                assert pickle.loads(pickle.dumps(g, protocol)) is g
+            gvec = pickle.loads(pickle.dumps((STAR, BAR, STAR), protocol))
+            assert gvec[0] is gvec[2] is STAR and gvec[1] is BAR
+
+    def test_perm_is_frozen(self):
+        assert_frozen(Perm((2, 3, 1)), "images")
+
+
+class TestFlipKernel:
+    """``apply_flip`` and ``act`` permute three slot tables per element;
+    the oracle applies each flip as its word of twists, loop
+    complementations and dual twists on frozensets of masks."""
+
+    @staticmethod
+    def random_systems(rng, n, count=40):
+        for _ in range(count):
+            density = rng.random()
+            yield SetSystem(n, (m for m in range(1 << n) if rng.random() < density))
+
+    def test_words_spell_their_flips(self):
+        """Each word, written rightmost step first and with ``~`` as
+        ``+*+``, reduces to its flip."""
+        assert sorted(FLIP_WORDS) == sorted(g.token for g in FLIPS)
+        for g in FLIPS:
+            written = "".join(reversed(FLIP_WORDS[g.token])).replace("~", "+*+")
+            assert reduce_word(written) is g
+
+    def test_apply_flip_matches_words(self):
+        rng = random.Random(41)
+        for n in range(7):
+            for D in self.random_systems(rng, n):
+                for i in range(1, n + 1):
+                    for g in FLIPS:
+                        expected = flip_oracle(D.masks, g, 1 << (i - 1))
+                        assert apply_flip(D, g, i).mask_set() == expected, (D, g, i)
+
+    def test_act_matches_words(self):
+        rng = random.Random(42)
+        for n in range(7):
+            for D in self.random_systems(rng, n):
+                gvec = tuple(rng.choice(FLIPS) for _ in range(n))
+                a = TwualityElement(gvec, Perm(rng.sample(range(1, n + 1), n)))
+                assert act(a, D) == act_oracle(a, D), (a, D)
 
 
 class TestReduceWord:
