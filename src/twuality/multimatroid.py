@@ -145,9 +145,17 @@ def _index(choice: Iterable[int]) -> int:
     return sum(r << 2 * k for k, r in enumerate(choice))
 
 
+#: per byte value, the offsets of its set bits, and its four base-4 digits
+_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
+_DIGITS = tuple(tuple(v >> s & 3 for s in (0, 2, 4, 6)) for v in range(256))
+
+
 def _choices(n: int, table: int) -> list[tuple[int, ...]]:
-    """The choice tuples of the set bits of a table, in ascending bit order."""
-    return [tuple(i >> 2 * k & 3 for k in range(n)) for i in _masks_of_table(table)]
+    """The choice tuples of the set bits of a table, in ascending bit order;
+    ``compress`` skips zero bytes, and an index has at most three bytes of digits."""
+    data, d = table.to_bytes((table.bit_length() + 7) >> 3, "little"), _DIGITS
+    at = (j << 3 | b for j in itertools.compress(range(len(data)), data) for b in _BITS[data[j]])
+    return [(d[i & 255] + d[i >> 8 & 255] + d[i >> 16])[:n] for i in at]
 
 
 #: per class count, the ``_zero_masks`` of its ``4**n``-bit tables
@@ -270,7 +278,7 @@ def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     the least failing independent set as a tuple.
     """
     if Z.n > max_n:
-        raise BudgetError(f"is_multimatroid capped at n <= {max_n}, got {Z.n}")
+        raise BudgetError.capped("is_multimatroid", f"n <= {max_n}", Z.n, 3, "transversals")
     n = Z.n
     independents = _independents(Z)
     if not independents:
@@ -309,7 +317,7 @@ def is_tight(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     """Exactly one of the three one-class replacements of every basis must
     fail to be a basis; returns ``(flag, witness)``."""
     if Z.n > max_n:
-        raise BudgetError(f"is_tight capped at n <= {max_n}, got {Z.n}")
+        raise BudgetError.capped("is_tight", f"n <= {max_n}", Z.n, 3, "transversals")
     for b in Z.sorted_bases():
         at = _index(b)
         for k in range(Z.n):
@@ -380,7 +388,7 @@ def lift(
     """
     n = D.n
     if n > max_n:
-        raise BudgetError(f"lift capped at n <= {max_n}, got {n}")
+        raise BudgetError.capped("lift", f"n <= {max_n}", n, 3, "transversals")
     _check_class_count(n)
     tau = TransversalTriple.reference(n) if tau is None else tau
     sigma = Projection.identity(n) if sigma is None else sigma
@@ -494,7 +502,7 @@ def orbit_via_lift(
         raise ValidationError(f"mode must be 'full' or 'iota', got {mode!r}")
     cap = ORBIT_VIA_LIFT_CAPS[mode] if max_n is None else max_n
     if D.n > cap:
-        raise BudgetError(f"orbit_via_lift({mode}) capped at n <= {cap}, got {D.n}")
+        raise BudgetError.capped(f"orbit_via_lift({mode})", f"n <= {cap}", D.n, 6, "triples")
     n = D.n
     tau = TransversalTriple.reference(n) if tau is None else tau
     sigma = Projection.identity(n) if sigma is None else sigma

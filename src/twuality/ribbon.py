@@ -31,6 +31,7 @@ from typing import Sequence
 from .errors import BudgetError, ConsistencyError, ValidationError
 from .multimatroid import Multimatroid, Projection, TransversalTriple, _check_class_count, lift
 from .set_system import MAX_GROUND, SetSystem, VF_SAFE_DEFAULT_CAP, is_delta_matroid, is_vf_safe
+from .set_system import _is_binary
 
 QUASI_TREE_CAP = 16
 TRANSITION_MATROID_CAP = 8
@@ -309,7 +310,9 @@ def transition_matroid(Fm: FourRegularGraph, max_v: int = TRANSITION_MATROID_CAP
     fixed order black = 1, white = 2, crossing = 3; the base-table bit of
     a system is the sum of role·4^k over the medial vertices ``k``."""
     if Fm.n > max_v:
-        raise BudgetError(f"transition matroid capped at {max_v} medial vertices, got {Fm.n}")
+        raise BudgetError.capped(
+            "transition matroid", f"{max_v} medial vertices", Fm.n, 3, "transition systems"
+        )
     _check_class_count(Fm.n)
     options = [[(r, (r + 1) << 2 * k) for r in range(3)] for k in range(Fm.n)]
     return Multimatroid.from_table(Fm.n, _kept_splits(Fm, options))
@@ -327,7 +330,7 @@ def _quasi_tree_system(G: RibbonGraph, max_e: int, Fm: FourRegularGraph | None =
     keeps the component count, i.e. ``(V, A)`` has as many boundary walks
     as ``G`` has components (then as many components, too)."""
     if G.n > max_e:
-        raise BudgetError(f"quasi-tree enumeration capped at {max_e} edges, got {G.n}")
+        raise BudgetError.capped("quasi-tree enumeration", f"{max_e} edges", G.n, 2, "edge subsets")
     if G.n > MAX_GROUND:
         raise ValidationError(f"ground size must be an integer in 0..{MAX_GROUND}, got {G.n}")
     options = [((0, 0), (1, 1 << k)) for k in range(G.n)]
@@ -343,6 +346,8 @@ def spanning_quasi_trees(G: RibbonGraph, max_e: int = QUASI_TREE_CAP) -> tuple[t
 def _checked_delta_matroid(G: RibbonGraph, D: SetSystem, vf_cache: dict | None) -> SetSystem:
     if not is_delta_matroid(D).valid:
         raise ConsistencyError(f"quasi-tree family of {G!r} fails symmetric exchange")
+    if G.n > VF_SAFE_DEFAULT_CAP and not _is_binary(D.table, D.n):
+        raise ConsistencyError(f"quasi-tree family of {G!r} is not binary")
     if G.n <= VF_SAFE_DEFAULT_CAP and not is_vf_safe(D, cache=vf_cache):
         raise ConsistencyError(f"quasi-tree family of {G!r} is not vf-safe")
     return D
@@ -352,7 +357,7 @@ def delta_matroid_of(
     G: RibbonGraph, max_e: int = QUASI_TREE_CAP, vf_cache: dict | None = None
 ) -> SetSystem:
     """Set system of spanning quasi-tree label sets; checked to satisfy
-    symmetric exchange and (within the closure-search cap) vf-safety."""
+    symmetric exchange and vf-safety (above the vf-safe cap, as binary)."""
     return _checked_delta_matroid(G, _quasi_tree_system(G, max_e), vf_cache)
 
 
@@ -385,9 +390,9 @@ def verify_medial_lift(
     black/white half is checked against a half-edge boundary tracer in
     the tests.  ``max_e`` is also the cap of both sides' builders.  Both
     vf-safety checks share ``vf_cache``, or else a fresh dict, so the
-    closure is walked once."""
+    verdict is found once."""
     if G.n > max_e:
-        raise BudgetError(f"verification capped at {max_e} edges, got {G.n}")
+        raise BudgetError.capped("verification", f"{max_e} edges", G.n, 3, "transition systems")
     vf_cache = {} if vf_cache is None else vf_cache
     Fm = medial(G)
     Zm = transition_matroid(Fm, max_v=max_e)

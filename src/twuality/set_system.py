@@ -520,6 +520,39 @@ def _twists(table: int, n: int) -> list[int]:
     return out
 
 
+def _binary_table(rows: list[int], n: int) -> int:
+    """The truth table of ``D(A) = {Y : A[Y] nonsingular over GF(2)}`` for
+    ``n >= 2``, row ``i`` of the symmetric ``A`` the mask ``rows[i]``.  The
+    sets without the top element ``v`` are ``D(A - v)``, and those with it
+    ``D(B)`` for ``B[i][j] = A[i][j] + A[i][v] A[v][j]``, the Schur complement
+    at ``v`` with ``A[v][v]`` set to 1, XOR ``D(A - v)`` if it was 0."""
+    if n == 2:
+        a, b = rows
+        return 1 | (a & 1) << 1 | (b & 2) << 1 | ((a & b >> 1 ^ a >> 1) & 1) << 3
+    v = n - 1
+    keep, top = (1 << v) - 1, rows[v]
+    low = _binary_table([r & keep for r in rows[:v]], v)
+    high = _binary_table([(r ^ top if r >> v & 1 else r) & keep for r in rows[:v]], v)
+    return low | (high if top >> v & 1 else high ^ low) << (1 << v)
+
+
+def _is_binary(table: int, n: int) -> bool:
+    """Whether the family is a twist of ``D(A)`` for a symmetric GF(2)
+    matrix ``A`` (Bouchet 1988).  Twisted by its least feasible set, it can
+    only be the ``D(A)`` with ``A[i][i]`` read from ``{i}`` and ``A[i][j]``
+    from ``{i, j}``, XORed with ``A[i][i] A[j][j]``."""
+    if n < 2 or not table:  # every proper family on at most one element is binary
+        return table != 0
+    table = fold_flip(twist1, table, n, (table & -table).bit_length() - 1)
+    diag = [table >> (1 << i) & 1 for i in range(n)]
+    rows = [d << i for i, d in enumerate(diag)]
+    for i, j in itertools.combinations(range(n), 2):
+        if table >> (1 << i | 1 << j) & 1 ^ diag[i] & diag[j]:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return _binary_table(rows, n) == table
+
+
 def is_vf_safe(
     D: SetSystem,
     max_n: int = VF_SAFE_DEFAULT_CAP,
@@ -527,6 +560,10 @@ def is_vf_safe(
 ) -> bool:
     """Whether every system reachable from ``D`` by single-element twists
     and loop complementations is a delta-matroid.
+
+    A binary delta-matroid is vf-safe, since loop complementation at ``i``
+    toggles ``A[i][i]`` in ``D(A)`` (Brijder and Hoogeboom 2013).  So
+    ``_is_binary`` answers first, and only other families walk the closure.
 
     The search is a breadth-first walk over twist classes, each held by its
     key: the least truth table among its ``2**n`` twists (a Gray-code walk).
@@ -539,17 +576,21 @@ def is_vf_safe(
     one set lookup and each class is walked once.
 
     An optional ``cache`` dict memoizes verdicts across calls, one entry
-    per twist class of the closure, keyed by ``(n, class key)``; this is
-    sound because the verdict is shared by the whole closure.
+    per twist class walked (a binary family's own), keyed by ``(n, class
+    key)``; this is sound because the verdict is shared by the whole closure.
     """
-    if D.n > max_n:
-        raise BudgetError(f"vf-safe closure needs n <= {max_n}, got {D.n}")
     n = D.n
-    twists = _twists(D.table, n)
-    if cache is not None:
-        hit = cache.get((n, min(twists)))
-        if hit is not None:
-            return hit
+    if n > max_n:
+        raise BudgetError.capped("vf-safe closure", f"n <= {max_n}", n, 2, "twists per class")
+    twists = _twists(D.table, n) if cache is not None else ()
+    hit = cache.get((n, min(twists))) if twists else None
+    if hit is not None:
+        return hit
+    if _is_binary(D.table, n):
+        if twists:
+            cache[n, min(twists)] = True
+        return True
+    twists = twists or _twists(D.table, n)
 
     reached = set(twists)  # every system of the classes found so far
     keys = [min(twists)]

@@ -9,7 +9,10 @@ compared against.
   whole-table walk, pruned by one AND of truth-table masks per bit.
 * ``vf_safe_oracle``: the breadth-first closure over single systems, one
   exchange check per reachable system.  The library walks twist classes of
-  truth tables instead.
+  truth tables instead, and first certifies binary families.
+* ``binary_table_oracle``: ``D(A)`` for a symmetric 0/1 matrix, one GF(2)
+  elimination per subset.  The library builds the table by recursing on
+  Schur complements.
 * ``twist1``, ``loop_complement1``, ``dual_twist1``: the single-element
   flips on a frozenset of masks, ``bit`` the mask of the element.  The
   library applies them to truth tables.
@@ -28,6 +31,9 @@ compared against.
 * ``masks_of_table_oracle``: the set bits of a truth table, lowest first,
   one AND and one XOR of the whole int per bit.  The library selects them
   from the table's binary digits in one ``compress``.
+* ``choices_oracle``: the choice tuples of a ``4**n``-bit table, one
+  shift per digit of every set bit.  The library visits only the nonzero
+  bytes of the table and reads the digits of an index a byte at a time.
 * ``relabel_mask``: a permutation applied to one mask.  The library
   relabels whole truth tables by adjacent transpositions.
 * ``twist``, ``loop_complement``, ``dual_twist``: the bulk operations
@@ -111,6 +117,10 @@ def masks_of_table_oracle(table):
         out.append(low.bit_length() - 1)
         table ^= low
     return out
+
+
+def choices_oracle(n, table):
+    return [tuple(i >> 2 * k & 3 for k in range(n)) for i in masks_of_table_oracle(table)]
 
 
 def relabel_mask(images, mask):
@@ -378,6 +388,26 @@ def exchange_scan(ordered, table, n):
                     if diff & ub and not diff & reach:
                         return x, y, ub
     return None
+
+
+def binary_table_oracle(A):
+    """The truth table of ``{Y : A[Y] nonsingular over GF(2)}``, for ``A``
+    a symmetric matrix given as a list of 0/1 rows."""
+    n, table = len(A), 0
+    for Y in range(1 << n):
+        idx = [i for i in range(n) if Y >> i & 1]
+        M = [[A[i][j] for j in idx] for i in idx]
+        for c in range(len(idx)):
+            pivot = next((r for r in range(c, len(idx)) if M[r][c]), None)
+            if pivot is None:
+                break
+            M[c], M[pivot] = M[pivot], M[c]
+            for r in range(c + 1, len(idx)):
+                if M[r][c]:
+                    M[r] = [a ^ b for a, b in zip(M[r], M[c])]
+        else:
+            table |= 1 << Y
+    return table
 
 
 def vf_safe_oracle(D):

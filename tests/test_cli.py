@@ -298,6 +298,21 @@ class TestRibbonCommands:
         assert code == 2 and out == ""
         assert err.startswith("budget exceeded: ") and err.count("\n") == 1
 
+    def test_dm_non_binary_above_vf_cap_is_internal(self, capsys, tmp_path, monkeypatch):
+        """Above the vf-safe cap ``ribbon dm`` checks the certificate: a
+        quasi-tree system stubbed to ``U(2, 4)`` plus 8 free elements, a
+        delta-matroid that is not binary, is reported as a bug."""
+        import itertools
+        import twuality.ribbon as ribbon_mod
+
+        u24 = [a | b for a, b in itertools.combinations((1, 2, 4, 8), 2)]
+        stub = SetSystem(12, [m | x << 4 for m in u24 for x in range(256)])
+        monkeypatch.setattr(ribbon_mod, "_quasi_tree_system", lambda G, max_e, Fm=None: stub)
+        path = write(tmp_path, "b12.json", cat.bouquet([1] * 12).to_json())
+        code, out, err = run(capsys, "ribbon", "dm", path)
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: ") and err.endswith("is not binary\n")
+
     def test_dm_beyond_ground_limit(self, capsys, tmp_path):
         """A raised cap cannot build a set system on more than 16 elements."""
         path = write(tmp_path, "path17.json", cat.path_graph([1] * 17).to_json())

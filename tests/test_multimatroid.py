@@ -38,6 +38,7 @@ from twuality import (
 import ribbon_catalog
 from conftest import assert_frozen
 from oracles import (
+    choices_oracle,
     extract_oracle,
     is_multimatroid_oracle,
     is_tight_oracle,
@@ -45,7 +46,7 @@ from oracles import (
     orbit_via_lift_oracle,
     restrict_oracle,
 )
-from twuality import delta_matroid_of
+from twuality import delta_matroid_of, multimatroid
 
 ss = SetSystem.from_sets
 
@@ -85,6 +86,22 @@ def rand_multimatroid(rng, max_n=4):
 
 
 class TestTypes:
+    def test_choices_match_digit_loop(self, rng, pool, vf_cache):
+        """Random sparse tables, digit 0 included, per class count up to the
+        cap; the dense table of every subtransversal; and lift tables, whose
+        ``to_json`` lists the oracle's tuples sorted."""
+        tables = [(n, 0) for n in range(11)] + [(3, (1 << 64) - 1), (10, 1 << 4**10 - 1)]
+        for n in range(11):
+            for _ in range(10):
+                tables.append((n, sum(1 << rng.randrange(4**n) for _ in range(rng.randint(1, 200)))))
+        for D in pool:
+            Z = lift(D, rand_triple(rng, D.n), rand_projection(rng, D.n), vf_cache=vf_cache)
+            tables.append((Z.n, Z.table))
+            bases = [[[i, r] for i, r in enumerate(b, start=1)] for b in sorted(choices_oracle(Z.n, Z.table))]
+            assert Z.to_json() == {"n": Z.n, "bases": bases}
+        for n, table in tables:
+            assert multimatroid._choices(n, table) == choices_oracle(n, table), (n, table)
+
     def test_frozen(self):
         assert_frozen(Multimatroid(2, [(1, 2), (2, 1)]), "n", "table")
         assert_frozen(Multimatroid.from_table(1, 0b10), "n", "table")
@@ -187,7 +204,7 @@ class TestLiftExtract:
             lift(bad)
 
     def test_lift_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"^lift capped at n <= 8, got 9 \(3\^9 = 19,683 transversals\)$"):
             lift(SetSystem(9, [0]))
 
     def test_lift_matches_per_choice_oracle(self, pool, rng, vf_cache):
@@ -282,9 +299,9 @@ class TestAxioms:
             assert is_multimatroid(Z) == is_multimatroid_oracle(Z) == (True, None)
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"^is_multimatroid .* got 7 \(3\^7 = 2,187 transversals\)$"):
             is_multimatroid(Multimatroid(7, [(1,) * 7]))
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"^is_tight .* got 7 \(3\^7 = 2,187 transversals\)$"):
             is_tight(Multimatroid(7, [(1,) * 7]))
 
 
@@ -452,7 +469,7 @@ class TestOrbitCharacterizations:
                 ), (D, tau, sigma, mode)
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"^orbit_via_lift\(full\) .* got 5 \(6\^5 = 7,776 triples\)$"):
             orbit_via_lift(SetSystem(5, [0]), mode="full")
 
     def test_same_lift_characterizes_orbit_exhaustively(self, vf_cache):

@@ -128,7 +128,7 @@ class TestQuasiTrees:
         assert spanning_quasi_trees(cat.untwisted_loop()) == ((),)
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"at 0 edges, got 1 \(2\^1 = 2 edge subsets\)$"):
             spanning_quasi_trees(cat.path_graph([1]), max_e=0)
 
     def test_matches_two_condition_oracle(self):
@@ -153,6 +153,21 @@ class TestQuasiTreeSystems:
             D = delta_matroid_of(G, vf_cache=vf_cache)
             assert is_delta_matroid(D).valid
             assert is_vf_safe(D, cache=vf_cache)
+
+    def test_quasi_tree_systems_are_binary(self):
+        """The whole <=3-edge catalog, 300 random graphs with up to 9 edges
+        and the 16-edge interleaved bouquet, where ``delta_matroid_of``
+        checks vf-safety by the certificate alone."""
+        r = random.Random(13)
+        graphs = itertools.chain(
+            cat.enumerate_all(), (cat.random_ribbon(r, max_edges=9, max_vertices=4) for _ in range(300))
+        )
+        for G in graphs:
+            D = ribbon._quasi_tree_system(G, G.n)
+            assert set_system._is_binary(D.table, D.n), G
+        for signs in ([1] * 16, [1, -1] * 8):
+            D = delta_matroid_of(cat.bouquet(signs, interleaved=True))
+            assert set_system._is_binary(D.table, D.n)
 
 
 class TestMedial:
@@ -287,7 +302,7 @@ class TestTransitionMatroid:
                 assert split_components(Fm, T) == split_components_oracle(M, T), (G, T)
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"at 0 medial vertices, got 1 \(3\^1 = 3 transition systems\)$"):
             transition_matroid(medial(cat.twisted_loop()), max_v=0)
 
 
@@ -362,7 +377,9 @@ class TestMedialLiftAgreement:
     def test_one_closure_without_a_cache(self, monkeypatch):
         """Without ``vf_cache`` the quasi-tree check and the lift share a
         fresh cache: the exchange walk runs as often as with an empty
-        dict, which walks the vf-safety closure once."""
+        dict, which walks the vf-safety closure once.  The graph is binary,
+        so the certificate is switched off to walk the closure."""
+        monkeypatch.setattr(set_system, "_is_binary", lambda table, n: False)
         calls = []
         walk = set_system._exchange_failures
 
@@ -380,5 +397,5 @@ class TestMedialLiftAgreement:
         assert counts[0] == counts[1] > 1
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"at 0 edges, got 1 \(3\^1 = 3 transition systems\)$"):
             verify_medial_lift(cat.twisted_loop(), max_e=0)

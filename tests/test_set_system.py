@@ -395,9 +395,12 @@ class TestExchangeWalk:
         assert set_system._exchange_failures(D.table, D.n) == expected
 
     @pytest.mark.parametrize("n", [7, 8])
-    def test_vf_class_keys_match_scan(self, n):
+    def test_vf_class_keys_match_scan(self, n, monkeypatch):
         """Every class key the vf-safety closure of the interleaved bouquet
-        reaches (all delta-matroids), and each with one set toggled."""
+        reaches (all delta-matroids), and each with one set toggled.  The
+        bouquet is binary, so the certificate is switched off to walk the
+        closure."""
+        monkeypatch.setattr(set_system, "_is_binary", lambda table, n: False)
         D = SetSystem.from_sets(n, spanning_quasi_trees(cat.bouquet([1] * n, interleaved=True)))
         cache = {}
         assert is_vf_safe(D, cache=cache)
@@ -464,10 +467,29 @@ class TestVfSafe:
         assert is_vf_safe(ss(0, [()]))
 
     def test_budget(self):
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"n <= 4, got 5 \(2\^5 = 32 twists per class\)$"):
             is_vf_safe(SetSystem(5, [0]), max_n=4)
 
+    def test_binary_input_skips_the_closure(self, monkeypatch):
+        """A binary family is answered by the certificate: no exchange walk
+        runs, and the cache gains the key of its own twist class alone."""
+
+        def no_search(table, n):
+            raise AssertionError("closure walked")
+
+        monkeypatch.setattr(set_system, "_exchange_failures", no_search)
+        D = SetSystem.from_sets(5, spanning_quasi_trees(cat.bouquet([1, -1, 1, 1, -1], interleaved=True)))
+        assert is_vf_safe(D)
+        cache = {}
+        assert is_vf_safe(D, cache=cache)
+        assert cache == {(5, min(set_system._twists(D.table, 5))): True}
+        assert is_vf_safe(twist(D, (2, 4)), cache=cache)
+        assert len(cache) == 1
+
     def test_cache_consistency(self, monkeypatch):
+        """The closure's cache entries; the certificate is switched off,
+        since the safe inputs here are binary."""
+        monkeypatch.setattr(set_system, "_is_binary", lambda table, n: False)
         cache = {}
         D = ss(3, [(3,), (1, 3), (2, 3)])
         assert is_vf_safe(D, cache=cache) is True
@@ -515,6 +537,86 @@ class TestVfSafe:
         cache = {}
         assert is_vf_safe(D, cache=cache) is expected
         assert is_vf_safe(D, cache=cache) is expected
+
+
+def random_symmetric(rng, n):
+    A = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            A[i][j] = A[j][i] = rng.randint(0, 1)
+    return A
+
+
+def rows_of(A):
+    return [sum(a << j for j, a in enumerate(row)) for row in A]
+
+
+class TestBinaryCertificate:
+    """``_binary_table`` against one elimination per subset, and the
+    certificate against the closure, whose verdict it must imply."""
+
+    def test_table_matches_elimination(self, rng):
+        for _ in range(150):
+            n = rng.randint(2, 7)
+            A = random_symmetric(rng, n)
+            table = set_system._binary_table(rows_of(A), n)
+            assert table == oracles.binary_table_oracle(A), A
+            assert set_system._is_binary(table, n)
+            X = rng.randrange(1 << n)
+            assert set_system._is_binary(set_system.fold_flip(set_system.twist1, table, n, X), n)
+
+    def test_loop_complement_toggles_the_diagonal(self, rng):
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            A = random_symmetric(rng, n)
+            table = set_system._binary_table(rows_of(A), n)
+            for i in range(n):
+                A[i][i] ^= 1
+                toggled = set_system._binary_table(rows_of(A), n)
+                A[i][i] ^= 1
+                assert set_system.loop_complement1(table, n, i) == toggled, (A, i)
+
+    def test_small_ground_sets(self):
+        assert set_system._is_binary(1, 0) and not set_system._is_binary(0, 0)
+        assert all(set_system._is_binary(t, 1) for t in (1, 2, 3))
+        assert not any(set_system._is_binary(0, n) for n in range(4))
+
+    def test_uniform_matroid_is_not_binary(self):
+        """The bases of ``U(2, 4)``, the classical excluded minor."""
+        D = ss(4, itertools.combinations(range(1, 5), 2))
+        assert is_delta_matroid(D).valid
+        assert not set_system._is_binary(D.table, D.n)
+
+    def test_certificate_implies_the_closure_verdict(self, monkeypatch):
+        """3,000 random families with n <= 5: twists of ``D(A)``, the same
+        with one set toggled, and random tables.  A certified family is a
+        delta-matroid that the closure finds vf-safe; both verdicts occur,
+        and vf-safe families that are not binary reach the closure."""
+        rng = random.Random(5)
+        seen = set()
+        for trial in range(3000):
+            n = rng.randint(0, 5)
+            if n < 2:
+                table = rng.randrange(1 << (1 << n))
+            elif trial % 3 == 2:
+                table = rng.getrandbits(1 << n)
+            else:
+                rows = rows_of(random_symmetric(rng, n))
+                table = set_system.fold_flip(
+                    set_system.twist1, set_system._binary_table(rows, n), n, rng.randrange(1 << n)
+                )
+                if trial % 3 == 1:
+                    table ^= 1 << rng.randrange(1 << n)
+            D = SetSystem.from_table(n, table)
+            binary = set_system._is_binary(table, n)
+            verdict = is_vf_safe(D)
+            with monkeypatch.context() as m:
+                m.setattr(set_system, "_is_binary", lambda table, n: False)
+                assert is_vf_safe(D) is verdict, D
+            if binary:
+                assert is_delta_matroid(D).valid and verdict, D
+            seen.add((binary, verdict))
+        assert seen == {(True, True), (False, True), (False, False)}
 
 
 class TestWordProperties:
