@@ -70,9 +70,12 @@ def _load_json(path: str) -> dict:
 
 def _emit(payload, fmt: str) -> None:
     if fmt == "json":
-        # every payload is a tree built by a ``to_json``, so no cycle check
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
-        sys.stdout.write(text + "\n")
+        if isinstance(payload, str):  # canonical JSON text the command wrote itself
+            text = payload
+        else:  # every payload is a tree built by a ``to_json``, so no cycle check
+            text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
+        sys.stdout.write(text)  # two writes: no copy of a large text
+        sys.stdout.write("\n")
         return
     for line in _text_lines(payload, ""):
         sys.stdout.write(line + "\n")
@@ -187,10 +190,11 @@ def _cmd_apply(args) -> tuple[dict, int]:
     return D.to_json(), 0
 
 
-def _cmd_orbit(args) -> tuple[dict, int]:
+def _cmd_orbit(args) -> tuple[dict | str, int]:
     D = SetSystem.from_json(_load_json(args.file))
     mode = "iota" if args.iota else "full"
-    return orbit(D, mode=mode, max_n=args.max_n).to_json(), 0
+    report = orbit(D, mode=mode, max_n=args.max_n)
+    return report.canonical_json() if args.format == "json" else report.to_json(), 0
 
 
 def _cmd_selftwual(args) -> tuple[dict, int]:

@@ -4,15 +4,19 @@ orbit moves, and the uniformization construction.
 Orbits are computed by breadth-first closure under a fixed generator
 ordering, deduplicated by truth table, and reported in canonical order,
 so repeated runs are byte-identical.  Each element's shortlex ranks are
-decoded once, for the sort and for its family, whose sets are the shared
-member tuples of the shortlex table; a report's JSON tree thus holds
-tuples, which ``json.dumps`` writes as arrays.  Budgets are hard caps: a
-partial orbit is semantically wrong, so exceeding a cap raises, naming
+read once, for the sort, and kept: the report writes its canonical JSON
+text by joining the JSON arrays of the subsets at those ranks, one string
+per subset of [n] shared by every report over [n], and builds systems,
+families and the ``to_json`` tree only when they are read.  The stabilizer
+search walks the relabelings of a system one adjacent transposition at a
+time and the flip vectors one element at a time.  Budgets are hard caps:
+a partial orbit is semantically wrong, so exceeding a cap raises, naming
 the work refused, instead of truncating.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -27,11 +31,12 @@ from .set_system import (
     VF_SAFE_DEFAULT_CAP,
     _HALVES,
     _family_of_ranks,
+    _shortlex_table,
+    _swap_adjacent,
     classify_element,
     is_vf_safe,
     loop_complement,
     min_max_matroids,
-    relabel,
     shortlex_ranks,
     twist,
     twist1,  # noqa: F401  (perfbench's tracer patches it in this namespace)
@@ -42,6 +47,7 @@ from .twuality_group import (
     ONE,
     Perm,
     TwualityElement,
+    _flip_table,
     act,
     flip_mul,
     flip_pow,
@@ -55,24 +61,45 @@ ORBIT_CAPS = {"full": 8, "iota": 10}
 STABILIZER_CAPS = {"all": 5, "uniform": 8}
 
 
+@functools.cache
+def _member_texts(n: int) -> tuple[str, ...]:
+    """Each subset of [n] as its JSON array, ``"[1,3]"``, indexed by
+    shortlex rank."""
+    return tuple("[" + ",".join(map(str, m)) + "]" for m in _shortlex_table(n)[0])
+
+
 @dataclass(frozen=True)
 class OrbitReport:
     """A generator-closed orbit with one witness word per element.
 
-    ``families`` holds each element's ``feasible_sets()``, which
-    ``to_json`` renders.  Its tree holds these and the witness words as
-    tuples, which ``json.dumps`` writes as arrays.
+    Per element in canonical order it holds the truth table, the witness
+    word and the shortlex ranks it was sorted by.  ``elements``, the
+    ``SetSystem``-keyed ``paths`` and ``families`` (each element's
+    ``feasible_sets()``) are built when first read; ``canonical_json``
+    needs only the ranks and words.
     """
 
     seed: SetSystem
     mode: str
-    elements: tuple[SetSystem, ...]
-    paths: dict[SetSystem, tuple[str, ...]]
-    families: tuple[tuple[tuple[int, ...], ...], ...] = field(repr=False, compare=False)
+    tables: tuple[int, ...]
+    words: tuple[tuple[str, ...], ...]
+    ranks: tuple[list[int], ...] = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.tables)
+
+    @functools.cached_property
+    def elements(self) -> tuple[SetSystem, ...]:
+        return tuple(SetSystem.from_table(self.seed.n, t) for t in self.tables)
+
+    @functools.cached_property
+    def paths(self) -> dict[SetSystem, tuple[str, ...]]:
+        return dict(zip(self.elements, self.words))
+
+    @functools.cached_property
+    def families(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(_family_of_ranks(r, self.seed.n) for r in self.ranks)
 
     def to_json(self) -> dict:
         n = self.seed.n
@@ -80,8 +107,27 @@ class OrbitReport:
             "mode": self.mode,
             "size": self.size,
             "elements": [{"n": n, "feasible": fam} for fam in self.families],
-            "paths": [self.paths[d] for d in self.elements],
+            "paths": list(self.words),
         }
+
+    def canonical_json(self) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))``,
+        written by joining the cached JSON arrays of the subsets at each
+        element's ranks and the quoted tokens of each witness word."""
+        n = self.seed.n
+        texts = _member_texts(n)
+        # joined from generators, so that each list of pieces is freed as
+        # soon as its text is built; an itemgetter of one index returns
+        # the item alone
+        elements = ('],"n":%d},{"feasible":[' % n).join(
+            ",".join(itemgetter(*r)(texts)) if len(r) > 1 else texts[r[0]] if r else ""
+            for r in self.ranks
+        )
+        # the seed's word is empty; every token is plain ASCII, quoted as is
+        paths = "],[".join('"' + '","'.join(w) + '"' if w else "" for w in self.words)
+        return '{"elements":[{"feasible":[%s],"n":%d}],"mode":"%s","paths":[[%s]],"size":%d}' % (
+            elements, n, self.mode, paths, self.size
+        )
 
 
 @dataclass(frozen=True)
@@ -168,10 +214,8 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
             if t not in paths:
                 paths[t] = base + (tok,)
                 push(t)
-    ranked = sorted(((shortlex_ranks(t, n), t) for t in paths), key=itemgetter(0))
-    elements = tuple(SetSystem.from_table(n, t) for _, t in ranked)
-    families = tuple(_family_of_ranks(ranks, n) for ranks, _ in ranked)
-    return OrbitReport(D, mode, elements, {d: paths[d.table] for d in elements}, families)
+    ranks, tables = zip(*sorted(((shortlex_ranks(t, n), t) for t in paths), key=itemgetter(0)))
+    return OrbitReport(D, mode, tables, tuple([paths[t] for t in tables]), ranks)
 
 
 def stabilizer_search(
@@ -182,9 +226,13 @@ def stabilizer_search(
     The vector part must not be the identity vector.  ``all`` mode ranges
     over the whole semidirect product; ``uniform`` mode over the five
     uniform vectors only.  ``(g, p)`` fixes ``D`` iff ``p.D == g^-1.D``:
-    the ``n!`` relabelings of ``D`` are bucketed by image once, and each
-    vector ``g`` (in the fixed flip order) emits the permutations (in
-    lexicographic one-line order) in the bucket of ``g^-1.D``.
+    the ``n!`` relabelings of ``D`` are bucketed by image once
+    (``_relabel_buckets``), and each vector ``g`` (in the fixed flip order)
+    emits the permutations (in lexicographic one-line order) in the bucket
+    of ``g^-1.D``.  In ``all`` mode the tables ``g^-1.D`` are built one
+    element at a time: each table flipped at element ``k + 1`` by the
+    inverse of every flip gives the next level, in ``itertools.product``
+    order of the vectors, so each level costs one flip per table.
     """
     if mode not in STABILIZER_CAPS:
         raise ValidationError(f"stabilizer mode must be 'all' or 'uniform', got {mode!r}")
@@ -197,18 +245,58 @@ def stabilizer_search(
         )
     if mode == "uniform":
         gvecs = [(g,) * n for g in FLIPS[1:]] if n else []
-    else:
-        gvecs = [g for g in itertools.product(FLIPS, repeat=n) if any(x is not ONE for x in g)]
-    by_image: dict[int, list[Perm]] = {}
-    for images in itertools.permutations(range(1, n + 1)):
-        by_image.setdefault(relabel(D.table, n, images), []).append(Perm(images))
-    ident = Perm.identity(n)
+        targets = [D.table] * 5
+        for k in range(n):
+            targets = [_flip_table(t, n, k, g.inverse()) for t, g in zip(targets, FLIPS[1:])]
+    else:  # level k holds g^-1.D for the vectors on the first k elements
+        targets = [D.table]
+        for k in range(n):
+            targets = [_flip_table(t, n, k, g.inverse()) for t in targets for g in FLIPS]
+        gvecs = itertools.islice(itertools.product(FLIPS, repeat=n), 1, None)
+        del targets[0]  # the first vector is the identity
+    by_image = _relabel_buckets(D.table, n)
     hits = []
-    for gvec in gvecs:
-        target = act(TwualityElement(vec_inv(gvec), ident), D).table
-        for perm in by_image.get(target, ()):
-            hits.append(StabilizerHit(TwualityElement(gvec, perm), uniform_flip(gvec)))
+    for gvec, target in zip(gvecs, targets):
+        perms = by_image.get(target)
+        if perms:
+            uniform = uniform_flip(gvec)
+            hits.extend(StabilizerHit(TwualityElement(gvec, p), uniform) for p in perms)
     return hits
+
+
+def _plain_changes(n: int):
+    """Steinhaus–Johnson–Trotter: the ``n! - 1`` swaps of positions ``k``
+    and ``k + 1`` that walk ``n`` items through every order.  The last
+    item sweeps end to end; between sweeps the others take one step."""
+    if n < 2:
+        return
+    inner = _plain_changes(n - 1)
+    leftward = True
+    while True:
+        yield from range(n - 2, -1, -1) if leftward else range(n - 1)
+        k = next(inner, None)
+        if k is None:
+            return
+        yield k + 1 if leftward else k  # the last item sits at the left end
+        leftward = not leftward
+
+
+def _relabel_buckets(table: int, n: int) -> dict[int, list[Perm]]:
+    """The permutations ``p`` of [n] keyed by ``relabel(table, n, p.images)``,
+    each list in lexicographic one-line order.  ``images`` is the inverse
+    of ``pos``, which takes the plain changes, so each swap in ``pos``
+    composes ``images`` with ``(k+1 k+2)`` on the left: one
+    ``_swap_adjacent`` of the image table."""
+    pos = list(range(n))
+    images = list(range(1, n + 1))
+    by_image = {table: [tuple(images)]}
+    for k in _plain_changes(n):
+        i, j = pos[k], pos[k + 1]
+        pos[k], pos[k + 1] = j, i
+        images[i], images[j] = images[j], images[i]
+        table = _swap_adjacent(table, n, k)
+        by_image.setdefault(table, []).append(tuple(images))
+    return {t: [Perm(p) for p in sorted(b)] for t, b in by_image.items()}
 
 
 def transport(

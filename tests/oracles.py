@@ -25,9 +25,9 @@ compared against.
   the sorted keys of its sets.  The library compares shortlex ranks read
   from one table per ground size.
 * ``orbit_oracle``: the breadth-first orbit closure over frozenset states
-  keyed by their sorted masks, its report's families decoded by
-  ``feasible_sets``.  The library keys states by truth table and reuses
-  the shortlex ranks of its sort for the families.
+  keyed by their sorted masks, its report payload built from the sorted
+  systems' ``feasible_sets``.  The library keys states by truth table,
+  keeps the shortlex ranks of its sort and writes the JSON text from them.
 * ``masks_of_table_oracle``: the set bits of a truth table, lowest first,
   one AND and one XOR of the whole int per bit.  The library selects them
   from the table's binary digits in one ``compress``.
@@ -40,7 +40,9 @@ compared against.
   read directly off their definitions, the parity rules by interval
   counting.  The library folds single-element flips.
 * ``stabilizer_oracle``: one action per group element.  The library
-  matches relabelings of the system by their image.
+  matches relabelings of the system by their image, walking them one
+  adjacent transposition at a time and the flip vectors one element at a
+  time.
 * ``trace_boundary``, ``sub_boundary``, ``boundary_oracle``: boundary
   walks traced on half-edge sides, of a rotation system, of a spanning
   subgraph and of a whole surface; ``component_count``: the components
@@ -79,7 +81,6 @@ from collections import deque
 from twuality import (
     FLIPS,
     ONE,
-    OrbitReport,
     Perm,
     SetSystem,
     StabilizerHit,
@@ -432,8 +433,9 @@ def vf_safe_oracle(D):
 
 def orbit_oracle(D, mode):
     """Breadth-first closure of ``D`` under ``*i, +i`` for each ``i`` in
-    turn and, in full mode, the adjacent transpositions; the report of
-    ``twuality.orbit`` without its budget check."""
+    turn and, in full mode, the adjacent transpositions; the payload of
+    ``twuality.orbit(D, mode).to_json()`` without its budget check, built
+    from sorted systems."""
     gens = []
     for i in range(1, D.n + 1):
         bit = 1 << (i - 1)
@@ -456,9 +458,13 @@ def orbit_oracle(D, mode):
                 paths[canon] = base + (token,)
                 queue.append(nxt)
     systems = {SetSystem(D.n, canon): path for canon, path in paths.items()}
-    elements = tuple(sorted(systems, key=canonical_key_oracle))
-    families = tuple(d.feasible_sets() for d in elements)
-    return OrbitReport(D, mode, elements, {d: systems[d] for d in elements}, families)
+    elements = sorted(systems, key=canonical_key_oracle)
+    return {
+        "mode": mode,
+        "size": len(elements),
+        "elements": [{"n": D.n, "feasible": d.feasible_sets()} for d in elements],
+        "paths": [list(systems[d]) for d in elements],
+    }
 
 
 def orbit_via_lift_oracle(D, tau=None, sigma=None, mode="full", vf_cache=None):

@@ -4,7 +4,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twuality import ConsistencyError, Multimatroid, RibbonGraph, SetSystem, orbit
 from twuality.cli import _text_lines, build_parser, main
@@ -357,9 +357,14 @@ def _orbit_cases(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(_orbit_cases())
+@example((SetSystem.from_sets(0, [()]), "full", "json"))
+@example((SetSystem(2, []), "iota", "json"))
+@example((SetSystem.from_sets(3, [(1, 3)]), "full", "json"))
 def test_orbit_stdout_equals_list_payload(tmp_path_factory, case):
     """``orbit`` prints what the report built from fresh lists prints:
-    ``SetSystem.to_json()`` per element, the witness words as lists."""
+    ``SetSystem.to_json()`` per element, the witness words as lists.  The
+    examples pin the JSON writer on an element of one set and of none, and
+    on an orbit of the seed alone, whose witness word is empty."""
     D, mode, fmt = case
     path = tmp_path_factory.getbasetemp() / "orbit.json"
     path.write_text(json.dumps(D.to_json()), encoding="utf-8")

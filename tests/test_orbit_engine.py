@@ -1,4 +1,5 @@
 import itertools
+import json
 import warnings
 
 import pytest
@@ -30,6 +31,8 @@ from twuality import (
     twist,
     uniformize,
 )
+from twuality.orbit_engine import _relabel_buckets
+from twuality.set_system import relabel
 
 import ribbon_catalog as cat
 from conftest import set_systems
@@ -94,7 +97,18 @@ class TestOrbit:
     @example(ss(4, [(), (1, 2), (1, 3), (2, 4), (1, 2, 3, 4)]), "full")
     @example(ss(4, [(1,), (2, 3), (1, 2, 4)]), "full")
     def test_matches_oracle(self, D, mode):
-        assert orbit(D, mode=mode).to_json() == orbit_oracle(D, mode).to_json()
+        ours = json.dumps(orbit(D, mode=mode).to_json(), sort_keys=True)
+        assert ours == json.dumps(orbit_oracle(D, mode), sort_keys=True)
+
+    @given(set_systems(max_n=4), st.sampled_from(["iota", "full"]))
+    @example(ss(0, [()]), "full")
+    @example(SetSystem(2, []), "iota")
+    @example(ss(3, [(1, 3)]), "full")
+    @settings(max_examples=30, deadline=None)
+    def test_canonical_json_is_dumps_of_to_json(self, D, mode):
+        rep = orbit(D, mode=mode)
+        expected = json.dumps(rep.to_json(), sort_keys=True, separators=(",", ":"))
+        assert rep.canonical_json() == expected
 
     def test_deterministic(self):
         a = orbit(D_CONE, mode="full")
@@ -155,6 +169,45 @@ class TestStabilizerSearch:
         D = delta_matroid_of(cat.named_fixtures()[key])
         hits = [h.to_json() for h in stabilizer_search(D, mode=mode)]
         assert hits == [h.to_json() for h in stabilizer_oracle(D, mode)]
+
+    @pytest.mark.parametrize(
+        "D",
+        [SetSystem(0, []), ss(0, [()]), SetSystem(1, []), ss(1, [()]), ss(1, [(1,)]), ss(1, [(), (1,)])],
+    )
+    @pytest.mark.parametrize("mode", ["all", "uniform"])
+    def test_matches_oracle_on_ground_sizes_0_and_1(self, D, mode):
+        hits = [h.to_json() for h in stabilizer_search(D, mode=mode)]
+        assert hits == [h.to_json() for h in stabilizer_oracle(D, mode)]
+
+    def test_matches_oracle_at_the_all_cap(self):
+        D = ss(5, [()])  # 3,720 hits
+        hits = [h.to_json() for h in stabilizer_search(D, mode="all")]
+        assert len(hits) == 3720
+        assert hits == [h.to_json() for h in stabilizer_oracle(D, "all")]
+
+    @pytest.mark.parametrize(
+        "D",
+        [
+            ss(6, [()]),
+            ss(7, [()]),
+            delta_matroid_of(cat.bouquet([1] * 6)),
+            delta_matroid_of(cat.bouquet([1, -1] * 3, interleaved=True)),
+            delta_matroid_of(cat.bouquet([1] * 7)),
+        ],
+        ids=["empty6", "empty7", "bouquet6", "bouquet6i-pm", "bouquet7"],
+    )
+    def test_matches_oracle_uniform_on_6_and_7_elements(self, D):
+        hits = [h.to_json() for h in stabilizer_search(D, mode="uniform")]
+        assert hits
+        assert hits == [h.to_json() for h in stabilizer_oracle(D, "uniform")]
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_relabel_buckets_match_permutations(self, n, rng):
+        for table in (1, (1 << (1 << n)) - 1, rng.getrandbits(1 << n), rng.getrandbits(1 << n)):
+            expected = {}
+            for images in itertools.permutations(range(1, n + 1)):
+                expected.setdefault(relabel(table, n, images), []).append(Perm(images))
+            assert _relabel_buckets(table, n) == expected
 
 
 class TestTransport:
