@@ -17,11 +17,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ConsistencyError, ValidationError
 from .set_system import (
     SetSystem,
+    _exchange_failures,
     _iter_checked,
     _masks_of_table,
+    _plain_changes,
+    _swap_adjacent,
     _zero_masks,
     is_vf_safe,
     relabel,
@@ -262,6 +265,23 @@ def _independents(Z: Multimatroid) -> int:
     return table
 
 
+def _augmentation_failure(table: int, T: tuple[int, ...]) -> dict:
+    """The axiom-1 witness of a transversal ``T`` whose independents, the
+    truth table ``table`` over its classes, are no matroid: the first
+    member ``I`` and larger member ``J`` that misses every class extending
+    ``I``, both in the order of the subtransversals sorted as tuples."""
+    n = len(T)
+    order = sorted(range(1 << n), key=lambda m: [m >> k & 1 for k in range(n)])
+    members = [m for m in order if table >> m & 1]
+    for m in members:
+        ext = sum(1 << k for k in range(n) if not m >> k & 1 and table >> (m | 1 << k) & 1)
+        for mj in members:
+            if mj.bit_count() > m.bit_count() and not mj & ext:
+                I, J = ([r if mm >> k & 1 else 0 for k, r in enumerate(T)] for mm in (m, mj))
+                return {"axiom": 1, "transversal": list(T), "I": I, "J": J}
+    raise ConsistencyError(f"transversal {list(T)} induces a matroid after all")
+
+
 def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     """Check both multimatroid axioms on the independents spanned by the
     bases; returns ``(flag, witness)`` with the first failure found.
@@ -270,12 +290,21 @@ def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     hereditary by construction, augmentation).  Axiom 2 requires every
     skew pair of a class missed by an independent set to extend it.
 
-    For each transversal ``T`` only the table bits of its ``2**n``
-    subtransversals are tested, in the order of the subtransversals sorted
-    as tuples.  A member ``I`` fails augmentation against a larger member
-    ``J`` iff ``J`` misses every class that extends ``I``, a test on class
-    masks.  Axiom 2 is three masked table ops per class; its witness is
-    the least failing independent set as a tuple.
+    Axiom 1 packs each transversal's independents into a ``2**n``-bit
+    truth table: class by class, each table keeps digit 0 and digit ``r``
+    for each role ``r`` (``_keep_slots``), so the ``3**n`` tables come out
+    in ``itertools.product`` order of the transversals.  Such a table is
+    down-closed and holds the empty set, so it is a matroid's independents
+    iff it passes ``_exchange_failures``, the walk ``is_delta_matroid``
+    uses.  Matroid independents satisfy symmetric exchange (Bouchet 1987).
+    Conversely, take ``|X| < |Y|`` failing augmentation with ``|X - Y|``
+    least: exchange at ``u`` in ``Y - X`` gives ``X + u - v`` with ``v``
+    in ``X - Y``, which augments by some ``y``, and exchange of
+    ``X + u - v + y`` with ``X`` at ``v`` then needs ``X + u``, ``X + y``
+    or ``X + u + y``.  Verdicts are kept by table, which many transversals
+    share; only the first failing transversal is scanned pair by pair, for
+    its witness.  Axiom 2 is three masked table ops per class; its witness
+    is the least failing independent set as a tuple.
     """
     if Z.n > max_n:
         raise BudgetError.capped("is_multimatroid", f"n <= {max_n}", Z.n, 3, "transversals")
@@ -283,20 +312,16 @@ def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     independents = _independents(Z)
     if not independents:
         return False, {"axiom": 1, "reason": "no independent sets"}
-    # per class mask, the table digits it keeps; masks in sorted-tuple order
-    digits = [sum(3 << 2 * k for k in range(n) if m >> k & 1) for m in range(1 << n)]
-    order = sorted(range(1 << n), key=lambda m: [m >> k & 1 for k in range(n)])
-    for T in itertools.product((1, 2, 3), repeat=n):
-        t = _index(T)
-        members = [m for m in order if independents >> (t & digits[m]) & 1]
-        masks = set(members)
-        for m in members:
-            size_i = m.bit_count()
-            ext = sum(1 << k for k in range(n) if not m >> k & 1 and m | 1 << k in masks)
-            for mj in members:
-                if mj.bit_count() > size_i and not mj & ext:
-                    I, J = ([r if mm >> k & 1 else 0 for k, r in enumerate(T)] for mm in (m, mj))
-                    return False, {"axiom": 1, "transversal": list(T), "I": I, "J": J}
+    tables = [independents]
+    for k, zero in enumerate(_zeros(n)):
+        tables = [c for t in tables for c in _keep_slots(t, k, zero, ((0, 1), (0, 2), (0, 3)))]
+    verdicts: dict[int, bool] = {}
+    for T, H in zip(itertools.product((1, 2, 3), repeat=n), tables):
+        ok = verdicts.get(H)
+        if ok is None:
+            ok = verdicts[H] = not _exchange_failures(H, n)
+        if not ok:
+            return False, _augmentation_failure(H, T)
     # per class and skew pair, the independents missing the class that neither extends
     failures, bad = [], 0
     for k, zero in enumerate(_zeros(n)):
@@ -465,24 +490,15 @@ _SLOT_ROLES = tuple((p.index(1) + 1, p.index(2) + 1) for p in PERM3)
 
 def _extracted_tables(Z: Multimatroid) -> set[int]:
     """The truth tables of ``extract(Z, tau, identity)`` over all ``6**n``
-    triples ``tau``, in one depth-first walk of the classes: the children
-    of a node are the ``_keep_slots`` steps of the six role tables."""
-    n = Z.n
-    if n == 0:
-        return {Z.table}
-    zero = _zeros(n)
-    out: set[int] = set()
-
-    def walk(t: int, k: int) -> None:
-        children = _keep_slots(t, k, zero[k], _SLOT_ROLES)
-        if k == n - 1:
-            out.update(children)
-        else:
-            for child in children:
-                walk(child, k + 1)
-
-    walk(Z.table, 0)
-    return out
+    triples ``tau``, one class at a time: the next level is the
+    ``_keep_slots`` steps of the six role tables on every distinct table
+    of this one.  Each later step depends only on the table, so keeping
+    the distinct tables is exact, and each is stepped once instead of
+    once per triple prefix reaching it."""
+    level = {Z.table}
+    for k, zero in enumerate(_zeros(Z.n)):
+        level = {c for t in level for c in _keep_slots(t, k, zero, _SLOT_ROLES)}
+    return level
 
 
 def orbit_via_lift(
@@ -494,10 +510,12 @@ def orbit_via_lift(
     vf_cache: dict | None = None,
 ) -> tuple[SetSystem, ...]:
     """Orbit of ``D`` computed through its lift: one lift, the extractions
-    at the identity projection over all transversal triples in one table
-    walk (``_extracted_tables``), then every distinct extracted table
-    relabeled by ``sigma`` (iota mode) or by each of the ``n!`` projections
-    (full mode), deduplicated and canonically sorted."""
+    at the identity projection over all transversal triples with each
+    distinct extracted table visited once (``_extracted_tables``), then
+    every table relabeled by ``sigma`` (iota mode; skipped at the
+    identity) or by each of the ``n!`` projections (full mode: the plain
+    changes of ``_plain_changes``, one ``_swap_adjacent`` of every table
+    per step), deduplicated and canonically sorted."""
     if mode not in ORBIT_VIA_LIFT_CAPS:
         raise ValidationError(f"mode must be 'full' or 'iota', got {mode!r}")
     cap = ORBIT_VIA_LIFT_CAPS[mode] if max_n is None else max_n
@@ -507,9 +525,12 @@ def orbit_via_lift(
     tau = TransversalTriple.reference(n) if tau is None else tau
     sigma = Projection.identity(n) if sigma is None else sigma
     Z = lift(D, tau, sigma, max_n=max(n, 1), vf_cache=vf_cache)
-    tables = _extracted_tables(Z)
-    if mode == "iota":
-        relabelings = [sigma.relabel.images]
-    else:
-        relabelings = itertools.permutations(range(1, n + 1))
-    return sorted_systems({relabel(t, n, p) for p in relabelings for t in tables}, n)
+    seen = _extracted_tables(Z)
+    if mode == "full":
+        tables = list(seen)
+        for k in _plain_changes(n):
+            tables = [_swap_adjacent(t, n, k) for t in tables]
+            seen.update(tables)
+    elif not sigma.relabel.is_identity():
+        seen = {relabel(t, n, sigma.relabel.images) for t in seen}
+    return sorted_systems(seen, n)

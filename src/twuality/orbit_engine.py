@@ -31,6 +31,7 @@ from .set_system import (
     VF_SAFE_DEFAULT_CAP,
     _HALVES,
     _family_of_ranks,
+    _plain_changes,
     _shortlex_table,
     _swap_adjacent,
     classify_element,
@@ -137,6 +138,17 @@ class StabilizerHit:
 
     element: TwualityElement
     uniform: Flip | None
+
+    @classmethod
+    def from_parts(
+        cls, gvec: tuple[Flip, ...], perm: Perm, uniform: Flip | None
+    ) -> "StabilizerHit":
+        """Trusted constructor: ``gvec`` must be a tuple of ``perm.n``
+        flips and ``uniform`` its ``uniform_flip``."""
+        hit = object.__new__(cls)
+        object.__setattr__(hit, "element", TwualityElement.from_parts(gvec, perm))
+        object.__setattr__(hit, "uniform", uniform)
+        return hit
 
     def to_json(self) -> dict:
         data = self.element.to_json()
@@ -260,25 +272,8 @@ def stabilizer_search(
         perms = by_image.get(target)
         if perms:
             uniform = uniform_flip(gvec)
-            hits.extend(StabilizerHit(TwualityElement(gvec, p), uniform) for p in perms)
+            hits.extend(StabilizerHit.from_parts(gvec, p, uniform) for p in perms)
     return hits
-
-
-def _plain_changes(n: int):
-    """Steinhaus–Johnson–Trotter: the ``n! - 1`` swaps of positions ``k``
-    and ``k + 1`` that walk ``n`` items through every order.  The last
-    item sweeps end to end; between sweeps the others take one step."""
-    if n < 2:
-        return
-    inner = _plain_changes(n - 1)
-    leftward = True
-    while True:
-        yield from range(n - 2, -1, -1) if leftward else range(n - 1)
-        k = next(inner, None)
-        if k is None:
-            return
-        yield k + 1 if leftward else k  # the last item sits at the left end
-        leftward = not leftward
 
 
 def _relabel_buckets(table: int, n: int) -> dict[int, list[Perm]]:

@@ -306,6 +306,25 @@ def _swap_adjacent(table: int, n: int, k: int) -> int:
     return table ^ t ^ (t << (1 << k))
 
 
+def _plain_changes(n: int) -> Iterator[int]:
+    """Steinhaus–Johnson–Trotter: the ``n! - 1`` swaps of positions ``k``
+    and ``k + 1`` that walk ``n`` items through every order.  The last
+    item sweeps end to end; between sweeps the others take one step.  As
+    ``_swap_adjacent`` steps they walk a table through its ``n!``
+    relabelings, one delta swap each instead of a bubble sort."""
+    if n < 2:
+        return
+    inner = _plain_changes(n - 1)
+    leftward = True
+    while True:
+        yield from range(n - 2, -1, -1) if leftward else range(n - 1)
+        k = next(inner, None)
+        if k is None:
+            return
+        yield k + 1 if leftward else k  # the last item sits at the left end
+        leftward = not leftward
+
+
 def relabel(table: int, n: int, images: Iterable[int]) -> int:
     """The truth table of ``{p(X)}`` for ``p: i -> images[i-1]``.
 

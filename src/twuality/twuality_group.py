@@ -275,6 +275,14 @@ class TwualityElement:
         if len(self.gvec) != self.perm.n:
             raise ValidationError("flip vector and permutation must have equal length")
 
+    @classmethod
+    def from_parts(cls, gvec: tuple[Flip, ...], perm: Perm) -> "TwualityElement":
+        """Trusted constructor: ``gvec`` must be a tuple of ``perm.n`` flips."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "gvec", gvec)
+        object.__setattr__(g, "perm", perm)
+        return g
+
     @property
     def n(self) -> int:
         return self.perm.n

@@ -38,7 +38,9 @@ from twuality import (
 import ribbon_catalog
 from conftest import assert_frozen
 from oracles import (
+    _compatible,
     choices_oracle,
+    down_closure,
     extract_oracle,
     is_multimatroid_oracle,
     is_tight_oracle,
@@ -47,6 +49,7 @@ from oracles import (
     restrict_oracle,
 )
 from twuality import delta_matroid_of, multimatroid
+from twuality.set_system import relabel, sorted_systems
 
 ss = SetSystem.from_sets
 
@@ -76,6 +79,14 @@ def rand_triple(rng, n):
 
 def rand_projection(rng, n):
     return Projection(Perm(rng.sample(range(1, n + 1), n)))
+
+
+def rand_system(rng, n, vf_cache):
+    """The quasi-tree system of a random ribbon graph with ``n`` edges."""
+    while True:
+        G = ribbon_catalog.random_ribbon(rng, max_edges=n)
+        if G.n == n:
+            return delta_matroid_of(G, vf_cache=vf_cache)
 
 
 def rand_multimatroid(rng, max_n=4):
@@ -298,6 +309,63 @@ class TestAxioms:
             Z = lift(D, rand_triple(rng, D.n), rand_projection(rng, D.n), vf_cache=vf_cache)
             assert is_multimatroid(Z) == is_multimatroid_oracle(Z) == (True, None)
 
+    @pytest.mark.parametrize(
+        "bases, witness",
+        [
+            # transversal (1, 1, 2) keeps {1, 2} of the first basis and {3}
+            # of the second: maximal sets of two sizes; (1, 1, 1) passes
+            ([(1, 1, 1), (2, 2, 2)], {"transversal": [1, 1, 2], "I": [0, 0, 2], "J": [1, 1, 0]}),
+            # transversal (1, 1, 1, 1) keeps {1, 2} and {3, 4}: maximal sets
+            # of one size that fail exchange
+            (
+                [(1, 1, 2, 2), (2, 2, 1, 1)],
+                {"transversal": [1, 1, 1, 1], "I": [0, 0, 0, 1], "J": [1, 1, 0, 0]},
+            ),
+        ],
+    )
+    def test_axiom1_failure_modes(self, bases, witness):
+        Z = Multimatroid(len(bases[0]), bases)
+        expected = (False, {"axiom": 1, **witness})
+        assert is_multimatroid(Z) == is_multimatroid_oracle(Z) == expected
+
+    def test_perturbed_lifts_at_five_match_oracle(self, rng, vf_cache):
+        """Lifts at n = 5 under random triples and projections, as built,
+        with one basis dropped and with one transversal added: flag and
+        witness agree with the per-transversal pair scan."""
+        witnesses = set()
+        for _ in range(3):
+            D = rand_system(rng, 5, vf_cache)
+            Z = lift(D, rand_triple(rng, 5), rand_projection(rng, 5), vf_cache=vf_cache)
+            bases = list(Z.sorted_bases())
+            others = [c for c in itertools.product((1, 2, 3), repeat=5) if c not in Z.bases]
+            for variant in (bases, bases[:-1], bases + [rng.choice(others)]):
+                W = Multimatroid(5, variant)
+                result = is_multimatroid(W)
+                assert result == is_multimatroid_oracle(W), W
+                witnesses.add(result[1] and result[1]["axiom"])
+        assert {None, 1} <= witnesses
+
+    def test_each_transversal_table_walked_once(self, pool, rng, vf_cache, monkeypatch):
+        """The exchange walk runs once per distinct transversal table,
+        which many transversals share."""
+        real, walked = multimatroid._exchange_failures, []
+        monkeypatch.setattr(
+            multimatroid, "_exchange_failures", lambda t, n: walked.append(t) or real(t, n)
+        )
+        shared = False
+        for D in [D for D in pool if D.n >= 2][:8]:
+            Z = lift(D, rand_triple(rng, D.n), rand_projection(rng, D.n), vf_cache=vf_cache)
+            walked.clear()
+            assert is_multimatroid(Z) == (True, None)
+            independents = down_closure(Z)
+            distinct = set()  # per transversal, the class sets of its independents
+            for T in itertools.product((1, 2, 3), repeat=Z.n):
+                members = (I for I in independents if _compatible(I, T))
+                distinct.add(frozenset(sum(1 << k for k, r in enumerate(I) if r) for I in members))
+            assert len(walked) == len(set(walked)) == len(distinct)
+            shared |= len(distinct) < 3**Z.n
+        assert shared
+
     def test_budget(self):
         with pytest.raises(BudgetError, match=r"^is_multimatroid .* got 7 \(3\^7 = 2,187 transversals\)$"):
             is_multimatroid(Multimatroid(7, [(1,) * 7]))
@@ -467,6 +535,32 @@ class TestOrbitCharacterizations:
                 assert orbit_via_lift(D, tau, sigma, mode=mode, vf_cache=vf_cache) == (
                     orbit_via_lift_oracle(D, tau, sigma, mode=mode, vf_cache=vf_cache)
                 ), (D, tau, sigma, mode)
+
+    def test_extracted_tables_match_per_triple_extracts(self, pool, rng, vf_cache):
+        systems = [ss(0, [()]), rand_system(rng, 4, vf_cache)] + pool[:4]
+        multimatroids = [lift(D, rand_triple(rng, D.n), vf_cache=vf_cache) for D in systems]
+        multimatroids += [Multimatroid(0, []), Multimatroid(4, [(1, 2, 3, 1), (3, 3, 1, 2)])]
+        multimatroids += [rand_multimatroid(rng) for _ in range(6)]
+        for Z in multimatroids:
+            ident = Projection.identity(Z.n)
+            expected = {extract(Z, tau, ident).table for tau in all_triples(Z.n)}
+            assert multimatroid._extracted_tables(Z) == expected, Z
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_full_mode_walk_matches_permutations(self, n, rng, vf_cache, monkeypatch):
+        """Full mode walks the relabelings by plain changes; the set equals
+        every extracted table relabeled by every permutation, both for the
+        real extracted tables and for random ones in their place, which
+        unlike an orbit are unlikely to hide a missed relabeling behind a
+        symmetry."""
+        D = rand_system(rng, n, vf_cache) if n else ss(0, [()])
+        tau, sigma = rand_triple(rng, n), rand_projection(rng, n)
+        real = multimatroid._extracted_tables(lift(D, tau, sigma, vf_cache=vf_cache))
+        for tables in (real, {rng.getrandbits(1 << n) for _ in range(3)}):
+            monkeypatch.setattr(multimatroid, "_extracted_tables", lambda Z: set(tables))
+            perms = itertools.permutations(range(1, n + 1))
+            expected = sorted_systems({relabel(t, n, p) for p in perms for t in tables}, n)
+            assert orbit_via_lift(D, tau, sigma, mode="full", max_n=5, vf_cache=vf_cache) == expected
 
     def test_budget(self):
         with pytest.raises(BudgetError, match=r"^orbit_via_lift\(full\) .* got 5 \(6\^5 = 7,776 triples\)$"):
