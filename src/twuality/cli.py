@@ -64,8 +64,12 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{path} nests its JSON too deeply") from None
 
 
 def _emit(payload, fmt: str) -> None:

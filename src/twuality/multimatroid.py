@@ -25,6 +25,7 @@ from .set_system import (
     _masks_of_table,
     _plain_changes,
     _swap_adjacent,
+    _value_type,
     _zero_masks,
     is_vf_safe,
     relabel,
@@ -61,7 +62,7 @@ class Carrier:
         return tuple((i, r) for i in range(1, self.n + 1) for r in (1, 2, 3))
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@_value_type(init=False, repr=False)
 class TransversalTriple:
     """An ordered partition of the carrier into three disjoint transversals.
 
@@ -111,7 +112,7 @@ class TransversalTriple:
         return f"TransversalTriple({[list(r) for r in self.roles]})"
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_value_type(repr=False)
 class Projection:
     """A relabeling of classes: element ``(i, r)`` projects to ``rho(i)``."""
 
@@ -174,7 +175,7 @@ def _split(table: int, k: int, zero: int) -> tuple[int, int, int, int]:
     return table & zero, (table >> d) & zero, (table >> 2 * d) & zero, (table >> 3 * d) & zero
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@_value_type(init=False, repr=False)
 class Multimatroid:
     """A 3-matroid on the reference carrier, stored as its base table:
     basis ``b`` sets bit ``sum(b[k] * 4**k)`` of the ``4**n``-bit int

@@ -3,7 +3,14 @@ orbit moves, and the uniformization construction.
 
 Orbits are computed by breadth-first closure under a fixed generator
 ordering, deduplicated by truth table, and reported in canonical order,
-so repeated runs are byte-identical.  Each element's shortlex ranks are
+so repeated runs are byte-identical.  The walk uses the group's
+relations: every generator is an involution, flips at distinct elements
+and disjoint swaps commute, and a swap carries a flip at ``k`` to the
+same flip at the swapped image of ``k``.  So a state tries only the
+generators that a per-``(n, mode)`` list leaves open after the last
+generator of its witness word; each one it skips would find a state
+already reached by a smaller word, so the states and words are those of
+the walk that tries every generator.  Each element's shortlex ranks are
 read once, for the sort, and kept: the report writes its canonical JSON
 text by joining the JSON arrays of the subsets at those ranks, one string
 per subset of [n] shared by every report over [n], and builds systems,
@@ -187,11 +194,65 @@ def _group_size(n: int, mode: str) -> str:
     return f"{name}·{n}! = {flips * math.factorial(n):,}"
 
 
+@functools.cache
+def _orbit_tries(n: int, mode: str) -> tuple[tuple[tuple, ...], ...]:
+    """Per generator ``g`` of ``orbit`` over [n] in ``mode``, the
+    generators tried from a state whose witness word ends in ``g``; the
+    last list, for the seed, holds every generator.
+
+    The generators are numbered in the walk's order ``*1, +1, *2, +2, ..``
+    and then ``(1 2), (2 3), ..``.  After ``g`` the list leaves out ``g``
+    itself, every earlier generator that commutes with ``g`` (flips at
+    other elements, disjoint swaps) and, when ``g`` is a swap, every flip.
+    An entry is ``(mask, shift, keep, (token,), index)``, one step of the
+    walk (see ``orbit``).
+    """
+    halves = _HALVES[n]
+    steps = []  # (mask, shift, keep, (token,), elements moved)
+    for k, half in enumerate(halves):
+        steps.append((half, 1 << k, -1, (f"*{k + 1}",), {k}))
+        steps.append((half, 1 << k, 0, (f"+{k + 1}",), {k}))
+    flips = len(steps)
+    if mode == "full":  # the delta swap of ``set_system._swap_adjacent``
+        for k in range(n - 1):
+            steps.append((~halves[k] & halves[k + 1], 1 << k, -1, (f"({k + 1} {k + 2})",), {k, k + 1}))
+    moved = [step[4] for step in steps]
+    entries = [(*step[:4], h) for h, step in enumerate(steps)]
+
+    def skipped(g: int, h: int) -> bool:
+        return h == g or h < g and (moved[h].isdisjoint(moved[g]) or h < flips <= g)
+
+    tries = [tuple(e for h, e in enumerate(entries) if not skipped(g, h)) for g in range(len(entries))]
+    return (*tries, tuple(entries))
+
+
 def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitReport:
     """Breadth-first closure of ``D`` under single-element flips (and, in
-    full mode, adjacent relabeling transpositions), tried in the order
+    full mode, adjacent relabeling transpositions), in the generator order
     ``*1, +1, *2, +2, ..`` and then the swaps ``(1 2), (2 3), ..``; each
-    new table's witness word is its parent's plus the generator."""
+    new table's witness word is its parent's plus the generator.
+
+    Every step is one formula on the truth table ``s``: with
+    ``d = ((s >> shift) & keep ^ s) & mask`` the image is
+    ``s ^ (d & keep) ^ (d << shift)``, a delta swap for ``keep = -1``
+    (twist, relabeling) and the lower half XORed into the upper for
+    ``keep = 0`` (loop complementation).
+
+    A state tries only the generators that ``_orbit_tries`` lists for the
+    last generator of its word.  The words are those of the walk that
+    tries every generator: a FIFO walk over ordered generators gives each
+    state the least word reaching it, by length and then generator order
+    (first letter first).  If ``s`` has the word ``w + (g,)`` and ``h`` is
+    left out after ``g``, then ``h.s`` has a word smaller than
+    ``w + (g, h)``: ``w`` itself when ``h = g`` (every generator is an
+    involution), ``w + (h, g)`` when ``h`` comes before ``g`` and commutes
+    with it, and ``w + (f', g)`` when ``g`` is a swap and ``h`` a flip
+    ``f``: applying ``g`` and then ``f`` is applying ``f'``, the same flip
+    at the image of ``f``'s element under ``g``, and then ``g``, and flips
+    come before swaps.  So ``(s, h)`` is never the try that first reaches
+    ``h.s``, and skipping it drops only a lookup that would find a known
+    state: the states, their words and so the JSON are unchanged.
+    """
     if mode not in ORBIT_CAPS:
         raise ValidationError(f"orbit mode must be 'full' or 'iota', got {mode!r}")
     cap = ORBIT_CAPS[mode] if max_n is None else max_n
@@ -200,32 +261,20 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
         raise BudgetError(
             f"orbit({mode}) capped at n <= {cap}, got {n} (up to {_group_size(n, mode)} elements)"
         )
-    halves = _HALVES[n]
-    flips = [(h, 1 << k, f"*{k + 1}", f"+{k + 1}") for k, h in enumerate(halves)]
-    swaps = []  # per adjacent transposition, the delta swap of ``set_system._swap_adjacent``
-    if mode == "full":
-        swaps = [(~halves[k] & halves[k + 1], 1 << k, f"({k + 1} {k + 2})") for k in range(n - 1)]
+    tries = _orbit_tries(n, mode)
     paths: dict[int, tuple[str, ...]] = {D.table: ()}
     queue = [D.table]
-    push = queue.append
-    for s in queue:  # breadth first: the loop visits the states it appends
+    lasts = bytearray([len(tries) - 1])  # per state, the index of its last generator
+    push, mark = queue.append, lasts.append
+    for s, last in zip(queue, lasts):  # breadth first: the loop visits the states it appends
         base = paths[s]
-        for half, shift, tw, lc in flips:
-            up = (s & half) << shift
-            t = up | ((s >> shift) & half)
+        for mask, shift, keep, token, g in tries[last]:
+            d = ((s >> shift) & keep ^ s) & mask
+            t = s ^ (d & keep) ^ (d << shift)
             if t not in paths:
-                paths[t] = base + (tw,)
+                paths[t] = base + token
                 push(t)
-            t = s ^ up
-            if t not in paths:
-                paths[t] = base + (lc,)
-                push(t)
-        for mask, shift, tok in swaps:
-            d = ((s >> shift) ^ s) & mask
-            t = s ^ d ^ (d << shift)
-            if t not in paths:
-                paths[t] = base + (tok,)
-                push(t)
+                mark(g)
     ranks, tables = zip(*sorted(((shortlex_ranks(t, n), t) for t in paths), key=itemgetter(0)))
     return OrbitReport(D, mode, tables, tuple([paths[t] for t in tables]), ranks)
 

@@ -31,7 +31,7 @@ from typing import Sequence
 from .errors import BudgetError, ConsistencyError, ValidationError
 from .multimatroid import Multimatroid, Projection, TransversalTriple, _check_class_count, lift
 from .set_system import MAX_GROUND, SetSystem, VF_SAFE_DEFAULT_CAP, is_delta_matroid, is_vf_safe
-from .set_system import _is_binary
+from .set_system import _is_binary, _value_type
 
 QUASI_TREE_CAP = 16
 TRANSITION_MATROID_CAP = 8
@@ -56,7 +56,7 @@ def _canon_rotation(rot: Sequence[int]) -> tuple[int, ...]:
     return rot[k:] + rot[:k]
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+@_value_type(init=False, repr=False, eq=False)
 class RibbonGraph:
     """A signed rotation system.  Rotations are stored starting from their
     least half-edge id; that normalization never changes the surface."""
@@ -144,7 +144,7 @@ _TRANSITION_OFFSETS = {
 _SLOT_NAMES = ("before", "after")
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False, eq=False)
+@_value_type(init=False, repr=False, eq=False)
 class FourRegularGraph:
     """Medial structure: one 4-valent vertex per edge, corner edges from
     the rotations, and a free loop per isolated vertex.

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -127,7 +127,32 @@ def _family_of_ranks(ranks: list[int], n: int) -> tuple[tuple[int, ...], ...]:
     return itemgetter(*ranks)(members)
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delete(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _value_type(**options):
+    """``dataclass(frozen=True, slots=True, **options)`` whose instances
+    refuse to assign or delete any name with ``FrozenInstanceError``, an
+    ``AttributeError``.  The ``__setattr__`` that ``frozen`` writes checks
+    the class from before ``slots`` rebuilt it, so on CPython 3.11 a name
+    that is not a field fell through to ``super()`` and raised
+    ``TypeError``."""
+
+    def wrap(cls):
+        cls = dataclass(frozen=True, slots=True, **options)(cls)
+        cls.__setattr__ = _refuse_set
+        cls.__delattr__ = _refuse_delete
+        return cls
+
+    return wrap
+
+
+@_value_type(init=False, repr=False)
 class SetSystem:
     """An immutable family of feasible subsets of ``{1, .., n}``.
 

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .set_system import _HALVES, SetSystem, mask_of, relabel
+from .set_system import _HALVES, SetSystem, _value_type, mask_of, relabel
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
+@_value_type(eq=False, repr=False)
 class Flip:
     """One of the six single-element operations, as the permutation
     ``perm`` of the three slots at an element: slot ``s`` goes to slot
@@ -130,7 +130,7 @@ def reduce_word(word: str | Iterable[str]) -> Flip:
     return out
 
 
-@dataclass(frozen=True, slots=True, init=False, repr=False)
+@_value_type(init=False, repr=False)
 class Perm:
     """A permutation of ``{1, .., n}`` in one-line notation."""
 

@@ -28,6 +28,10 @@ compared against.
   keyed by their sorted masks, its report payload built from the sorted
   systems' ``feasible_sets``.  The library keys states by truth table,
   keeps the shortlex ranks of its sort and writes the JSON text from them.
+* ``orbit_walk_oracle``: the breadth-first walk on truth tables that
+  tries every generator from every state.  The library tries from each
+  state only the generators that the group's relations leave open after
+  the last generator of its word.
 * ``masks_of_table_oracle``: the set bits of a truth table, lowest first,
   one AND and one XOR of the whole int per bit.  The library selects them
   from the table's binary digits in one ``compress``.
@@ -465,6 +469,37 @@ def orbit_oracle(D, mode):
         "elements": [{"n": D.n, "feasible": d.feasible_sets()} for d in elements],
         "paths": [list(systems[d]) for d in elements],
     }
+
+
+def orbit_walk_oracle(table, n, mode):
+    """The breadth-first orbit walk on truth tables that tries every
+    generator from every state, in the order ``*1, +1, *2, +2, ..`` and
+    then ``(1 2), (2 3), ..``: each new table's witness word is its
+    parent's plus the generator.  Returns the words keyed by table, in
+    the order the walk found the tables."""
+    halves = _HALVES[n]
+    flips = [(h, 1 << k, f"*{k + 1}", f"+{k + 1}") for k, h in enumerate(halves)]
+    swaps = []  # per adjacent transposition, the delta swap of its two middle slots
+    if mode == "full":
+        swaps = [(~halves[k] & halves[k + 1], 1 << k, f"({k + 1} {k + 2})") for k in range(n - 1)]
+    paths = {table: ()}
+    queue = deque([table])
+    while queue:
+        s = queue.popleft()
+        base = paths[s]
+        for half, shift, tw, lc in flips:
+            up = (s & half) << shift
+            for t, token in ((up | ((s >> shift) & half), tw), (s ^ up, lc)):
+                if t not in paths:
+                    paths[t] = base + (token,)
+                    queue.append(t)
+        for mask, shift, token in swaps:
+            d = ((s >> shift) ^ s) & mask
+            t = s ^ d ^ (d << shift)
+            if t not in paths:
+                paths[t] = base + (token,)
+                queue.append(t)
+    return paths
 
 
 def orbit_via_lift_oracle(D, tau=None, sigma=None, mode="full", vf_cache=None):

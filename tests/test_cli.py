@@ -463,6 +463,18 @@ class TestInputBoundary:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"\xff\xfe", "is not UTF-8 text"), (b"[" * 100_000, "nests its JSON too deeply")],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_json_is_one_error_line(self, capsys, tmp_path, content, message):
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
     def test_ground_size_checked_before_sets(self, capsys, tmp_path):
         path = write(tmp_path, "big.json", {"n": 99, "feasible": [[1]]})
         assert run(capsys, "check", path)[2] == "error: 'n' must be an integer in 0..16, got 99\n"

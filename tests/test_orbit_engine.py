@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import warnings
 
 import pytest
@@ -26,17 +27,18 @@ from twuality import (
     parse_perm,
     sd_identity,
     delta_matroid_of,
+    is_delta_matroid,
     stabilizer_search,
     transport,
     twist,
     uniformize,
 )
-from twuality.orbit_engine import _relabel_buckets
+from twuality.orbit_engine import _orbit_tries, _relabel_buckets
 from twuality.set_system import relabel
 
 import ribbon_catalog as cat
 from conftest import set_systems
-from oracles import orbit_oracle, stabilizer_oracle
+from oracles import orbit_oracle, orbit_walk_oracle, stabilizer_oracle
 
 ss = SetSystem.from_sets
 
@@ -126,6 +128,95 @@ class TestOrbit:
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
             orbit(ss(1, [()]), mode="both")
+
+
+def _generator_tokens(n, mode):
+    """The tokens of the orbit generators in the walk's order."""
+    flips = [f"{kind}{k}" for k in range(1, n + 1) for kind in "*+"]
+    return flips + ([f"({k} {k + 1})" for k in range(1, n)] if mode == "full" else [])
+
+
+def _sampled_table(rng, n, free):
+    """A random family on ``free`` of the ``n`` elements, times one of
+    ``{∅}``, ``{{e}}`` and ``{∅, {e}}`` at each other element ``e``,
+    relabeled at random: the other elements add at most a factor ``3``
+    each to the orbit of a ``free``-element family."""
+    density = rng.random()
+    table = sum(1 << X for X in range(1 << free) if rng.random() < density)
+    for k in range(free, n):
+        lo, hi = [(table, 0), (0, table), (table, table)][rng.randrange(3)]
+        table = lo | hi << (1 << k)
+    return relabel(table, n, rng.sample(range(1, n + 1), n))
+
+
+def _walk_cases():
+    """``(mode, n, table)``: per ground size the empty family, ``{∅}``, the
+    full family and four sampled ones, with orbits under 10,000 elements."""
+    rng = random.Random(16)
+    cases = []
+    for mode, top, free in (("full", 5, 4), ("iota", 6, 5)):
+        for n in range(top + 1):
+            tables = [0, 1, (1 << (1 << n)) - 1]
+            tables += [_sampled_table(rng, n, n if n <= free else 3) for _ in range(4)]
+            cases += [(mode, n, t) for t in dict.fromkeys(tables)]
+    return cases
+
+
+_WALK_CASES = _walk_cases()
+
+
+class TestOrbitWalk:
+    """The walk that tries only the generators left open after the last
+    one of each word, against the walk that tries them all."""
+
+    @pytest.mark.parametrize("mode, n, table", _WALK_CASES, ids=lambda v: str(v))
+    def test_matches_unpruned_walk(self, mode, n, table):
+        rep = orbit(SetSystem.from_table(n, table), mode=mode)
+        assert dict(zip(rep.tables, rep.words)) == orbit_walk_oracle(table, n, mode)
+
+    def test_cases_include_non_delta_matroids(self):
+        systems = [SetSystem.from_table(n, t) for _, n, t in _WALK_CASES]
+        assert sum(not is_delta_matroid(D).valid for D in systems) >= 20
+
+    @pytest.mark.parametrize(
+        "D",
+        [
+            delta_matroid_of(cat.path_graph([1, -1, 1, 1, -1, 1, -1])),
+            delta_matroid_of(cat.bouquet([1, -1, 1, 1, -1, 1, -1])),
+            ss(8, [()]),
+        ],
+        ids=["path7", "bouquet7", "empty8"],
+    )
+    def test_matches_unpruned_walk_on_larger_ground(self, D):
+        rep = orbit(D, mode="full")
+        assert dict(zip(rep.tables, rep.words)) == orbit_walk_oracle(D.table, D.n, "full")
+
+    @given(set_systems(max_n=3), st.sampled_from(["iota", "full"]))
+    @example(ss(4, [(1,), (2, 3), (1, 2, 4)]), "full")
+    @example(ss(4, [(), (1, 2), (1, 3), (2, 4), (1, 2, 3, 4)]), "iota")
+    def test_no_neighbour_has_a_greater_word(self, D, mode):
+        """The invariant the skipped tries rest on: ``word(g.E)`` is no
+        greater than ``word(E) + (g,)``, by length and then generator
+        order."""
+        order = {token: i for i, token in enumerate(_generator_tokens(D.n, mode))}
+
+        def key(word):
+            return len(word), [order[token] for token in word]
+
+        paths = orbit(D, mode=mode).paths
+        for E, word in paths.items():
+            for token in order:
+                assert key(paths[replay(E, (token,))]) <= key(word + (token,))
+
+    def test_try_lists_at_three_elements(self):
+        tries = [[entry[3][0] for entry in entries] for entries in _orbit_tries(3, "full")]
+        assert tries[-1] == _generator_tokens(3, "full")  # the seed tries all 8
+        assert tries[6] == ["(2 3)"] and tries[7] == ["(1 2)"]
+        assert tries[0] == ["+1", "*2", "+2", "*3", "+3", "(1 2)", "(2 3)"]
+        assert tries[3] == ["*2", "*3", "+3", "(1 2)", "(2 3)"]
+        assert [[e[3][0] for e in entries] for entries in _orbit_tries(2, "iota")] == [
+            ["+1", "*2", "+2"], ["*1", "*2", "+2"], ["+2"], ["*2"], ["*1", "+1", "*2", "+2"]
+        ]
 
 
 class TestStabilizerSearch:
