@@ -10,10 +10,12 @@ same flip at the swapped image of ``k``.  So a state tries only the
 generators that a per-``(n, mode)`` list leaves open after the last
 generator of its witness word; each one it skips would find a state
 already reached by a smaller word, so the states and words are those of
-the walk that tries every generator.  Each element's shortlex ranks are
-read once, for the sort, and kept: the report writes its canonical JSON
-text by joining the JSON arrays of the subsets at those ranks, one string
-per subset of [n] shared by every report over [n], and builds systems,
+the walk that tries every generator.  Each state's witness word is kept
+as its JSON text, one string concatenation per new state.  The states are
+sorted by ``set_system._canonical_order``, which also hands back each
+element's order form (its rank bitmap up to 8 elements); the report
+writes its canonical JSON text by joining the texts ``_family_texts``
+reads off those forms and the word texts, and builds words, systems,
 families and the ``to_json`` tree only when they are read.  The stabilizer
 search walks the relabelings of a system one adjacent transposition at a
 time and the flip vectors one element at a time.  Budgets are hard caps:
@@ -29,7 +31,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import itemgetter
 
 from .errors import BudgetError, ConsistencyError, ValidationError
 from .set_system import (
@@ -37,15 +38,15 @@ from .set_system import (
     SetSystem,
     VF_SAFE_DEFAULT_CAP,
     _HALVES,
-    _family_of_ranks,
+    _canonical_order,
+    _family_members,
+    _family_texts,
     _plain_changes,
-    _shortlex_table,
     _swap_adjacent,
     classify_element,
     is_vf_safe,
     loop_complement,
     min_max_matroids,
-    shortlex_ranks,
     twist,
     twist1,  # noqa: F401  (perfbench's tracer patches it in this namespace)
 )
@@ -69,33 +70,32 @@ ORBIT_CAPS = {"full": 8, "iota": 10}
 STABILIZER_CAPS = {"all": 5, "uniform": 8}
 
 
-@functools.cache
-def _member_texts(n: int) -> tuple[str, ...]:
-    """Each subset of [n] as its JSON array, ``"[1,3]"``, indexed by
-    shortlex rank."""
-    return tuple("[" + ",".join(map(str, m)) + "]" for m in _shortlex_table(n)[0])
-
-
 @dataclass(frozen=True)
 class OrbitReport:
     """A generator-closed orbit with one witness word per element.
 
     Per element in canonical order it holds the truth table, the witness
-    word and the shortlex ranks it was sorted by.  ``elements``, the
-    ``SetSystem``-keyed ``paths`` and ``families`` (each element's
-    ``feasible_sets()``) are built when first read; ``canonical_json``
-    needs only the ranks and words.
+    word as JSON text (``',"*1","+2"'``, each token with a leading comma)
+    and the order form it was sorted by (``set_system._canonical_order``).
+    ``words``, ``elements``, the ``SetSystem``-keyed ``paths`` and
+    ``families`` (each element's ``feasible_sets()``, read off its form)
+    are built when first read; ``canonical_json`` needs only the forms and
+    word texts.
     """
 
     seed: SetSystem
     mode: str
     tables: tuple[int, ...]
-    words: tuple[tuple[str, ...], ...]
-    ranks: tuple[list[int], ...] = field(repr=False, compare=False)
+    word_texts: tuple[str, ...]
+    forms: tuple = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.tables)
+
+    @functools.cached_property
+    def words(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(tuple(w[2:-1].split('","')) if w else () for w in self.word_texts)
 
     @functools.cached_property
     def elements(self) -> tuple[SetSystem, ...]:
@@ -107,7 +107,7 @@ class OrbitReport:
 
     @functools.cached_property
     def families(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(_family_of_ranks(r, self.seed.n) for r in self.ranks)
+        return tuple(_family_members(self.forms, self.seed.n))
 
     def to_json(self) -> dict:
         n = self.seed.n
@@ -120,20 +120,13 @@ class OrbitReport:
 
     def canonical_json(self) -> str:
         """``json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))``,
-        written by joining the cached JSON arrays of the subsets at each
-        element's ranks and the quoted tokens of each witness word."""
+        written by joining each element's family text (``_family_texts``)
+        and the word texts, whose leading commas one ``replace`` drops:
+        no token holds a bracket."""
         n = self.seed.n
-        texts = _member_texts(n)
-        # joined from generators, so that each list of pieces is freed as
-        # soon as its text is built; an itemgetter of one index returns
-        # the item alone
-        elements = ('],"n":%d},{"feasible":[' % n).join(
-            ",".join(itemgetter(*r)(texts)) if len(r) > 1 else texts[r[0]] if r else ""
-            for r in self.ranks
-        )
-        # the seed's word is empty; every token is plain ASCII, quoted as is
-        paths = "],[".join('"' + '","'.join(w) + '"' if w else "" for w in self.words)
-        return '{"elements":[{"feasible":[%s],"n":%d}],"mode":"%s","paths":[[%s]],"size":%d}' % (
+        elements = ('],"n":%d},{"feasible":[' % n).join(_family_texts(self.forms, n))
+        paths = ("[" + "],[".join(self.word_texts) + "]").replace("[,", "[")
+        return '{"elements":[{"feasible":[%s],"n":%d}],"mode":"%s","paths":[%s],"size":%d}' % (
             elements, n, self.mode, paths, self.size
         )
 
@@ -204,18 +197,20 @@ def _orbit_tries(n: int, mode: str) -> tuple[tuple[tuple, ...], ...]:
     and then ``(1 2), (2 3), ..``.  After ``g`` the list leaves out ``g``
     itself, every earlier generator that commutes with ``g`` (flips at
     other elements, disjoint swaps) and, when ``g`` is a swap, every flip.
-    An entry is ``(mask, shift, keep, (token,), index)``, one step of the
-    walk (see ``orbit``).
+    An entry is ``(mask, shift, keep, text, index)``, one step of the walk
+    (see ``orbit``), ``text`` the generator's token as it ends a word text
+    of ``OrbitReport``.
     """
     halves = _HALVES[n]
-    steps = []  # (mask, shift, keep, (token,), elements moved)
+    steps = []  # (mask, shift, keep, token text, elements moved)
     for k, half in enumerate(halves):
-        steps.append((half, 1 << k, -1, (f"*{k + 1}",), {k}))
-        steps.append((half, 1 << k, 0, (f"+{k + 1}",), {k}))
+        steps.append((half, 1 << k, -1, f',"*{k + 1}"', {k}))
+        steps.append((half, 1 << k, 0, f',"+{k + 1}"', {k}))
     flips = len(steps)
     if mode == "full":  # the delta swap of ``set_system._swap_adjacent``
         for k in range(n - 1):
-            steps.append((~halves[k] & halves[k + 1], 1 << k, -1, (f"({k + 1} {k + 2})",), {k, k + 1}))
+            swap = f',"({k + 1} {k + 2})"'
+            steps.append((~halves[k] & halves[k + 1], 1 << k, -1, swap, {k, k + 1}))
     moved = [step[4] for step in steps]
     entries = [(*step[:4], h) for h, step in enumerate(steps)]
 
@@ -262,7 +257,7 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
             f"orbit({mode}) capped at n <= {cap}, got {n} (up to {_group_size(n, mode)} elements)"
         )
     tries = _orbit_tries(n, mode)
-    paths: dict[int, tuple[str, ...]] = {D.table: ()}
+    paths: dict[int, str] = {D.table: ""}  # per state, its word text
     queue = [D.table]
     lasts = bytearray([len(tries) - 1])  # per state, the index of its last generator
     push, mark = queue.append, lasts.append
@@ -275,8 +270,8 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
                 paths[t] = base + token
                 push(t)
                 mark(g)
-    ranks, tables = zip(*sorted(((shortlex_ranks(t, n), t) for t in paths), key=itemgetter(0)))
-    return OrbitReport(D, mode, tables, tuple([paths[t] for t in tables]), ranks)
+    tables, forms = _canonical_order(paths, n)
+    return OrbitReport(D, mode, tuple(tables), tuple(map(paths.__getitem__, tables)), tuple(forms))
 
 
 def stabilizer_search(

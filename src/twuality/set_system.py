@@ -13,9 +13,15 @@ Canonical order lists sets by cardinality, then lexicographically
 (shortlex), and families by the sorted list of their sets.  One table per
 ground size, built on first use, holds the subsets in shortlex order and
 the rank of every mask.  ``shortlex_ranks`` reads a family's sorted ranks
-off its truth table, and every canonical order in the package sorts by
-them; ``sorted_systems`` sorts truth tables into canonical order, and
-``_family_of_ranks`` turns ranks into the table's shared member tuples.
+off its truth table, and ``_family_of_ranks`` turns them into the table's
+shared member tuples.  Orbits and ``sorted_systems`` sort many tables at
+once through ``_canonical_order``, and orbit reports read each family's
+JSON text (``_family_texts``) or member tuples (``_family_members``) off
+the form it hands back.  Up to ``BITMAP_GROUND`` elements these read
+per-byte lookup tables, built once per ground size: a family becomes its
+rank bitmap by one lookup per byte of its truth table, the bitmap one int
+sort key by four int ops and its JSON text by one lookup per byte of the
+bitmap, with no per-family sort.  Above it they sort and join rank lists.
 
 Operations:
 
@@ -39,7 +45,7 @@ import functools
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Iterable, Iterator
 
 from .errors import BudgetError, ConsistencyError, ValidationError
@@ -116,6 +122,113 @@ def shortlex_ranks(table: int, n: int) -> list[int]:
     """The ascending shortlex ranks of the feasible sets of a truth table
     over [n]; lists of ranks compare as the families do in canonical order."""
     return sorted(itertools.compress(_shortlex_table(n)[1], _table_bytes(table)))
+
+
+@functools.cache
+def _member_texts(n: int) -> tuple[str, ...]:
+    """Each subset of [n] as its JSON array, ``"[1,3]"``, indexed by
+    shortlex rank."""
+    return tuple("[" + ",".join(map(str, m)) + "]" for m in _shortlex_table(n)[0])
+
+
+#: the largest ground size whose families are ordered and written through
+#: the per-byte tables of ``_bitmap_tables``; larger ones use rank lists
+BITMAP_GROUND = 8
+
+
+@functools.cache
+def _bitmap_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[str, ...], ...]]:
+    """Per-byte lookup tables of the rank bitmap of families over [n],
+    ``n <= BITMAP_GROUND``.
+
+    The rank bitmap ``R`` of a family is the ``m = 2**n``-bit int with bit
+    ``m - 1 - r`` set for each shortlex rank ``r`` of its sets: rank 0 is
+    the top bit, so ``R.to_bytes(.., "big")`` lists the ranks in ascending
+    order.  ``rows[j][v]`` is the bitmap of the masks ``8j + b`` for the set
+    bits ``b`` of ``v``, so ``R`` is the sum of the rows at the bytes of the
+    truth table, little-endian (no two rows share a bit).  ``texts[j][v]``
+    is the JSON text of the sets at the bits of ``v`` as byte ``j`` of
+    big-endian ``R``, each with a leading comma.  A table of ``m < 8``
+    bits is one byte, with ``2**m`` values.  Each entry is one OR or one
+    concatenation onto an entry built before it: the entry at ``v``
+    without its lowest bit (``rows``) or its top bit (``texts``)."""
+    m = 1 << n
+    width = min(m, 8)
+    size = 1 << width
+    rank = _shortlex_table(n)[1]
+    members = _member_texts(n)
+    rows, texts = [], []
+    for j in range(max(m >> 3, 1)):
+        bits = [1 << (m - 1 - rank[8 * j + b]) for b in range(width)]
+        row = [0] * size
+        for v in range(1, size):
+            row[v] = row[v & (v - 1)] | bits[(v & -v).bit_length() - 1]
+        rows.append(tuple(row))
+        pieces = ["," + members[8 * j + width - 1 - b] for b in range(width)]
+        text = [""] * size
+        for v in range(1, size):
+            top = v.bit_length() - 1
+            text[v] = pieces[top] + text[v ^ 1 << top]
+        texts.append(tuple(text))
+    return tuple(rows), tuple(texts)
+
+
+def _canonical_order(tables: Iterable[int], n: int) -> tuple[list[int], list]:
+    """The truth tables over [n] in canonical order, and per table its
+    order form: the rank bitmap ``R`` for ``n <= BITMAP_GROUND`` (see
+    ``_bitmap_tables``), the ascending rank list above, off which
+    ``_family_texts`` and ``_family_members`` read the family.
+
+    Families compare as their ascending rank lists.  Let ``r`` be the least
+    rank in which families ``A != B`` differ, say ``r`` in ``A``.  If ``B``
+    has a rank above ``r``, the lists first differ where ``A`` has ``r``
+    and ``B`` a larger rank, so ``A < B``; otherwise ``B`` is a prefix of
+    ``A``, so ``B < A``.  The bitmap key is ``H << m | R``, where
+    ``H = full ^ (low - 1) ^ R``, for ``low = R & -R`` the bit of the
+    family's largest rank, has a bit for each absent rank up to that one.
+    In the first case both families reach past ``r`` and agree below it,
+    so their ``H`` agree at every rank below ``r``, and at ``r`` only
+    ``H_B`` has its bit: ``H_A < H_B``.  In the second every bit of
+    ``H_B`` is a bit of ``H_A``, and if the two are equal, ``R_B < R_A``.
+    So keys compare as the families do.  The empty family, a prefix of
+    every family, gets the negative key ``-2**(2m)`` from the same formula.
+    """
+    if n > BITMAP_GROUND:
+        entries = sorted(((shortlex_ranks(t, n), t) for t in tables), key=itemgetter(0))
+        return [t for _, t in entries], [r for r, _ in entries]
+    m = 1 << n
+    nbytes, full = max(m >> 3, 1), (1 << m) - 1
+    rows = _bitmap_tables(n)[0]
+    tables = list(tables)
+    bitmaps = [sum(map(getitem, rows, t.to_bytes(nbytes, "little"))) for t in tables]
+    keys = [(full ^ ((R & -R) - 1) ^ R) << m | R for R in bitmaps]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [tables[i] for i in order], [bitmaps[i] for i in order]
+
+
+def _family_texts(forms: Iterable, n: int) -> Iterator[str]:
+    """Per order form of ``_canonical_order``, the JSON text of the
+    family's sets in canonical order, comma-separated, without brackets:
+    one join of ``_bitmap_tables`` texts, or of the members at the ranks."""
+    if n > BITMAP_GROUND:
+        members = _member_texts(n)
+        # an itemgetter of one index returns the item alone
+        return (",".join(itemgetter(*r)(members)) if len(r) > 1 else members[r[0]] if r else ""
+                for r in forms)
+    nbytes = max(1 << n >> 3, 1)
+    texts = _bitmap_tables(n)[1]
+    return ("".join(map(getitem, texts, R.to_bytes(nbytes, "big")))[1:] for R in forms)
+
+
+def _family_members(forms: Iterable, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Per order form of ``_canonical_order``, the family's sets in
+    canonical order as shared member tuples: those at the ranks, or those
+    that the binary digits of the bitmap select, rank 0 first."""
+    if n > BITMAP_GROUND:
+        return (_family_of_ranks(r, n) for r in forms)
+    members, digits = _shortlex_table(n)[0], "0%db" % (1 << n)
+    return (tuple(itertools.compress(members, format(R, digits).encode().translate(_BIT_BYTES)))
+            for R in forms)
 
 
 def _family_of_ranks(ranks: list[int], n: int) -> tuple[tuple[int, ...], ...]:
@@ -247,8 +360,7 @@ class SetSystem:
 
 def sorted_systems(tables: Iterable[int], n: int) -> tuple[SetSystem, ...]:
     """The systems with the given truth tables over [n], in canonical order."""
-    ordered = sorted(tables, key=lambda t: shortlex_ranks(t, n))
-    return tuple(SetSystem.from_table(n, t) for t in ordered)
+    return tuple(SetSystem.from_table(n, t) for t in _canonical_order(tables, n)[0])
 
 
 @dataclass(frozen=True)

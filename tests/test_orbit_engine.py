@@ -34,7 +34,7 @@ from twuality import (
     uniformize,
 )
 from twuality.orbit_engine import _orbit_tries, _relabel_buckets
-from twuality.set_system import relabel
+from twuality.set_system import BITMAP_GROUND, relabel
 
 import ribbon_catalog as cat
 from conftest import set_systems
@@ -111,6 +111,25 @@ class TestOrbit:
         rep = orbit(D, mode=mode)
         expected = json.dumps(rep.to_json(), sort_keys=True, separators=(",", ":"))
         assert rep.canonical_json() == expected
+
+    @pytest.mark.parametrize(
+        "D, mode, size, bitmap",
+        [
+            (delta_matroid_of(cat.bouquet([1, -1, 1, 1, -1, 1, -1, 1], interleaved=True)),
+             "full", 13_122, True),
+            (ss(9, [()]), "iota", 19_683, False),
+        ],
+        ids=["bouquet8i-full", "empty9-iota"],
+    )
+    def test_canonical_json_on_both_sides_of_the_bitmap_ground(self, D, mode, size, bitmap):
+        """Ground sizes up to ``BITMAP_GROUND`` write families from rank
+        bitmaps, larger ones from rank lists."""
+        assert (D.n <= BITMAP_GROUND) is bitmap
+        rep = orbit(D, mode=mode)
+        assert rep.size == size
+        expected = json.dumps(rep.to_json(), sort_keys=True, separators=(",", ":"))
+        assert rep.canonical_json() == expected
+        assert dict(zip(rep.tables, rep.words)) == orbit_walk_oracle(D.table, D.n, mode)
 
     def test_deterministic(self):
         a = orbit(D_CONE, mode="full")
@@ -209,12 +228,12 @@ class TestOrbitWalk:
                 assert key(paths[replay(E, (token,))]) <= key(word + (token,))
 
     def test_try_lists_at_three_elements(self):
-        tries = [[entry[3][0] for entry in entries] for entries in _orbit_tries(3, "full")]
+        tries = [[entry[3][2:-1] for entry in entries] for entries in _orbit_tries(3, "full")]
         assert tries[-1] == _generator_tokens(3, "full")  # the seed tries all 8
         assert tries[6] == ["(2 3)"] and tries[7] == ["(1 2)"]
         assert tries[0] == ["+1", "*2", "+2", "*3", "+3", "(1 2)", "(2 3)"]
         assert tries[3] == ["*2", "*3", "+3", "(1 2)", "(2 3)"]
-        assert [[e[3][0] for e in entries] for entries in _orbit_tries(2, "iota")] == [
+        assert [[e[3][2:-1] for e in entries] for entries in _orbit_tries(2, "iota")] == [
             ["+1", "*2", "+2"], ["*1", "*2", "+2"], ["+2"], ["*2"], ["*1", "+1", "*2", "+2"]
         ]
 

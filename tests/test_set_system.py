@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twuality import (
     BAR,
@@ -171,6 +171,84 @@ class TestShortlexOrder:
         assert (E.canonical_key() < D.canonical_key()) == (
             canonical_key_oracle(E) < canonical_key_oracle(D)
         )
+
+
+def oracle_order(tables, n):
+    """The tables sorted by the tuple key of their systems."""
+    return sorted(tables, key=lambda t: canonical_key_oracle(SetSystem.from_table(n, t)))
+
+
+def oracle_text(table, n):
+    """The family's sets in canonical order as comma-separated JSON arrays."""
+    sets = tuple_key_feasible_sets(set_system._masks_of_table(table))
+    return ",".join("[" + ",".join(map(str, s)) + "]" for s in sets)
+
+
+def assert_canonical_order(tables, n):
+    ordered, forms = set_system._canonical_order(tables, n)
+    assert ordered == oracle_order(tables, n)
+    texts = list(set_system._family_texts(forms, n))
+    assert texts == [oracle_text(t, n) for t in ordered]
+    families = list(set_system._family_members(forms, n))
+    assert families == [tuple_key_feasible_sets(set_system._masks_of_table(t)) for t in ordered]
+
+
+@st.composite
+def related_tables(draw, max_n):
+    """A ground size and families over it, each drawn with its canonical
+    prefixes and with one set toggled, so that prefixes and near ties are
+    common."""
+    n = draw(st.integers(0, max_n))
+    full = 1 << n
+    tables = set()
+    for masks in draw(st.lists(st.frozensets(st.integers(0, full - 1)), max_size=6)):
+        table = sum(1 << m for m in masks)
+        tables.add(table)
+        tables.add(table ^ 1 << draw(st.integers(0, full - 1)))
+        ordered = tuple_key_feasible_sets(masks)
+        for k in draw(st.lists(st.integers(0, len(ordered)), max_size=3)):
+            tables.add(sum(1 << set_system.mask_of(s, n) for s in ordered[:k]))
+    return n, sorted(tables)
+
+
+class TestCanonicalOrder:
+    """The rank-bitmap route of ``_canonical_order``, ``_family_texts`` and
+    ``_family_members`` (``n <= BITMAP_GROUND``) and the rank-list route
+    above it, against the tuple key."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_every_family_up_to_three_elements(self, n):
+        tables = list(range(1 << (1 << n)))
+        random.Random(n).shuffle(tables)
+        assert_canonical_order(tables, n)
+        assert set_system._canonical_order(tables, n)[0][:2] == [0, 1]  # empty, then {∅}
+
+    @given(related_tables(set_system.BITMAP_GROUND))
+    @example((8, [0, 1, 1 << 255, (1 << 256) - 1, (1 << 256) - 2]))
+    @example((2, [0, 0b1000, 0b1001]))
+    @settings(max_examples=150)
+    def test_bitmap_route_matches_tuple_key(self, case):
+        n, tables = case
+        assert_canonical_order(tables, n)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_both_sides_of_the_bitmap_ground(self, n, rng):
+        full = 1 << n
+        tables = [0, 1, (1 << full) - 1]
+        for _ in range(40):
+            masks = rng.sample(range(full), rng.randint(1, 60))
+            tables += [sum(1 << m for m in masks), sum(1 << m for m in masks[:-1])]
+        tables = list(dict.fromkeys(tables))
+        assert_canonical_order(tables, n)
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_sorted_systems_match_tuple_key(self, n, rng):
+        full = 1 << n
+        systems = {SetSystem(n), SetSystem(n, range(full))}
+        for _ in range(30):
+            systems.add(SetSystem(n, rng.sample(range(full), rng.randint(1, min(full, 30)))))
+        expected = tuple(sorted(systems, key=canonical_key_oracle))
+        assert set_system.sorted_systems({D.table for D in systems}, n) == expected
 
 
 class TestTruthTable:
