@@ -293,19 +293,27 @@ def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
 
     Axiom 1 packs each transversal's independents into a ``2**n``-bit
     truth table: class by class, each table keeps digit 0 and digit ``r``
-    for each role ``r`` (``_keep_slots``), so the ``3**n`` tables come out
-    in ``itertools.product`` order of the transversals.  Such a table is
-    down-closed and holds the empty set, so it is a matroid's independents
-    iff it passes ``_exchange_failures``, the walk ``is_delta_matroid``
-    uses.  Matroid independents satisfy symmetric exchange (Bouchet 1987).
-    Conversely, take ``|X| < |Y|`` failing augmentation with ``|X - Y|``
-    least: exchange at ``u`` in ``Y - X`` gives ``X + u - v`` with ``v``
-    in ``X - Y``, which augments by some ``y``, and exchange of
-    ``X + u - v + y`` with ``X`` at ``v`` then needs ``X + u``, ``X + y``
-    or ``X + u + y``.  Verdicts are kept by table, which many transversals
-    share; only the first failing transversal is scanned pair by pair, for
-    its witness.  Axiom 2 is three masked table ops per class; its witness
-    is the least failing independent set as a tuple.
+    for each role ``r`` (``_keep_slots``).  Many transversals share a
+    table, so each level keeps one entry per distinct table, mapped to the
+    least transversal prefix (``itertools.product`` order) reaching it, in
+    the order of those prefixes; the next level steps each entry by roles
+    1, 2, 3 and keeps each child's first prefix.  That is exact: a child
+    depends only on its parent's table, so if ``P + (r,)`` is the least
+    prefix reaching it, the least prefix with ``P``'s table is ``P``
+    itself, and as the parents come in prefix order the child is first
+    inserted at its least prefix, the children in that order.  So the
+    first failing final table carries the first failing transversal.  Such
+    a table is down-closed and holds the empty set, so it is a matroid's
+    independents iff it passes ``_exchange_failures``, the walk
+    ``is_delta_matroid`` uses.  Matroid independents satisfy symmetric
+    exchange (Bouchet 1987).  Conversely, take ``|X| < |Y|`` failing
+    augmentation with ``|X - Y|`` least: exchange at ``u`` in ``Y - X``
+    gives ``X + u - v`` with ``v`` in ``X - Y``, which augments by some
+    ``y``, and exchange of ``X + u - v + y`` with ``X`` at ``v`` then
+    needs ``X + u``, ``X + y`` or ``X + u + y``.  Only the first failing
+    transversal is scanned pair by pair, for its witness.  Axiom 2 is
+    three masked table ops per class; its witness is the least failing
+    independent set as a tuple.
     """
     if Z.n > max_n:
         raise BudgetError.capped("is_multimatroid", f"n <= {max_n}", Z.n, 3, "transversals")
@@ -313,15 +321,15 @@ def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     independents = _independents(Z)
     if not independents:
         return False, {"axiom": 1, "reason": "no independent sets"}
-    tables = [independents]
+    level = {independents: ()}  # distinct table -> its first transversal prefix
     for k, zero in enumerate(_zeros(n)):
-        tables = [c for t in tables for c in _keep_slots(t, k, zero, ((0, 1), (0, 2), (0, 3)))]
-    verdicts: dict[int, bool] = {}
-    for T, H in zip(itertools.product((1, 2, 3), repeat=n), tables):
-        ok = verdicts.get(H)
-        if ok is None:
-            ok = verdicts[H] = not _exchange_failures(H, n)
-        if not ok:
+        step: dict[int, tuple[int, ...]] = {}
+        for t, prefix in level.items():
+            for r, c in enumerate(_keep_slots(t, k, zero, ((0, 1), (0, 2), (0, 3))), 1):
+                step.setdefault(c, prefix + (r,))
+        level = step
+    for H, T in level.items():
+        if _exchange_failures(H, n):
             return False, _augmentation_failure(H, T)
     # per class and skew pair, the independents missing the class that neither extends
     failures, bad = [], 0

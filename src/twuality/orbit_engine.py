@@ -43,6 +43,7 @@ from .set_system import (
     _family_texts,
     _plain_changes,
     _swap_adjacent,
+    _value_type,
     classify_element,
     is_vf_safe,
     loop_complement,
@@ -131,27 +132,22 @@ class OrbitReport:
         )
 
 
-@dataclass(frozen=True)
+@_value_type()
 class StabilizerHit:
-    """A group element fixing the queried system; ``uniform`` is the common
-    flip when the vector part is uniform."""
+    """A group element ``(gvec, perm)`` fixing the queried system, stored
+    flat (``element`` builds it when read); ``uniform`` is the common flip
+    when the vector part is uniform."""
 
-    element: TwualityElement
+    gvec: tuple[Flip, ...]
+    perm: Perm
     uniform: Flip | None
 
-    @classmethod
-    def from_parts(
-        cls, gvec: tuple[Flip, ...], perm: Perm, uniform: Flip | None
-    ) -> "StabilizerHit":
-        """Trusted constructor: ``gvec`` must be a tuple of ``perm.n``
-        flips and ``uniform`` its ``uniform_flip``."""
-        hit = object.__new__(cls)
-        object.__setattr__(hit, "element", TwualityElement.from_parts(gvec, perm))
-        object.__setattr__(hit, "uniform", uniform)
-        return hit
+    @property
+    def element(self) -> TwualityElement:
+        return TwualityElement(self.gvec, self.perm)
 
     def to_json(self) -> dict:
-        data = self.element.to_json()
+        data = {"gvec": [f.token for f in self.gvec], "perm": self.perm.one_line()}
         if self.uniform is not None:
             data["uniform"] = self.uniform.token
         return data
@@ -284,11 +280,12 @@ def stabilizer_search(
     uniform vectors only.  ``(g, p)`` fixes ``D`` iff ``p.D == g^-1.D``:
     the ``n!`` relabelings of ``D`` are bucketed by image once
     (``_relabel_buckets``), and each vector ``g`` (in the fixed flip order)
-    emits the permutations (in lexicographic one-line order) in the bucket
-    of ``g^-1.D``.  In ``all`` mode the tables ``g^-1.D`` are built one
-    element at a time: each table flipped at element ``k + 1`` by the
-    inverse of every flip gives the next level, in ``itertools.product``
-    order of the vectors, so each level costs one flip per table.
+    emits the permutations in the bucket of ``g^-1.D``, made ``Perm``s in
+    lexicographic one-line order when the bucket is first hit.  In ``all``
+    mode the tables ``g^-1.D`` are built one element at a time: each table
+    flipped at element ``k + 1`` by the inverse of every flip gives the
+    next level, in ``itertools.product`` order of the vectors, so each
+    level costs one flip per table.
     """
     if mode not in STABILIZER_CAPS:
         raise ValidationError(f"stabilizer mode must be 'all' or 'uniform', got {mode!r}")
@@ -311,21 +308,21 @@ def stabilizer_search(
         gvecs = itertools.islice(itertools.product(FLIPS, repeat=n), 1, None)
         del targets[0]  # the first vector is the identity
     by_image = _relabel_buckets(D.table, n)
+    perms_of = functools.cache(lambda t: [Perm(p) for p in sorted(by_image[t])])
     hits = []
     for gvec, target in zip(gvecs, targets):
-        perms = by_image.get(target)
-        if perms:
+        if target in by_image:
             uniform = uniform_flip(gvec)
-            hits.extend(StabilizerHit.from_parts(gvec, p, uniform) for p in perms)
+            hits.extend(StabilizerHit(gvec, p, uniform) for p in perms_of(target))
     return hits
 
 
-def _relabel_buckets(table: int, n: int) -> dict[int, list[Perm]]:
-    """The permutations ``p`` of [n] keyed by ``relabel(table, n, p.images)``,
-    each list in lexicographic one-line order.  ``images`` is the inverse
-    of ``pos``, which takes the plain changes, so each swap in ``pos``
-    composes ``images`` with ``(k+1 k+2)`` on the left: one
-    ``_swap_adjacent`` of the image table."""
+def _relabel_buckets(table: int, n: int) -> dict[int, list[tuple[int, ...]]]:
+    """The one-line images of the permutations ``p`` of [n], keyed by
+    ``relabel(table, n, p.images)``.  ``images`` is the inverse of ``pos``,
+    which takes the plain changes, so each swap in ``pos`` composes
+    ``images`` with ``(k+1 k+2)`` on the left: one ``_swap_adjacent`` of
+    the image table."""
     pos = list(range(n))
     images = list(range(1, n + 1))
     by_image = {table: [tuple(images)]}
@@ -335,7 +332,7 @@ def _relabel_buckets(table: int, n: int) -> dict[int, list[Perm]]:
         images[i], images[j] = images[j], images[i]
         table = _swap_adjacent(table, n, k)
         by_image.setdefault(table, []).append(tuple(images))
-    return {t: [Perm(p) for p in sorted(b)] for t, b in by_image.items()}
+    return by_image
 
 
 def transport(

@@ -574,20 +574,18 @@ def _refuted(s: int, e: int, steps: tuple | None, half: int, shift: int) -> int:
     return out
 
 
-def _exchange_failure(ordered: list[int], table: int, n: int) -> tuple[int, int, int] | None:
-    """First ``(X, Y, u)`` refuting symmetric exchange, or ``None``.
+def _exchange_failure(ordered: list[int], bad: int, table: int, n: int) -> tuple[int, int, int]:
+    """First ``(X, Y, u)`` refuting symmetric exchange.
 
     ``X`` and then ``Y`` run over ``ordered``, the family over [n] with
     truth table ``table``, and ``u`` over the bits of ``X symdiff Y`` in
-    ascending order.  ``_exchange_failures`` marks every ``X`` that fails;
-    only the first one in ``ordered`` is scanned against every ``Y``.  For
-    each bit ``u`` with ``X symdiff {u}`` infeasible, let ``R`` be the bits
-    ``v != u`` with ``X symdiff {u, v}`` feasible: ``Y`` fails with ``u``
-    iff it differs from ``X`` at ``u`` and agrees with it on ``R``.
+    ascending order.  ``bad`` is ``_exchange_failures(table, n)``, not 0:
+    every ``X`` that fails; only the first one in ``ordered`` is scanned
+    against every ``Y``.  For each bit ``u`` with ``X symdiff {u}`` infeasible,
+    let ``R`` be the bits ``v != u`` with ``X symdiff {u, v}`` feasible:
+    ``Y`` fails with ``u`` iff it differs from ``X`` at ``u`` and agrees
+    with it on ``R``.
     """
-    bad = _exchange_failures(table, n)
-    if not bad:
-        return None
     x = next(x for x in ordered if bad >> x & 1)
     stuck = []
     for k in range(n):
@@ -615,10 +613,11 @@ def is_delta_matroid(D: SetSystem) -> DeltaMatroidWitness:
     """
     if not D.is_proper:
         return DeltaMatroidWitness(False, "not proper")
-    if not _exchange_failures(D.table, D.n):
+    bad = _exchange_failures(D.table, D.n)
+    if not bad:
         return DeltaMatroidWitness(True)
     ordered = sorted(D.masks, key=_shortlex_table(D.n)[1].__getitem__)
-    x, y, ub = _exchange_failure(ordered, D.table, D.n)
+    x, y, ub = _exchange_failure(ordered, bad, D.table, D.n)
     return DeltaMatroidWitness(False, "exchange", members_of(x), members_of(y), ub.bit_length())
 
 

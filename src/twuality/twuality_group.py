@@ -137,9 +137,12 @@ class Perm:
     images: tuple[int, ...]
 
     def __init__(self, images: Iterable[int]):
-        images = tuple(images)
+        try:
+            images = tuple(images)
+        except TypeError:
+            raise ValidationError(f"permutation images {images!r} must be iterable") from None
         n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
+        if not {*map(type, images)} <= {int} or sorted(images) != list(range(1, n + 1)):
             raise ValidationError(f"{list(images)} is not a permutation of 1..{n}")
         object.__setattr__(self, "images", images)
 
@@ -274,14 +277,6 @@ class TwualityElement:
     def __post_init__(self):
         if len(self.gvec) != self.perm.n:
             raise ValidationError("flip vector and permutation must have equal length")
-
-    @classmethod
-    def from_parts(cls, gvec: tuple[Flip, ...], perm: Perm) -> "TwualityElement":
-        """Trusted constructor: ``gvec`` must be a tuple of ``perm.n`` flips."""
-        g = object.__new__(cls)
-        object.__setattr__(g, "gvec", gvec)
-        object.__setattr__(g, "perm", perm)
-        return g
 
     @property
     def n(self) -> int:

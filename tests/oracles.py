@@ -188,9 +188,8 @@ def stabilizer_oracle(D, mode):
     hits = []
     for gvec in gvecs:
         for perm in perms:
-            element = TwualityElement(gvec, perm)
-            if act(element, D) == D:
-                hits.append(StabilizerHit(element, uniform_flip(gvec)))
+            if act(TwualityElement(gvec, perm), D) == D:
+                hits.append(StabilizerHit(gvec, perm, uniform_flip(gvec)))
     return hits
 
 

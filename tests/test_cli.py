@@ -169,6 +169,14 @@ class TestSelfTwual:
         data = run_json(capsys, "selftwual", cone_file)
         assert {"gvec": ["*", "+", "+"], "perm": [1, 2, 3]} in data["hits"]
 
+    def test_stdout_pinned_at_six_elements(self, capsys, tmp_path):
+        """The 45,360 hits of ``{∅}`` at n = 6, as the search printed them
+        when each hit held a nested ``TwualityElement``."""
+        path = write(tmp_path, "empty6.json", {"n": 6, "feasible": [[]]})
+        code, out, _ = run(capsys, "selftwual", path, "--max-n", "6")
+        digest = "0c5ad2b32b18a3f84db0c135bd5f35cabb7df22c0720c9a66ee7975dbebe038f"
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestUniformize:
     def test_worked_example(self, capsys, cone_file):

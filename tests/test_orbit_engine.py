@@ -16,6 +16,7 @@ from twuality import (
     STAR_PLUS,
     Perm,
     SetSystem,
+    StabilizerHit,
     TwualityElement,
     ValidationError,
     act,
@@ -37,7 +38,7 @@ from twuality.orbit_engine import _orbit_tries, _relabel_buckets
 from twuality.set_system import BITMAP_GROUND, relabel
 
 import ribbon_catalog as cat
-from conftest import set_systems
+from conftest import assert_frozen, set_systems
 from oracles import orbit_oracle, orbit_walk_oracle, stabilizer_oracle
 
 ss = SetSystem.from_sets
@@ -261,6 +262,25 @@ class TestStabilizerSearch:
             assert act(h.element, D) == D
             assert any(f is not ONE for f in h.element.gvec)
 
+    def test_hit_is_a_frozen_flat_value(self):
+        hits = stabilizer_search(D_FLAT, mode="all")
+        for h in (hits[0], next(h for h in hits if h.uniform is not None)):
+            assert_frozen(h, "gvec", "perm", "uniform")
+            twin = StabilizerHit(tuple(h.gvec), Perm(h.perm.images), h.uniform)
+            assert twin == h and hash(twin) == hash(h)
+            assert h.element == TwualityElement(h.gvec, h.perm)
+            assert h != StabilizerHit(h.gvec, h.perm, None if h.uniform else STAR)
+        assert len(set(hits)) == len(hits)
+
+    @pytest.mark.parametrize(
+        "D", [ss(6, [()]), delta_matroid_of(cat.bouquet([1, -1] * 3, interleaved=True))]
+    )
+    def test_sampled_hits_at_six_elements_fix_the_system(self, D, rng):
+        hits = stabilizer_search(D, mode="all", max_n=6)
+        assert hits
+        for h in rng.sample(hits, min(len(hits), 300)):
+            assert act(h.element, D) == D
+
     def test_budget(self):
         with pytest.raises(BudgetError, match=r"\(6\^6·6! = 33,592,320 group elements\)$"):
             stabilizer_search(SetSystem(6, [0]), mode="all")
@@ -316,8 +336,8 @@ class TestStabilizerSearch:
         for table in (1, (1 << (1 << n)) - 1, rng.getrandbits(1 << n), rng.getrandbits(1 << n)):
             expected = {}
             for images in itertools.permutations(range(1, n + 1)):
-                expected.setdefault(relabel(table, n, images), []).append(Perm(images))
-            assert _relabel_buckets(table, n) == expected
+                expected.setdefault(relabel(table, n, images), []).append(images)
+            assert {t: sorted(b) for t, b in _relabel_buckets(table, n).items()} == expected
 
 
 class TestTransport:

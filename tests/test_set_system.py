@@ -431,6 +431,17 @@ class TestDeltaMatroid:
         w = is_delta_matroid(SetSystem(2, []))
         assert not w.valid and w.reason == "not proper"
 
+    @pytest.mark.parametrize("sets, valid", [([(), (1, 2, 3)], False), ([(), (1,), (2,)], True)])
+    def test_one_exchange_walk_per_family(self, monkeypatch, sets, valid):
+        """The witness scan reuses the failure table of the one walk."""
+        real, walked = set_system._exchange_failures, []
+        monkeypatch.setattr(
+            set_system, "_exchange_failures", lambda t, n: walked.append(t) or real(t, n)
+        )
+        D = ss(3, sets)
+        assert is_delta_matroid(D).valid is valid
+        assert walked == [D.table]
+
     @given(set_systems(max_n=4, proper=True))
     def test_witness_always_refutes(self, D):
         w = is_delta_matroid(D)
@@ -488,9 +499,11 @@ class TestExchangeWalk:
             for table in (key, key ^ 1 << rng.randrange(1 << n)):
                 ordered = sorted(SetSystem.from_table(n, table).masks, key=shortlex_key)
                 expected = oracles.exchange_scan(ordered, table, n)
-                assert bool(set_system._exchange_failures(table, n)) == (expected is not None)
-                assert set_system._exchange_failure(ordered, table, n) == expected
-                failing += expected is not None
+                bad = set_system._exchange_failures(table, n)
+                assert bool(bad) == (expected is not None)
+                if bad:
+                    assert set_system._exchange_failure(ordered, bad, table, n) == expected
+                    failing += 1
         assert failing  # the toggled tables reach the witness path
 
 

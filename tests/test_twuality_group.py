@@ -167,6 +167,11 @@ class TestPerm:
         with pytest.raises(ValidationError):
             Perm((0, 1))
 
+    @pytest.mark.parametrize("images", [[True], [1.0, 2], [2, True], [1, "x"], "12", None, 3])
+    def test_rejects_non_int_images_and_non_iterables(self, images):
+        with pytest.raises(ValidationError):
+            Perm(images)
+
     def test_compose_and_inverse(self):
         p = Perm((2, 3, 1))
         q = Perm((2, 1, 3))
