@@ -81,7 +81,7 @@ def _emit(payload, fmt: str) -> None:
         sys.stdout.write(text)  # two writes: no copy of a large text
         sys.stdout.write("\n")
         return
-    for line in _text_lines(payload, ""):
+    for line in _text_lines(json.loads(payload) if isinstance(payload, str) else payload, ""):
         sys.stdout.write(line + "\n")
 
 
@@ -201,11 +201,18 @@ def _cmd_orbit(args) -> tuple[dict | str, int]:
     return report.canonical_json() if args.format == "json" else report.to_json(), 0
 
 
-def _cmd_selftwual(args) -> tuple[dict, int]:
+def _cmd_selftwual(args) -> tuple[str, int]:
     D = SetSystem.from_json(_load_json(args.file))
     mode = "uniform" if args.uniform_only else "all"
     hits = stabilizer_search(D, mode=mode, max_n=args.max_n)
-    return {"count": len(hits), "hits": [h.to_json() for h in hits]}, 0
+    # each hit's ``to_json`` as canonical text: no token needs escaping, no vector is empty
+    perm = functools.cache(lambda images: str(list(images)).replace(" ", ""))
+    texts = (
+        '{"gvec":["%s"],"perm":%s' % ('","'.join([f.token for f in h.gvec]), perm(h.perm.images))
+        + ("}" if h.uniform is None else ',"uniform":"%s"}' % h.uniform.token)
+        for h in hits
+    )
+    return '{"count":%d,"hits":[%s]}' % (len(hits), ",".join(texts)), 0
 
 
 def _cmd_uniformize(args) -> tuple[dict, int]:

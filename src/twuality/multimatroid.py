@@ -430,15 +430,19 @@ def lift(
         raise ValidationError("triple/projection size must match the ground size")
     if not is_vf_safe(D, max_n=max(n, 1), cache=vf_cache):
         raise ValidationError("lift requires a vf-safe delta-matroid")
-    ones, table = _index((1,) * n), 0
+    return Multimatroid.from_table(n, _lift_table(D, tau.roles, sigma.relabel.images))
+
+
+def _lift_table(D: SetSystem, roles, images) -> int:
+    """``lift``'s base table at ``roles`` and the one-line ``images``, unchecked."""
+    ones, table = _index((1,) * D.n), 0
     for f in _masks_of_table(D.table):
-        labeled = (1 << 2 * k for k, i in enumerate(sigma.relabel.images) if f >> (i - 1) & 1)
-        table |= 1 << (ones + sum(labeled))
-    for k, zero in enumerate(_zeros(n)):
+        table |= 1 << (ones + sum(1 << 2 * k for k, i in enumerate(images) if f >> (i - 1) & 1))
+    for k, zero in enumerate(_zeros(D.n)):
         _, s1, s2, _ = _split(table, k, zero)
         slots = (s1, s2, s1 ^ s2)
-        table = sum(slots[s - 1] << (r << 2 * k) for r, s in enumerate(tau.roles[k], start=1))
-    return Multimatroid.from_table(n, table)
+        table = sum(slots[s - 1] << (r << 2 * k) for r, s in enumerate(roles[k], start=1))
+    return table
 
 
 def _keep_slots(table: int, k: int, zero: int, role_pairs) -> list[int]:

@@ -25,11 +25,12 @@ remaining pairing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError, ConsistencyError, ValidationError
-from .multimatroid import Multimatroid, Projection, TransversalTriple, _check_class_count, lift
+from .multimatroid import Multimatroid, _check_class_count, _keep_slots, _lift_table, _zeros
 from .set_system import MAX_GROUND, SetSystem, VF_SAFE_DEFAULT_CAP, is_delta_matroid, is_vf_safe
 from .set_system import _is_binary, _value_type
 
@@ -144,6 +145,13 @@ _TRANSITION_OFFSETS = {
 _SLOT_NAMES = ("before", "after")
 
 
+@functools.cache
+def _vertex_pairs(k: int, sign: int):
+    """``FourRegularGraph.pairs[k]`` of an edge with ``sign``, shared by all medials."""
+    offsets = _TRANSITION_OFFSETS[sign]
+    return tuple(((4 * k + a, 4 * k + b), (4 * k + c, 4 * k + d)) for (a, b), (c, d) in offsets)
+
+
 @_value_type(init=False, repr=False, eq=False)
 class FourRegularGraph:
     """Medial structure: one 4-valent vertex per edge, corner edges from
@@ -164,10 +172,7 @@ class FourRegularGraph:
 
     def __init__(self, edges: Sequence[RibbonEdge], corner: Sequence[int], free_loops: int):
         edges, corner = tuple(edges), tuple(corner)
-        pairs = tuple(
-            tuple(((4 * k + a, 4 * k + b), (4 * k + c, 4 * k + d)) for (a, b), (c, d) in roles)
-            for k, roles in enumerate(_TRANSITION_OFFSETS[e.sign] for e in edges)
-        )
+        pairs = tuple(_vertex_pairs(k, e.sign) for k, e in enumerate(edges))
         seen = [False] * len(edges)
         components = free_loops
         for root in range(len(edges)):
@@ -269,17 +274,22 @@ def _kept_splits(Fm: FourRegularGraph, options: Sequence[Sequence[tuple[int, int
     corner edges start as open paths of two tags, and ``end[t]`` is the
     far end of the path at tag ``t``.  Joining ``x`` to ``y`` closes a
     cycle when ``end[x] == y`` and otherwise links the two far ends; on
-    return those two entries are restored, so a prefix is split once.
+    return those two entries are restored, so a prefix is split once.  The
+    four tags of the last vertex end the two paths still open, so there a
+    pairing closes two cycles if its first pair closes one, else one.
     """
     n, pairs, end = Fm.n, Fm.pairs, list(Fm.corner)
-    target = Fm.components - Fm.free_loops
-    table = 0
+    if not n:
+        return 1
+    last, target, table = n - 1, Fm.components - Fm.free_loops, 0
 
     def walk(k: int, index: int, cycles: int) -> None:
         nonlocal table
-        if k == n:
-            if cycles == target:
-                table |= 1 << index
+        if k == last:
+            for role, offset in options[k]:
+                (x, y), _ = pairs[k][role]
+                if cycles + 1 + (end[x] == y) == target:
+                    table |= 1 << (index | offset)
             return
         for role, offset in options[k]:
             (x, y), (u, v) = pairs[k][role]
@@ -324,17 +334,16 @@ def boundary_components(G: RibbonGraph) -> int:
     return split_components(Fm, all_white(Fm))
 
 
-def _quasi_tree_system(G: RibbonGraph, max_e: int, Fm: FourRegularGraph | None = None) -> SetSystem:
-    """Spanning quasi-trees of ``G`` from its medial ``Fm`` (built unless
-    given): ``A`` is one when the split white on ``A``, black elsewhere,
-    keeps the component count, i.e. ``(V, A)`` has as many boundary walks
-    as ``G`` has components (then as many components, too)."""
+def _quasi_tree_system(G: RibbonGraph, max_e: int) -> SetSystem:
+    """Spanning quasi-trees of ``G``: ``A`` is one when the medial's split
+    white on ``A``, black elsewhere, keeps the component count, i.e. ``(V, A)``
+    has as many boundary walks as ``G`` has components (then as many components, too)."""
     if G.n > max_e:
         raise BudgetError.capped("quasi-tree enumeration", f"{max_e} edges", G.n, 2, "edge subsets")
     if G.n > MAX_GROUND:
         raise ValidationError(f"ground size must be an integer in 0..{MAX_GROUND}, got {G.n}")
     options = [((0, 0), (1, 1 << k)) for k in range(G.n)]
-    return SetSystem.from_table(G.n, _kept_splits(medial(G) if Fm is None else Fm, options))
+    return SetSystem.from_table(G.n, _kept_splits(medial(G), options))
 
 
 def spanning_quasi_trees(G: RibbonGraph, max_e: int = QUASI_TREE_CAP) -> tuple[tuple[int, ...], ...]:
@@ -384,26 +393,20 @@ class MedialLiftReport:
 def verify_medial_lift(
     G: RibbonGraph, max_e: int = MEDIAL_LIFT_CAP, vf_cache: dict | None = None
 ) -> MedialLiftReport:
-    """Build the transition matroid and the lift of the quasi-tree system
-    from one medial and compare their base sets.  The systems with a
-    crossing check the lift's dual twists against the medial; the
-    black/white half is checked against a half-edge boundary tracer in
-    the tests.  ``max_e`` is also the cap of both sides' builders.  Both
-    vf-safety checks share ``vf_cache``, or else a fresh dict, so the
-    verdict is found once."""
+    """Compare the transition matroid of the medial with the lift of
+    ``D(G)`` at the black/white/crossing triple, from one walk of the
+    medial's splits.  ``D(G)`` is read off the transition table, as
+    ``extract`` at that triple, and checked as ``delta_matroid_of`` checks
+    it, so its lift is built unchecked.  The systems with a crossing check
+    the lift's dual twists against the medial; the black/white half is
+    checked against a half-edge boundary tracer in the tests."""
     if G.n > max_e:
         raise BudgetError.capped("verification", f"{max_e} edges", G.n, 3, "transition systems")
-    vf_cache = {} if vf_cache is None else vf_cache
-    Fm = medial(G)
-    Zm = transition_matroid(Fm, max_v=max_e)
-    D = _checked_delta_matroid(G, _quasi_tree_system(G, QUASI_TREE_CAP, Fm), vf_cache)
-    Zl = lift(
-        D,
-        TransversalTriple.reference(G.n),
-        Projection.identity(G.n),
-        max_n=max_e,
-        vf_cache=vf_cache,
-    )
-    only_medial = Multimatroid.from_table(G.n, Zm.table & ~Zl.table).sorted_bases()
-    only_lift = Multimatroid.from_table(G.n, Zl.table & ~Zm.table).sorted_bases()
-    return MedialLiftReport(not only_medial and not only_lift, only_medial, only_lift)
+    medial_table = table = transition_matroid(medial(G), max_v=max_e).table
+    for k, zero in enumerate(_zeros(G.n)):
+        (table,) = _keep_slots(table, k, zero, ((1, 2),))
+    D = _checked_delta_matroid(G, SetSystem.from_table(G.n, table), vf_cache)
+    lifted = _lift_table(D, ((1, 2, 3),) * G.n, range(1, G.n + 1))
+    diffs = medial_table & ~lifted, lifted & ~medial_table
+    only = [Multimatroid.from_table(G.n, t).sorted_bases() if t else () for t in diffs]
+    return MedialLiftReport(medial_table == lifted, *only)

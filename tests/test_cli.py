@@ -2,11 +2,12 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twuality import ConsistencyError, Multimatroid, RibbonGraph, SetSystem, orbit
+from twuality import ConsistencyError, Multimatroid, RibbonGraph, SetSystem, orbit, stabilizer_search
 from twuality.cli import _text_lines, build_parser, main
 
 import ribbon_catalog as cat
@@ -177,6 +178,39 @@ class TestSelfTwual:
         digest = "0c5ad2b32b18a3f84db0c135bd5f35cabb7df22c0720c9a66ee7975dbebe038f"
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @staticmethod
+    def _random_system(seed, n):
+        rng = random.Random(seed)
+        return SetSystem(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)))
+
+    @pytest.mark.parametrize(
+        "case",
+        [("empty-5", "all"), ("random-4", "all"), ("random-6", "uniform")],
+        ids=lambda case: case[0],
+    )
+    def test_stdout_is_the_canonical_payload(self, capsys, tmp_path, case):
+        """The text ``selftwual`` writes is the canonical JSON of the hits'
+        ``to_json``: on ``{∅}`` at n = 5, on a random n = 4 system with
+        uniform and non-uniform hits, and on a random n = 6 system under
+        ``--uniform-only``.  The seeds are chosen so that each has hits."""
+        name, mode = case
+        D = {
+            "empty-5": SetSystem(5, [0]),
+            "random-4": self._random_system(2, 4),
+            "random-6": self._random_system(27, 6),
+        }[name]
+        hits = stabilizer_search(D, mode=mode, max_n=D.n)
+        assert hits and any(h.uniform is not None for h in hits)
+        payload = {"count": len(hits), "hits": [h.to_json() for h in hits]}
+        path = write(tmp_path, "d.json", D.to_json())
+        extra = ["--uniform-only"] if mode == "uniform" else []
+        code, out, _ = run(capsys, "selftwual", path, *extra)
+        assert code == 0
+        assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        code, out, _ = run(capsys, "selftwual", path, *extra, "--format", "text")
+        assert code == 0
+        assert out == "".join(line + "\n" for line in _text_lines(payload, ""))
+
 
 class TestUniformize:
     def test_worked_example(self, capsys, cone_file):
@@ -315,7 +349,7 @@ class TestRibbonCommands:
 
         u24 = [a | b for a, b in itertools.combinations((1, 2, 4, 8), 2)]
         stub = SetSystem(12, [m | x << 4 for m in u24 for x in range(256)])
-        monkeypatch.setattr(ribbon_mod, "_quasi_tree_system", lambda G, max_e, Fm=None: stub)
+        monkeypatch.setattr(ribbon_mod, "_quasi_tree_system", lambda G, max_e: stub)
         path = write(tmp_path, "b12.json", cat.bouquet([1] * 12).to_json())
         code, out, err = run(capsys, "ribbon", "dm", path)
         assert (code, out) == (4, "")

@@ -224,6 +224,28 @@ class TestLiftExtract:
             Z = lift(D, tau, sigma, vf_cache=vf_cache)
             assert Z == lift_oracle(D, tau, sigma), (D, tau, sigma)
 
+    def test_lift_builds_through_the_shared_builder(self, monkeypatch, rng, vf_cache):
+        """``lift`` keeps its checks and builds the table with
+        ``_lift_table``, the builder ``verify_medial_lift`` calls directly:
+        random triples and projections on random systems with n <= 5, and
+        their random group translates, against the per-choice oracle."""
+        built = []
+        builder = multimatroid._lift_table
+
+        def spy(D, roles, images):
+            built.append(D)
+            return builder(D, roles, images)
+
+        monkeypatch.setattr(multimatroid, "_lift_table", spy)
+        for _ in range(60):
+            D = rand_system(rng, rng.randint(1, 5), vf_cache)
+            gv = tuple(rng.choice(FLIPS) for _ in range(D.n))
+            D = rng.choice((D, act(TwualityElement(gv, Perm(rng.sample(range(1, D.n + 1), D.n))), D)))
+            tau, sigma = rand_triple(rng, D.n), rand_projection(rng, D.n)
+            built.clear()
+            assert lift(D, tau, sigma, vf_cache=vf_cache) == lift_oracle(D, tau, sigma), (D, tau, sigma)
+            assert built == [D]
+
     def test_extract_matches_per_basis_oracle(self, rng):
         for _ in range(200):
             Z = rand_multimatroid(rng)

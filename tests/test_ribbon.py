@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import random
@@ -8,13 +9,16 @@ from twuality import (
     BudgetError,
     ConsistencyError,
     Multimatroid,
+    Projection,
     RibbonGraph,
     SetSystem,
+    TransversalTriple,
     ValidationError,
     all_black,
     all_white,
     boundary_components,
     delta_matroid_of,
+    extract,
     is_delta_matroid,
     is_multimatroid,
     is_tight,
@@ -25,7 +29,7 @@ from twuality import (
     transition_matroid,
     verify_medial_lift,
 )
-from twuality import ribbon, set_system
+from twuality import multimatroid, ribbon, set_system
 
 import ribbon_catalog as cat
 from conftest import assert_frozen
@@ -375,10 +379,10 @@ class TestMedialLiftAgreement:
         assert report.to_json()["only_lift"] == [[[1, 2], [2, 3]], [[1, 3], [2, 2]]]
 
     def test_one_closure_without_a_cache(self, monkeypatch):
-        """Without ``vf_cache`` the quasi-tree check and the lift share a
-        fresh cache: the exchange walk runs as often as with an empty
-        dict, which walks the vf-safety closure once.  The graph is binary,
-        so the certificate is switched off to walk the closure."""
+        """Without ``vf_cache`` the one vf-safety check of the quasi-tree
+        system runs the exchange walk as often as with an empty dict: it
+        walks the vf-safety closure once.  The graph is binary, so the
+        certificate is switched off to walk the closure."""
         monkeypatch.setattr(set_system, "_is_binary", lambda table, n: False)
         calls = []
         walk = set_system._exchange_failures
@@ -399,3 +403,83 @@ class TestMedialLiftAgreement:
     def test_budget(self):
         with pytest.raises(BudgetError, match=r"at 0 edges, got 1 \(3\^1 = 3 transition systems\)$"):
             verify_medial_lift(cat.twisted_loop(), max_e=0)
+
+
+def _interleaved_bouquets():
+    for n in (4, 5, 6):
+        for signs in ([1] * n, [-1] * n, [1, -1] * (n // 2) + [1] * (n % 2)):
+            yield cat.bouquet(signs, interleaved=True)
+
+
+def _random_graphs(seed, count, min_edges, max_edges):
+    rng = random.Random(seed)
+    while count:
+        G = cat.random_ribbon(rng, max_edges=max_edges, max_vertices=4)
+        if G.n >= min_edges:
+            count -= 1
+            yield G
+
+
+class TestOneSplitWalk:
+    """``verify_medial_lift`` walks the medial's splits once and reads
+    ``D(G)`` off the transition table; these tests give that black/white
+    half its own checks, next to the boundary tracer of
+    ``TestBridgeIdentity``."""
+
+    def test_read_off_system_matches_walk_and_oracle(self, monkeypatch):
+        """The system ``verify_medial_lift`` checks and lifts equals the
+        quasi-tree walk, the extraction at the reference triple, and the
+        two-condition oracle, on the whole <=3-edge catalog, on seeded
+        random graphs with 4-6 edges and on interleaved bouquets."""
+        seen = []
+        checked = ribbon._checked_delta_matroid
+
+        def spy(G, D, vf_cache):
+            seen.append(D)
+            return checked(G, D, vf_cache)
+
+        monkeypatch.setattr(ribbon, "_checked_delta_matroid", spy)
+        graphs = itertools.chain(
+            cat.enumerate_all(), _random_graphs(23, 150, 4, 6), _interleaved_bouquets()
+        )
+        cache = {}
+        for G in graphs:
+            seen.clear()
+            assert verify_medial_lift(G, vf_cache=cache).equal, G
+            (D,) = seen
+            assert D == ribbon._quasi_tree_system(G, G.n), G
+            assert D.feasible_sets() == quasi_trees_oracle(G), G
+            if G.n <= 3:
+                Zm = transition_matroid(medial(G))
+                ref = TransversalTriple.reference(G.n), Projection.identity(G.n)
+                assert D == extract(Zm, *ref), G
+
+    def test_one_split_walk_and_one_vf_check_per_call(self, monkeypatch):
+        """One call runs ``_kept_splits`` once, ``is_vf_safe`` once and the
+        shared lift builder once, with or without a cache: calling ``lift``
+        instead would repeat the vf-safety check."""
+        counts = collections.Counter()
+
+        def count(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for module, name in (
+            (ribbon, "_kept_splits"),
+            (ribbon, "is_vf_safe"),
+            (ribbon, "_lift_table"),
+            (multimatroid, "is_vf_safe"),
+        ):
+            count(module, name)
+        graphs = [G for G in cat.named_fixtures().values() if G.n <= 6]
+        graphs += list(_random_graphs(29, 20, 1, 6))
+        for G in graphs:
+            for cache in (None, {}):
+                counts.clear()
+                assert verify_medial_lift(G, vf_cache=cache).equal, G
+                assert counts == {"_kept_splits": 1, "is_vf_safe": 1, "_lift_table": 1}, (G, counts)
