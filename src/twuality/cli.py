@@ -38,7 +38,13 @@ from .multimatroid import (
 )
 from .orbit_engine import orbit, stabilizer_search, uniformize
 from .ribbon import RibbonGraph, delta_matroid_of, medial, verify_medial_lift
-from .set_system import SetSystem, VF_SAFE_DEFAULT_CAP, is_delta_matroid, is_vf_safe
+from .set_system import (
+    DeltaMatroidWitness,
+    SetSystem,
+    VF_SAFE_DEFAULT_CAP,
+    is_delta_matroid,
+    is_vf_safe,
+)
 from .twuality_group import (
     BAR,
     ONE,
@@ -86,23 +92,23 @@ def _emit(payload, fmt: str) -> None:
 
 
 def _text_lines(value, indent):
+    """The sketch of a dict or list: one line per key or item.  A scalar,
+    or a list of scalars (empty or not), follows its ``key:`` or ``-`` as
+    compact JSON; a dict or a list holding containers opens a block below
+    it, one level deeper."""
     # a payload may hold tuples where its JSON holds arrays
     if isinstance(value, dict):
-        for key in sorted(value):
-            inner = value[key]
-            if isinstance(inner, (dict, list, tuple)):
-                yield f"{indent}{key}:"
-                yield from _text_lines(inner, indent + "  ")
-            else:
-                yield f"{indent}{key}: {json.dumps(inner)}"
-    elif isinstance(value, (list, tuple)):
-        for inner in value:
-            if isinstance(inner, (dict, list, tuple)):
-                yield from _text_lines(inner, indent + "  ")
-            else:
-                yield f"{indent}- {json.dumps(inner)}"
+        items = ((f"{key}:", value[key]) for key in sorted(value))
     else:
-        yield f"{indent}{json.dumps(value)}"
+        items = (("-", inner) for inner in value)
+    for head, inner in items:
+        if isinstance(inner, dict) or (
+            isinstance(inner, (list, tuple)) and any(isinstance(x, (dict, list, tuple)) for x in inner)
+        ):
+            yield indent + head
+            yield from _text_lines(inner, indent + "  ")
+        else:
+            yield f"{indent}{head} {json.dumps(inner, separators=(',', ':'))}"
 
 
 _OPS_SCANNER = re.compile(
@@ -169,15 +175,17 @@ def _parse_gvec(text: str, n: int):
 
 def _cmd_check(args) -> tuple[dict, int]:
     D = SetSystem.from_json(_load_json(args.file))
-    witness = is_delta_matroid(D)
     cap = args.max_n if args.max_n is not None else VF_SAFE_DEFAULT_CAP
+    vf_safe = is_vf_safe(D, max_n=cap)
+    # a vf-safe family is a delta-matroid, so only a refusal needs the exchange walk
+    witness = DeltaMatroidWitness(True) if vf_safe else is_delta_matroid(D)
     payload = {
         "n": D.n,
         "proper": D.is_proper,
         "normal": D.is_normal,
         "delta_matroid": witness.valid,
         "witness": witness.to_json(),
-        "vf_safe": is_vf_safe(D, max_n=cap),
+        "vf_safe": vf_safe,
     }
     return payload, 0
 
@@ -223,12 +231,12 @@ def _cmd_uniformize(args) -> tuple[dict, int]:
     return uniformize(D, gvec, mu, g).to_json(), 0
 
 
-def _cmd_lift(args) -> tuple[dict, int]:
+def _cmd_lift(args) -> tuple[str, int]:
     D = SetSystem.from_json(_load_json(args.file))
     tau = _parse_triple(args.tau, D.n)
     sigma = _parse_projection(args.sigma, D.n)
     kwargs = {} if args.max_n is None else {"max_n": args.max_n}
-    return lift(D, tau, sigma, **kwargs).to_json(), 0
+    return lift(D, tau, sigma, **kwargs).canonical_json(), 0
 
 
 def _cmd_extract(args) -> tuple[dict, int]:

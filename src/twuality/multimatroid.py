@@ -154,12 +154,31 @@ _BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 _DIGITS = tuple(tuple(v >> s & 3 for s in (0, 2, 4, 6)) for v in range(256))
 
 
+def _indices(table: int) -> Iterator[int]:
+    """The set bits of a table, ascending; ``compress`` skips zero bytes."""
+    data = table.to_bytes((table.bit_length() + 7) >> 3, "little")
+    return (j << 3 | b for j in itertools.compress(range(len(data)), data) for b in _BITS[data[j]])
+
+
 def _choices(n: int, table: int) -> list[tuple[int, ...]]:
     """The choice tuples of the set bits of a table, in ascending bit order;
-    ``compress`` skips zero bytes, and an index has at most three bytes of digits."""
-    data, d = table.to_bytes((table.bit_length() + 7) >> 3, "little"), _DIGITS
-    at = (j << 3 | b for j in itertools.compress(range(len(data)), data) for b in _BITS[data[j]])
-    return [(d[i & 255] + d[i >> 8 & 255] + d[i >> 16])[:n] for i in at]
+    an index has at most three bytes of digits."""
+    d = _DIGITS
+    return [(d[i & 255] + d[i >> 8 & 255] + d[i >> 16])[:n] for i in _indices(table)]
+
+
+@functools.cache
+def _basis_texts(n: int) -> tuple[tuple[str, ...], ...]:
+    """Per byte ``j`` of an index (three bytes cover ``MAX_CLASSES``) and
+    its value, the JSON text of the members ``[k,r]`` that its four digits
+    choose in the classes ``k = 4j+1, ..`` up to ``n``, comma-separated and
+    after a comma unless ``j`` is 0; empty for a byte past the classes."""
+    texts = []
+    for j in range(3):
+        classes = range(4 * j + 1, min(4 * j + 4, n) + 1)
+        sep = "," if j and classes else ""
+        texts.append(tuple(sep + ",".join("[%d,%d]" % kr for kr in zip(classes, _DIGITS[v])) for v in range(256)))
+    return tuple(texts)
 
 
 #: per class count, the ``_zero_masks`` of its ``4**n``-bit tables
@@ -223,6 +242,15 @@ class Multimatroid:
             "n": self.n,
             "bases": [[[i, r] for i, r in enumerate(b, start=1)] for b in self.sorted_bases()],
         }
+
+    def canonical_json(self) -> str:
+        """``json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))``,
+        each basis written as the texts of its index bytes (``_basis_texts``).
+        The bases' texts share one layout and differ only in the role digits,
+        which come in class order, so they sort as the choice tuples do."""
+        t0, t1, t2 = _basis_texts(self.n)
+        bases = sorted([t0[i & 255] + t1[i >> 8 & 255] + t2[i >> 16] for i in _indices(self.table)])
+        return '{"bases":[%s],"n":%d}' % ("[%s]" % "],[".join(bases) if bases else "", self.n)
 
     @classmethod
     def from_json(cls, data: dict) -> "Multimatroid":

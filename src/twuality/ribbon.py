@@ -353,13 +353,19 @@ def spanning_quasi_trees(G: RibbonGraph, max_e: int = QUASI_TREE_CAP) -> tuple[t
 
 
 def _checked_delta_matroid(G: RibbonGraph, D: SetSystem, vf_cache: dict | None) -> SetSystem:
+    """``D`` once it is found vf-safe, or binary above the vf-safe cap.
+    Either verdict proves symmetric exchange (``is_vf_safe``), so the
+    exchange walk runs only on a refused family, where a failure is
+    reported first."""
+    if G.n <= VF_SAFE_DEFAULT_CAP:
+        ok, fault = is_vf_safe(D, cache=vf_cache), "is not vf-safe"
+    else:
+        ok, fault = _is_binary(D.table, D.n), "is not binary"
+    if ok:
+        return D
     if not is_delta_matroid(D).valid:
-        raise ConsistencyError(f"quasi-tree family of {G!r} fails symmetric exchange")
-    if G.n > VF_SAFE_DEFAULT_CAP and not _is_binary(D.table, D.n):
-        raise ConsistencyError(f"quasi-tree family of {G!r} is not binary")
-    if G.n <= VF_SAFE_DEFAULT_CAP and not is_vf_safe(D, cache=vf_cache):
-        raise ConsistencyError(f"quasi-tree family of {G!r} is not vf-safe")
-    return D
+        fault = "fails symmetric exchange"
+    raise ConsistencyError(f"quasi-tree family of {G!r} {fault}")
 
 
 def delta_matroid_of(

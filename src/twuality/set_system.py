@@ -730,6 +730,11 @@ def is_vf_safe(
     each class found is kept, so a move into a known class is dropped by
     one set lookup and each class is walked once.
 
+    A ``True`` verdict certifies that ``D`` itself is a delta-matroid: the
+    walk checks exchange on the key of ``D``'s own twist class, and a binary
+    family is a twist of some ``D(A)``, which satisfies exchange (Bouchet
+    1988).  So a caller needs ``is_delta_matroid`` only on a ``False``.
+
     An optional ``cache`` dict memoizes verdicts across calls, one entry
     per twist class walked (a binary family's own), keyed by ``(n, class
     key)``; this is sound because the verdict is shared by the whole closure.

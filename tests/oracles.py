@@ -10,6 +10,9 @@ compared against.
 * ``vf_safe_oracle``: the breadth-first closure over single systems, one
   exchange check per reachable system.  The library walks twist classes of
   truth tables instead, and first certifies binary families.
+* ``check_report_oracle``: the ``check`` report by the route it took
+  before, the exchange walk on every input and then vf-safety.  The
+  library decides vf-safety first and walks exchange only on a refusal.
 * ``binary_table_oracle``: ``D(A)`` for a symmetric 0/1 matrix, one GF(2)
   elimination per subset.  The library builds the table by recursing on
   Schur complements.
@@ -90,6 +93,8 @@ from twuality import (
     StabilizerHit,
     TwualityElement,
     act,
+    is_delta_matroid,
+    is_vf_safe,
     uniform_flip,
 )
 from twuality.multimatroid import (
@@ -432,6 +437,19 @@ def vf_safe_oracle(D):
                     seen.add(nxt)
                     queue.append(nxt)
     return True
+
+
+def check_report_oracle(D):
+    """The payload of ``twuality check``: the exchange walk, then vf-safety."""
+    witness = is_delta_matroid(D)
+    return {
+        "n": D.n,
+        "proper": D.is_proper,
+        "normal": D.is_normal,
+        "delta_matroid": witness.valid,
+        "witness": witness.to_json(),
+        "vf_safe": is_vf_safe(D),
+    }
 
 
 def orbit_oracle(D, mode):

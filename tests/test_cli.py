@@ -1,17 +1,35 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from twuality import ConsistencyError, Multimatroid, RibbonGraph, SetSystem, orbit, stabilizer_search
+from twuality import (
+    FLIPS,
+    ConsistencyError,
+    Multimatroid,
+    Perm,
+    Projection,
+    RibbonGraph,
+    SetSystem,
+    TransversalTriple,
+    TwualityElement,
+    act,
+    lift,
+    orbit,
+    spanning_quasi_trees,
+    stabilizer_search,
+    twist,
+)
 from twuality.cli import _text_lines, build_parser, main
 
 import ribbon_catalog as cat
 from conftest import set_systems
+from oracles import check_report_oracle
 
 ss = SetSystem.from_sets
 
@@ -83,6 +101,98 @@ class TestCheck:
         code, _, err = run(capsys, "check", "/nonexistent/zzz.json")
         assert code == 1 and "cannot read" in err
 
+    @staticmethod
+    def _old_route_inputs():
+        """Seeded quasi-tree systems and their group translates, which are
+        binary; ``U(2, 4)`` plus free elements; failing families; every
+        subset of ``[3]`` but ``[3]``, plus free elements and twisted, which
+        is a delta-matroid and not vf-safe; improper families; and n = 0."""
+        rng = random.Random(31)
+        out = []
+        for _ in range(24):
+            G = cat.random_ribbon(rng, max_edges=6, max_vertices=3)
+            D = ss(G.n, spanning_quasi_trees(G))
+            gvec = tuple(rng.choice(FLIPS) for _ in range(D.n))
+            out.append(act(TwualityElement(gvec, Perm(rng.sample(range(1, D.n + 1), D.n))), D))
+        u24 = [a | b for a, b in itertools.combinations((1, 2, 4, 8), 2)]
+        for k in range(3):
+            out.append(SetSystem(4 + k, [m | x << 4 for m in u24 for x in range(1 << k)]))
+            near = SetSystem(3 + k, [m | x << 3 for m in range(7) for x in range(1 << k)])
+            out += [near, twist(near, rng.sample(range(1, 4 + k), 2))]
+        while len(out) < 44:
+            n = rng.randint(2, 5)
+            out.append(SetSystem(n, rng.sample(range(1 << n), rng.randint(1, 1 << n))))
+        return out + [SetSystem(n, []) for n in range(4)] + [SetSystem(0, [0])]
+
+    def test_matches_the_old_route(self, capsys, tmp_path):
+        """The report equals the exchange walk followed by vf-safety, on
+        inputs of every verdict."""
+        verdicts = set()
+        for k, D in enumerate(self._old_route_inputs()):
+            data = run_json(capsys, "check", write(tmp_path, f"d{k}.json", D.to_json()))
+            assert data == check_report_oracle(D), D
+            verdicts.add((data["proper"], data["delta_matroid"], data["vf_safe"]))
+        assert verdicts == {(True, True, True), (True, True, False), (True, False, False), (False, False, False)}
+
+    def test_vf_safe_budget_at_eleven(self, capsys, tmp_path):
+        path = write(tmp_path, "d11.json", {"n": 11, "feasible": [[]]})
+        assert run(capsys, "check", path) == (
+            2,
+            "",
+            "budget exceeded: vf-safe closure capped at n <= 10, got 11 (2^11 = 2,048 twists per class)\n",
+        )
+
+    def test_no_exchange_walk_on_vf_safe_input(self, capsys, tmp_path, cone_file, monkeypatch):
+        """A vf-safe verdict proves exchange; only a refused family is walked."""
+        import twuality.cli as cli_mod
+
+        calls = []
+        walk = cli_mod.is_delta_matroid
+        monkeypatch.setattr(cli_mod, "is_delta_matroid", lambda D: calls.append(D) or walk(D))
+        assert run_json(capsys, "check", cone_file)["vf_safe"] is True
+        assert calls == []
+        bad = write(tmp_path, "bad.json", {"n": 3, "feasible": [[], [2], [3], [2, 3], [1, 2, 3]]})
+        assert run_json(capsys, "check", bad)["delta_matroid"] is False
+        assert len(calls) == 1
+
+
+_PINNED_SYSTEMS = {
+    "cone": {"n": 3, "feasible": [[3], [1, 3], [2, 3]]},
+    "not-delta": {"n": 3, "feasible": [[], [2], [3], [2, 3], [1, 2, 3]]},
+    # every subset of [4] but those holding [3]: a delta-matroid, not vf-safe
+    "not-vf-safe": SetSystem(4, [m for m in range(16) if m & 7 != 7]).to_json(),
+}
+_PINNED_GRAPHS = {
+    # its quasi-tree system is the cone
+    "cone": RibbonGraph([[1, 3, 2, 4, 5], [6]], [((1, 2), -1, 1), ((3, 4), -1, 2), ((5, 6), 1, 3)]),
+    "bouquet6": cat.bouquet([1, -1, 1, 1, -1, 1], interleaved=True),
+}
+_PINNED_SYSTEMS["bouquet6"] = ss(6, spanning_quasi_trees(_PINNED_GRAPHS["bouquet6"])).to_json()
+_NO_OUTPUT = hashlib.sha256(b"").hexdigest()
+
+
+# sha256 of stdout as recorded before ``check`` and ``ribbon dm`` skipped the
+# exchange walk on vf-safe families and ``lift`` wrote its JSON as text
+@pytest.mark.parametrize(
+    "command, name, code, digest",
+    [
+        ("check", "cone", 0, "dfcd0f2379ed0a260cb8c9d070f9f0b56d6fd285ab78291e6c9aebb799371bc2"),
+        ("check", "bouquet6", 0, "dd0dc3cb84d502a5c333287f97bf5133aab9df829ff492f69a210ed0ffd21b23"),
+        ("check", "not-delta", 0, "c4f0d10d79bcd72e4afe62983cdb9cc5c811f0754ffea780f367a2a23bd72291"),
+        ("check", "not-vf-safe", 0, "c1335f518495531a9953a26fbe33756957a188c0caf79ee5ec0afee07b4d0c4b"),
+        ("lift", "cone", 0, "d78f427bb4d1f73593703f8c738c92fff4132ee5fbe7e3df6168cb165de6e4d4"),
+        ("lift", "bouquet6", 0, "ef66ee7eef40dcb74fceee64bc344d1c0e3a95341a413d68ea1102180e00d955"),
+        ("lift", "not-delta", 1, _NO_OUTPUT),
+        ("lift", "not-vf-safe", 1, _NO_OUTPUT),
+        ("ribbon dm", "cone", 0, "d3127b96f099d9885f0ad09e433c927210b1b211f282f1110c681918dff1b0e7"),
+        ("ribbon dm", "bouquet6", 0, "1928eea06f6def6a79c4faaa0e41f0d3cce6f429190ad1fc5ec23a13c34604ef"),
+    ],
+)
+def test_stdout_pinned(capsys, tmp_path, command, name, code, digest):
+    payload = _PINNED_GRAPHS[name].to_json() if command == "ribbon dm" else _PINNED_SYSTEMS[name]
+    got, out, _ = run(capsys, *command.split(), write(tmp_path, "in.json", payload))
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
 
 class TestApply:
     def test_twist_fixed_point(self, capsys, tmp_path):
@@ -120,6 +230,23 @@ class TestOrbitCommands:
         data = run_json(capsys, "orbit", path, "--iota")
         assert data["size"] == 3
         assert len(data["elements"]) == 3 and len(data["paths"]) == 3
+
+    def test_text_sketch_keeps_empty_sets(self, capsys, tmp_path):
+        """An empty feasible set and the seed's empty word each keep their
+        line, so ``{{}, {1}}`` reads apart from ``{{1}}`` and each of the 3
+        elements has a path."""
+        path = write(tmp_path, "one.json", {"n": 1, "feasible": [[]]})
+        code, out, _ = run(capsys, "orbit", path, "--iota", "--format", "text")
+        assert code == 0
+        assert out == (
+            "elements:\n"
+            "  -\n    feasible:\n      - []\n    n: 1\n"
+            "  -\n    feasible:\n      - []\n      - [1]\n    n: 1\n"
+            "  -\n    feasible:\n      - [1]\n    n: 1\n"
+            'mode: "iota"\n'
+            'paths:\n  - []\n  - ["+1"]\n  - ["*1"]\n'
+            "size: 3\n"
+        )
 
     def test_budget_exit_code(self, capsys, cone_file):
         code, _, err = run(capsys, "orbit", cone_file, "--max-n", "2")
@@ -235,6 +362,17 @@ class TestMultimatroidCommands:
         tau = json.dumps([[1, 2, 3]] * 3)
         back = run_json(capsys, "extract", zpath, "--tau", tau, "--sigma", "[1,2,3]")
         assert back == {"feasible": [[3], [1, 3], [2, 3]], "n": 3}
+
+    @pytest.mark.parametrize(
+        "name, tau, sigma", [("cone", [[2, 1, 3], [1, 3, 2], [3, 2, 1]], None), ("bouquet6", None, [2, 3, 1, 6, 5, 4])]
+    )
+    def test_lift_text_sketches_the_bases(self, capsys, tmp_path, name, tau, sigma):
+        payload = _PINNED_SYSTEMS[name]
+        argv = ["lift", write(tmp_path, "d.json", payload), "--format", "text"]
+        argv += ["--tau", json.dumps(tau)] if tau else []
+        argv += ["--sigma", json.dumps(sigma)] if sigma else []
+        Z = lift(SetSystem.from_json(payload), tau and TransversalTriple(tau), sigma and Projection(Perm(sigma)))
+        assert run(capsys, *argv) == (0, "".join(line + "\n" for line in _text_lines(Z.to_json(), "")), "")
 
     def test_mm_check(self, capsys, tmp_path):
         path = write(tmp_path, "mm.json", {"n": 1, "bases": [[[1, 1]], [[1, 3]]]})
@@ -354,6 +492,28 @@ class TestRibbonCommands:
         code, out, err = run(capsys, "ribbon", "dm", path)
         assert (code, out) == (4, "")
         assert err.startswith("internal error: ") and err.endswith("is not binary\n")
+
+    @pytest.mark.parametrize(
+        "stub, fault",
+        [
+            (SetSystem(6, [0, 7]), "fails symmetric exchange"),
+            (SetSystem(12, [0, 7]), "fails symmetric exchange"),
+            (SetSystem(6, [m for m in range(64) if m & 7 != 7]), "is not vf-safe"),
+        ],
+    )
+    def test_dm_error_precedence(self, capsys, tmp_path, monkeypatch, stub, fault):
+        """The exchange walk runs only on a family refused as not vf-safe
+        (up to 10 edges) or not binary (above), and its failure is named
+        first: ``{{}, {1, 2, 3}}`` fails exchange at 6 and at 12 edges, and
+        every subset of ``[6]`` but those holding ``[3]`` is only not vf-safe."""
+        import twuality.ribbon as ribbon_mod
+
+        monkeypatch.setattr(ribbon_mod, "_quasi_tree_system", lambda G, max_e: stub)
+        path = write(tmp_path, "b.json", cat.bouquet([1] * stub.n).to_json())
+        code, out, err = run(capsys, "ribbon", "dm", path)
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: quasi-tree family of RibbonGraph(")
+        assert err.endswith(f") {fault}\n")
 
     def test_dm_beyond_ground_limit(self, capsys, tmp_path):
         """A raised cap cannot build a set system on more than 16 elements."""

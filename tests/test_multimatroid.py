@@ -1,4 +1,6 @@
 import itertools
+import json
+import random
 
 import pytest
 
@@ -146,6 +148,22 @@ class TestTypes:
         data = Z.to_json()
         assert data == {"n": 2, "bases": [[[1, 1], [2, 2]], [[1, 3], [2, 3]]]}
         assert Multimatroid.from_json(data) == Z
+
+    def test_canonical_json_matches_dumps(self, vf_cache):
+        """Seeded lifts with n = 0..6 at random triples and projections,
+        random bases on 7..10 classes, whose indices take two and three
+        bytes, and base tables with no bases or one basis of no classes."""
+        rng = random.Random(71)
+        Zs = [Multimatroid(0, [()]), Multimatroid(0, []), Multimatroid(2, [])]
+        for n in range(7):
+            for _ in range(5):
+                D = rand_system(rng, n, vf_cache) if n else SetSystem(0, [0])
+                Zs.append(lift(D, rand_triple(rng, n), rand_projection(rng, n), vf_cache=vf_cache))
+        for n in range(7, 11):
+            bases = {tuple(rng.choices((1, 2, 3), k=n)) for _ in range(60)}
+            Zs.append(Multimatroid(n, bases))
+        for Z in Zs:
+            assert Z.canonical_json() == json.dumps(Z.to_json(), sort_keys=True, separators=(",", ":")), Z
 
     def test_multimatroid_json_rejects(self):
         with pytest.raises(ValidationError):

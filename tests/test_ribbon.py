@@ -173,6 +173,17 @@ class TestQuasiTreeSystems:
             D = delta_matroid_of(cat.bouquet(signs, interleaved=True))
             assert set_system._is_binary(D.table, D.n)
 
+    def test_no_exchange_walk_on_binary_systems(self, named, monkeypatch):
+        """A vf-safe or binary verdict proves exchange, so ``delta_matroid_of``
+        calls no ``is_delta_matroid`` on the named catalog or on interleaved
+        bouquets of 12 and 16 edges, checked by the certificate alone."""
+        calls = []
+        monkeypatch.setattr(ribbon, "is_delta_matroid", calls.append)
+        bouquets = [cat.bouquet(signs, interleaved=True) for signs in ([1] * 12, [1, -1] * 8)]
+        for G in [*named.values(), *bouquets]:
+            delta_matroid_of(G)
+        assert calls == []
+
 
 class TestMedial:
     def test_frozen(self):
@@ -457,7 +468,8 @@ class TestOneSplitWalk:
     def test_one_split_walk_and_one_vf_check_per_call(self, monkeypatch):
         """One call runs ``_kept_splits`` once, ``is_vf_safe`` once and the
         shared lift builder once, with or without a cache: calling ``lift``
-        instead would repeat the vf-safety check."""
+        instead would repeat the vf-safety check.  A vf-safe system needs no
+        ``is_delta_matroid`` call."""
         counts = collections.Counter()
 
         def count(module, name):
@@ -472,6 +484,7 @@ class TestOneSplitWalk:
         for module, name in (
             (ribbon, "_kept_splits"),
             (ribbon, "is_vf_safe"),
+            (ribbon, "is_delta_matroid"),
             (ribbon, "_lift_table"),
             (multimatroid, "is_vf_safe"),
         ):
