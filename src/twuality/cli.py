@@ -42,8 +42,8 @@ from .set_system import (
     DeltaMatroidWitness,
     SetSystem,
     VF_SAFE_DEFAULT_CAP,
+    _vf_safety,
     is_delta_matroid,
-    is_vf_safe,
 )
 from .twuality_group import (
     BAR,
@@ -176,9 +176,10 @@ def _parse_gvec(text: str, n: int):
 def _cmd_check(args) -> tuple[dict, int]:
     D = SetSystem.from_json(_load_json(args.file))
     cap = args.max_n if args.max_n is not None else VF_SAFE_DEFAULT_CAP
-    vf_safe = is_vf_safe(D, max_n=cap)
-    # a vf-safe family is a delta-matroid, so only a refusal needs the exchange walk
-    witness = DeltaMatroidWitness(True) if vf_safe else is_delta_matroid(D)
+    # the closure checks exchange on D's own twist class first, so only a
+    # family that fails there needs the walk that finds its witness
+    vf_safe, delta_matroid = _vf_safety(D, cap, None)
+    witness = DeltaMatroidWitness(True) if delta_matroid else is_delta_matroid(D)
     payload = {
         "n": D.n,
         "proper": D.is_proper,
@@ -202,11 +203,10 @@ def _cmd_apply(args) -> tuple[dict, int]:
     return D.to_json(), 0
 
 
-def _cmd_orbit(args) -> tuple[dict | str, int]:
+def _cmd_orbit(args) -> tuple[str, int]:
     D = SetSystem.from_json(_load_json(args.file))
     mode = "iota" if args.iota else "full"
-    report = orbit(D, mode=mode, max_n=args.max_n)
-    return report.canonical_json() if args.format == "json" else report.to_json(), 0
+    return orbit(D, mode=mode, max_n=args.max_n).canonical_json(), 0
 
 
 def _cmd_selftwual(args) -> tuple[str, int]:

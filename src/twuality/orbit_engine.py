@@ -10,17 +10,18 @@ same flip at the swapped image of ``k``.  So a state tries only the
 generators that a per-``(n, mode)`` list leaves open after the last
 generator of its witness word; each one it skips would find a state
 already reached by a smaller word, so the states and words are those of
-the walk that tries every generator.  Each state's witness word is kept
-as its JSON text, one string concatenation per new state.  The states are
-sorted by ``set_system._canonical_order``, which also hands back each
-element's order form (its rank bitmap up to 8 elements); the report
-writes its canonical JSON text by joining the texts ``_family_texts``
-reads off those forms and the word texts, and builds words, systems,
-families and the ``to_json`` tree only when they are read.  The stabilizer
-search walks the relabelings of a system one adjacent transposition at a
-time and the flip vectors one element at a time.  Budgets are hard caps:
-a partial orbit is semantically wrong, so exceeding a cap raises, naming
-the work refused, instead of truncating.
+the walk that tries every generator, each stepping the truth table by
+its kind.  Each state's witness word is kept as its JSON text, one string
+concatenation per new state.  The states are sorted by
+``set_system._canonical_order``, which also hands back each element's
+order form (its rank bitmap up to 8 elements); the report writes its
+canonical JSON text from the word texts and the whole orbit's family
+text, which ``_families_text`` writes off those forms, and builds words,
+systems, families and the ``to_json`` tree only when they are read.  The
+stabilizer search walks the relabelings of a system one adjacent
+transposition at a time and the flip vectors one element at a time.
+Budgets are hard caps: a partial orbit is semantically wrong, so
+exceeding a cap raises, naming the work refused, instead of truncating.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .set_system import (
     _HALVES,
     _canonical_order,
     _family_members,
-    _family_texts,
+    _families_text,
     _plain_changes,
     _swap_adjacent,
     _value_type,
@@ -49,7 +50,7 @@ from .set_system import (
     loop_complement,
     min_max_matroids,
     twist,
-    twist1,  # noqa: F401  (perfbench's tracer patches it in this namespace)
+    twist1,  # noqa: F401  (unused; perfbench's self-test checks that its tracer patches this import)
 )
 from .twuality_group import (
     FLIPS,
@@ -121,11 +122,11 @@ class OrbitReport:
 
     def canonical_json(self) -> str:
         """``json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))``,
-        written by joining each element's family text (``_family_texts``)
+        written from the family texts of the whole orbit (``_families_text``)
         and the word texts, whose leading commas one ``replace`` drops:
         no token holds a bracket."""
         n = self.seed.n
-        elements = ('],"n":%d},{"feasible":[' % n).join(_family_texts(self.forms, n))
+        elements = _families_text(self.forms, n, '],"n":%d},{"feasible":[' % n)
         paths = ("[" + "],[".join(self.word_texts) + "]").replace("[,", "[")
         return '{"elements":[{"feasible":[%s],"n":%d}],"mode":"%s","paths":[%s],"size":%d}' % (
             elements, n, self.mode, paths, self.size
@@ -193,20 +194,20 @@ def _orbit_tries(n: int, mode: str) -> tuple[tuple[tuple, ...], ...]:
     and then ``(1 2), (2 3), ..``.  After ``g`` the list leaves out ``g``
     itself, every earlier generator that commutes with ``g`` (flips at
     other elements, disjoint swaps) and, when ``g`` is a swap, every flip.
-    An entry is ``(mask, shift, keep, text, index)``, one step of the walk
-    (see ``orbit``), ``text`` the generator's token as it ends a word text
-    of ``OrbitReport``.
+    An entry is ``(swap, mask, shift, text, index)``, one step of the walk
+    (see ``orbit``): ``swap`` is true for a delta swap (twist, relabeling),
+    ``text`` the generator's token as it ends a word text of ``OrbitReport``.
     """
     halves = _HALVES[n]
-    steps = []  # (mask, shift, keep, token text, elements moved)
+    steps = []  # (swap, mask, shift, token text, elements moved)
     for k, half in enumerate(halves):
-        steps.append((half, 1 << k, -1, f',"*{k + 1}"', {k}))
-        steps.append((half, 1 << k, 0, f',"+{k + 1}"', {k}))
+        steps.append((True, half, 1 << k, f',"*{k + 1}"', {k}))
+        steps.append((False, half, 1 << k, f',"+{k + 1}"', {k}))
     flips = len(steps)
     if mode == "full":  # the delta swap of ``set_system._swap_adjacent``
         for k in range(n - 1):
             swap = f',"({k + 1} {k + 2})"'
-            steps.append((~halves[k] & halves[k + 1], 1 << k, -1, swap, {k, k + 1}))
+            steps.append((True, ~halves[k] & halves[k + 1], 1 << k, swap, {k, k + 1}))
     moved = [step[4] for step in steps]
     entries = [(*step[:4], h) for h, step in enumerate(steps)]
 
@@ -223,11 +224,10 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
     ``*1, +1, *2, +2, ..`` and then the swaps ``(1 2), (2 3), ..``; each
     new table's witness word is its parent's plus the generator.
 
-    Every step is one formula on the truth table ``s``: with
-    ``d = ((s >> shift) & keep ^ s) & mask`` the image is
-    ``s ^ (d & keep) ^ (d << shift)``, a delta swap for ``keep = -1``
-    (twist, relabeling) and the lower half XORed into the upper for
-    ``keep = 0`` (loop complementation).
+    Every step is a few whole-table int ops on the truth table ``s``: a
+    twist or a relabeling is the delta swap ``d = ((s >> shift) ^ s) &
+    mask``, ``s ^ d ^ (d << shift)``, and a loop complementation XORs the
+    lower half into the upper, ``s ^ ((s & mask) << shift)``.
 
     A state tries only the generators that ``_orbit_tries`` lists for the
     last generator of its word.  The words are those of the walk that
@@ -259,9 +259,12 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
     push, mark = queue.append, lasts.append
     for s, last in zip(queue, lasts):  # breadth first: the loop visits the states it appends
         base = paths[s]
-        for mask, shift, keep, token, g in tries[last]:
-            d = ((s >> shift) & keep ^ s) & mask
-            t = s ^ (d & keep) ^ (d << shift)
+        for swap, mask, shift, token, g in tries[last]:
+            if swap:
+                d = ((s >> shift) ^ s) & mask
+                t = s ^ d ^ (d << shift)
+            else:
+                t = s ^ ((s & mask) << shift)
             if t not in paths:
                 paths[t] = base + token
                 push(t)

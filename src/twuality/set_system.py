@@ -15,13 +15,14 @@ ground size, built on first use, holds the subsets in shortlex order and
 the rank of every mask.  ``shortlex_ranks`` reads a family's sorted ranks
 off its truth table, and ``_family_of_ranks`` turns them into the table's
 shared member tuples.  Orbits and ``sorted_systems`` sort many tables at
-once through ``_canonical_order``, and orbit reports read each family's
-JSON text (``_family_texts``) or member tuples (``_family_members``) off
-the form it hands back.  Up to ``BITMAP_GROUND`` elements these read
-per-byte lookup tables, built once per ground size: a family becomes its
-rank bitmap by one lookup per byte of its truth table, the bitmap one int
-sort key by four int ops and its JSON text by one lookup per byte of the
-bitmap, with no per-family sort.  Above it they sort and join rank lists.
+once through ``_canonical_order``, and orbit reports read their JSON text
+(``_families_text``) or member tuples (``_family_members``) off the forms
+it hands back.  Up to ``BITMAP_GROUND`` elements these read per-byte
+lookup tables, built once per ground size: a family becomes its rank
+bitmap by one lookup per byte of its truth table, the bitmap one int sort
+key by four int ops and its JSON text by one lookup per byte of the
+bitmap, the lookups one C-level pass over the bytes of all the families.
+Above it they sort and join rank lists.
 
 Operations:
 
@@ -177,7 +178,7 @@ def _canonical_order(tables: Iterable[int], n: int) -> tuple[list[int], list]:
     """The truth tables over [n] in canonical order, and per table its
     order form: the rank bitmap ``R`` for ``n <= BITMAP_GROUND`` (see
     ``_bitmap_tables``), the ascending rank list above, off which
-    ``_family_texts`` and ``_family_members`` read the family.
+    ``_families_text`` and ``_family_members`` read the family.
 
     Families compare as their ascending rank lists.  Let ``r`` be the least
     rank in which families ``A != B`` differ, say ``r`` in ``A``.  If ``B``
@@ -200,24 +201,34 @@ def _canonical_order(tables: Iterable[int], n: int) -> tuple[list[int], list]:
     nbytes, full = max(m >> 3, 1), (1 << m) - 1
     rows = _bitmap_tables(n)[0]
     tables = list(tables)
-    bitmaps = [sum(map(getitem, rows, t.to_bytes(nbytes, "little"))) for t in tables]
+    packed = b"".join(map(int.to_bytes, tables, itertools.repeat(nbytes), itertools.repeat("little")))
+    bitmaps = list(map(sum, zip(*[map(getitem, itertools.cycle(rows), packed)] * nbytes)))
     keys = [(full ^ ((R & -R) - 1) ^ R) << m | R for R in bitmaps]
     order = sorted(range(len(keys)), key=keys.__getitem__)
     return [tables[i] for i in order], [bitmaps[i] for i in order]
 
 
-def _family_texts(forms: Iterable, n: int) -> Iterator[str]:
-    """Per order form of ``_canonical_order``, the JSON text of the
-    family's sets in canonical order, comma-separated, without brackets:
-    one join of ``_bitmap_tables`` texts, or of the members at the ranks."""
+def _families_text(forms: Iterable, n: int, sep: str) -> str:
+    """The families at the order forms of ``_canonical_order``, each its
+    sets' JSON text comma-separated, joined by ``sep``, which holds a
+    character no set text holds (a quote): one join of the members at the
+    ranks, or of ``_bitmap_tables`` texts over the packed big-endian
+    bitmaps, where the byte-0 texts carry ``sep`` for their leading comma
+    and a ``replace`` drops the comma of a family with no set there."""
     if n > BITMAP_GROUND:
         members = _member_texts(n)
         # an itemgetter of one index returns the item alone
-        return (",".join(itemgetter(*r)(members)) if len(r) > 1 else members[r[0]] if r else ""
-                for r in forms)
+        return sep.join(",".join(itemgetter(*r)(members)) if len(r) > 1 else members[r[0]] if r else ""
+                        for r in forms)
     nbytes = max(1 << n >> 3, 1)
-    texts = _bitmap_tables(n)[1]
-    return ("".join(map(getitem, texts, R.to_bytes(nbytes, "big")))[1:] for R in forms)
+    first, *rest = _bitmap_tables(n)[1]
+    texts = ([sep + text[1:] for text in first], *rest)
+    packed = b"".join(map(int.to_bytes, forms, itertools.repeat(nbytes), itertools.repeat("big")))
+    step = nbytes << 12  # 4,096 families a piece, so that peak memory stays that of the text
+    pieces = ["".join(map(getitem, itertools.cycle(texts), packed[i:i + step])).replace(sep + ",", sep)
+              for i in range(0, len(packed), step)] or [sep]
+    pieces[0] = pieces[0][len(sep):]
+    return "".join(pieces)
 
 
 def _family_members(forms: Iterable, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -739,25 +750,32 @@ def is_vf_safe(
     per twist class walked (a binary family's own), keyed by ``(n, class
     key)``; this is sound because the verdict is shared by the whole closure.
     """
+    return _vf_safety(D, max_n, cache)[0]
+
+
+def _vf_safety(D: SetSystem, max_n: int, cache: dict | None) -> tuple[bool, bool | None]:
+    """``is_vf_safe(D, max_n, cache)`` and whether ``D`` is a delta-matroid:
+    true with a ``True`` verdict, else whether the walk's first class, ``D``'s
+    own, passed the exchange check (``None`` for a ``False`` from the cache)."""
     n = D.n
     if n > max_n:
         raise BudgetError.capped("vf-safe closure", f"n <= {max_n}", n, 2, "twists per class")
     twists = _twists(D.table, n) if cache is not None else ()
     hit = cache.get((n, min(twists))) if twists else None
     if hit is not None:
-        return hit
+        return hit, hit or None
     if _is_binary(D.table, n):
         if twists:
             cache[n, min(twists)] = True
-        return True
+        return True, True
     twists = twists or _twists(D.table, n)
 
     reached = set(twists)  # every system of the classes found so far
     keys = [min(twists)]
-    verdict = True
-    for key in keys:  # breadth first: the loop visits the keys it appends
+    failed = None  # the index of the first class that fails exchange
+    for i, key in enumerate(keys):  # breadth first: the loop visits the keys it appends
         if not key or _exchange_failures(key, n):
-            verdict = False
+            failed = i
             break
         for k in range(n):
             for base in (key, twist1(key, n, k)):
@@ -768,5 +786,5 @@ def is_vf_safe(
                     keys.append(min(twists))
     if cache is not None:
         for key in keys:
-            cache[n, key] = verdict
-    return verdict
+            cache[n, key] = failed is None
+    return failed is None, failed != 0

@@ -43,7 +43,9 @@ def digon(signs):
 
 
 def theta(signs):
-    return RibbonGraph([[1, 3, 5], [2, 4, 6]], _edges(signs))
+    """Two vertices joined by ``len(signs)`` edges."""
+    m = len(signs)
+    return RibbonGraph([list(range(1, 2 * m, 2)), list(range(2, 2 * m + 1, 2))], _edges(signs))
 
 
 def with_isolated(G, k=1):

@@ -25,6 +25,7 @@ from twuality import (
     stabilizer_search,
     twist,
 )
+from twuality import set_system
 from twuality.cli import _text_lines, build_parser, main
 
 import ribbon_catalog as cat
@@ -154,6 +155,21 @@ class TestCheck:
         bad = write(tmp_path, "bad.json", {"n": 3, "feasible": [[], [2], [3], [2, 3], [1, 2, 3]]})
         assert run_json(capsys, "check", bad)["delta_matroid"] is False
         assert len(calls) == 1
+
+    def test_one_exchange_walk_of_its_own_twist_class(self, capsys, tmp_path, monkeypatch):
+        """The closure checks exchange on the input's own twist class first.
+        A delta-matroid that is not vf-safe is walked there only; a family
+        that fails exchange is walked once more, for its witness."""
+        real, walked = set_system._exchange_failures, []
+        monkeypatch.setattr(set_system, "_exchange_failures", lambda t, n: walked.append(t) or real(t, n))
+        for name, delta_matroid, walks in (("not-vf-safe", True, 1), ("not-delta", False, 2)):
+            D = SetSystem.from_json(_PINNED_SYSTEMS[name])
+            own = set(set_system._twists(D.table, D.n))
+            walked.clear()
+            data = run_json(capsys, "check", write(tmp_path, f"{name}.json", D.to_json()))
+            assert (data["delta_matroid"], data["vf_safe"]) == (delta_matroid, False)
+            assert walked[0] == min(own)
+            assert sum(t in own for t in walked) == walks
 
 
 _PINNED_SYSTEMS = {

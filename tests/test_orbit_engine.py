@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -35,7 +36,7 @@ from twuality import (
     uniformize,
 )
 from twuality.orbit_engine import _orbit_tries, _relabel_buckets
-from twuality.set_system import BITMAP_GROUND, relabel
+from twuality.set_system import BITMAP_GROUND, _swap_adjacent, loop_complement1, relabel, twist1
 
 import ribbon_catalog as cat
 from conftest import assert_frozen, set_systems
@@ -110,6 +111,21 @@ class TestOrbit:
     @settings(max_examples=30, deadline=None)
     def test_canonical_json_is_dumps_of_to_json(self, D, mode):
         rep = orbit(D, mode=mode)
+        expected = json.dumps(rep.to_json(), sort_keys=True, separators=(",", ":"))
+        assert rep.canonical_json() == expected
+
+    @pytest.mark.parametrize(
+        "D, mode",
+        [(SetSystem.from_table(n, t), mode) for n in (0, 1, 2) for t in range(1 << (1 << n))
+         for mode in ("iota", "full")]
+        + [(SetSystem(n), mode) for n in (3, 8, 9) for mode in ("iota", "full")]
+        + [(ss(8, [(), (1,)]), "iota")],
+        ids=lambda v: v if isinstance(v, str) else f"{v.n}-{v.table:x}",
+    )
+    def test_whole_orbit_text_is_dumps_of_to_json(self, D, mode):
+        """The whole-orbit writer on tables narrower than a byte, on the
+        empty family, and at 8 and 9 elements."""
+        rep = orbit(D, mode=mode, max_n=D.n)
         expected = json.dumps(rep.to_json(), sort_keys=True, separators=(",", ":"))
         assert rep.canonical_json() == expected
 
@@ -203,9 +219,10 @@ class TestOrbitWalk:
         [
             delta_matroid_of(cat.path_graph([1, -1, 1, 1, -1, 1, -1])),
             delta_matroid_of(cat.bouquet([1, -1, 1, 1, -1, 1, -1])),
+            delta_matroid_of(cat.theta([1, -1, 1, 1, -1, 1])),
             ss(8, [()]),
         ],
-        ids=["path7", "bouquet7", "empty8"],
+        ids=["path7", "bouquet7", "theta6", "empty8"],
     )
     def test_matches_unpruned_walk_on_larger_ground(self, D):
         rep = orbit(D, mode="full")
@@ -227,6 +244,32 @@ class TestOrbitWalk:
         for E, word in paths.items():
             for token in order:
                 assert key(paths[replay(E, (token,))]) <= key(word + (token,))
+
+    @pytest.mark.parametrize("mode", ["iota", "full"])
+    @pytest.mark.parametrize("n", range(9))
+    def test_each_try_steps_by_its_generator(self, n, mode, rng):
+        """Each ``_orbit_tries`` entry, stepped as ``orbit`` steps it, is
+        the twist, loop complementation or adjacent relabeling its token
+        names, and its index is its place in the seed's list."""
+        tries = _orbit_tries(n, mode)
+        assert [entry[4] for entry in tries[-1]] == list(range(len(tries[-1])))
+        assert {entry for entries in tries for entry in entries} == set(tries[-1])
+        full = (1 << (1 << n)) - 1
+        tables = [0, full] + [rng.getrandbits(1 << n) for _ in range(20)]
+        for swap, mask, shift, token, _ in tries[-1]:
+            name = token[2:-1]
+            if name[0] == "(":
+                expected = functools.partial(_swap_adjacent, n=n, k=int(name[1:].split()[0]) - 1)
+            else:
+                flip = twist1 if name[0] == "*" else loop_complement1
+                expected = functools.partial(flip, n=n, k=int(name[1:]) - 1)
+            for s in tables:
+                if swap:
+                    d = ((s >> shift) ^ s) & mask
+                    t = s ^ d ^ (d << shift)
+                else:
+                    t = s ^ ((s & mask) << shift)
+                assert t == expected(s), (token, s)
 
     def test_try_lists_at_three_elements(self):
         tries = [[entry[3][2:-1] for entry in entries] for entries in _orbit_tries(3, "full")]

@@ -185,10 +185,13 @@ def oracle_text(table, n):
 
 
 def assert_canonical_order(tables, n):
+    """``_canonical_order`` against the tuple key, and the families read off
+    its forms: their text joined by an orbit report's separator
+    (``_families_text``) and their member tuples."""
     ordered, forms = set_system._canonical_order(tables, n)
     assert ordered == oracle_order(tables, n)
-    texts = list(set_system._family_texts(forms, n))
-    assert texts == [oracle_text(t, n) for t in ordered]
+    sep = '],"n":%d},{"feasible":[' % n
+    assert set_system._families_text(forms, n, sep) == sep.join(oracle_text(t, n) for t in ordered)
     families = list(set_system._family_members(forms, n))
     assert families == [tuple_key_feasible_sets(set_system._masks_of_table(t)) for t in ordered]
 
@@ -212,7 +215,7 @@ def related_tables(draw, max_n):
 
 
 class TestCanonicalOrder:
-    """The rank-bitmap route of ``_canonical_order``, ``_family_texts`` and
+    """The rank-bitmap route of ``_canonical_order``, ``_families_text`` and
     ``_family_members`` (``n <= BITMAP_GROUND``) and the rank-list route
     above it, against the tuple key."""
 
@@ -226,6 +229,7 @@ class TestCanonicalOrder:
     @given(related_tables(set_system.BITMAP_GROUND))
     @example((8, [0, 1, 1 << 255, (1 << 256) - 1, (1 << 256) - 2]))
     @example((2, [0, 0b1000, 0b1001]))
+    @example((3, []))
     @settings(max_examples=150)
     def test_bitmap_route_matches_tuple_key(self, case):
         n, tables = case

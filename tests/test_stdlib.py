@@ -1,4 +1,5 @@
-"""The library imports nothing outside the standard library and itself."""
+"""The library imports nothing outside the standard library and itself,
+and its source parses at the oldest Python it supports."""
 
 import ast
 import pathlib
@@ -28,3 +29,9 @@ def test_every_import_is_stdlib_or_the_package():
         if root not in sys.stdlib_module_names and root != "twuality"
     }
     assert not foreign
+
+
+def test_every_module_parses_at_the_python_floor():
+    """The source keeps to the grammar of ``requires-python``, 3.10."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
