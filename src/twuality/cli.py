@@ -38,13 +38,7 @@ from .multimatroid import (
 )
 from .orbit_engine import orbit, stabilizer_search, uniformize
 from .ribbon import RibbonGraph, delta_matroid_of, medial, verify_medial_lift
-from .set_system import (
-    DeltaMatroidWitness,
-    SetSystem,
-    VF_SAFE_DEFAULT_CAP,
-    _vf_safety,
-    is_delta_matroid,
-)
+from .set_system import SetSystem, VF_SAFE_DEFAULT_CAP, _exchange_witness, _vf_safety
 from .twuality_group import (
     BAR,
     ONE,
@@ -176,10 +170,9 @@ def _parse_gvec(text: str, n: int):
 def _cmd_check(args) -> tuple[dict, int]:
     D = SetSystem.from_json(_load_json(args.file))
     cap = args.max_n if args.max_n is not None else VF_SAFE_DEFAULT_CAP
-    # the closure checks exchange on D's own twist class first, so only a
-    # family that fails there needs the walk that finds its witness
-    vf_safe, delta_matroid = _vf_safety(D, cap, None)
-    witness = DeltaMatroidWitness(True) if delta_matroid else is_delta_matroid(D)
+    # the closure walks exchange on D first, and its failure table is the witness's
+    vf_safe, bad = _vf_safety(D, cap, None)
+    witness = _exchange_witness(D, bad)
     payload = {
         "n": D.n,
         "proper": D.is_proper,

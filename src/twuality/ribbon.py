@@ -31,8 +31,8 @@ from typing import Sequence
 
 from .errors import BudgetError, ConsistencyError, ValidationError
 from .multimatroid import Multimatroid, _check_class_count, _keep_slots, _lift_table, _zeros
-from .set_system import MAX_GROUND, SetSystem, VF_SAFE_DEFAULT_CAP, is_delta_matroid, is_vf_safe
-from .set_system import _is_binary, _value_type
+from .set_system import MAX_GROUND, SetSystem, VF_SAFE_DEFAULT_CAP
+from .set_system import _exchange_failures, _is_binary, _value_type, _vf_safety
 
 QUASI_TREE_CAP = 16
 TRANSITION_MATROID_CAP = 8
@@ -356,14 +356,19 @@ def _checked_delta_matroid(G: RibbonGraph, D: SetSystem, vf_cache: dict | None) 
     """``D`` once it is found vf-safe, or binary above the vf-safe cap.
     Either verdict proves symmetric exchange (``is_vf_safe``), so the
     exchange walk runs only on a refused family, where a failure is
-    reported first."""
+    reported first.  A refusal by the closure comes with its walk's
+    failure table, so the walk runs here only after a refusal read from
+    the cache or by the binary certificate."""
     if G.n <= VF_SAFE_DEFAULT_CAP:
-        ok, fault = is_vf_safe(D, cache=vf_cache), "is not vf-safe"
+        ok, bad = _vf_safety(D, VF_SAFE_DEFAULT_CAP, vf_cache)
+        fault = "is not vf-safe"
     else:
-        ok, fault = _is_binary(D.table, D.n), "is not binary"
+        ok, bad, fault = _is_binary(D.table, D.n), None, "is not binary"
     if ok:
         return D
-    if not is_delta_matroid(D).valid:
+    if bad is None:
+        bad = _exchange_failures(D.table, D.n)
+    if bad or not D.is_proper:
         fault = "fails symmetric exchange"
     raise ConsistencyError(f"quasi-tree family of {G!r} {fault}")
 

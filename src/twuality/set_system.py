@@ -622,9 +622,14 @@ def is_delta_matroid(D: SetSystem) -> DeltaMatroidWitness:
     On failure the witness is the first refuting triple in canonical
     ``(X, Y, u)`` order (family order, then ascending ``u``).
     """
+    return _exchange_witness(D, _exchange_failures(D.table, D.n) if D.is_proper else 0)
+
+
+def _exchange_witness(D: SetSystem, bad: int) -> DeltaMatroidWitness:
+    """``is_delta_matroid(D)`` from ``bad``, the exchange failure table of
+    ``D`` (``_exchange_failures``; any value when ``D`` is improper)."""
     if not D.is_proper:
         return DeltaMatroidWitness(False, "not proper")
-    bad = _exchange_failures(D.table, D.n)
     if not bad:
         return DeltaMatroidWitness(True)
     ordered = sorted(D.masks, key=_shortlex_table(D.n)[1].__getitem__)
@@ -668,21 +673,14 @@ def classify_element(D: SetSystem, i: int) -> RibbonLoopClass:
 # ---------------------------------------------------------------------------
 # vf-safety closure over twist classes
 
-@functools.cache
-def _gray_twists(n: int) -> tuple[tuple[int, int], ...]:
-    """The ``(half, shift)`` pair of the element twisted at each step of a
-    Gray-code walk that visits all ``2**n`` twists of a truth table."""
-    halves = _HALVES[n]
-    steps = ((i & -i).bit_length() - 1 for i in range(1, 1 << n))
-    return tuple((halves[k], 1 << k) for k in steps)
-
-
 def _twists(table: int, n: int) -> list[int]:
-    """The ``2**n`` twists of a truth table, in Gray-code order."""
+    """The ``2**n`` twists of a truth table, the twist at ``X`` at index
+    ``X``: each element doubles the list of the twists at the elements
+    below it, by one list comprehension."""
     out = [table]
-    for half, shift in _gray_twists(n):
-        table = ((table & half) << shift) | ((table >> shift) & half)
-        out.append(table)
+    for k, half in enumerate(_HALVES[n]):
+        shift = 1 << k
+        out += [((t & half) << shift) | ((t >> shift) & half) for t in out]
     return out
 
 
@@ -691,7 +689,16 @@ def _binary_table(rows: list[int], n: int) -> int:
     ``n >= 2``, row ``i`` of the symmetric ``A`` the mask ``rows[i]``.  The
     sets without the top element ``v`` are ``D(A - v)``, and those with it
     ``D(B)`` for ``B[i][j] = A[i][j] + A[i][v] A[v][j]``, the Schur complement
-    at ``v`` with ``A[v][v]`` set to 1, XOR ``D(A - v)`` if it was 0."""
+    at ``v`` with ``A[v][v]`` set to 1, XOR ``D(A - v)`` if it was 0.  The
+    recursion ends at three elements, in a lookup of ``_BINARY_LEAVES``."""
+    if n == 3:
+        return _BINARY_LEAVES[rows[0] | rows[1] << 3 | rows[2] << 6]
+    return _schur_split(rows, n)
+
+
+def _schur_split(rows: list[int], n: int) -> int:
+    """``_binary_table`` by one step of its recursion, or at two elements
+    directly."""
     if n == 2:
         a, b = rows
         return 1 | (a & 1) << 1 | (b & 2) << 1 | ((a & b >> 1 ^ a >> 1) & 1) << 3
@@ -700,6 +707,11 @@ def _binary_table(rows: list[int], n: int) -> int:
     low = _binary_table([r & keep for r in rows[:v]], v)
     high = _binary_table([(r ^ top if r >> v & 1 else r) & keep for r in rows[:v]], v)
     return low | (high if top >> v & 1 else high ^ low) << (1 << v)
+
+
+#: ``_binary_table`` at three elements for each of the 512 row triples,
+#: indexed by ``rows[0] | rows[1] << 3 | rows[2] << 6``
+_BINARY_LEAVES = tuple(_schur_split([v & 7, v >> 3 & 7, v >> 6], 3) for v in range(512))
 
 
 def _is_binary(table: int, n: int) -> bool:
@@ -731,60 +743,70 @@ def is_vf_safe(
     toggles ``A[i][i]`` in ``D(A)`` (Brijder and Hoogeboom 2013).  So
     ``_is_binary`` answers first, and only other families walk the closure.
 
-    The search is a breadth-first walk over twist classes, each held by its
-    key: the least truth table among its ``2**n`` twists (a Gray-code walk).
     Twisting preserves properness and the symmetric exchange axiom (Bouchet
-    1987), so the exchange check runs once per class, on its key, as the
-    whole-table walk of ``_exchange_failures``; no mask is decoded.  Flips at
-    different elements commute, so the classes next to the class of ``F``
-    are those of ``+k F`` and ``+k *k F`` for each ``k``.  Every twist of
-    each class found is kept, so a move into a known class is dropped by
-    one set lookup and each class is walked once.
+    1987), so one whole-table walk of ``_exchange_failures`` decides a whole
+    twist class, and no mask is decoded.  The first walk is on ``D`` itself:
+    a family that fails it is refused at once.  Otherwise the search is a
+    breadth-first walk over twist classes, each held by its key: the least
+    truth table among its ``2**n`` twists.  Flips at different elements
+    commute, so the classes next to the class of ``F`` are those of ``+k F``
+    and ``+k *k F`` for each ``k``.  A system of a class not yet reached is
+    checked for exchange at once, and the first failure ends the walk;
+    otherwise every twist of its class is kept, so a move into a known
+    class is dropped by one set lookup and each class is walked once.
 
     A ``True`` verdict certifies that ``D`` itself is a delta-matroid: the
-    walk checks exchange on the key of ``D``'s own twist class, and a binary
-    family is a twist of some ``D(A)``, which satisfies exchange (Bouchet
-    1988).  So a caller needs ``is_delta_matroid`` only on a ``False``.
+    walk checks exchange on ``D`` first, and a binary family is a twist of
+    some ``D(A)``, which satisfies exchange (Bouchet 1988).  So a caller
+    needs ``is_delta_matroid`` only on a ``False``.
 
     An optional ``cache`` dict memoizes verdicts across calls, one entry
-    per twist class walked (a binary family's own), keyed by ``(n, class
-    key)``; this is sound because the verdict is shared by the whole closure.
+    per twist class whose key was found (a binary or refused family's own),
+    keyed by ``(n, class key)``; this is sound because the verdict is shared
+    by the whole closure.
     """
     return _vf_safety(D, max_n, cache)[0]
 
 
-def _vf_safety(D: SetSystem, max_n: int, cache: dict | None) -> tuple[bool, bool | None]:
-    """``is_vf_safe(D, max_n, cache)`` and whether ``D`` is a delta-matroid:
-    true with a ``True`` verdict, else whether the walk's first class, ``D``'s
-    own, passed the exchange check (``None`` for a ``False`` from the cache)."""
-    n = D.n
+def _vf_safety(D: SetSystem, max_n: int, cache: dict | None) -> tuple[bool, int | None]:
+    """``is_vf_safe(D, max_n, cache)`` and the exchange failure table of
+    ``D`` (``_exchange_failures``), which ``_exchange_witness`` turns into
+    ``is_delta_matroid(D)``: 0 with a ``True`` verdict or an improper ``D``,
+    and ``None`` for a ``False`` read from the cache, which walked nothing."""
+    n, table = D.n, D.table
     if n > max_n:
         raise BudgetError.capped("vf-safe closure", f"n <= {max_n}", n, 2, "twists per class")
-    twists = _twists(D.table, n) if cache is not None else ()
-    hit = cache.get((n, min(twists))) if twists else None
+    own = _twists(table, n) if cache is not None else None
+    hit = cache.get((n, min(own))) if own is not None else None
     if hit is not None:
-        return hit, hit or None
-    if _is_binary(D.table, n):
-        if twists:
-            cache[n, min(twists)] = True
-        return True, True
-    twists = twists or _twists(D.table, n)
+        return hit, 0 if hit else None
+    safe, bad, keys = _is_binary(table, n), 0, ()
+    if not safe and table:
+        bad = _exchange_failures(table, n)
+        if not bad:
+            safe, keys = _closure_safe(table, n, own or _twists(table, n))
+    if own is not None:
+        cache[n, min(own)] = safe
+        for key in keys:
+            cache[n, key] = safe
+    return safe, bad
 
-    reached = set(twists)  # every system of the classes found so far
-    keys = [min(twists)]
-    failed = None  # the index of the first class that fails exchange
-    for i, key in enumerate(keys):  # breadth first: the loop visits the keys it appends
-        if not key or _exchange_failures(key, n):
-            failed = i
-            break
+
+def _closure_safe(table: int, n: int, own: list[int]) -> tuple[bool, list[int]]:
+    """Whether every twist class of the closure of the delta-matroid
+    ``table``, whose twists are ``own``, passes the exchange check, and the
+    keys of the classes that passed, in the breadth-first order reached: all
+    of them, or those reached before the first that fails."""
+    reached = set(own)  # every system of the classes found so far
+    keys = [min(own)]
+    for key in keys:  # breadth first: the loop visits the keys it appends
         for k in range(n):
             for base in (key, twist1(key, n, k)):
                 table = loop_complement1(base, n, k)
                 if table not in reached:
+                    if _exchange_failures(table, n):
+                        return False, keys
                     twists = _twists(table, n)
                     reached.update(twists)
                     keys.append(min(twists))
-    if cache is not None:
-        for key in keys:
-            cache[n, key] = failed is None
-    return failed is None, failed != 0
+    return True, keys

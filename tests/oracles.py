@@ -10,12 +10,19 @@ compared against.
 * ``vf_safe_oracle``: the breadth-first closure over single systems, one
   exchange check per reachable system.  The library walks twist classes of
   truth tables instead, and first certifies binary families.
+* ``vf_class_walk_oracle``: the library's earlier closure over twist
+  classes, which listed every twist of each class it reached (a Gray-code
+  walk) and checked exchange on a class key only when the breadth-first
+  loop popped it.  The library checks each class when it first reaches
+  it, stops at the first failure, and starts with the input itself.
 * ``check_report_oracle``: the ``check`` report by the route it took
   before, the exchange walk on every input and then vf-safety.  The
   library decides vf-safety first and walks exchange only on a refusal.
 * ``binary_table_oracle``: ``D(A)`` for a symmetric 0/1 matrix, one GF(2)
   elimination per subset.  The library builds the table by recursing on
   Schur complements.
+* ``binary_recursion_oracle``: that recursion down to two elements.  The
+  library ends it at three, in a lookup table.
 * ``twist1``, ``loop_complement1``, ``dual_twist1``: the single-element
   flips on a frozenset of masks, ``bit`` the mask of the element.  The
   library applies them to truth tables.
@@ -107,7 +114,8 @@ from twuality.multimatroid import (
     lift,
 )
 from twuality.ribbon import TRANSITION_NAMES
-from twuality.set_system import _HALVES, mask_of, members_of
+from twuality.set_system import _HALVES, _exchange_failures, mask_of, members_of
+from twuality.set_system import loop_complement1 as table_complement1, twist1 as table_twist1
 
 
 def shortlex_key(mask):
@@ -417,6 +425,49 @@ def binary_table_oracle(A):
         else:
             table |= 1 << Y
     return table
+
+
+def binary_recursion_oracle(rows, n):
+    """``D(A)`` for the symmetric GF(2) matrix with row ``i`` the mask
+    ``rows[i]``, ``n >= 2``, by the Schur-complement recursion at the top
+    element, down to two elements."""
+    if n == 2:
+        a, b = rows
+        return 1 | (a & 1) << 1 | (b & 2) << 1 | ((a & b >> 1 ^ a >> 1) & 1) << 3
+    v = n - 1
+    keep, top = (1 << v) - 1, rows[v]
+    low = binary_recursion_oracle([r & keep for r in rows[:v]], v)
+    high = binary_recursion_oracle([(r ^ top if r >> v & 1 else r) & keep for r in rows[:v]], v)
+    return low | (high if top >> v & 1 else high ^ low) << (1 << v)
+
+
+def vf_class_walk_oracle(table, n):
+    """The vf-safety closure of a truth table over [n] by twist classes,
+    without the binary certificate: every twist of each class reached is
+    listed, and exchange is checked on a class key when the breadth-first
+    loop pops it.  Returns the verdict, the keys of the classes reached in
+    the order reached, and the keys checked for exchange in order."""
+
+    def twists(t):
+        out = [t]
+        for i in range(1, 1 << n):
+            t = table_twist1(t, n, (i & -i).bit_length() - 1)
+            out.append(t)
+        return out
+
+    reached = set(twists(table))
+    keys = [min(reached)]
+    for i, key in enumerate(keys):
+        if not key or _exchange_failures(key, n):
+            return False, keys, keys[:i + 1]
+        for k in range(n):
+            for base in (key, table_twist1(key, n, k)):
+                nxt = table_complement1(base, n, k)
+                if nxt not in reached:
+                    listed = twists(nxt)
+                    reached.update(listed)
+                    keys.append(min(listed))
+    return True, keys, keys
 
 
 def vf_safe_oracle(D):

@@ -19,6 +19,7 @@ from twuality import (
     TransversalTriple,
     TwualityElement,
     act,
+    is_delta_matroid,
     lift,
     orbit,
     spanning_quasi_trees,
@@ -29,7 +30,8 @@ from twuality import set_system
 from twuality.cli import _text_lines, build_parser, main
 
 import ribbon_catalog as cat
-from conftest import set_systems
+from conftest import set_systems, vf_walk_families
+import oracles
 from oracles import check_report_oracle
 
 ss = SetSystem.from_sets
@@ -135,6 +137,25 @@ class TestCheck:
             verdicts.add((data["proper"], data["delta_matroid"], data["vf_safe"]))
         assert verdicts == {(True, True, True), (True, True, False), (True, False, False), (False, False, False)}
 
+    @pytest.mark.parametrize("certificate", [True, False], ids=["certificate", "no-certificate"])
+    def test_payload_matches_the_class_walk(self, capsys, tmp_path, monkeypatch, certificate):
+        """The report against the exchange walk and the class walk that the
+        closure replaced; without the certificate, binary families walk the
+        closure too."""
+        if not certificate:
+            monkeypatch.setattr(set_system, "_is_binary", lambda table, n: False)
+        for k, D in enumerate(vf_walk_families()):
+            data = run_json(capsys, "check", write(tmp_path, f"d{k}.json", D.to_json()))
+            witness = is_delta_matroid(D)
+            assert data == {
+                "n": D.n,
+                "proper": D.is_proper,
+                "normal": D.is_normal,
+                "delta_matroid": witness.valid,
+                "witness": witness.to_json(),
+                "vf_safe": oracles.vf_class_walk_oracle(D.table, D.n)[0],
+            }, D
+
     def test_vf_safe_budget_at_eleven(self, capsys, tmp_path):
         path = write(tmp_path, "d11.json", {"n": 11, "feasible": [[]]})
         assert run(capsys, "check", path) == (
@@ -144,32 +165,33 @@ class TestCheck:
         )
 
     def test_no_exchange_walk_on_vf_safe_input(self, capsys, tmp_path, cone_file, monkeypatch):
-        """A vf-safe verdict proves exchange; only a refused family is walked."""
-        import twuality.cli as cli_mod
-
-        calls = []
-        walk = cli_mod.is_delta_matroid
-        monkeypatch.setattr(cli_mod, "is_delta_matroid", lambda D: calls.append(D) or walk(D))
-        assert run_json(capsys, "check", cone_file)["vf_safe"] is True
-        assert calls == []
-        bad = write(tmp_path, "bad.json", {"n": 3, "feasible": [[], [2], [3], [2, 3], [1, 2, 3]]})
-        assert run_json(capsys, "check", bad)["delta_matroid"] is False
-        assert len(calls) == 1
-
-    def test_one_exchange_walk_of_its_own_twist_class(self, capsys, tmp_path, monkeypatch):
-        """The closure checks exchange on the input's own twist class first.
-        A delta-matroid that is not vf-safe is walked there only; a family
-        that fails exchange is walked once more, for its witness."""
+        """A vf-safe verdict proves exchange; only a refused family is
+        walked, once, and its witness is read off that walk."""
         real, walked = set_system._exchange_failures, []
         monkeypatch.setattr(set_system, "_exchange_failures", lambda t, n: walked.append(t) or real(t, n))
-        for name, delta_matroid, walks in (("not-vf-safe", True, 1), ("not-delta", False, 2)):
+        assert run_json(capsys, "check", cone_file)["vf_safe"] is True
+        assert walked == []
+        sets = [[], [2], [3], [2, 3], [1, 2, 3]]
+        data = run_json(capsys, "check", write(tmp_path, "bad.json", {"n": 3, "feasible": sets}))
+        assert data["delta_matroid"] is False
+        assert walked == [ss(3, sets).table]
+        assert data["witness"] == is_delta_matroid(ss(3, sets)).to_json()
+
+    def test_one_exchange_walk_of_its_own_twist_class(self, capsys, tmp_path, monkeypatch):
+        """The closure walks exchange on the input itself first.  That one
+        walk is the only one on the input's twist class, whether the family
+        is a delta-matroid that is not vf-safe or fails exchange, where the
+        walk's failure table gives the witness."""
+        real, walked = set_system._exchange_failures, []
+        monkeypatch.setattr(set_system, "_exchange_failures", lambda t, n: walked.append(t) or real(t, n))
+        for name, delta_matroid in (("not-vf-safe", True), ("not-delta", False)):
             D = SetSystem.from_json(_PINNED_SYSTEMS[name])
             own = set(set_system._twists(D.table, D.n))
             walked.clear()
             data = run_json(capsys, "check", write(tmp_path, f"{name}.json", D.to_json()))
             assert (data["delta_matroid"], data["vf_safe"]) == (delta_matroid, False)
-            assert walked[0] == min(own)
-            assert sum(t in own for t in walked) == walks
+            assert walked[0] == D.table
+            assert sum(t in own for t in walked) == 1
 
 
 _PINNED_SYSTEMS = {

@@ -175,10 +175,11 @@ class TestQuasiTreeSystems:
 
     def test_no_exchange_walk_on_binary_systems(self, named, monkeypatch):
         """A vf-safe or binary verdict proves exchange, so ``delta_matroid_of``
-        calls no ``is_delta_matroid`` on the named catalog or on interleaved
+        walks no exchange check on the named catalog or on interleaved
         bouquets of 12 and 16 edges, checked by the certificate alone."""
         calls = []
-        monkeypatch.setattr(ribbon, "is_delta_matroid", calls.append)
+        for module in (ribbon, set_system):
+            monkeypatch.setattr(module, "_exchange_failures", lambda t, n: calls.append(t))
         bouquets = [cat.bouquet(signs, interleaved=True) for signs in ([1] * 12, [1, -1] * 8)]
         for G in [*named.values(), *bouquets]:
             delta_matroid_of(G)
@@ -466,10 +467,10 @@ class TestOneSplitWalk:
                 assert D == extract(Zm, *ref), G
 
     def test_one_split_walk_and_one_vf_check_per_call(self, monkeypatch):
-        """One call runs ``_kept_splits`` once, ``is_vf_safe`` once and the
-        shared lift builder once, with or without a cache: calling ``lift``
-        instead would repeat the vf-safety check.  A vf-safe system needs no
-        ``is_delta_matroid`` call."""
+        """One call runs ``_kept_splits`` once, the vf-safety check once and
+        the shared lift builder once, with or without a cache: calling
+        ``lift`` instead would repeat the vf-safety check.  A vf-safe system
+        needs no exchange walk of its own."""
         counts = collections.Counter()
 
         def count(module, name):
@@ -483,8 +484,8 @@ class TestOneSplitWalk:
 
         for module, name in (
             (ribbon, "_kept_splits"),
-            (ribbon, "is_vf_safe"),
-            (ribbon, "is_delta_matroid"),
+            (ribbon, "_vf_safety"),
+            (ribbon, "_exchange_failures"),
             (ribbon, "_lift_table"),
             (multimatroid, "is_vf_safe"),
         ):
@@ -495,4 +496,4 @@ class TestOneSplitWalk:
             for cache in (None, {}):
                 counts.clear()
                 assert verify_medial_lift(G, vf_cache=cache).equal, G
-                assert counts == {"_kept_splits": 1, "is_vf_safe": 1, "_lift_table": 1}, (G, counts)
+                assert counts == {"_kept_splits": 1, "_vf_safety": 1, "_lift_table": 1}, (G, counts)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -28,7 +29,7 @@ from twuality import (
 )
 from twuality import set_system
 import ribbon_catalog as cat
-from conftest import assert_frozen, set_systems, subset_of
+from conftest import assert_frozen, set_systems, subset_of, vf_walk_families
 import oracles
 from oracles import canonical_key_oracle, first_exchange_failure, shortlex_key, vf_safe_oracle
 
@@ -634,6 +635,54 @@ class TestVfSafe:
         assert is_vf_safe(D, cache=cache) is expected
 
 
+class TestVfClassWalk:
+    """``_vf_safety`` against the class walk it replaced, which listed the
+    twists of every class reached and checked exchange at pop time."""
+
+    @pytest.mark.parametrize("certificate", [True, False], ids=["certificate", "no-certificate"])
+    def test_verdicts_match_the_class_walk(self, monkeypatch, certificate):
+        """The verdict, the failure table and, with a cache, its keys: the
+        classes reached in the oracle's order, up to the first one that
+        fails.  A second call reads the verdict from the cache.  Without
+        the certificate, binary families walk the closure too."""
+        if not certificate:
+            monkeypatch.setattr(set_system, "_is_binary", lambda table, n: False)
+        routes = set()
+        for D in vf_walk_families():
+            expected, keys, _ = oracles.vf_class_walk_oracle(D.table, D.n)
+            bad = 0 if expected else oracles.exchange_failures_oracle(D.mask_set())
+            assert set_system._vf_safety(D, 10, None) == (expected, bad), D
+            cache = {}
+            assert set_system._vf_safety(D, 10, cache) == (expected, bad), D
+            assert list(cache) == [(D.n, key) for key in keys[:len(cache)]], D
+            assert set(cache.values()) == {expected}
+            if expected and not set_system._is_binary(D.table, D.n):
+                assert len(cache) == len(keys)
+            assert set_system._vf_safety(D, 10, cache) == (expected, 0 if expected else None), D
+            routes.add((expected, bool(bad), D.is_proper))
+        # (verdict, failure table nonzero, proper)
+        assert routes == {(True, False, True), (False, False, True), (False, True, True), (False, False, False)}
+
+    def test_no_more_exchange_walks_than_the_class_walk(self, monkeypatch):
+        """On the pinned family that is a delta-matroid and not vf-safe,
+        the closure walks exchange on no more classes than the class walk,
+        and lists the twists of fewer."""
+        D = SetSystem(4, [m for m in range(16) if m & 7 != 7])
+        expected, keys, walks = oracles.vf_class_walk_oracle(D.table, D.n)
+        assert not expected and is_delta_matroid(D).valid
+        calls = collections.Counter()
+        for name in ("_exchange_failures", "_twists"):
+
+            def counted(t, n, real=getattr(set_system, name), name=name):
+                calls[name] += 1
+                return real(t, n)
+
+            monkeypatch.setattr(set_system, name, counted)
+        assert not is_vf_safe(D)
+        assert calls["_exchange_failures"] <= len(walks)
+        assert calls["_twists"] < len(keys)
+
+
 def random_symmetric(rng, n):
     A = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -659,6 +708,19 @@ class TestBinaryCertificate:
             assert set_system._is_binary(table, n)
             X = rng.randrange(1 << n)
             assert set_system._is_binary(set_system.fold_flip(set_system.twist1, table, n, X), n)
+
+    def test_leaves_match_the_plain_recursion(self):
+        """The three-element lookup on all 512 row triples."""
+        for v in range(512):
+            rows = [v & 7, v >> 3 & 7, v >> 6]
+            assert set_system._binary_table(rows, 3) == oracles.binary_recursion_oracle(rows, 3), rows
+
+    def test_table_matches_the_plain_recursion(self):
+        rng = random.Random(12)
+        for n in range(2, 13):
+            for _ in range(12 if n < 10 else 3):
+                rows = rows_of(random_symmetric(rng, n))
+                assert set_system._binary_table(rows, n) == oracles.binary_recursion_oracle(rows, n), rows
 
     def test_loop_complement_toggles_the_diagonal(self, rng):
         for _ in range(60):
