@@ -356,18 +356,16 @@ def _checked_delta_matroid(G: RibbonGraph, D: SetSystem, vf_cache: dict | None) 
     """``D`` once it is found vf-safe, or binary above the vf-safe cap.
     Either verdict proves symmetric exchange (``is_vf_safe``), so the
     exchange walk runs only on a refused family, where a failure is
-    reported first.  A refusal by the closure comes with its walk's
-    failure table, so the walk runs here only after a refusal read from
-    the cache or by the binary certificate."""
+    reported first.  ``_vf_safety`` gives a refusal with its failure table,
+    so the walk runs here only after a refusal by the binary certificate."""
     if G.n <= VF_SAFE_DEFAULT_CAP:
         ok, bad = _vf_safety(D, VF_SAFE_DEFAULT_CAP, vf_cache)
         fault = "is not vf-safe"
     else:
-        ok, bad, fault = _is_binary(D.table, D.n), None, "is not binary"
+        ok, fault = _is_binary(D.table, D.n), "is not binary"
+        bad = 0 if ok else _exchange_failures(D.table, D.n)
     if ok:
         return D
-    if bad is None:
-        bad = _exchange_failures(D.table, D.n)
     if bad or not D.is_proper:
         fault = "fails symmetric exchange"
     raise ConsistencyError(f"quasi-tree family of {G!r} {fault}")

@@ -641,10 +641,11 @@ def min_max_matroids(D: SetSystem) -> tuple[SetSystem, SetSystem]:
     """Restrict the family to its minimum- and maximum-cardinality sets."""
     if not D.is_proper:
         raise ValidationError("improper set system has no lower/upper matroid")
-    sizes = [m.bit_count() for m in D.masks]
+    masks = D.masks
+    sizes = [m.bit_count() for m in masks]
     lo, hi = min(sizes), max(sizes)
-    dmin = SetSystem(D.n, (m for m in D.masks if m.bit_count() == lo))
-    dmax = SetSystem(D.n, (m for m in D.masks if m.bit_count() == hi))
+    dmin = SetSystem(D.n, (m for m in masks if m.bit_count() == lo))
+    dmax = SetSystem(D.n, (m for m in masks if m.bit_count() == hi))
     return dmin, dmax
 
 
@@ -747,10 +748,10 @@ def is_vf_safe(
     1987), so one whole-table walk of ``_exchange_failures`` decides a whole
     twist class, and no mask is decoded.  The first walk is on ``D`` itself:
     a family that fails it is refused at once.  Otherwise the search is a
-    breadth-first walk over twist classes, each held by its key: the least
-    truth table among its ``2**n`` twists.  Flips at different elements
-    commute, so the classes next to the class of ``F`` are those of ``+k F``
-    and ``+k *k F`` for each ``k``.  A system of a class not yet reached is
+    breadth-first walk over twist classes, each walked from the first of its
+    systems reached.  Flips at different elements commute, so the classes
+    next to the class of any member ``F`` are those of ``+k F`` and
+    ``+k *k F`` for each ``k``.  A system of a class not yet reached is
     checked for exchange at once, and the first failure ends the walk;
     otherwise every twist of its class is kept, so a move into a known
     class is dropped by one set lookup and each class is walked once.
@@ -760,53 +761,45 @@ def is_vf_safe(
     some ``D(A)``, which satisfies exchange (Bouchet 1988).  So a caller
     needs ``is_delta_matroid`` only on a ``False``.
 
-    An optional ``cache`` dict memoizes verdicts across calls, one entry
-    per twist class whose key was found (a binary or refused family's own),
-    keyed by ``(n, class key)``; this is sound because the verdict is shared
-    by the whole closure.
+    An optional ``cache`` dict memoizes verdicts across calls, one entry per
+    family asked about, keyed by ``(n, truth table)``.
     """
     return _vf_safety(D, max_n, cache)[0]
 
 
-def _vf_safety(D: SetSystem, max_n: int, cache: dict | None) -> tuple[bool, int | None]:
+def _vf_safety(D: SetSystem, max_n: int, cache: dict | None) -> tuple[bool, int]:
     """``is_vf_safe(D, max_n, cache)`` and the exchange failure table of
     ``D`` (``_exchange_failures``), which ``_exchange_witness`` turns into
-    ``is_delta_matroid(D)``: 0 with a ``True`` verdict or an improper ``D``,
-    and ``None`` for a ``False`` read from the cache, which walked nothing."""
+    ``is_delta_matroid(D)``: 0 with a ``True`` verdict or an improper ``D``.
+    A ``False`` read from the cache walks exchange on ``D`` once for it."""
     n, table = D.n, D.table
     if n > max_n:
         raise BudgetError.capped("vf-safe closure", f"n <= {max_n}", n, 2, "twists per class")
-    own = _twists(table, n) if cache is not None else None
-    hit = cache.get((n, min(own))) if own is not None else None
-    if hit is not None:
-        return hit, 0 if hit else None
-    safe, bad, keys = _is_binary(table, n), 0, ()
+    safe = cache.get((n, table)) if cache is not None else None
+    if safe is not None:
+        return safe, 0 if safe else _exchange_failures(table, n)
+    safe, bad = _is_binary(table, n), 0
     if not safe and table:
         bad = _exchange_failures(table, n)
-        if not bad:
-            safe, keys = _closure_safe(table, n, own or _twists(table, n))
-    if own is not None:
-        cache[n, min(own)] = safe
-        for key in keys:
-            cache[n, key] = safe
+        safe = not bad and _closure_safe(table, n)
+    if cache is not None:
+        cache[n, table] = safe
     return safe, bad
 
 
-def _closure_safe(table: int, n: int, own: list[int]) -> tuple[bool, list[int]]:
+def _closure_safe(table: int, n: int) -> bool:
     """Whether every twist class of the closure of the delta-matroid
-    ``table``, whose twists are ``own``, passes the exchange check, and the
-    keys of the classes that passed, in the breadth-first order reached: all
-    of them, or those reached before the first that fails."""
-    reached = set(own)  # every system of the classes found so far
-    keys = [min(own)]
-    for key in keys:  # breadth first: the loop visits the keys it appends
+    ``table`` passes the exchange check, each class walked from the first
+    of its systems reached."""
+    reached = set(_twists(table, n))  # every system of the classes found so far
+    found = [table]
+    for system in found:  # breadth first: the loop visits the systems it appends
         for k in range(n):
-            for base in (key, twist1(key, n, k)):
+            for base in (system, twist1(system, n, k)):
                 table = loop_complement1(base, n, k)
                 if table not in reached:
                     if _exchange_failures(table, n):
-                        return False, keys
-                    twists = _twists(table, n)
-                    reached.update(twists)
-                    keys.append(min(twists))
-    return True, keys
+                        return False
+                    reached.update(_twists(table, n))
+                    found.append(table)
+    return True

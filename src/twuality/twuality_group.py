@@ -99,7 +99,7 @@ def flip_mul(g: Flip, h: Flip) -> Flip:
 
 def flip_pow(g: Flip, m: int) -> Flip:
     out = ONE
-    for _ in range(m % _ORDER[g.index] if _ORDER[g.index] else 0):
+    for _ in range(m % _ORDER[g.index]):
         out = flip_mul(out, g)
     return out
 

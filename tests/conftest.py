@@ -44,9 +44,8 @@ def subset_of(n):
 
 @pytest.fixture(scope="session")
 def vf_cache():
-    """Shared vf-safety verdict cache, keyed by ``(n, class key)`` (the
-    least truth table of a twist class); sound because the verdict is
-    shared by every system of the closure."""
+    """Shared vf-safety verdict cache, one entry per family asked about,
+    keyed by ``(n, truth table)``."""
     return {}
 
 

@@ -14,7 +14,8 @@ compared against.
   classes, which listed every twist of each class it reached (a Gray-code
   walk) and checked exchange on a class key only when the breadth-first
   loop popped it.  The library checks each class when it first reaches
-  it, stops at the first failure, and starts with the input itself.
+  it, walks it from that system, stops at the first failure, and starts
+  with the input itself.
 * ``check_report_oracle``: the ``check`` report by the route it took
   before, the exchange walk on every input and then vf-safety.  The
   library decides vf-safety first and walks exchange only on a refusal.
@@ -42,6 +43,9 @@ compared against.
   tries every generator from every state.  The library tries from each
   state only the generators that the group's relations leave open after
   the last generator of its word.
+* ``burnside_orbit_count``: the number of orbits on all families over
+  [n], by Burnside's lemma over every group element.  The library has no
+  census; the tests partition all families with ``orbit``.
 * ``masks_of_table_oracle``: the set bits of a truth table, lowest first,
   one AND and one XOR of the whole int per bit.  The library selects them
   from the table's binary digits in one ``compress``.
@@ -537,6 +541,32 @@ def orbit_oracle(D, mode):
         "elements": [{"n": D.n, "feasible": d.feasible_sets()} for d in elements],
         "paths": [list(systems[d]) for d in elements],
     }
+
+
+def burnside_orbit_count(n, mode):
+    """The number of orbits of the group on all ``2**(2**n)`` families over
+    [n]: the average of ``|Fix(g)|`` over every group element ``g``, flip
+    vectors with every relabeling in full mode and flip vectors alone in
+    iota mode.  The action is GF(2)-linear on truth tables, with column
+    ``X`` of its matrix ``M_g`` the table of ``act(g, {X})``, so ``g``
+    fixes ``2**(2**n - rank(M_g + I))`` families."""
+    perms = itertools.permutations(range(1, n + 1)) if mode == "full" else [range(1, n + 1)]
+    group = [
+        TwualityElement(gvec, Perm(p)) for p in perms for gvec in itertools.product(FLIPS, repeat=n)
+    ]
+    total = 0
+    for g in group:
+        basis = {}  # leading bit -> reduced column
+        for X in range(1 << n):
+            col = act(g, SetSystem(n, [X])).table ^ 1 << X
+            while col and col.bit_length() in basis:
+                col ^= basis[col.bit_length()]
+            if col:
+                basis[col.bit_length()] = col
+        total += 2 ** ((1 << n) - len(basis))
+    count, rest = divmod(total, len(group))
+    assert rest == 0, (n, mode, total)
+    return count
 
 
 def orbit_walk_oracle(table, n, mode):

@@ -40,7 +40,7 @@ from twuality.set_system import BITMAP_GROUND, _swap_adjacent, loop_complement1,
 
 import ribbon_catalog as cat
 from conftest import assert_frozen, set_systems
-from oracles import orbit_oracle, orbit_walk_oracle, stabilizer_oracle
+from oracles import burnside_orbit_count, orbit_oracle, orbit_walk_oracle, stabilizer_oracle
 
 ss = SetSystem.from_sets
 
@@ -164,6 +164,30 @@ class TestOrbit:
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
             orbit(ss(1, [()]), mode="both")
+
+
+class TestOrbitCensus:
+    """``orbit`` as a partition of every family over [n]."""
+
+    @pytest.mark.parametrize(
+        "mode, counts", [("full", [2, 2, 3, 6, 30]), ("iota", [2, 2, 3, 8, 112])]
+    )
+    def test_orbit_counts(self, mode, counts):
+        """The orbits of all ``2**(2**n)`` families for ``n <= 4``, each
+        family in exactly one, against Burnside's count where it runs
+        (full mode ``n <= 3``, iota mode ``n <= 4``)."""
+        for n, expected in enumerate(counts):
+            seen, found = set(), 0
+            for table in range(1 << (1 << n)):
+                if table not in seen:
+                    tables = orbit(SetSystem.from_table(n, table), mode).tables
+                    assert seen.isdisjoint(tables), (n, table)
+                    seen.update(tables)
+                    found += 1
+            assert len(seen) == 1 << (1 << n)
+            assert found == expected, (mode, n)
+            if mode == "iota" or n <= 3:
+                assert burnside_orbit_count(n, mode) == expected, (mode, n)
 
 
 def _generator_tokens(n, mode):

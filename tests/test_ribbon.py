@@ -185,6 +185,31 @@ class TestQuasiTreeSystems:
             delta_matroid_of(G)
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "D, fault",
+        [
+            (SetSystem(6, [0, 7]), "fails symmetric exchange"),
+            (SetSystem(6, [m for m in range(64) if m & 7 != 7]), "is not vf-safe"),
+            (SetSystem(6, []), "fails symmetric exchange"),
+        ],
+        ids=["not-delta", "not-vf-safe", "improper"],
+    )
+    def test_memoized_refusal_names_the_same_fault(self, monkeypatch, D, fault):
+        """A refusal read from the cache names the same fault as a fresh
+        one, from one exchange walk on the family itself."""
+        G, cache, walked = cat.bouquet([1] * D.n), {}, []
+        real = set_system._exchange_failures
+        monkeypatch.setattr(set_system, "_exchange_failures", lambda t, n: walked.append(t) or real(t, n))
+        errors = []
+        for _ in range(2):
+            walked.clear()
+            with pytest.raises(ConsistencyError) as info:
+                ribbon._checked_delta_matroid(G, D, cache)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == f"quasi-tree family of {G!r} {fault}"
+        assert cache == {(D.n, D.table): False}
+        assert walked == [D.table]
+
 
 class TestMedial:
     def test_frozen(self):

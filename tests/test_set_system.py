@@ -489,18 +489,16 @@ class TestExchangeWalk:
         assert set_system._exchange_failures(D.table, D.n) == expected
 
     @pytest.mark.parametrize("n", [7, 8])
-    def test_vf_class_keys_match_scan(self, n, monkeypatch):
-        """Every class key the vf-safety closure of the interleaved bouquet
-        reaches (all delta-matroids), and each with one set toggled.  The
-        bouquet is binary, so the certificate is switched off to walk the
-        closure."""
-        monkeypatch.setattr(set_system, "_is_binary", lambda table, n: False)
+    def test_vf_class_keys_match_scan(self, n):
+        """Every class key the vf-safety class walk of the interleaved
+        bouquet reaches (all delta-matroids), and each with one set
+        toggled."""
         D = SetSystem.from_sets(n, spanning_quasi_trees(cat.bouquet([1] * n, interleaved=True)))
-        cache = {}
-        assert is_vf_safe(D, cache=cache)
+        safe, keys, _ = oracles.vf_class_walk_oracle(D.table, n)
+        assert safe
         rng = random.Random(n)
         failing = 0
-        for _, key in cache:
+        for key in keys:
             for table in (key, key ^ 1 << rng.randrange(1 << n)):
                 ordered = sorted(SetSystem.from_table(n, table).masks, key=shortlex_key)
                 expected = oracles.exchange_scan(ordered, table, n)
@@ -568,60 +566,62 @@ class TestVfSafe:
 
     def test_binary_input_skips_the_closure(self, monkeypatch):
         """A binary family is answered by the certificate: no exchange walk
-        runs, and the cache gains the key of its own twist class alone."""
+        runs and no twist is listed, and the cache gains the family's own
+        entry alone.  A twist of it gets an entry of its own."""
 
         def no_search(table, n):
             raise AssertionError("closure walked")
 
         monkeypatch.setattr(set_system, "_exchange_failures", no_search)
+        monkeypatch.setattr(set_system, "_twists", no_search)
         D = SetSystem.from_sets(5, spanning_quasi_trees(cat.bouquet([1, -1, 1, 1, -1], interleaved=True)))
         assert is_vf_safe(D)
         cache = {}
         assert is_vf_safe(D, cache=cache)
-        assert cache == {(5, min(set_system._twists(D.table, 5))): True}
-        assert is_vf_safe(twist(D, (2, 4)), cache=cache)
-        assert len(cache) == 1
+        assert cache == {(5, D.table): True}
+        E = twist(D, (2, 4))
+        assert is_vf_safe(E, cache=cache)
+        assert cache == {(5, D.table): True, (5, E.table): True}
 
     def test_cache_consistency(self, monkeypatch):
-        """The closure's cache entries; the certificate is switched off,
-        since the safe inputs here are binary."""
+        """The cache holds one entry per family asked about; the certificate
+        is switched off, since the safe inputs here are binary.  A repeated
+        family reads its verdict without walking the closure, and a refused
+        one walks exchange once, on itself, for its failure table.  Twists
+        of the input and of a member of its closure get entries of their
+        own, with the same verdict."""
         monkeypatch.setattr(set_system, "_is_binary", lambda table, n: False)
-        cache = {}
-        D = ss(3, [(3,), (1, 3), (2, 3)])
-        assert is_vf_safe(D, cache=cache) is True
-        assert is_vf_safe(D, cache=cache) is True
-        assert cache
-        bad = ss(3, all_subsets_but_full(3))
-        assert is_vf_safe(bad, cache=cache) is False
-        assert is_vf_safe(bad, cache=cache) is False
+        real = set_system._exchange_failures
 
-        # After one cached call, twists of the input and of a member of its
-        # closure hit the cache (no exchange check runs) and add no key.  A
-        # safe verdict has walked the whole closure; a failing one may have
-        # stopped at the input's own twist class.
-        def no_search(table, n):
-            raise AssertionError("cache miss")
+        def no_closure(table, n):
+            raise AssertionError("closure walked")
 
         for D in (
-            D,
-            bad,
+            ss(3, [(3,), (1, 3), (2, 3)]),
+            ss(3, all_subsets_but_full(3)),
+            SetSystem(4, [m for m in range(16) if m & 7 != 7]),
             SetSystem.from_sets(4, spanning_quasi_trees(cat.bouquet([1, -1, 1, 1], interleaved=True))),
             SetSystem.from_sets(5, spanning_quasi_trees(cat.bouquet([1, -1, 1, 1, -1], interleaved=True))),
         ):
             cache = {}
-            verdict = is_vf_safe(D, cache=cache)
-            keys = set(cache)
+            verdict, bad = set_system._vf_safety(D, 10, cache)
+            assert cache == {(D.n, D.table): verdict}
+            walked = []
+            with monkeypatch.context() as m:
+                m.setattr(set_system, "_closure_safe", no_closure)
+                m.setattr(set_system, "_exchange_failures", lambda t, n: walked.append(t) or real(t, n))
+                assert set_system._vf_safety(D, 10, cache) == (verdict, bad)
+            assert walked == ([] if verdict else [D.table])
             members = [D]
             if verdict:
                 members.append(apply_flip(twist(D, (1,)), PLUS, 2))
             moved = []
             for M in members:
                 moved += [twist(M, (2, D.n)), twist(M, range(1, D.n + 1))]
-            with monkeypatch.context() as m:
-                m.setattr(set_system, "_exchange_failures", no_search)
-                for E in moved:
-                    assert is_vf_safe(E, cache=cache) is verdict
-                    assert set(cache) == keys
+            for E in moved:
+                assert is_vf_safe(E, cache=cache) is verdict
+                assert cache[E.n, E.table] is verdict
+            assert set(cache) == {(E.n, E.table) for E in [D, *moved]}
 
     @given(vf_inputs())
     @example(SetSystem(0, []))
@@ -641,24 +641,28 @@ class TestVfClassWalk:
 
     @pytest.mark.parametrize("certificate", [True, False], ids=["certificate", "no-certificate"])
     def test_verdicts_match_the_class_walk(self, monkeypatch, certificate):
-        """The verdict, the failure table and, with a cache, its keys: the
-        classes reached in the oracle's order, up to the first one that
-        fails.  A second call reads the verdict from the cache.  Without
-        the certificate, binary families walk the closure too."""
+        """The verdict and the failure table, with and without a cache.  A
+        safe verdict by the closure lists the twists of each class the
+        oracle reaches once.  The cache holds the family's own entry alone,
+        and a second call reads the verdict from it with the same failure
+        table.  Without the certificate, binary families walk the closure
+        too."""
         if not certificate:
             monkeypatch.setattr(set_system, "_is_binary", lambda table, n: False)
+        real, listed = set_system._twists, []
+        monkeypatch.setattr(set_system, "_twists", lambda t, n: listed.append(real(t, n)) or listed[-1])
         routes = set()
         for D in vf_walk_families():
             expected, keys, _ = oracles.vf_class_walk_oracle(D.table, D.n)
             bad = 0 if expected else oracles.exchange_failures_oracle(D.mask_set())
+            listed.clear()
             assert set_system._vf_safety(D, 10, None) == (expected, bad), D
+            if expected and not set_system._is_binary(D.table, D.n):
+                assert sorted(min(twists) for twists in listed) == sorted(keys), D
             cache = {}
             assert set_system._vf_safety(D, 10, cache) == (expected, bad), D
-            assert list(cache) == [(D.n, key) for key in keys[:len(cache)]], D
-            assert set(cache.values()) == {expected}
-            if expected and not set_system._is_binary(D.table, D.n):
-                assert len(cache) == len(keys)
-            assert set_system._vf_safety(D, 10, cache) == (expected, 0 if expected else None), D
+            assert cache == {(D.n, D.table): expected}, D
+            assert set_system._vf_safety(D, 10, cache) == (expected, bad), D
             routes.add((expected, bool(bad), D.is_proper))
         # (verdict, failure table nonzero, proper)
         assert routes == {(True, False, True), (False, False, True), (False, True, True), (False, False, False)}
