@@ -674,17 +674,6 @@ def classify_element(D: SetSystem, i: int) -> RibbonLoopClass:
 # ---------------------------------------------------------------------------
 # vf-safety closure over twist classes
 
-def _twists(table: int, n: int) -> list[int]:
-    """The ``2**n`` twists of a truth table, the twist at ``X`` at index
-    ``X``: each element doubles the list of the twists at the elements
-    below it, by one list comprehension."""
-    out = [table]
-    for k, half in enumerate(_HALVES[n]):
-        shift = 1 << k
-        out += [((t & half) << shift) | ((t >> shift) & half) for t in out]
-    return out
-
-
 def _binary_table(rows: list[int], n: int) -> int:
     """The truth table of ``D(A) = {Y : A[Y] nonsingular over GF(2)}`` for
     ``n >= 2``, row ``i`` of the symmetric ``A`` the mask ``rows[i]``.  The
@@ -747,14 +736,13 @@ def is_vf_safe(
     Twisting preserves properness and the symmetric exchange axiom (Bouchet
     1987), so one whole-table walk of ``_exchange_failures`` decides a whole
     twist class, and no mask is decoded.  The first walk is on ``D`` itself:
-    a family that fails it is refused at once.  Otherwise the search is a
-    breadth-first walk over twist classes, each walked from the first of its
-    systems reached.  Flips at different elements commute, so the classes
-    next to the class of any member ``F`` are those of ``+k F`` and
-    ``+k *k F`` for each ``k``.  A system of a class not yet reached is
-    checked for exchange at once, and the first failure ends the walk;
-    otherwise every twist of its class is kept, so a move into a known
-    class is dropped by one set lookup and each class is walked once.
+    a family that fails it is refused at once.  Otherwise the closure is
+    walked one element at a time (``_closure_safe``).  At one element the
+    six flips fall into the three cosets ``{1, *} r`` of the twists, for
+    ``r`` in ``1``, ``+`` and ``+*``, and flips at distinct elements
+    commute, so every system of the closure is a twist of ``r D`` for some
+    ``r`` in ``{1, +, +*}^n``: at most ``3**n`` exchange checks, and the
+    first failure ends the walk.
 
     A ``True`` verdict certifies that ``D`` itself is a delta-matroid: the
     walk checks exchange on ``D`` first, and a binary family is a twist of
@@ -774,7 +762,7 @@ def _vf_safety(D: SetSystem, max_n: int, cache: dict | None) -> tuple[bool, int]
     A ``False`` read from the cache walks exchange on ``D`` once for it."""
     n, table = D.n, D.table
     if n > max_n:
-        raise BudgetError.capped("vf-safe closure", f"n <= {max_n}", n, 2, "twists per class")
+        raise BudgetError.capped("vf-safe closure", f"n <= {max_n}", n, 3, "twist classes")
     safe = cache.get((n, table)) if cache is not None else None
     if safe is not None:
         return safe, 0 if safe else _exchange_failures(table, n)
@@ -788,18 +776,29 @@ def _vf_safety(D: SetSystem, max_n: int, cache: dict | None) -> tuple[bool, int]
 
 
 def _closure_safe(table: int, n: int) -> bool:
-    """Whether every twist class of the closure of the delta-matroid
-    ``table`` passes the exchange check, each class walked from the first
-    of its systems reached."""
-    reached = set(_twists(table, n))  # every system of the classes found so far
-    found = [table]
-    for system in found:  # breadth first: the loop visits the systems it appends
-        for k in range(n):
-            for base in (system, twist1(system, n, k)):
-                table = loop_complement1(base, n, k)
-                if table not in reached:
-                    if _exchange_failures(table, n):
+    """Whether the closure of the delta-matroid ``table`` passes the
+    exchange check, walked on at most one twist of ``r D`` for each ``r``
+    in ``{1, +, +*}^n``.  The six flips at one element are ``r`` and ``* r``
+    (``+*`` applies ``*`` first), the cosets of the twists ``{1, *}``.
+    Element ``k`` maps each table kept so far to itself, ``+k`` and
+    ``+k *k`` of it, each reduced by ``t = min(t, *j t)`` for ``j <= k`` in
+    turn, and keeps the distinct results.  A new one made by ``+k`` or
+    ``+k *k`` is checked at once, and the first failure ends the walk; one
+    made by ``1`` is a twist of a table checked before."""
+    flips = list(zip(_HALVES[n], (1 << k for k in range(n))))
+    level = [table]
+    for k, (half, shift) in enumerate(flips):
+        below = flips[:k + 1]
+        kept = {}
+        for s in level:
+            up = (s & half) << shift
+            twisted = up | ((s >> shift) & half)
+            for made, t in enumerate((s, s ^ up, twisted ^ ((twisted & half) << shift))):
+                for h, sh in below:
+                    t = min(t, ((t & h) << sh) | ((t >> sh) & h))
+                if t not in kept:
+                    if made and _exchange_failures(t, n):
                         return False
-                    reached.update(_twists(table, n))
-                    found.append(table)
+                    kept[t] = None
+        level = kept
     return True

@@ -10,12 +10,18 @@ compared against.
 * ``vf_safe_oracle``: the breadth-first closure over single systems, one
   exchange check per reachable system.  The library walks twist classes of
   truth tables instead, and first certifies binary families.
-* ``vf_class_walk_oracle``: the library's earlier closure over twist
-  classes, which listed every twist of each class it reached (a Gray-code
-  walk) and checked exchange on a class key only when the breadth-first
-  loop popped it.  The library checks each class when it first reaches
-  it, walks it from that system, stops at the first failure, and starts
-  with the input itself.
+* ``twist_class``, ``vf_class_walk_oracle``: the library's earlier
+  closure over twist classes, which listed every twist of each class it
+  reached (a Gray-code walk) and checked exchange on a class key only when
+  the breadth-first loop popped it.  The library walks the closure one
+  element at a time, keeps one greedily reduced twist per coset word
+  ``r`` in ``{1, +, +*}^n``, checks each new one at once, stops at the
+  first failure, and starts with the input itself.
+* ``binary_quasi_tree_system``: ``D(G)`` as the twist of a ``D(A)`` by a
+  spanning forest, ``A`` read off the quasi-trees that differ from the
+  forest in at most two edges, ``O(n**2)`` splits of the medial.  The
+  library keeps the black/white splits that keep the component count, in
+  one depth-first walk over all ``2**n``.
 * ``check_report_oracle``: the ``check`` report by the route it took
   before, the exchange walk on every input and then vf-safety.  The
   library decides vf-safety first and walks exchange only on a refusal.
@@ -43,9 +49,11 @@ compared against.
   tries every generator from every state.  The library tries from each
   state only the generators that the group's relations leave open after
   the last generator of its word.
-* ``burnside_orbit_count``: the number of orbits on all families over
-  [n], by Burnside's lemma over every group element.  The library has no
-  census; the tests partition all families with ``orbit``.
+* ``burnside_orbit_count``, ``burnside_class_count``: the number of
+  orbits on all families over [n], by Burnside's lemma over every group
+  element, and over one element per conjugacy class with its class size.
+  The library has no census; the tests partition all families with
+  ``orbit``.
 * ``masks_of_table_oracle``: the set bits of a truth table, lowest first,
   one AND and one XOR of the whole int per bit.  The library selects them
   from the table's binary digits in one ``compress``.
@@ -93,13 +101,17 @@ compared against.
   the way back.
 """
 
+import collections
 import itertools
+import math
 from collections import deque
 
 from twuality import (
     FLIPS,
     ONE,
     Perm,
+    STAR,
+    STAR_PLUS,
     SetSystem,
     StabilizerHit,
     TwualityElement,
@@ -117,8 +129,8 @@ from twuality.multimatroid import (
     extract,
     lift,
 )
-from twuality.ribbon import TRANSITION_NAMES
-from twuality.set_system import _HALVES, _exchange_failures, mask_of, members_of
+from twuality.ribbon import TRANSITION_NAMES, medial, split_components
+from twuality.set_system import _HALVES, _binary_table, _exchange_failures, fold_flip, mask_of, members_of
 from twuality.set_system import loop_complement1 as table_complement1, twist1 as table_twist1
 
 
@@ -445,21 +457,22 @@ def binary_recursion_oracle(rows, n):
     return low | (high if top >> v & 1 else high ^ low) << (1 << v)
 
 
+def twist_class(table, n):
+    """The ``2**n`` twists of a truth table over [n], in Gray-code order."""
+    out = [table]
+    for i in range(1, 1 << n):
+        table = table_twist1(table, n, (i & -i).bit_length() - 1)
+        out.append(table)
+    return out
+
+
 def vf_class_walk_oracle(table, n):
     """The vf-safety closure of a truth table over [n] by twist classes,
     without the binary certificate: every twist of each class reached is
     listed, and exchange is checked on a class key when the breadth-first
     loop pops it.  Returns the verdict, the keys of the classes reached in
     the order reached, and the keys checked for exchange in order."""
-
-    def twists(t):
-        out = [t]
-        for i in range(1, 1 << n):
-            t = table_twist1(t, n, (i & -i).bit_length() - 1)
-            out.append(t)
-        return out
-
-    reached = set(twists(table))
+    reached = set(twist_class(table, n))
     keys = [min(reached)]
     for i, key in enumerate(keys):
         if not key or _exchange_failures(key, n):
@@ -468,10 +481,38 @@ def vf_class_walk_oracle(table, n):
             for base in (key, table_twist1(key, n, k)):
                 nxt = table_complement1(base, n, k)
                 if nxt not in reached:
-                    listed = twists(nxt)
+                    listed = twist_class(nxt, n)
                     reached.update(listed)
                     keys.append(min(listed))
     return True, keys, keys
+
+
+def binary_quasi_tree_system(G):
+    """``D(G)`` of a ribbon graph with at least 2 edges by GF(2): the twist
+    by a spanning forest ``T`` of ``D(A)``, where ``A[i][i]`` says whether
+    ``T symdiff {i}`` is a quasi-tree and ``A[i][j]`` whether ``T symdiff
+    {i, j}`` is, XOR ``A[i][i] A[j][j]``.  A set of edges (bit ``k`` the
+    edge at position ``k``) is a quasi-tree when the medial's split white
+    on it and black elsewhere has the medial's component count."""
+    n, Fm = G.n, medial(G)
+    vertex_of = {h: v for v, rot in enumerate(G.vertices) for h in rot}
+    uf, forest = _TagUnionFind(vertex_of.values()), 0
+    for k, e in enumerate(G.edges):
+        count = uf.count
+        uf.union(*(vertex_of[h] for h in e.ends))
+        if uf.count < count:
+            forest |= 1 << k
+
+    def quasi_tree(X):
+        return split_components(Fm, [TRANSITION_NAMES[X >> k & 1] for k in range(n)]) == Fm.components
+
+    diag = [quasi_tree(forest ^ 1 << i) for i in range(n)]
+    rows = [d << i for i, d in enumerate(diag)]
+    for i, j in itertools.combinations(range(n), 2):
+        if quasi_tree(forest ^ 1 << i ^ 1 << j) ^ diag[i] & diag[j]:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return SetSystem.from_table(n, fold_flip(table_twist1, _binary_table(rows, n), n, forest))
 
 
 def vf_safe_oracle(D):
@@ -543,28 +584,84 @@ def orbit_oracle(D, mode):
     }
 
 
+def _fixed_count(g, n):
+    """The number of families over [n] that the group element ``g`` fixes.
+    The action is GF(2)-linear on truth tables, with column ``X`` of its
+    matrix ``M_g`` the table of ``act(g, {X})``, so ``g`` fixes
+    ``2**(2**n - rank(M_g + I))`` families."""
+    basis = {}  # leading bit -> reduced column
+    for X in range(1 << n):
+        col = act(g, SetSystem(n, [X])).table ^ 1 << X
+        while col and col.bit_length() in basis:
+            col ^= basis[col.bit_length()]
+        if col:
+            basis[col.bit_length()] = col
+    return 2 ** ((1 << n) - len(basis))
+
+
 def burnside_orbit_count(n, mode):
     """The number of orbits of the group on all ``2**(2**n)`` families over
     [n]: the average of ``|Fix(g)|`` over every group element ``g``, flip
     vectors with every relabeling in full mode and flip vectors alone in
-    iota mode.  The action is GF(2)-linear on truth tables, with column
-    ``X`` of its matrix ``M_g`` the table of ``act(g, {X})``, so ``g``
-    fixes ``2**(2**n - rank(M_g + I))`` families."""
+    iota mode."""
     perms = itertools.permutations(range(1, n + 1)) if mode == "full" else [range(1, n + 1)]
     group = [
         TwualityElement(gvec, Perm(p)) for p in perms for gvec in itertools.product(FLIPS, repeat=n)
     ]
-    total = 0
-    for g in group:
-        basis = {}  # leading bit -> reduced column
-        for X in range(1 << n):
-            col = act(g, SetSystem(n, [X])).table ^ 1 << X
-            while col and col.bit_length() in basis:
-                col ^= basis[col.bit_length()]
-            if col:
-                basis[col.bit_length()] = col
-        total += 2 ** ((1 << n) - len(basis))
+    total = sum(_fixed_count(g, n) for g in group)
     count, rest = divmod(total, len(group))
+    assert rest == 0, (n, mode, total)
+    return count
+
+
+#: the conjugacy classes of S3, each as a flip in it and its size
+_S3_CLASSES = ((ONE, 1), (STAR, 3), (STAR_PLUS, 2))
+
+
+def _partitions(n, top):
+    """The partitions of ``n`` into parts of at most ``top``, parts descending."""
+    if not n:
+        yield ()
+    for part in range(min(n, top), 0, -1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def burnside_class_count(n, mode):
+    """``burnside_orbit_count`` as a sum over conjugacy classes, one
+    ``|Fix|`` per class.  A class of S3 wr S_n (full mode) is a cycle type
+    ``λ`` plus the S3 class ``c`` of each cycle's product of flips, of
+    weight ``n!/z_λ · Π 6**(ℓ - 1) |c|`` over the cycles, times the ways to
+    give the classes to cycles of equal length.  Its representative
+    relabels along the cycles, with the product's flip on the first
+    element of each cycle and ``1`` elsewhere.  In iota mode the group is
+    S3^n and a class up to relabeling is a multiset of S3 classes: the
+    cycle type ``1^n``."""
+    order = 6**n * (math.factorial(n) if mode == "full" else 1)
+    total = weights = 0
+    for shape in _partitions(n, n) if mode == "full" else [(1,) * n]:
+        lengths = collections.Counter(shape)
+        z = math.prod(length**m * math.factorial(m) for length, m in lengths.items())
+        images, starts = [], []
+        for length in shape:
+            starts.append(len(images))
+            images += [len(images) + i % length + 1 for i in range(1, length + 1)]
+        for choice in itertools.product(
+            *(itertools.combinations_with_replacement(_S3_CLASSES, m) for m in lengths.values())
+        ):
+            weight = math.factorial(n) // z
+            for same in choice:  # the ways to give these classes to the cycles of one length
+                weight *= math.factorial(len(same))
+                weight //= math.prod(map(math.factorial, collections.Counter(same).values()))
+            gvec = [ONE] * n
+            # the lengths are in the descending order of the shape
+            for start, length, (flip, size) in zip(starts, shape, itertools.chain(*choice)):
+                gvec[start] = flip
+                weight *= 6 ** (length - 1) * size
+            total += weight * _fixed_count(TwualityElement(tuple(gvec), Perm(images)), n)
+            weights += weight
+    assert weights == order, (n, mode, weights)
+    count, rest = divmod(total, order)
     assert rest == 0, (n, mode, total)
     return count
 

@@ -115,8 +115,8 @@ def enumerate_all(max_edges=3, max_vertices=3):
                         yield RibbonGraph(vertices, _edges(signs))
 
 
-def random_ribbon(rng, max_edges=4, max_vertices=3):
-    m = rng.randint(1, max_edges)
+def random_ribbon(rng, max_edges=4, max_vertices=3, min_edges=1):
+    m = rng.randint(min_edges, max_edges)
     halves = list(range(1, 2 * m + 1))
     rng.shuffle(halves)
     nv = rng.randint(1, max_vertices)

@@ -161,7 +161,7 @@ class TestCheck:
         assert run(capsys, "check", path) == (
             2,
             "",
-            "budget exceeded: vf-safe closure capped at n <= 10, got 11 (2^11 = 2,048 twists per class)\n",
+            "budget exceeded: vf-safe closure capped at n <= 10, got 11 (3^11 = 177,147 twist classes)\n",
         )
 
     def test_no_exchange_walk_on_vf_safe_input(self, capsys, tmp_path, cone_file, monkeypatch):
@@ -186,7 +186,7 @@ class TestCheck:
         monkeypatch.setattr(set_system, "_exchange_failures", lambda t, n: walked.append(t) or real(t, n))
         for name, delta_matroid in (("not-vf-safe", True), ("not-delta", False)):
             D = SetSystem.from_json(_PINNED_SYSTEMS[name])
-            own = set(set_system._twists(D.table, D.n))
+            own = set(oracles.twist_class(D.table, D.n))
             walked.clear()
             data = run_json(capsys, "check", write(tmp_path, f"{name}.json", D.to_json()))
             assert (data["delta_matroid"], data["vf_safe"]) == (delta_matroid, False)

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import json
@@ -30,17 +31,18 @@ from twuality import (
     sd_identity,
     delta_matroid_of,
     is_delta_matroid,
+    is_vf_safe,
     stabilizer_search,
     transport,
     twist,
     uniformize,
 )
 from twuality.orbit_engine import _orbit_tries, _relabel_buckets
-from twuality.set_system import BITMAP_GROUND, _swap_adjacent, loop_complement1, relabel, twist1
+from twuality.set_system import BITMAP_GROUND, _is_binary, _swap_adjacent, loop_complement1, relabel, twist1
 
 import ribbon_catalog as cat
 from conftest import assert_frozen, set_systems
-from oracles import burnside_orbit_count, orbit_oracle, orbit_walk_oracle, stabilizer_oracle
+from oracles import burnside_class_count, burnside_orbit_count, orbit_oracle, orbit_walk_oracle, stabilizer_oracle
 
 ss = SetSystem.from_sets
 
@@ -188,6 +190,54 @@ class TestOrbitCensus:
             assert found == expected, (mode, n)
             if mode == "iota" or n <= 3:
                 assert burnside_orbit_count(n, mode) == expected, (mode, n)
+
+    @pytest.mark.parametrize(
+        "mode, counts",
+        [("full", [2, 2, 3, 6, 30, 6_936, 549_956_377_189]), ("iota", [2, 2, 3, 8, 112, 561_432])],
+    )
+    def test_burnside_class_counts(self, mode, counts):
+        """Burnside's count over one element per conjugacy class, pinned
+        past the sizes a partition can reach, and equal to the sum over
+        every group element where that runs."""
+        for n, expected in enumerate(counts):
+            assert burnside_class_count(n, mode) == expected, (mode, n)
+            if n <= (3 if mode == "full" else 4):
+                assert burnside_orbit_count(n, mode) == expected, (mode, n)
+
+    def test_vf_safe_census(self):
+        """``is_vf_safe`` on every family over [n], n <= 4, so every
+        non-binary delta-matroid there walks the closure.  The vf-safe
+        families, and the binary ones, are unions of full-mode orbits.  In
+        each orbit as many elements have a uniform stabilizer ``(u^n, p)``
+        for ``u = *`` as for ``+`` and for ``~`` (the three involutions are
+        conjugate in S3); the rows are ``(size, binary, count)``."""
+        safe_counts, binary_counts = [], []
+        for n in range(5):
+            safe = {t for t in range(1, 1 << (1 << n)) if is_vf_safe(SetSystem.from_table(n, t))}
+            safe_counts.append(len(safe))
+            binary_counts.append(sum(_is_binary(t, n) for t in safe))
+            rows = []
+            while safe:
+                tables = orbit(SetSystem.from_table(n, min(safe)), "full").tables
+                assert safe.issuperset(tables), n
+                safe.difference_update(tables)
+                binary = {_is_binary(t, n) for t in tables}
+                assert len(binary) == 1, n
+                uniform = collections.Counter()
+                for t in tables:
+                    hits = stabilizer_search(SetSystem.from_table(n, t), "uniform")
+                    uniform.update({hit.uniform for hit in hits})
+                assert uniform[STAR] == uniform[PLUS] == uniform[BAR], (n, len(tables))
+                rows.append((len(tables), *binary, uniform[STAR]))
+            if n == 3:
+                assert sorted(rows) == [(12, False, 4), (27, True, 7), (54, True, 0), (54, True, 12)]
+            if n == 4:
+                assert sorted(rows) == [
+                    (24, False, 14), (81, True, 19), (108, True, 54), (144, False, 16), (162, True, 38),
+                    (324, True, 72), (648, False, 104), (648, False, 108), (648, True, 0), (972, True, 168),
+                ]
+        assert safe_counts == [1, 3, 15, 147, 3_759]
+        assert binary_counts == [1, 3, 15, 135, 2_295]
 
 
 def _generator_tokens(n, mode):

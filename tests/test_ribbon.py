@@ -34,6 +34,7 @@ from twuality import multimatroid, ribbon, set_system
 import ribbon_catalog as cat
 from conftest import assert_frozen
 from oracles import (
+    binary_quasi_tree_system,
     boundary_oracle,
     component_count,
     medial_oracle,
@@ -172,6 +173,20 @@ class TestQuasiTreeSystems:
         for signs in ([1] * 16, [1, -1] * 8):
             D = delta_matroid_of(cat.bouquet(signs, interleaved=True))
             assert set_system._is_binary(D.table, D.n)
+
+    def test_gf2_route_matches_the_split_walk(self):
+        """``D(G)`` as the twist of a ``D(A)`` by a spanning forest equals
+        the split walk's on seeded random graphs with 8-14 edges and on
+        interleaved bouquets with 2-16 edges, past the vf-safe cap, where
+        ``delta_matroid_of`` checks the family by the certificate alone."""
+        r = random.Random(24)
+        graphs = [cat.random_ribbon(r, max_edges=14, max_vertices=5, min_edges=8) for _ in range(25)]
+        graphs += [
+            cat.bouquet(signs[:m], interleaved=True) for m in range(2, 17) for signs in ([1] * 16, [1, -1] * 8)
+        ]
+        assert sum(G.n > 10 for G in graphs) >= 20
+        for G in graphs:
+            assert binary_quasi_tree_system(G) == delta_matroid_of(G), G
 
     def test_no_exchange_walk_on_binary_systems(self, named, monkeypatch):
         """A vf-safe or binary verdict proves exchange, so ``delta_matroid_of``

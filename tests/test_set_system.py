@@ -1,4 +1,3 @@
-import collections
 import itertools
 import random
 
@@ -561,19 +560,19 @@ class TestVfSafe:
         assert is_vf_safe(ss(0, [()]))
 
     def test_budget(self):
-        with pytest.raises(BudgetError, match=r"n <= 4, got 5 \(2\^5 = 32 twists per class\)$"):
+        with pytest.raises(BudgetError, match=r"n <= 4, got 5 \(3\^5 = 243 twist classes\)$"):
             is_vf_safe(SetSystem(5, [0]), max_n=4)
 
     def test_binary_input_skips_the_closure(self, monkeypatch):
         """A binary family is answered by the certificate: no exchange walk
-        runs and no twist is listed, and the cache gains the family's own
-        entry alone.  A twist of it gets an entry of its own."""
+        runs and the closure is not walked, and the cache gains the family's
+        own entry alone.  A twist of it gets an entry of its own."""
 
         def no_search(table, n):
             raise AssertionError("closure walked")
 
         monkeypatch.setattr(set_system, "_exchange_failures", no_search)
-        monkeypatch.setattr(set_system, "_twists", no_search)
+        monkeypatch.setattr(set_system, "_closure_safe", no_search)
         D = SetSystem.from_sets(5, spanning_quasi_trees(cat.bouquet([1, -1, 1, 1, -1], interleaved=True)))
         assert is_vf_safe(D)
         cache = {}
@@ -641,24 +640,28 @@ class TestVfClassWalk:
 
     @pytest.mark.parametrize("certificate", [True, False], ids=["certificate", "no-certificate"])
     def test_verdicts_match_the_class_walk(self, monkeypatch, certificate):
-        """The verdict and the failure table, with and without a cache.  A
-        safe verdict by the closure lists the twists of each class the
-        oracle reaches once.  The cache holds the family's own entry alone,
-        and a second call reads the verdict from it with the same failure
-        table.  Without the certificate, binary families walk the closure
-        too."""
+        """The verdict and the failure table, with and without a cache.  On a
+        safe verdict by the closure, every class key the oracle reaches is
+        the least twist of ``D`` or of a table the walk checked, and every
+        checked table lies in a class the oracle reaches.  The cache holds
+        the family's own entry alone, and a second call reads the verdict
+        from it with the same failure table.  Without the certificate,
+        binary families walk the closure too."""
         if not certificate:
             monkeypatch.setattr(set_system, "_is_binary", lambda table, n: False)
-        real, listed = set_system._twists, []
-        monkeypatch.setattr(set_system, "_twists", lambda t, n: listed.append(real(t, n)) or listed[-1])
+        real, walked = set_system._exchange_failures, []
+        monkeypatch.setattr(set_system, "_exchange_failures", lambda t, n: walked.append(t) or real(t, n))
         routes = set()
         for D in vf_walk_families():
             expected, keys, _ = oracles.vf_class_walk_oracle(D.table, D.n)
             bad = 0 if expected else oracles.exchange_failures_oracle(D.mask_set())
-            listed.clear()
+            walked.clear()
             assert set_system._vf_safety(D, 10, None) == (expected, bad), D
             if expected and not set_system._is_binary(D.table, D.n):
-                assert sorted(min(twists) for twists in listed) == sorted(keys), D
+                checked = {min(oracles.twist_class(t, D.n)) for t in walked}
+                assert walked[0] == D.table, D
+                assert set(keys) <= checked, D
+                assert checked <= set(keys), D
             cache = {}
             assert set_system._vf_safety(D, 10, cache) == (expected, bad), D
             assert cache == {(D.n, D.table): expected}, D
@@ -669,22 +672,14 @@ class TestVfClassWalk:
 
     def test_no_more_exchange_walks_than_the_class_walk(self, monkeypatch):
         """On the pinned family that is a delta-matroid and not vf-safe,
-        the closure walks exchange on no more classes than the class walk,
-        and lists the twists of fewer."""
+        the closure walks exchange on no more tables than the class walk."""
         D = SetSystem(4, [m for m in range(16) if m & 7 != 7])
-        expected, keys, walks = oracles.vf_class_walk_oracle(D.table, D.n)
+        expected, _, walks = oracles.vf_class_walk_oracle(D.table, D.n)
         assert not expected and is_delta_matroid(D).valid
-        calls = collections.Counter()
-        for name in ("_exchange_failures", "_twists"):
-
-            def counted(t, n, real=getattr(set_system, name), name=name):
-                calls[name] += 1
-                return real(t, n)
-
-            monkeypatch.setattr(set_system, name, counted)
+        real, walked = set_system._exchange_failures, []
+        monkeypatch.setattr(set_system, "_exchange_failures", lambda t, n: walked.append(t) or real(t, n))
         assert not is_vf_safe(D)
-        assert calls["_exchange_failures"] <= len(walks)
-        assert calls["_twists"] < len(keys)
+        assert len(walked) <= len(walks)
 
 
 def random_symmetric(rng, n):
