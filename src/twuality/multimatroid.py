@@ -22,8 +22,6 @@ from .set_system import (
     SetSystem,
     _exchange_failures,
     _iter_checked,
-    _masks_of_table,
-    _plain_changes,
     _swap_adjacent,
     _value_type,
     _zero_masks,
@@ -441,12 +439,12 @@ def lift(
     """The 3-matroid whose bases are the transversals ``B`` with the slot-2
     labels of ``B`` feasible in ``D`` dual-twisted at the slot-3 labels.
 
-    ``D`` must be vf-safe (checked).  Each feasible set sets the table bit
-    with digit 2 at the classes of its labels and 1 elsewhere.  Per class,
-    digit 3 is then the XOR of digits 1 and 2, since the dual twist at
-    ``e`` keeps ``X`` without ``e`` iff exactly one of ``X``, ``X | {e}``
-    is feasible, and dual twists at distinct elements commute.  Last the
-    class's digits, so far its slots, move to their roles under ``tau``.
+    ``D`` must be vf-safe (checked).  Class ``k`` stands for the element
+    ``sigma(k)``, so a projection other than the identity first relabels
+    ``D`` by its inverse.  ``_spread`` then sets the table bit
+    with digit 2 at the classes of each feasible set and 1 elsewhere, and
+    ``_role_steps`` gains each class's third slot and moves the slots to
+    their roles under ``tau``.
     """
     n = D.n
     if n > max_n:
@@ -458,18 +456,49 @@ def lift(
         raise ValidationError("triple/projection size must match the ground size")
     if not is_vf_safe(D, max_n=max(n, 1), cache=vf_cache):
         raise ValidationError("lift requires a vf-safe delta-matroid")
-    return Multimatroid.from_table(n, _lift_table(D, tau.roles, sigma.relabel.images))
+    table = D.table
+    if not sigma.relabel.is_identity():
+        table = relabel(table, n, sigma.relabel.inverse().images)
+    return Multimatroid.from_table(n, _role_steps(_spread(table, n), tau.roles))
 
 
-def _lift_table(D: SetSystem, roles, images) -> int:
-    """``lift``'s base table at ``roles`` and the one-line ``images``, unchecked."""
-    ones, table = _index((1,) * D.n), 0
-    for f in _masks_of_table(D.table):
-        table |= 1 << (ones + sum(1 << 2 * k for k, i in enumerate(images) if f >> (i - 1) & 1))
-    for k, zero in enumerate(_zeros(D.n)):
+#: per class count ``n`` and element ``k < n``, the bits of a ``4**n``-bit
+#: table whose index has bit ``k`` clear, built once per ``n``
+_spread_masks = functools.cache(lambda n: _zero_masks(2 * n, 1)[:n])
+
+
+def _spread(table: int, n: int) -> int:
+    """The ``4**n``-bit table that sets bit ``sum((1 + x_k) * 4**k)`` for
+    each set bit ``X = sum(x_k * 2**k)`` of the truth table ``table``.
+
+    One mask-and-shift step per element, from the top one down.  Before
+    the step at ``k`` an entry sits at ``sum(x_j * 2**j)`` over ``j <= k``
+    plus ``sum(x_j * 4**j)`` over ``j > k``; the low part is below
+    ``2**k`` and the high part a multiple of ``2**(k+1)``, so index bit
+    ``k`` is ``x_k``, and the entries with it set move up by
+    ``4**k - 2**k``.  A last shift adds 1 to every digit."""
+    masks = _spread_masks(n)
+    for k in reversed(range(n)):
+        low = table & masks[k]
+        table = low | (table ^ low) << ((1 << 2 * k) - (1 << k))
+    return table << _index((1,) * n)
+
+
+def _role_steps(table: int, roles) -> int:
+    """Per class ``k``: the entries with digit 1 or 2 there are kept, the
+    digit-3 entries become the XOR of those two, and the digit-0 entries
+    are dropped; then the class's digits, so far its slots, move to their
+    roles ``roles[k]``.
+    On a table of digits 1 and 2 that is ``lift``'s class step: the dual
+    twist at ``e`` keeps ``X`` without ``e`` iff exactly one of ``X``,
+    ``X | {e}`` is feasible, and dual twists at distinct elements commute.
+    Each step reads only the entries whose digits up to ``k`` are 1 or 2,
+    so the result depends only on the entries with no digit 0 or 3."""
+    for k, zero in enumerate(_zeros(len(roles))):
         _, s1, s2, _ = _split(table, k, zero)
-        slots = (s1, s2, s1 ^ s2)
-        table = sum(slots[s - 1] << (r << 2 * k) for r, s in enumerate(roles[k], start=1))
+        slots, d = (s1, s2, s1 ^ s2), 1 << 2 * k
+        a, b, c = roles[k]
+        table = slots[a - 1] << d | slots[b - 1] << 2 * d | slots[c - 1] << 3 * d
     return table
 
 
@@ -554,9 +583,11 @@ def orbit_via_lift(
     at the identity projection over all transversal triples with each
     distinct extracted table visited once (``_extracted_tables``), then
     every table relabeled by ``sigma`` (iota mode; skipped at the
-    identity) or by each of the ``n!`` projections (full mode: the plain
-    changes of ``_plain_changes``, one ``_swap_adjacent`` of every table
-    per step), deduplicated and canonically sorted."""
+    identity) or, in full mode, the set closed under the ``n - 1``
+    adjacent transpositions, which generate all ``n!`` projections: each
+    table is swapped once per position (``_swap_adjacent``) and a new one
+    kept and swapped in turn.  The result is deduplicated and canonically
+    sorted."""
     if mode not in ORBIT_VIA_LIFT_CAPS:
         raise ValidationError(f"mode must be 'full' or 'iota', got {mode!r}")
     cap = ORBIT_VIA_LIFT_CAPS[mode] if max_n is None else max_n
@@ -568,10 +599,14 @@ def orbit_via_lift(
     Z = lift(D, tau, sigma, max_n=max(n, 1), vf_cache=vf_cache)
     seen = _extracted_tables(Z)
     if mode == "full":
-        tables = list(seen)
-        for k in _plain_changes(n):
-            tables = [_swap_adjacent(t, n, k) for t in tables]
-            seen.update(tables)
+        todo = list(seen)
+        while todo:
+            t = todo.pop()
+            for k in range(n - 1):
+                s = _swap_adjacent(t, n, k)
+                if s not in seen:
+                    seen.add(s)
+                    todo.append(s)
     elif not sigma.relabel.is_identity():
         seen = {relabel(t, n, sigma.relabel.images) for t in seen}
     return sorted_systems(seen, n)

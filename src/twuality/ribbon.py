@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError, ConsistencyError, ValidationError
-from .multimatroid import Multimatroid, _check_class_count, _keep_slots, _lift_table, _zeros
+from .multimatroid import Multimatroid, _check_class_count, _keep_slots, _role_steps, _zeros
 from .set_system import MAX_GROUND, SetSystem, VF_SAFE_DEFAULT_CAP
 from .set_system import _exchange_failures, _is_binary, _value_type, _vf_safety
 
@@ -324,8 +324,14 @@ def transition_matroid(Fm: FourRegularGraph, max_v: int = TRANSITION_MATROID_CAP
             "transition matroid", f"{max_v} medial vertices", Fm.n, 3, "transition systems"
         )
     _check_class_count(Fm.n)
-    options = [[(r, (r + 1) << 2 * k) for r in range(3)] for k in range(Fm.n)]
-    return Multimatroid.from_table(Fm.n, _kept_splits(Fm, options))
+    return Multimatroid.from_table(Fm.n, _kept_splits(Fm, _transition_options(Fm.n)))
+
+
+@functools.cache
+def _transition_options(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``transition_matroid``'s ``_kept_splits`` options on ``n`` medial
+    vertices: role ``r`` at vertex ``k`` adds ``(r + 1) * 4**k``."""
+    return tuple(tuple((r, (r + 1) << 2 * k) for r in range(3)) for k in range(n))
 
 
 def boundary_components(G: RibbonGraph) -> int:
@@ -404,18 +410,25 @@ def verify_medial_lift(
 ) -> MedialLiftReport:
     """Compare the transition matroid of the medial with the lift of
     ``D(G)`` at the black/white/crossing triple, from one walk of the
-    medial's splits.  ``D(G)`` is read off the transition table, as
-    ``extract`` at that triple, and checked as ``delta_matroid_of`` checks
-    it, so its lift is built unchecked.  The systems with a crossing check
-    the lift's dual twists against the medial; the black/white half is
-    checked against a half-edge boundary tracer in the tests."""
+    medial's splits.
+
+    ``D(G)`` is read off the transition table ``M``, as ``extract`` at
+    that triple, and checked as ``delta_matroid_of`` checks it: vf-safety
+    is the hypothesis of the lift.  The lift is then ``_role_steps`` at
+    the reference roles run on ``M`` itself, not on ``D`` placed set by
+    set.  That is the same table: each class step rebuilds the entries
+    with a crossing digit from those without one, so the result depends
+    only on the black/white entries of ``M``, and those are ``_spread``
+    of the ``D`` read off them.  So the systems with a crossing check the
+    lift's dual twists against the medial; the black/white half is checked
+    against a half-edge boundary tracer in the tests."""
     if G.n > max_e:
         raise BudgetError.capped("verification", f"{max_e} edges", G.n, 3, "transition systems")
     medial_table = table = transition_matroid(medial(G), max_v=max_e).table
     for k, zero in enumerate(_zeros(G.n)):
         (table,) = _keep_slots(table, k, zero, ((1, 2),))
-    D = _checked_delta_matroid(G, SetSystem.from_table(G.n, table), vf_cache)
-    lifted = _lift_table(D, ((1, 2, 3),) * G.n, range(1, G.n + 1))
+    _checked_delta_matroid(G, SetSystem.from_table(G.n, table), vf_cache)
+    lifted = _role_steps(medial_table, ((1, 2, 3),) * G.n)
     diffs = medial_table & ~lifted, lifted & ~medial_table
     only = [Multimatroid.from_table(G.n, t).sorted_bases() if t else () for t in diffs]
     return MedialLiftReport(medial_table == lifted, *only)

@@ -81,6 +81,14 @@ compared against.
 * ``orbit_via_lift_oracle``: one ``extract`` per transversal triple, each
   scanning every basis.  The library walks the classes once over a
   ``4**n``-bit table of the bases, sharing prefixes.
+* ``spread_oracle``: a truth table placed in the ``4**n``-bit index
+  space one feasible set at a time, its members at digit 2 and the rest
+  at digit 1.  The library moves all entries with one element in each
+  step, one mask and one shift of the whole table.
+* ``medial_lift_oracle``: the ``verify_medial_lift`` report by the route
+  it took before: ``D(G)`` extracted from the transition matroid, placed
+  set by set and dual-twisted class by class on choice tuples.  The
+  library runs the lift's class step on the transition table itself.
 * ``is_multimatroid_oracle``: every independent set filtered by
   compatibility for each transversal, then every pair of the survivors
   tried for augmentation.  The library tests the table bits of the
@@ -129,7 +137,13 @@ from twuality.multimatroid import (
     extract,
     lift,
 )
-from twuality.ribbon import TRANSITION_NAMES, medial, split_components
+from twuality.ribbon import (
+    TRANSITION_NAMES,
+    MedialLiftReport,
+    medial,
+    split_components,
+    transition_matroid,
+)
 from twuality.set_system import _HALVES, _binary_table, _exchange_failures, fold_flip, mask_of, members_of
 from twuality.set_system import loop_complement1 as table_complement1, twist1 as table_twist1
 
@@ -783,6 +797,34 @@ def extract_oracle(Z, tau, sigma):
         if 3 not in slots:
             masks.add(sum(1 << k for k, slot in enumerate(slots) if slot == 2))
     return SetSystem(Z.n, (relabel_mask(sigma.relabel.images, m) for m in masks))
+
+
+def spread_oracle(table, n):
+    """``_spread`` one feasible set ``X`` at a time: the index with digit
+    2 at the members of ``X`` and 1 elsewhere."""
+    out = 0
+    for m in masks_of_table_oracle(table):
+        out |= 1 << sum((1 + (m >> k & 1)) << 2 * k for k in range(n))
+    return out
+
+
+def medial_lift_oracle(G):
+    """``verify_medial_lift`` without its checks: ``D(G)`` extracted from
+    the transition matroid at the reference triple, placed set by set
+    (``spread_oracle``), then per class each choice with digit 3 there
+    added when exactly one of its digit-1 and digit-2 versions is a basis,
+    and the bases compared with the medial's."""
+    n = G.n
+    Zm = transition_matroid(medial(G), max_v=n)
+    D = extract(Zm, TransversalTriple.reference(n), Projection.identity(n))
+    lifted = set(choices_oracle(n, spread_oracle(D.table, n)))
+    for k in range(n):
+        lifted |= {
+            b[:k] + (3,) + b[k + 1 :] for b in lifted if b[:k] + (3 - b[k],) + b[k + 1 :] not in lifted
+        }
+    bases = Zm.bases
+    only = tuple(sorted(bases - lifted)), tuple(sorted(lifted - bases))
+    return MedialLiftReport(bases == lifted, *only)
 
 
 def _compatible(I, T):

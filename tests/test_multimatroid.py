@@ -49,6 +49,7 @@ from oracles import (
     lift_oracle,
     orbit_via_lift_oracle,
     restrict_oracle,
+    spread_oracle,
 )
 from twuality import delta_matroid_of, multimatroid
 from twuality.set_system import relabel, sorted_systems
@@ -243,18 +244,24 @@ class TestLiftExtract:
             assert Z == lift_oracle(D, tau, sigma), (D, tau, sigma)
 
     def test_lift_builds_through_the_shared_builder(self, monkeypatch, rng, vf_cache):
-        """``lift`` keeps its checks and builds the table with
-        ``_lift_table``, the builder ``verify_medial_lift`` calls directly:
+        """``lift`` keeps its checks and builds the table with one
+        ``_spread`` and one ``_role_steps``, the class step that
+        ``verify_medial_lift`` runs directly on the transition table:
         random triples and projections on random systems with n <= 5, and
         their random group translates, against the per-choice oracle."""
         built = []
-        builder = multimatroid._lift_table
 
-        def spy(D, roles, images):
-            built.append(D)
-            return builder(D, roles, images)
+        def spy(name):
+            original = getattr(multimatroid, name)
 
-        monkeypatch.setattr(multimatroid, "_lift_table", spy)
+            def counted(*args):
+                built.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(multimatroid, name, counted)
+
+        spy("_spread")
+        spy("_role_steps")
         for _ in range(60):
             D = rand_system(rng, rng.randint(1, 5), vf_cache)
             gv = tuple(rng.choice(FLIPS) for _ in range(D.n))
@@ -262,7 +269,18 @@ class TestLiftExtract:
             tau, sigma = rand_triple(rng, D.n), rand_projection(rng, D.n)
             built.clear()
             assert lift(D, tau, sigma, vf_cache=vf_cache) == lift_oracle(D, tau, sigma), (D, tau, sigma)
-            assert built == [D]
+            assert built == ["_spread", "_role_steps"]
+
+    def test_spread_matches_per_set_placement(self, rng):
+        """``_spread`` places every family with n <= 4, and random ones
+        with n <= 8, dense and sparse, as the per-set oracle does."""
+        for n in range(5):
+            for table in range(1 << (1 << n)):
+                assert multimatroid._spread(table, n) == spread_oracle(table, n), (n, table)
+        for n in range(5, 9):
+            for _ in range(20):
+                table = rng.getrandbits(1 << n) & rng.choice((-1, rng.getrandbits(1 << n)))
+                assert multimatroid._spread(table, n) == spread_oracle(table, n), (n, table)
 
     def test_extract_matches_per_basis_oracle(self, rng):
         for _ in range(200):
@@ -588,7 +606,7 @@ class TestOrbitCharacterizations:
 
     @pytest.mark.parametrize("n", range(6))
     def test_full_mode_walk_matches_permutations(self, n, rng, vf_cache, monkeypatch):
-        """Full mode walks the relabelings by plain changes; the set equals
+        """Full mode closes the set under adjacent transpositions; it equals
         every extracted table relabeled by every permutation, both for the
         real extracted tables and for random ones in their place, which
         unlike an orbit are unlikely to hide a missed relabeling behind a

@@ -37,6 +37,7 @@ from oracles import (
     binary_quasi_tree_system,
     boundary_oracle,
     component_count,
+    medial_lift_oracle,
     medial_oracle,
     quasi_trees_oracle,
     split_components_oracle,
@@ -508,8 +509,9 @@ class TestOneSplitWalk:
 
     def test_one_split_walk_and_one_vf_check_per_call(self, monkeypatch):
         """One call runs ``_kept_splits`` once, the vf-safety check once and
-        the shared lift builder once, with or without a cache: calling
-        ``lift`` instead would repeat the vf-safety check.  A vf-safe system
+        the lift's class step ``_role_steps`` once, on the transition table,
+        with or without a cache: calling ``lift`` instead would repeat the
+        vf-safety check and spread ``D`` (``_spread``).  A vf-safe system
         needs no exchange walk of its own."""
         counts = collections.Counter()
 
@@ -526,7 +528,8 @@ class TestOneSplitWalk:
             (ribbon, "_kept_splits"),
             (ribbon, "_vf_safety"),
             (ribbon, "_exchange_failures"),
-            (ribbon, "_lift_table"),
+            (ribbon, "_role_steps"),
+            (multimatroid, "_spread"),
             (multimatroid, "is_vf_safe"),
         ):
             count(module, name)
@@ -536,4 +539,60 @@ class TestOneSplitWalk:
             for cache in (None, {}):
                 counts.clear()
                 assert verify_medial_lift(G, vf_cache=cache).equal, G
-                assert counts == {"_kept_splits": 1, "_vf_safety": 1, "_lift_table": 1}, (G, counts)
+                assert counts == {"_kept_splits": 1, "_vf_safety": 1, "_role_steps": 1}, (G, counts)
+
+
+class TestClassStepOnTheTransitionTable:
+    """``verify_medial_lift`` runs the lift's class step on the transition
+    table; ``medial_lift_oracle`` extracts ``D(G)`` and places it set by
+    set, as the check did before."""
+
+    def test_reports_match_the_oracle(self, vf_cache):
+        """The whole <=3-edge catalog, seeded random graphs with 4-6 edges
+        and interleaved bouquets."""
+        graphs = itertools.chain(
+            cat.enumerate_all(), _random_graphs(31, 100, 4, 6), _interleaved_bouquets()
+        )
+        for G in graphs:
+            report = verify_medial_lift(G, vf_cache=vf_cache)
+            assert report.equal and report == medial_lift_oracle(G), G
+
+    def test_forced_mismatch_matches_the_oracle(self, monkeypatch, vf_cache):
+        """With one bit of a transition system that has a crossing flipped
+        in the walk's table, the report lists that system on one side, and
+        both sides equal the oracle's."""
+        rng = random.Random(37)
+        walk, flip = ribbon._kept_splits, [0]
+        monkeypatch.setattr(ribbon, "_kept_splits", lambda Fm, options: walk(Fm, options) ^ flip[0])
+        graphs = [G for G in cat.named_fixtures().values() if 1 <= G.n <= 6]
+        graphs += list(_random_graphs(41, 40, 1, 6))
+        for G in graphs:
+            choice = [rng.randint(1, 3) for _ in range(G.n)]
+            choice[rng.randrange(G.n)] = 3
+            flip[0] = 1 << sum(r << 2 * k for k, r in enumerate(choice))
+            report = verify_medial_lift(G, vf_cache=vf_cache)
+            assert not report.equal and report == medial_lift_oracle(G), (G, choice)
+            assert report.only_medial + report.only_lift == (tuple(choice),), (G, choice)
+
+    def test_one_medial_and_one_transition_matroid_per_call(self, monkeypatch, vf_cache):
+        """One call goes through the module attributes ``medial`` and
+        ``transition_matroid`` once each, which the perfbench tracer wraps
+        for its ``ribbon.transition_matroid.*`` metrics."""
+        counts = collections.Counter()
+
+        def count(name):
+            original = getattr(ribbon, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(ribbon, name, counted)
+
+        count("medial")
+        count("transition_matroid")
+        graphs = [G for G in cat.named_fixtures().values() if G.n <= 6]
+        for G in graphs + list(_random_graphs(43, 10, 1, 6)):
+            counts.clear()
+            assert verify_medial_lift(G, vf_cache=vf_cache).equal, G
+            assert counts == {"medial": 1, "transition_matroid": 1}, (G, counts)
