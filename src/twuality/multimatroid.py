@@ -375,17 +375,27 @@ def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
 
 def is_tight(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     """Exactly one of the three one-class replacements of every basis must
-    fail to be a basis; returns ``(flag, witness)``."""
+    fail to be a basis; returns ``(flag, witness)``.  Per class ``k``,
+    ``_split`` gathers each line of replacements at its digit-0 entry, in
+    ``p_r`` for role ``r``; a line fails when it holds a basis but not
+    exactly two.  The witness is the least failing basis as a tuple."""
     if Z.n > max_n:
         raise BudgetError.capped("is_tight", f"n <= {max_n}", Z.n, 3, "transversals")
-    for b in Z.sorted_bases():
-        at = _index(b)
-        for k in range(Z.n):
-            line = at - (b[k] << 2 * k)
-            non_bases = [r for r in (1, 2, 3) if not Z.table >> (line + (r << 2 * k)) & 1]
-            if len(non_bases) != 1:
-                return False, {"basis": list(b), "class": k + 1, "non_bases": non_bases}
-    return True, None
+    n, table = Z.n, Z.table
+    failing, bad = [], 0
+    for k, zero in enumerate(_zeros(n)):
+        _, p1, p2, p3 = _split(table, k, zero)
+        fails = (p1 | p2 | p3) & ~((p1 & p2 | p1 & p3 | p2 & p3) & ~(p1 & p2 & p3))
+        failing.append(fails)
+        for r, p in enumerate((p1, p2, p3), 1):
+            bad |= (fails & p) << (r << 2 * k)
+    if not bad:
+        return True, None
+    b = min(_choices(n, bad))
+    lines = [_index(b) - (r << 2 * k) for k, r in enumerate(b)]
+    k = next(k for k, line in enumerate(lines) if failing[k] >> line & 1)
+    non_bases = [r for r in (1, 2, 3) if not table >> (lines[k] + (r << 2 * k)) & 1]
+    return False, {"basis": list(b), "class": k + 1, "non_bases": non_bases}
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,6 @@ from .set_system import (
     VF_SAFE_DEFAULT_CAP,
     _HALVES,
     _canonical_order,
-    _family_members,
     _families_text,
     _plain_changes,
     _swap_adjacent,
@@ -80,9 +79,10 @@ class OrbitReport:
     word as JSON text (``',"*1","+2"'``, each token with a leading comma)
     and the order form it was sorted by (``set_system._canonical_order``).
     ``words``, ``elements``, the ``SetSystem``-keyed ``paths`` and
-    ``families`` (each element's ``feasible_sets()``, read off its form)
-    are built when first read; ``canonical_json`` needs only the forms and
-    word texts.
+    ``families`` (each element's ``feasible_sets()``, decoded from its
+    truth table) are built when first read.  ``canonical_json`` needs only
+    the forms and word texts; ``to_json`` reads no form, so the two decode
+    each family independently.
     """
 
     seed: SetSystem
@@ -109,7 +109,7 @@ class OrbitReport:
 
     @functools.cached_property
     def families(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        return tuple(_family_members(self.forms, self.seed.n))
+        return tuple(e.feasible_sets() for e in self.elements)
 
     def to_json(self) -> dict:
         n = self.seed.n

@@ -13,16 +13,16 @@ Canonical order lists sets by cardinality, then lexicographically
 (shortlex), and families by the sorted list of their sets.  One table per
 ground size, built on first use, holds the subsets in shortlex order and
 the rank of every mask.  ``shortlex_ranks`` reads a family's sorted ranks
-off its truth table, and ``_family_of_ranks`` turns them into the table's
-shared member tuples.  Orbits and ``sorted_systems`` sort many tables at
-once through ``_canonical_order``, and orbit reports read their JSON text
-(``_families_text``) or member tuples (``_family_members``) off the forms
-it hands back.  Up to ``BITMAP_GROUND`` elements these read per-byte
-lookup tables, built once per ground size: a family becomes its rank
-bitmap by one lookup per byte of its truth table, the bitmap one int sort
-key by four int ops and its JSON text by one lookup per byte of the
-bitmap, the lookups one C-level pass over the bytes of all the families.
-Above it they sort and join rank lists.
+off its truth table, and ``SetSystem.feasible_sets`` turns them into the
+table's shared member tuples.  Orbits and ``sorted_systems`` sort many
+tables at once through ``_canonical_order``, and orbit reports write their
+JSON text off the forms it hands back (``_families_text``, their one
+reader).  Up to ``BITMAP_GROUND`` elements these read per-byte lookup
+tables, built once per ground size: a family becomes its rank bitmap by
+one lookup per byte of its truth table, the bitmap one int sort key by
+four int ops and its JSON text by one lookup per byte of the bitmap, the
+lookups one C-level pass over the bytes of all the families.  Above it
+they sort and join rank lists.
 
 Operations:
 
@@ -82,14 +82,7 @@ def mask_of(members: Iterable[int], n: int) -> int:
 
 def members_of(mask: int) -> tuple[int, ...]:
     """Decode a bit mask into the ascending tuple of its elements."""
-    out = []
-    i = 1
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+    return tuple(k + 1 for k in _masks_of_table(mask))
 
 
 @functools.cache
@@ -178,7 +171,7 @@ def _canonical_order(tables: Iterable[int], n: int) -> tuple[list[int], list]:
     """The truth tables over [n] in canonical order, and per table its
     order form: the rank bitmap ``R`` for ``n <= BITMAP_GROUND`` (see
     ``_bitmap_tables``), the ascending rank list above, off which
-    ``_families_text`` and ``_family_members`` read the family.
+    ``_families_text``, the forms' one reader, writes the family.
 
     Families compare as their ascending rank lists.  Let ``r`` be the least
     rank in which families ``A != B`` differ, say ``r`` in ``A``.  If ``B``
@@ -229,26 +222,6 @@ def _families_text(forms: Iterable, n: int, sep: str) -> str:
               for i in range(0, len(packed), step)] or [sep]
     pieces[0] = pieces[0][len(sep):]
     return "".join(pieces)
-
-
-def _family_members(forms: Iterable, n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Per order form of ``_canonical_order``, the family's sets in
-    canonical order as shared member tuples: those at the ranks, or those
-    that the binary digits of the bitmap select, rank 0 first."""
-    if n > BITMAP_GROUND:
-        return (_family_of_ranks(r, n) for r in forms)
-    members, digits = _shortlex_table(n)[0], "0%db" % (1 << n)
-    return (tuple(itertools.compress(members, format(R, digits).encode().translate(_BIT_BYTES)))
-            for R in forms)
-
-
-def _family_of_ranks(ranks: list[int], n: int) -> tuple[tuple[int, ...], ...]:
-    """The subsets of [n] at the given shortlex ranks, as the member
-    tuples of the shortlex table, which every family over [n] shares."""
-    members = _shortlex_table(n)[0]
-    if len(ranks) < 2:  # an itemgetter of one index returns the item alone
-        return tuple(members[r] for r in ranks)
-    return itemgetter(*ranks)(members)
 
 
 def _refuse_set(self, name, value):
@@ -332,8 +305,11 @@ class SetSystem:
         return frozenset(self.masks)
 
     def feasible_sets(self) -> tuple[tuple[int, ...], ...]:
-        """The family in canonical order, each set as an ascending tuple."""
-        return _family_of_ranks(shortlex_ranks(self.table, self.n), self.n)
+        """The family in canonical order, each set as an ascending tuple,
+        one of the shortlex table's, which every family over [n] shares."""
+        members, ranks = _shortlex_table(self.n)[0], shortlex_ranks(self.table, self.n)
+        # an itemgetter of one index returns the item alone
+        return itemgetter(*ranks)(members) if len(ranks) > 1 else tuple(members[r] for r in ranks)
 
     def canonical_key(self):
         """Total-order key for sorting collections of systems."""

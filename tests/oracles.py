@@ -37,6 +37,8 @@ compared against.
   those primitive steps (``FLIP_WORDS``), and the group action as a
   relabeling of every mask followed by one word per element.  The library
   applies a flip as the permutation of three slot tables that it is.
+* ``members_of_oracle``: a mask's elements, one shift per bit.  The
+  library selects them from the mask's binary digits in one ``compress``.
 * ``shortlex_key``, ``canonical_key_oracle``: the canonical order as
   tuples, a subset keyed by its size and its member tuple and a family by
   the sorted keys of its sets.  The library compares shortlex ranks read
@@ -98,6 +100,9 @@ compared against.
   frozenset of choice tuples, one tuple per basis or independent set.
   The library keeps a multimatroid as its ``4**n``-bit base table and
   works per class with masked shifts of the whole table.
+* ``tightness_oracle``: ``is_tight`` basis by basis, each basis's three
+  replacements per class probed in the base table.  The library finds
+  the failing lines of every class at once, in a few masked shifts.
 * ``medial_oracle``: the medial as ``(half-edge, slot)`` tag tuples, each
   transition and the corner list a sorted tuple of sorted tag pairs.  The
   library holds int tags ``4k + 2j + slot`` and decodes them only for
@@ -144,13 +149,25 @@ from twuality.ribbon import (
     split_components,
     transition_matroid,
 )
-from twuality.set_system import _HALVES, _binary_table, _exchange_failures, fold_flip, mask_of, members_of
+from twuality.set_system import _HALVES, _binary_table, _exchange_failures, fold_flip, mask_of
 from twuality.set_system import loop_complement1 as table_complement1, twist1 as table_twist1
+
+
+def members_of_oracle(mask):
+    """The ascending tuple of the elements of a mask, element ``i`` bit ``i - 1``."""
+    out = []
+    i = 1
+    while mask:
+        if mask & 1:
+            out.append(i)
+        mask >>= 1
+        i += 1
+    return tuple(out)
 
 
 def shortlex_key(mask):
     """Sort key ordering subsets by cardinality, then lexicographically."""
-    return (mask.bit_count(), members_of(mask))
+    return (mask.bit_count(), members_of_oracle(mask))
 
 
 def canonical_key_oracle(D):
@@ -748,6 +765,20 @@ def is_tight_oracle(Z):
     for b in sorted(bases):
         for k in range(Z.n):
             non_bases = [r for r in (1, 2, 3) if b[:k] + (r,) + b[k + 1 :] not in bases]
+            if len(non_bases) != 1:
+                return False, {"basis": list(b), "class": k + 1, "non_bases": non_bases}
+    return True, None
+
+
+def tightness_oracle(Z):
+    """``is_tight`` without its budget check, basis by basis: the first
+    basis in tuple order, at its first class, whose line of three
+    replacements does not hold exactly two bases."""
+    for b in Z.sorted_bases():
+        at = sum(r << 2 * k for k, r in enumerate(b))
+        for k in range(Z.n):
+            line = at - (b[k] << 2 * k)
+            non_bases = [r for r in (1, 2, 3) if not Z.table >> (line + (r << 2 * k)) & 1]
             if len(non_bases) != 1:
                 return False, {"basis": list(b), "class": k + 1, "non_bases": non_bases}
     return True, None

@@ -50,6 +50,7 @@ from oracles import (
     orbit_via_lift_oracle,
     restrict_oracle,
     spread_oracle,
+    tightness_oracle,
 )
 from twuality import delta_matroid_of, multimatroid
 from twuality.set_system import relabel, sorted_systems
@@ -356,6 +357,29 @@ class TestAxioms:
             assert result == is_tight_oracle(Z), Z
             flags.add(result[0])
         assert flags == {True, False}
+
+    def test_tightness_matches_basis_loop_on_lifts(self, vf_cache):
+        """Flag and witness agree with the basis-by-basis probe of the base
+        table on lifts of quasi-tree systems with 3 to 6 elements, and on
+        each lift with one basis removed or one other transversal added."""
+        rng = random.Random(3)
+        flags, cases = set(), 0
+        for n in range(3, 7):
+            for _ in range(5):
+                G = ribbon_catalog.random_ribbon(rng, max_edges=n, min_edges=n)
+                D = delta_matroid_of(G, vf_cache=vf_cache)
+                Z = lift(D, rand_triple(rng, n), rand_projection(rng, n), vf_cache=vf_cache)
+                bases = [1 << multimatroid._index(b) for b in Z.sorted_bases()]
+                others = [1 << multimatroid._index(c) for c in itertools.product((1, 2, 3), repeat=n)]
+                others = [bit for bit in others if not Z.table & bit]
+                toggles = [0] + rng.sample(bases, 5) + rng.sample(others, 5)
+                for bit in toggles:
+                    Y = Multimatroid.from_table(n, Z.table ^ bit)
+                    result = is_tight(Y)
+                    assert result == tightness_oracle(Y), (D, bit)
+                    flags.add(result[0])
+                    cases += 1
+        assert cases == 220 and flags == {True, False}
 
     def test_lifts_match_oracle(self, pool, rng, vf_cache):
         systems = [D for D in pool if D.n <= 4][:6]

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import itertools
 import json
@@ -115,6 +116,18 @@ class TestOrbit:
         rep = orbit(D, mode=mode)
         expected = json.dumps(rep.to_json(), sort_keys=True, separators=(",", ":"))
         assert rep.canonical_json() == expected
+
+    @pytest.mark.parametrize("mode", ["iota", "full"])
+    @pytest.mark.parametrize("D", [D_CONE, ss(4, [(), (1, 2), (1, 3), (2, 4), (1, 2, 3, 4)])], ids=["3", "4"])
+    def test_to_json_reads_no_order_form(self, D, mode):
+        """``to_json`` decodes the families from the truth tables, so the
+        order forms that ``canonical_json`` writes from can be scrambled
+        without changing it."""
+        rep = orbit(D, mode=mode)
+        scrambled = dataclasses.replace(rep, forms=tuple(reversed(rep.forms)))
+        assert scrambled.forms != rep.forms
+        assert scrambled.to_json() == rep.to_json()
+        assert scrambled.families == tuple(E.feasible_sets() for E in rep.elements)
 
     @pytest.mark.parametrize(
         "D, mode",
