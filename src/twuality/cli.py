@@ -30,15 +30,16 @@ from .multimatroid import (
     Multimatroid,
     Projection,
     TransversalTriple,
+    _orbit_via_lift_tables,
     extract,
     is_multimatroid,
     is_tight,
     lift,
-    orbit_via_lift,
 )
 from .orbit_engine import orbit, stabilizer_search, uniformize
 from .ribbon import RibbonGraph, delta_matroid_of, medial, verify_medial_lift
-from .set_system import SetSystem, VF_SAFE_DEFAULT_CAP, _exchange_witness, _vf_safety
+from .set_system import SetSystem, VF_SAFE_DEFAULT_CAP, _canonical_order, _exchange_witness, _systems_text
+from .set_system import _vf_safety
 from .twuality_group import (
     BAR,
     ONE,
@@ -253,13 +254,16 @@ def _cmd_mm_check(args) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_orbit_via_lift(args) -> tuple[dict, int]:
+def _cmd_orbit_via_lift(args) -> tuple[str, int]:
+    """``{"elements": [D.to_json() ...], "size": ...}`` over the systems of
+    ``orbit_via_lift``, as canonical text written off their order forms,
+    as ``orbit`` writes its elements: no ``SetSystem`` is built."""
     D = SetSystem.from_json(_load_json(args.file))
     tau = _parse_triple(args.tau, D.n)
     sigma = _parse_projection(args.sigma, D.n)
     mode = "iota" if args.iota else "full"
-    elements = orbit_via_lift(D, tau, sigma, mode=mode, max_n=args.max_n)
-    return {"size": len(elements), "elements": [d.to_json() for d in elements]}, 0
+    forms = _canonical_order(_orbit_via_lift_tables(D, tau, sigma, mode, args.max_n), D.n)[1]
+    return '{"elements":%s,"size":%d}' % (_systems_text(forms, D.n), len(forms)), 0
 
 
 def _cmd_ribbon(args) -> tuple[dict, int]:

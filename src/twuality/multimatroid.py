@@ -589,15 +589,27 @@ def orbit_via_lift(
     max_n: int | None = None,
     vf_cache: dict | None = None,
 ) -> tuple[SetSystem, ...]:
-    """Orbit of ``D`` computed through its lift: one lift, the extractions
-    at the identity projection over all transversal triples with each
-    distinct extracted table visited once (``_extracted_tables``), then
-    every table relabeled by ``sigma`` (iota mode; skipped at the
+    """Orbit of ``D`` computed through its lift: the distinct truth tables
+    of ``_orbit_via_lift_tables``, canonically sorted."""
+    return sorted_systems(_orbit_via_lift_tables(D, tau, sigma, mode, max_n, vf_cache), D.n)
+
+
+def _orbit_via_lift_tables(
+    D: SetSystem,
+    tau: TransversalTriple | None,
+    sigma: Projection | None,
+    mode: str,
+    max_n: int | None,
+    vf_cache: dict | None = None,
+) -> set[int]:
+    """The truth tables of ``orbit_via_lift``, unordered: one lift, the
+    extractions at the identity projection over all transversal triples
+    with each distinct extracted table visited once (``_extracted_tables``),
+    then every table relabeled by ``sigma`` (iota mode; skipped at the
     identity) or, in full mode, the set closed under the ``n - 1``
     adjacent transpositions, which generate all ``n!`` projections: each
     table is swapped once per position (``_swap_adjacent``) and a new one
-    kept and swapped in turn.  The result is deduplicated and canonically
-    sorted."""
+    kept and swapped in turn."""
     if mode not in ORBIT_VIA_LIFT_CAPS:
         raise ValidationError(f"mode must be 'full' or 'iota', got {mode!r}")
     cap = ORBIT_VIA_LIFT_CAPS[mode] if max_n is None else max_n
@@ -619,4 +631,4 @@ def orbit_via_lift(
                     todo.append(s)
     elif not sigma.relabel.is_identity():
         seen = {relabel(t, n, sigma.relabel.images) for t in seen}
-    return sorted_systems(seen, n)
+    return seen

@@ -16,7 +16,7 @@ concatenation per new state.  The states are sorted by
 ``set_system._canonical_order``, which also hands back each element's
 order form (its rank bitmap up to 8 elements); the report writes its
 canonical JSON text from the word texts and the whole orbit's family
-text, which ``_families_text`` writes off those forms, and builds words,
+text, which ``_systems_text`` writes off those forms, and builds words,
 systems, families and the ``to_json`` tree only when they are read.  The
 stabilizer search walks the relabelings of a system one adjacent
 transposition at a time and the flip vectors one element at a time.
@@ -40,9 +40,9 @@ from .set_system import (
     VF_SAFE_DEFAULT_CAP,
     _HALVES,
     _canonical_order,
-    _families_text,
     _plain_changes,
     _swap_adjacent,
+    _systems_text,
     _value_type,
     classify_element,
     is_vf_safe,
@@ -122,15 +122,12 @@ class OrbitReport:
 
     def canonical_json(self) -> str:
         """``json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))``,
-        written from the family texts of the whole orbit (``_families_text``)
+        written from the family texts of the whole orbit (``_systems_text``)
         and the word texts, whose leading commas one ``replace`` drops:
         no token holds a bracket."""
-        n = self.seed.n
-        elements = _families_text(self.forms, n, '],"n":%d},{"feasible":[' % n)
+        elements = _systems_text(self.forms, self.seed.n)
         paths = ("[" + "],[".join(self.word_texts) + "]").replace("[,", "[")
-        return '{"elements":[{"feasible":[%s],"n":%d}],"mode":"%s","paths":[%s],"size":%d}' % (
-            elements, n, self.mode, paths, self.size
-        )
+        return '{"elements":%s,"mode":"%s","paths":[%s],"size":%d}' % (elements, self.mode, paths, self.size)
 
 
 @_value_type()

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError, ConsistencyError, ValidationError
-from .multimatroid import Multimatroid, _check_class_count, _keep_slots, _role_steps, _zeros
+from .multimatroid import Multimatroid, _check_class_count, _role_steps, _zeros
 from .set_system import MAX_GROUND, SetSystem, VF_SAFE_DEFAULT_CAP
 from .set_system import _exchange_failures, _is_binary, _value_type, _vf_safety
 
@@ -160,9 +160,10 @@ class FourRegularGraph:
     The slot ``slot`` of end ``j`` of edge ``k`` is the tag
     ``4k + 2j + slot``.  ``corner[t]`` is the tag that a corner edge joins
     to ``t``; ``pairs[k][role]`` holds the two tag pairs of transition
-    ``role`` (0 black, 1 white, 2 crossing) at vertex ``k``;
+    ``role`` (0 black, 1 white, 2 crossing) at vertex ``k``, each pair
+    lesser tag first, one ``map`` over the shared ``_vertex_pairs``;
     ``components`` counts the components of the medial, free loops
-    included."""
+    included, by a depth-first search along the corner edges."""
 
     edges: tuple[RibbonEdge, ...]
     corner: tuple[int, ...]
@@ -171,11 +172,10 @@ class FourRegularGraph:
     components: int
 
     def __init__(self, edges: Sequence[RibbonEdge], corner: Sequence[int], free_loops: int):
-        edges, corner = tuple(edges), tuple(corner)
-        pairs = tuple(_vertex_pairs(k, e.sign) for k, e in enumerate(edges))
-        seen = [False] * len(edges)
+        edges, corner, n = tuple(edges), tuple(corner), len(edges)
+        seen = [False] * n
         components = free_loops
-        for root in range(len(edges)):
+        for root in range(n):
             if seen[root]:
                 continue
             components += 1
@@ -187,8 +187,11 @@ class FourRegularGraph:
                     if not seen[t >> 2]:
                         seen[t >> 2] = True
                         stack.append(t >> 2)
-        for name, value in zip(self.__slots__, (edges, corner, pairs, free_loops, components)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "corner", corner)
+        object.__setattr__(self, "pairs", tuple(map(_vertex_pairs, range(n), [e.sign for e in edges])))
+        object.__setattr__(self, "free_loops", free_loops)
+        object.__setattr__(self, "components", components)
 
     @property
     def n(self) -> int:
@@ -224,15 +227,24 @@ def medial(G: RibbonGraph) -> FourRegularGraph:
 
     Corner edges join the ``after`` slot of each half-edge to the
     ``before`` slot of the next half-edge in its rotation; transitions
-    follow the module-level convention.
+    follow the module-level convention.  One pass per rotation writes both
+    ends of each corner edge into the corner array, starting from the
+    ``after`` slot of the rotation's last half-edge; an empty rotation is a
+    free loop.
     """
-    tag = {h: 4 * k + 2 * j for k, e in enumerate(G.edges) for j, h in enumerate(e.ends)}
-    corner = [0] * (4 * G.n)
+    n = G.n
+    tag = dict(zip([h for e in G.edges for h in e.ends], range(0, 4 * n, 2)))  # end j of edge k: 4k + 2j
+    corner, free_loops = [0] * (4 * n), 0
     for rot in G.vertices:
-        for h, h_next in zip(rot, rot[1:] + rot[:1]):
-            a, b = tag[h] + AFTER, tag[h_next] + BEFORE
+        if not rot:
+            free_loops += 1
+            continue
+        a = tag[rot[-1]] + AFTER
+        for h in rot:
+            b = tag[h] + BEFORE
             corner[a], corner[b] = b, a
-    return FourRegularGraph(G.edges, corner, sum(1 for rot in G.vertices if not rot))
+            a = b + AFTER
+    return FourRegularGraph(G.edges, corner, free_loops)
 
 
 def all_black(Fm: FourRegularGraph) -> tuple[str, ...]:
@@ -274,25 +286,36 @@ def _kept_splits(Fm: FourRegularGraph, options: Sequence[Sequence[tuple[int, int
     corner edges start as open paths of two tags, and ``end[t]`` is the
     far end of the path at tag ``t``.  Joining ``x`` to ``y`` closes a
     cycle when ``end[x] == y`` and otherwise links the two far ends; on
-    return those two entries are restored, so a prefix is split once.  The
-    four tags of the last vertex end the two paths still open, so there a
-    pairing closes two cycles if its first pair closes one, else one.
+    return those two entries are restored, so a prefix is split once.
+
+    The last two vertices take no call per prefix.  Once all but the last
+    vertex are joined, its four tags end the two paths still open, which
+    pair them as one of its three pairings: a transition closes two cycles
+    if it is that pairing, else one.  That pairing is known from the
+    partner ``end[t0]`` of the vertex's first tag ``t0``, and
+    ``two[t - t0]`` holds the bits of the last vertex's options that pair
+    ``t0`` with ``t``.  At vertex ``n - 2`` each option's two pairs are
+    joined, the kept options of the last vertex are read off ``two`` and
+    shifted to the prefix's index, and the joins are undone.
     """
     n, pairs, end = Fm.n, Fm.pairs, list(Fm.corner)
     if not n:
         return 1
-    last, target, table = n - 1, Fm.components - Fm.free_loops, 0
+    target, second, t0 = Fm.components - Fm.free_loops, n - 2, 4 * (n - 1)
+    two, every = [0] * 4, 0
+    for role, offset in options[n - 1]:
+        (x, y), (u, v) = pairs[n - 1][role]
+        two[(y if x == t0 else v) - t0] |= 1 << offset  # a pair holds its lesser tag first
+        every |= 1 << offset
+    if n == 1:  # one medial vertex, one component
+        return every ^ two[end[t0] - t0]
+    table = 0
 
     def walk(k: int, index: int, cycles: int) -> None:
         nonlocal table
-        if k == last:
-            for role, offset in options[k]:
-                (x, y), _ = pairs[k][role]
-                if cycles + 1 + (end[x] == y) == target:
-                    table |= 1 << (index | offset)
-            return
+        vertex = pairs[k]
         for role, offset in options[k]:
-            (x, y), (u, v) = pairs[k][role]
+            (x, y), (u, v) = vertex[role]
             count = cycles
             ex, ey = end[x], end[y]
             if ex == y:
@@ -304,7 +327,12 @@ def _kept_splits(Fm: FourRegularGraph, options: Sequence[Sequence[tuple[int, int
                 count += 1
             else:
                 end[eu], end[ev] = ev, eu
-            walk(k + 1, index | offset, count)
+            if k < second:
+                walk(k + 1, index | offset, count)
+            elif count == target - 2:
+                table |= two[end[t0] - t0] << (index | offset)
+            elif count == target - 1:
+                table |= (every ^ two[end[t0] - t0]) << (index | offset)
             if eu != v:
                 end[eu], end[ev] = u, v
             if ex != y:
@@ -319,12 +347,13 @@ def transition_matroid(Fm: FourRegularGraph, max_v: int = TRANSITION_MATROID_CAP
     transition systems preserving the component count.  Roles follow the
     fixed order black = 1, white = 2, crossing = 3; the base-table bit of
     a system is the sum of role·4^k over the medial vertices ``k``."""
-    if Fm.n > max_v:
+    n = Fm.n
+    if n > max_v:
         raise BudgetError.capped(
-            "transition matroid", f"{max_v} medial vertices", Fm.n, 3, "transition systems"
+            "transition matroid", f"{max_v} medial vertices", n, 3, "transition systems"
         )
-    _check_class_count(Fm.n)
-    return Multimatroid.from_table(Fm.n, _kept_splits(Fm, _transition_options(Fm.n)))
+    _check_class_count(n)
+    return Multimatroid.from_table(n, _kept_splits(Fm, _transition_options(n)))
 
 
 @functools.cache
@@ -413,22 +442,28 @@ def verify_medial_lift(
     medial's splits.
 
     ``D(G)`` is read off the transition table ``M``, as ``extract`` at
-    that triple, and checked as ``delta_matroid_of`` checks it: vf-safety
-    is the hypothesis of the lift.  The lift is then ``_role_steps`` at
-    the reference roles run on ``M`` itself, not on ``D`` placed set by
-    set.  That is the same table: each class step rebuilds the entries
+    that triple: per class ``k`` one shift-and-mask step moves the black
+    entries (digit ``k`` is 1) to digit 0 and the white ones (digit 2)
+    there and up by ``2**k``, and drops the crossing ones.  The digits
+    below ``k`` are by then packed into index bits below ``k``, so the last
+    step leaves the truth table of ``D``.  It is checked as
+    ``delta_matroid_of`` checks it: vf-safety is the hypothesis of the
+    lift.  The lift is then ``_role_steps`` at the reference roles run on
+    ``M`` itself, not on ``D`` placed set by set.  That is the same table: each class step rebuilds the entries
     with a crossing digit from those without one, so the result depends
     only on the black/white entries of ``M``, and those are ``_spread``
     of the ``D`` read off them.  So the systems with a crossing check the
     lift's dual twists against the medial; the black/white half is checked
     against a half-edge boundary tracer in the tests."""
-    if G.n > max_e:
-        raise BudgetError.capped("verification", f"{max_e} edges", G.n, 3, "transition systems")
+    n = G.n
+    if n > max_e:
+        raise BudgetError.capped("verification", f"{max_e} edges", n, 3, "transition systems")
     medial_table = table = transition_matroid(medial(G), max_v=max_e).table
-    for k, zero in enumerate(_zeros(G.n)):
-        (table,) = _keep_slots(table, k, zero, ((1, 2),))
-    _checked_delta_matroid(G, SetSystem.from_table(G.n, table), vf_cache)
-    lifted = _role_steps(medial_table, ((1, 2, 3),) * G.n)
+    for k, zero in enumerate(_zeros(n)):
+        d = 1 << 2 * k
+        table = (table >> d & zero) | (table >> 2 * d & zero) << (1 << k)
+    _checked_delta_matroid(G, SetSystem.from_table(n, table), vf_cache)
+    lifted = _role_steps(medial_table, ((1, 2, 3),) * n)
     diffs = medial_table & ~lifted, lifted & ~medial_table
-    only = [Multimatroid.from_table(G.n, t).sorted_bases() if t else () for t in diffs]
+    only = [Multimatroid.from_table(n, t).sorted_bases() if t else () for t in diffs]
     return MedialLiftReport(medial_table == lifted, *only)

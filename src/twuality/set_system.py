@@ -15,10 +15,11 @@ ground size, built on first use, holds the subsets in shortlex order and
 the rank of every mask.  ``shortlex_ranks`` reads a family's sorted ranks
 off its truth table, and ``SetSystem.feasible_sets`` turns them into the
 table's shared member tuples.  Orbits and ``sorted_systems`` sort many
-tables at once through ``_canonical_order``, and orbit reports write their
-JSON text off the forms it hands back (``_families_text``, their one
-reader).  Up to ``BITMAP_GROUND`` elements these read per-byte lookup
-tables, built once per ground size: a family becomes its rank bitmap by
+tables at once through ``_canonical_order``, and orbit reports and the
+``orbit-via-lift`` command write their JSON text off the forms it hands
+back (``_systems_text`` through ``_families_text``, their one reader).
+Up to ``BITMAP_GROUND`` elements these read per-byte lookup tables,
+built once per ground size: a family becomes its rank bitmap by
 one lookup per byte of its truth table, the bitmap one int sort key by
 four int ops and its JSON text by one lookup per byte of the bitmap, the
 lookups one C-level pass over the bytes of all the families.  Above it
@@ -222,6 +223,13 @@ def _families_text(forms: Iterable, n: int, sep: str) -> str:
               for i in range(0, len(packed), step)] or [sep]
     pieces[0] = pieces[0][len(sep):]
     return "".join(pieces)
+
+
+def _systems_text(forms: Iterable, n: int) -> str:
+    """The canonical JSON text of ``[D.to_json() for D in systems]`` for
+    one or more systems over [n], at their order forms from
+    ``_canonical_order``."""
+    return '[{"feasible":[%s],"n":%d}]' % (_families_text(forms, n, '],"n":%d},{"feasible":[' % n), n)
 
 
 def _refuse_set(self, name, value):

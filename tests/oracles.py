@@ -109,9 +109,11 @@ compared against.
   ``to_json``.
 * ``transition_matroid_oracle``: one split per transition system of a
   ``medial_oracle``, each a fresh union-find over its tags
-  (``split_components_oracle``).  The library walks the medial vertices
-  depth first, joining open paths at their ends and undoing each join on
-  the way back.
+  (``split_components_oracle``); ``kept_splits_oracle`` does the same
+  for any option set.  The library walks the medial vertices depth
+  first, joining open paths at their ends and undoing each join on the
+  way back, and reads the last vertex's kept options off the pairing of
+  the two paths still open.
 """
 
 import collections
@@ -1001,6 +1003,23 @@ def split_components_oracle(M, T):
         for a, b in transitions[name]:
             uf.union(a, b)
     return uf.count + M.free_loops
+
+
+def kept_splits_oracle(M, options):
+    """``_kept_splits`` of the ``medial_oracle`` ``M`` for the same
+    ``(role, index offset)`` options: every choice of one option per
+    vertex split from scratch, its index bit set when it has as many
+    components as the medial graph itself."""
+    uf = _TagUnionFind(label for label, _, _, _ in M.vertices)
+    for a, b in M.corner_edges:
+        uf.union(M.label_of[a[0]], M.label_of[b[0]])
+    k_full = uf.count + M.free_loops
+    table = 0
+    for choice in itertools.product(*options):
+        names = tuple(TRANSITION_NAMES[role] for role, _ in choice)
+        if split_components_oracle(M, names) == k_full:
+            table |= 1 << sum(offset for _, offset in choice)
+    return table
 
 
 def transition_matroid_oracle(M):

@@ -3,7 +3,10 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,14 +22,18 @@ from twuality import (
     TransversalTriple,
     TwualityElement,
     act,
+    delta_matroid_of,
     is_delta_matroid,
     lift,
     orbit,
+    orbit_via_lift,
     spanning_quasi_trees,
     stabilizer_search,
     twist,
 )
+import twuality
 from twuality import set_system
+from twuality.multimatroid import PERM3
 from twuality.cli import _text_lines, build_parser, main
 
 import ribbon_catalog as cat
@@ -484,6 +491,35 @@ class TestMultimatroidCommands:
         )
 
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("mode", ["full", "iota"])
+    @pytest.mark.parametrize("moved", [False, True])
+    def test_orbit_via_lift_stdout_is_dumps_of_systems(self, capsys, tmp_path, n, mode, moved):
+        """The stdout of ``orbit-via-lift``, written off the order forms,
+        is the text the command printed when it built every system's
+        ``to_json`` and ran ``json.dumps``; ``--format text`` is the sketch
+        of that payload.  The seeds are twisted interleaved bouquets (a
+        full orbit stays small), with and without a random triple and
+        projection."""
+        rng = random.Random(f"ovl/{n}/{mode}/{moved}")
+        G = cat.bouquet([rng.choice((1, -1)) for _ in range(n)], interleaved=True)
+        D = twist(delta_matroid_of(G), frozenset(rng.sample(range(1, n + 1), rng.randint(0, n))))
+        tau, sigma = TransversalTriple.reference(n), Projection.identity(n)
+        options = ["--max-n", str(n)]
+        if mode == "iota":
+            options.append("--iota")
+        if moved:
+            tau = TransversalTriple(tuple(rng.choice(PERM3) for _ in range(n)))
+            sigma = Projection(Perm(tuple(rng.sample(range(1, n + 1), n))))
+            options += ["--tau", json.dumps(tau.to_json()["roles"]), "--sigma", json.dumps(list(sigma.relabel.images))]
+        elements = orbit_via_lift(D, tau, sigma, mode=mode, max_n=n)
+        payload = {"size": len(elements), "elements": [d.to_json() for d in elements]}
+        path = write(tmp_path, "d.json", D.to_json())
+        expected = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert run(capsys, "orbit-via-lift", path, *options) == (0, expected, "")
+        expected = "".join(line + "\n" for line in _text_lines(payload, ""))
+        assert run(capsys, "orbit-via-lift", path, *options, "--format", "text") == (0, expected, "")
+
     @pytest.mark.parametrize(
         "tau", ["5", "[5]", '{"roles": 5}', '{"slots": []}', '[[1, 2, 3], [2, 1, 3], [true, 2, 3]]']
     )
@@ -674,6 +710,27 @@ class TestHarness:
         assert Multimatroid.from_json(json.loads(json.dumps(Z.to_json()))) == Z
         G = cat.theta((1, -1, 1))
         assert RibbonGraph.from_json(json.loads(json.dumps(G.to_json()))).to_json() == G.to_json()
+
+
+class TestModuleEntryPoint:
+    def test_python_m_twuality(self, tmp_path, capsys, cone_file):
+        """``python -m twuality`` in a fresh interpreter: a malformed file
+        exits 1 with one ``error:`` line and no traceback, and a valid
+        ``check`` exits 0 with the stdout of ``main`` in-process."""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(twuality.__file__)))
+
+        def run_module(*argv):
+            done = subprocess.run(
+                [sys.executable, "-m", "twuality", *argv], capture_output=True, text=True, env=env, timeout=60
+            )
+            return done.returncode, done.stdout, done.stderr
+
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json", encoding="utf-8")
+        code, out, err = run_module("check", str(bad))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert run_module("check", cone_file) == run(capsys, "check", cone_file)
 
 
 class TestInputBoundary:

@@ -37,6 +37,7 @@ from oracles import (
     binary_quasi_tree_system,
     boundary_oracle,
     component_count,
+    kept_splits_oracle,
     medial_lift_oracle,
     medial_oracle,
     quasi_trees_oracle,
@@ -361,6 +362,53 @@ class TestTransitionMatroid:
     def test_budget(self):
         with pytest.raises(BudgetError, match=r"at 0 medial vertices, got 1 \(3\^1 = 3 transition systems\)$"):
             transition_matroid(medial(cat.twisted_loop()), max_v=0)
+
+
+def _quasi_tree_options(n):
+    return [((0, 0), (1, 1 << k)) for k in range(n)]
+
+
+class TestKeptSplits:
+    """``_kept_splits`` against one split per choice from scratch
+    (``kept_splits_oracle``), for both option sets: the transition
+    matroid's three roles and the quasi-trees' black/white pairs.  The walk
+    reads its last two vertices inline and keeps a direct rule for one
+    vertex, so the sizes cover none, one and two vertices, free loops, and
+    seeded graphs past the 6 edges of the other random tests."""
+
+    @staticmethod
+    def check(G, transition=True):
+        Fm, M = medial(G), medial_oracle(G)
+        table = ribbon._kept_splits(Fm, _quasi_tree_options(G.n))
+        assert table == kept_splits_oracle(M, _quasi_tree_options(G.n)), G
+        assert SetSystem.from_table(G.n, table).feasible_sets() == quasi_trees_oracle(G), G
+        if transition:
+            options = ribbon._transition_options(G.n)
+            table = ribbon._kept_splits(Fm, options)
+            assert table == kept_splits_oracle(M, options), G
+            assert Multimatroid.from_table(G.n, table) == transition_matroid_oracle(M), G
+
+    def test_up_to_two_edges_with_free_loops(self):
+        graphs = list(cat.enumerate_all(max_edges=2, max_vertices=4))
+        assert {G.n for G in graphs} == {0, 1, 2}
+        assert any(not rot for G in graphs for rot in G.vertices)
+        for G in graphs:
+            self.check(G)
+
+    def test_free_loops_do_not_count_toward_the_target(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            G = cat.random_ribbon(rng, max_edges=5, max_vertices=3, min_edges=0)
+            for k in (1, 3):
+                self.check(cat.with_isolated(G, k))
+
+    def test_seeded_graphs_with_seven_and_eight_edges(self):
+        rng = random.Random(32)
+        for i in range(8):
+            G = cat.random_ribbon(rng, max_edges=8, max_vertices=4, min_edges=7)
+            self.check(cat.with_isolated(G, i % 2), transition=i < 2)
+        for G in (cat.bouquet([1, -1] * 4, interleaved=True), cat.bouquet([-1] * 7, interleaved=True)):
+            self.check(G, transition=False)
 
 
 class TestBridgeIdentity:
