@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Every subcommand reads canonical JSON files and writes canonical JSON to
-stdout (``--format text`` switches to a human-readable sketch).  Identical
+stdout (``--format text`` switches to a human-readable sketch).  Each
+declares the kind of file it reads, and ``main`` loads that file before
+the subcommand parses any other option.  Identical
 inputs produce byte-identical outputs.  Exit codes: 0 ok, 1 validation
 error, 2 budget exceeded, 3 a verification subcommand found a concrete
 counterexample (which is always printed), 4 internal error: a
@@ -168,8 +170,7 @@ def _parse_gvec(text: str, n: int):
     return tuple(parse_flip(t) for t in tokens)
 
 
-def _cmd_check(args) -> tuple[dict, int]:
-    D = SetSystem.from_json(_load_json(args.file))
+def _cmd_check(D, args) -> tuple[dict, int]:
     cap = args.max_n if args.max_n is not None else VF_SAFE_DEFAULT_CAP
     # the closure walks exchange on D first, and its failure table is the witness's
     vf_safe, bad = _vf_safety(D, cap, None)
@@ -185,8 +186,7 @@ def _cmd_check(args) -> tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_apply(args) -> tuple[dict, int]:
-    D = SetSystem.from_json(_load_json(args.file))
+def _cmd_apply(D, args) -> tuple[dict, int]:
     for op in _parse_ops(args.ops, D.n):
         if op[0] == "perm":
             D = act(TwualityElement((ONE,) * D.n, op[1]), D)
@@ -197,16 +197,12 @@ def _cmd_apply(args) -> tuple[dict, int]:
     return D.to_json(), 0
 
 
-def _cmd_orbit(args) -> tuple[str, int]:
-    D = SetSystem.from_json(_load_json(args.file))
-    mode = "iota" if args.iota else "full"
-    return orbit(D, mode=mode, max_n=args.max_n).canonical_json(), 0
+def _cmd_orbit(D, args) -> tuple[str, int]:
+    return orbit(D, mode=args.mode, max_n=args.max_n).canonical_json(), 0
 
 
-def _cmd_selftwual(args) -> tuple[str, int]:
-    D = SetSystem.from_json(_load_json(args.file))
-    mode = "uniform" if args.uniform_only else "all"
-    hits = stabilizer_search(D, mode=mode, max_n=args.max_n)
+def _cmd_selftwual(D, args) -> tuple[str, int]:
+    hits = stabilizer_search(D, mode=args.mode, max_n=args.max_n)
     # each hit's ``to_json`` as canonical text: no token needs escaping, no vector is empty
     perm = functools.cache(lambda images: str(list(images)).replace(" ", ""))
     texts = (
@@ -217,31 +213,27 @@ def _cmd_selftwual(args) -> tuple[str, int]:
     return '{"count":%d,"hits":[%s]}' % (len(hits), ",".join(texts)), 0
 
 
-def _cmd_uniformize(args) -> tuple[dict, int]:
-    D = SetSystem.from_json(_load_json(args.file))
+def _cmd_uniformize(D, args) -> tuple[dict, int]:
     gvec = _parse_gvec(args.gvec, D.n)
     mu = parse_perm(args.mu, D.n)
     g = parse_flip(args.g)
     return uniformize(D, gvec, mu, g).to_json(), 0
 
 
-def _cmd_lift(args) -> tuple[str, int]:
-    D = SetSystem.from_json(_load_json(args.file))
+def _cmd_lift(D, args) -> tuple[str, int]:
     tau = _parse_triple(args.tau, D.n)
     sigma = _parse_projection(args.sigma, D.n)
     kwargs = {} if args.max_n is None else {"max_n": args.max_n}
     return lift(D, tau, sigma, **kwargs).canonical_json(), 0
 
 
-def _cmd_extract(args) -> tuple[dict, int]:
-    Z = Multimatroid.from_json(_load_json(args.file))
+def _cmd_extract(Z, args) -> tuple[dict, int]:
     tau = _parse_triple(args.tau, Z.n)
     sigma = _parse_projection(args.sigma, Z.n)
     return extract(Z, tau, sigma).to_json(), 0
 
 
-def _cmd_mm_check(args) -> tuple[dict, int]:
-    Z = Multimatroid.from_json(_load_json(args.file))
+def _cmd_mm_check(Z, args) -> tuple[dict, int]:
     kwargs = {} if args.max_n is None else {"max_n": args.max_n}
     ok, witness = is_multimatroid(Z, **kwargs)
     tight, tight_witness = is_tight(Z, **kwargs)
@@ -254,20 +246,17 @@ def _cmd_mm_check(args) -> tuple[dict, int]:
     }, 0
 
 
-def _cmd_orbit_via_lift(args) -> tuple[str, int]:
+def _cmd_orbit_via_lift(D, args) -> tuple[str, int]:
     """``{"elements": [D.to_json() ...], "size": ...}`` over the systems of
     ``orbit_via_lift``, as canonical text written off their order forms,
     as ``orbit`` writes its elements: no ``SetSystem`` is built."""
-    D = SetSystem.from_json(_load_json(args.file))
     tau = _parse_triple(args.tau, D.n)
     sigma = _parse_projection(args.sigma, D.n)
-    mode = "iota" if args.iota else "full"
-    forms = _canonical_order(_orbit_via_lift_tables(D, tau, sigma, mode, args.max_n), D.n)[1]
+    forms = _canonical_order(_orbit_via_lift_tables(D, tau, sigma, args.mode, args.max_n), D.n)[1]
     return '{"elements":%s,"size":%d}' % (_systems_text(forms, D.n), len(forms)), 0
 
 
-def _cmd_ribbon(args) -> tuple[dict, int]:
-    G = RibbonGraph.from_json(_load_json(args.file))
+def _cmd_ribbon(G, args) -> tuple[dict, int]:
     if args.what == "medial":
         return medial(G).to_json(), 0
     kwargs = {} if args.max_n is None else {"max_e": args.max_n}
@@ -287,19 +276,19 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="twuality", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, fn, **kw):
+    def add(name, fn, kind=SetSystem, **kw):
         p = sub.add_parser(name, parents=[common], **kw)
         p.add_argument("file")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, kind=kind)
         return p
 
     add("check", _cmd_check, help="properness / normality / exchange axiom / vf-safety report")
     p = add("apply", _cmd_apply, help="apply a left-to-right operation string")
     p.add_argument("--ops", required=True)
     p = add("orbit", _cmd_orbit, help="breadth-first orbit enumeration")
-    p.add_argument("--iota", action="store_true", help="flips only, no relabeling")
+    p.add_argument("--iota", action="store_const", const="iota", default="full", dest="mode", help="flips only, no relabeling")
     p = add("selftwual", _cmd_selftwual, help="search for stabilizing group elements")
-    p.add_argument("--uniform-only", action="store_true")
+    p.add_argument("--uniform-only", action="store_const", const="uniform", default="all", dest="mode")
     p = add("uniformize", _cmd_uniformize, help="conjugate a stabilizer into a uniform one")
     p.add_argument("--gvec", required=True)
     p.add_argument("--mu", required=True)
@@ -307,18 +296,18 @@ def build_parser() -> _Parser:
     p = add("lift", _cmd_lift, help="lift a vf-safe system to its 3-matroid")
     p.add_argument("--tau")
     p.add_argument("--sigma")
-    p = add("extract", _cmd_extract, help="extract the set system of a 3-matroid")
+    p = add("extract", _cmd_extract, Multimatroid, help="extract the set system of a 3-matroid")
     p.add_argument("--tau", required=True)
     p.add_argument("--sigma", required=True)
-    add("mm-check", _cmd_mm_check, help="multimatroid axioms and tightness report")
+    add("mm-check", _cmd_mm_check, Multimatroid, help="multimatroid axioms and tightness report")
     p = add("orbit-via-lift", _cmd_orbit_via_lift, help="orbit through lift extractions")
-    p.add_argument("--iota", action="store_true")
+    p.add_argument("--iota", action="store_const", const="iota", default="full", dest="mode")
     p.add_argument("--tau")
     p.add_argument("--sigma")
     p = sub.add_parser("ribbon", parents=[common], help="ribbon-graph commands")
     p.add_argument("what", choices=("dm", "medial", "verify-t63"))
     p.add_argument("file")
-    p.set_defaults(fn=_cmd_ribbon)
+    p.set_defaults(fn=_cmd_ribbon, kind=RibbonGraph)
     return parser
 
 
@@ -330,7 +319,7 @@ def main(argv=None) -> int:
             raise ValidationError("--threads must be positive")
         if args.max_n is not None and args.max_n < 0:
             raise ValidationError("--max-n must be non-negative")
-        payload, code = args.fn(args)
+        payload, code = args.fn(args.kind.from_json(_load_json(args.file)), args)
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -37,6 +37,9 @@ compared against.
   those primitive steps (``FLIP_WORDS``), and the group action as a
   relabeling of every mask followed by one word per element.  The library
   applies a flip as the permutation of three slot tables that it is.
+* ``transport_oracle``: a stabilizer pushed along a move entry by entry,
+  its flip vector a product of three reindexed vectors.  The library
+  conjugates by the group's product and inverse.
 * ``members_of_oracle``: a mask's elements, one shift per bit.  The
   library selects them from the mask's binary digits in one ``compress``.
 * ``shortlex_key``, ``canonical_key_oracle``: the canonical order as
@@ -153,6 +156,7 @@ from twuality.ribbon import (
 )
 from twuality.set_system import _HALVES, _binary_table, _exchange_failures, fold_flip, mask_of
 from twuality.set_system import loop_complement1 as table_complement1, twist1 as table_twist1
+from twuality.twuality_group import vec_inv, vec_mul, vec_reindex
 
 
 def members_of_oracle(mask):
@@ -372,6 +376,16 @@ def act_oracle(a, D):
     for k, g in enumerate(a.gvec):
         masks = flip_oracle(masks, g, 1 << k)
     return SetSystem(D.n, masks)
+
+
+def transport_oracle(D, stab, move):
+    """``(act(move, D), stab')`` for a stabilizer ``stab = (g, mu)`` of ``D``
+    and ``move = (h, pi)``: ``stab' = (h o (g.pi^-1) o (h^-1.mu'^-1), mu')``
+    with ``mu' = pi mu pi^-1``, where ``.s`` denotes reindexing."""
+    hvec, pi = move.gvec, move.perm
+    mup = pi * stab.perm * pi.inverse()
+    gvec = vec_mul(hvec, vec_mul(vec_reindex(stab.gvec, pi), vec_reindex(vec_inv(hvec), mup)))
+    return act_oracle(move, D), TwualityElement(gvec, mup)
 
 
 def _first_refuting_bit(x, y, fam):

@@ -24,6 +24,7 @@ from twuality import (
     act,
     delta_matroid_of,
     is_delta_matroid,
+    is_vf_safe,
     lift,
     orbit,
     orbit_via_lift,
@@ -199,6 +200,29 @@ class TestCheck:
             assert (data["delta_matroid"], data["vf_safe"]) == (delta_matroid, False)
             assert walked[0] == D.table
             assert sum(t in own for t in walked) == 1
+
+    @pytest.mark.parametrize(
+        "r, n, vf_safe", [(2, 5, True), (3, 5, True), (3, 6, True), (2, 6, False), (4, 6, False)]
+    )
+    def test_connected_non_binary_uniform_rung(self, capsys, tmp_path, r, n, vf_safe):
+        """The uniform matroid ``U(r, n)`` is connected and not binary, so
+        the certificate cannot decide it and it has no summands to split:
+        the closure decides it.  ``U(2, 5)``, ``U(3, 5)`` and ``U(3, 6)`` are
+        quaternary, hence vf-safe; ``U(2, 6)`` and its dual ``U(4, 6)`` are
+        not vf-safe.  ``check`` reports a delta-matroid with no witness, and
+        three seeded group translates keep the verdict."""
+        D = SetSystem(n, [sum(1 << i for i in c) for c in itertools.combinations(range(n), r)])
+        assert not set_system._is_binary(D.table, n)
+        assert oracles.vf_class_walk_oracle(D.table, n)[0] is vf_safe
+        data = run_json(capsys, "check", write(tmp_path, "u.json", D.to_json()))
+        assert (data["delta_matroid"], data["witness"], data["vf_safe"]) == (True, None, vf_safe)
+        rng = random.Random(10 * r + n)
+        for _ in range(3):
+            gvec = tuple(rng.choice(FLIPS) for _ in range(n))
+            E = act(TwualityElement(gvec, Perm(rng.sample(range(1, n + 1), n))), D)
+            assert is_vf_safe(E) is vf_safe, E
+            assert oracles.vf_class_walk_oracle(E.table, n)[0] is vf_safe, E
+            assert run_json(capsys, "check", write(tmp_path, "e.json", E.to_json()))["vf_safe"] is vf_safe
 
 
 _PINNED_SYSTEMS = {
@@ -829,6 +853,33 @@ _COMMANDS = [
     (_RIBBONS, ["ribbon", "medial", FILE]),
     (_RIBBONS, ["ribbon", "verify-t63", FILE]),
 ]
+
+# the one error line of each kind's validator, on a valid file of another kind
+_KIND_ERRORS = {
+    _SET_SYSTEMS: "set-system object needs 'n' and 'feasible'",
+    _MULTIMATROIDS: "multimatroid object needs 'n' and 'bases'",
+    _RIBBONS: "ribbon-graph object needs 'vertices' and 'edges'",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, argv", _COMMANDS, ids=[" ".join(a for a in argv if a is not FILE) for _, argv in _COMMANDS]
+)
+def test_wrong_kind_of_file_is_one_error_line(capsys, tmp_path, kind, argv):
+    """Each command form given a valid file of another kind: exit 1,
+    nothing on stdout and the one error line of the validator of the kind
+    it reads.  The file is read before any option, so a trailing ``--tau``
+    takes a value that would not parse."""
+    files = {
+        _SET_SYSTEMS: {"n": 3, "feasible": [[3], [1, 3], [2, 3]]},
+        _MULTIMATROIDS: lift(ss(3, [(3,), (1, 3), (2, 3)])).to_json(),
+        _RIBBONS: cat.untwisted_loop().to_json(),
+    }
+    extra = ["zz"] if argv[-1] == "--tau" else []
+    for other, payload in files.items():
+        if other is not kind:
+            path = write(tmp_path, "other.json", payload)
+            assert run(capsys, *with_file(argv, path), *extra) == (1, "", f"error: {_KIND_ERRORS[kind]}\n")
 
 
 @st.composite

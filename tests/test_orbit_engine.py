@@ -39,11 +39,19 @@ from twuality import (
     uniformize,
 )
 from twuality.orbit_engine import _orbit_tries, _relabel_buckets
-from twuality.set_system import BITMAP_GROUND, _is_binary, _swap_adjacent, loop_complement1, relabel, twist1
+from twuality.set_system import BITMAP_GROUND, _is_binary, _swap_adjacent, fold_flip, loop_complement1, relabel, twist1
 
 import ribbon_catalog as cat
 from conftest import assert_frozen, set_systems
-from oracles import burnside_class_count, burnside_orbit_count, orbit_oracle, orbit_walk_oracle, stabilizer_oracle
+from oracles import (
+    binary_table_oracle,
+    burnside_class_count,
+    burnside_orbit_count,
+    orbit_oracle,
+    orbit_walk_oracle,
+    stabilizer_oracle,
+    transport_oracle,
+)
 
 ss = SetSystem.from_sets
 
@@ -251,6 +259,40 @@ class TestOrbitCensus:
                 ]
         assert safe_counts == [1, 3, 15, 147, 3_759]
         assert binary_counts == [1, 3, 15, 135, 2_295]
+
+    def test_binary_orbits_at_four_are_ribbon_graphic(self):
+        """The binary delta-matroids on 4 elements, the twists of ``D(A)``
+        over every symmetric 4x4 GF(2) matrix, fall into six full orbits,
+        and each holds the ``D(G)`` of a pinned 4-edge ribbon graph: the
+        bouquet and the interleaved bouquet with all signs ``+``, and four
+        of the first 27 draws of ``random_ribbon(Random(0), 4)``."""
+        cells = list(itertools.combinations_with_replacement(range(4), 2))
+        binary = set()
+        for bits in range(1 << len(cells)):
+            A = [[0] * 4 for _ in range(4)]
+            for k, (i, j) in enumerate(cells):
+                A[i][j] = A[j][i] = bits >> k & 1
+            table = binary_table_oracle(A)
+            binary.update(fold_flip(twist1, table, 4, X) for X in range(16))
+        assert len(binary) == 2_295
+        rng = random.Random(0)
+        draws = [cat.random_ribbon(rng, 4) for _ in range(27)]
+        fixtures = {
+            81: cat.bouquet([1] * 4),
+            108: draws[26],
+            162: cat.bouquet([1] * 4, interleaved=True),
+            324: draws[1],
+            648: draws[4],
+            972: draws[0],
+        }
+        seen = set()
+        for size, G in fixtures.items():
+            assert G.n == 4
+            tables = orbit(delta_matroid_of(G), "full").tables
+            assert len(tables) == size
+            assert seen.isdisjoint(tables)
+            seen.update(tables)
+        assert seen == binary
 
 
 def _generator_tokens(n, mode):
@@ -503,6 +545,29 @@ class TestTransport:
             moved, stab_p = transport(D, stab, move)
             assert act(stab_p, moved) == moved
             assert act(stab_p, act(move, D)) == act(move, act(stab, D))
+
+    def test_equals_entry_by_entry_oracle(self):
+        """The conjugate ``move * stab * move.inverse()`` against the flip
+        vector written entry by entry, for seeded stabilizers of seeded
+        systems on 2-4 elements and seeded random moves."""
+        rng = random.Random(28)
+        pairs = []
+        while len(pairs) < 40:
+            n = rng.randint(2, 4)
+            D = SetSystem(n, rng.sample(range(1 << n), rng.randint(1, 1 << n)))
+            hits = stabilizer_search(D, mode="all")
+            pairs += [(D, h.element) for h in rng.sample(hits, min(len(hits), 3))]
+        for D, stab in pairs:
+            for _ in range(3):
+                move = TwualityElement(
+                    tuple(rng.choice(FLIPS) for _ in range(D.n)), Perm(rng.sample(range(1, D.n + 1), D.n))
+                )
+                assert transport(D, stab, move) == transport_oracle(D, stab, move)
+
+    def test_rejects_mis_sized_move(self):
+        stab = TwualityElement((STAR, PLUS, PLUS), IOTA3)
+        with pytest.raises(ValidationError, match=r"element acts on \[2\] but system has ground \[3\]"):
+            transport(D_CONE, stab, sd_identity(2))
 
 
 class TestCycleCondition:
