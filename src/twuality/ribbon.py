@@ -26,7 +26,6 @@ remaining pairing.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import BudgetError, ConsistencyError, ValidationError
@@ -42,7 +41,7 @@ BEFORE, AFTER = 0, 1
 TRANSITION_NAMES = ("black", "white", "crossing")
 
 
-@dataclass(frozen=True)
+@_value_type()
 class RibbonEdge:
     ends: tuple[int, int]
     sign: int
@@ -163,7 +162,8 @@ class FourRegularGraph:
     ``role`` (0 black, 1 white, 2 crossing) at vertex ``k``, each pair
     lesser tag first, one ``map`` over the shared ``_vertex_pairs``;
     ``components`` counts the components of the medial, free loops
-    included, by a depth-first search along the corner edges."""
+    included.  It is handed in, not checked: ``medial``, the one
+    constructor, counts it during its pass over the rotations."""
 
     edges: tuple[RibbonEdge, ...]
     corner: tuple[int, ...]
@@ -171,25 +171,12 @@ class FourRegularGraph:
     free_loops: int
     components: int
 
-    def __init__(self, edges: Sequence[RibbonEdge], corner: Sequence[int], free_loops: int):
-        edges, corner, n = tuple(edges), tuple(corner), len(edges)
-        seen = [False] * n
-        components = free_loops
-        for root in range(n):
-            if seen[root]:
-                continue
-            components += 1
-            seen[root] = True
-            stack = [root]
-            while stack:
-                k = stack.pop()
-                for t in corner[4 * k : 4 * k + 4]:
-                    if not seen[t >> 2]:
-                        seen[t >> 2] = True
-                        stack.append(t >> 2)
+    def __init__(
+        self, edges: tuple[RibbonEdge, ...], corner: Sequence[int], free_loops: int, components: int
+    ):
         object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "corner", corner)
-        object.__setattr__(self, "pairs", tuple(map(_vertex_pairs, range(n), [e.sign for e in edges])))
+        object.__setattr__(self, "corner", tuple(corner))
+        object.__setattr__(self, "pairs", tuple(map(_vertex_pairs, range(len(edges)), [e.sign for e in edges])))
         object.__setattr__(self, "free_loops", free_loops)
         object.__setattr__(self, "components", components)
 
@@ -230,21 +217,34 @@ def medial(G: RibbonGraph) -> FourRegularGraph:
     follow the module-level convention.  One pass per rotation writes both
     ends of each corner edge into the corner array, starting from the
     ``after`` slot of the rotation's last half-edge; an empty rotation is a
-    free loop.
+    free loop.  The same pass counts the components: a rotation's corner
+    edges join the medial vertices of its half-edges, so it links, in a
+    union-find over the medial vertices, each of their roots to the root of
+    its last half-edge's vertex, and each free loop is one component more.
     """
     n = G.n
     tag = dict(zip([h for e in G.edges for h in e.ends], range(0, 4 * n, 2)))  # end j of edge k: 4k + 2j
-    corner, free_loops = [0] * (4 * n), 0
+    corner, free_loops, root, components = [0] * (4 * n), 0, list(range(n)), n
     for rot in G.vertices:
         if not rot:
             free_loops += 1
             continue
-        a = tag[rot[-1]] + AFTER
+        a = tag[rot[-1]]
+        r = a >> 2
+        while root[r] != r:
+            r = root[r]
+        a += AFTER
         for h in rot:
             b = tag[h] + BEFORE
             corner[a], corner[b] = b, a
             a = b + AFTER
-    return FourRegularGraph(G.edges, corner, free_loops)
+            k = b >> 2
+            while root[k] != k:
+                k = root[k]
+            if k != r:
+                root[k] = r
+                components -= 1
+    return FourRegularGraph(G.edges, corner, free_loops, components + free_loops)
 
 
 def all_black(Fm: FourRegularGraph) -> tuple[str, ...]:
@@ -414,23 +414,23 @@ def delta_matroid_of(
     return _checked_delta_matroid(G, _quasi_tree_system(G, max_e), vf_cache)
 
 
-@dataclass(frozen=True)
+@_value_type()
 class MedialLiftReport:
     """Base-set comparison of the medial transition matroid against the
-    lift of the quasi-tree system at the black/white/crossing triple."""
+    lift of the quasi-tree system at the black/white/crossing triple: the
+    bases on one side only, each side in sorted order, both empty when
+    ``equal``.  ``to_json`` writes a basis ``b`` as its ``[class, role]``
+    pairs."""
 
     equal: bool
     only_medial: tuple[tuple[int, ...], ...]
     only_lift: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
-        def basis_json(b):
-            return [[i, r] for i, r in enumerate(b, start=1)]
-
         return {
             "equal": self.equal,
-            "only_medial": [basis_json(b) for b in self.only_medial],
-            "only_lift": [basis_json(b) for b in self.only_lift],
+            "only_medial": [[[i, r] for i, r in enumerate(b, start=1)] for b in self.only_medial],
+            "only_lift": [[[i, r] for i, r in enumerate(b, start=1)] for b in self.only_lift],
         }
 
 
@@ -449,12 +449,14 @@ def verify_medial_lift(
     step leaves the truth table of ``D``.  It is checked as
     ``delta_matroid_of`` checks it: vf-safety is the hypothesis of the
     lift.  The lift is then ``_role_steps`` at the reference roles run on
-    ``M`` itself, not on ``D`` placed set by set.  That is the same table: each class step rebuilds the entries
-    with a crossing digit from those without one, so the result depends
-    only on the black/white entries of ``M``, and those are ``_spread``
-    of the ``D`` read off them.  So the systems with a crossing check the
-    lift's dual twists against the medial; the black/white half is checked
-    against a half-edge boundary tracer in the tests."""
+    ``M`` itself, not on ``D`` placed set by set.  That is the same table:
+    each class step rebuilds the entries with a crossing digit from those
+    without one, so the result depends only on the black/white entries of
+    ``M``, and those are ``_spread`` of the ``D`` read off them.  So the
+    systems with a crossing check the lift's dual twists against the
+    medial; the black/white half is checked against a half-edge boundary
+    tracer in the tests.  Equal tables give the report at once; only a
+    mismatch builds the two difference tables and decodes their bases."""
     n = G.n
     if n > max_e:
         raise BudgetError.capped("verification", f"{max_e} edges", n, 3, "transition systems")
@@ -464,6 +466,8 @@ def verify_medial_lift(
         table = (table >> d & zero) | (table >> 2 * d & zero) << (1 << k)
     _checked_delta_matroid(G, SetSystem.from_table(n, table), vf_cache)
     lifted = _role_steps(medial_table, ((1, 2, 3),) * n)
+    if lifted == medial_table:
+        return MedialLiftReport(True, (), ())
     diffs = medial_table & ~lifted, lifted & ~medial_table
     only = [Multimatroid.from_table(n, t).sorted_bases() if t else () for t in diffs]
-    return MedialLiftReport(medial_table == lifted, *only)
+    return MedialLiftReport(False, *only)

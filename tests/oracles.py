@@ -110,6 +110,10 @@ compared against.
   transition and the corner list a sorted tuple of sorted tag pairs.  The
   library holds int tags ``4k + 2j + slot`` and decodes them only for
   ``to_json``.
+* ``medial_components_oracle``: the components of a medial, free loops
+  included, by a depth-first search along its corner edges.  The library
+  counts them in ``medial``'s pass over the rotations, by a union-find
+  over the medial vertices.
 * ``transition_matroid_oracle``: one split per transition system of a
   ``medial_oracle``, each a fresh union-find over its tags
   (``split_components_oracle``); ``kept_splits_oracle`` does the same
@@ -1004,6 +1008,28 @@ def medial_oracle(G):
     free_loops = sum(1 for rot in G.vertices if not rot)
     label_of = {h: e.label for e in G.edges for h in e.ends}
     return MedialOracle(vertices, tuple(sorted(corners)), free_loops, label_of)
+
+
+def medial_components_oracle(Fm):
+    """Components of the ``FourRegularGraph`` ``Fm``: its free loops, plus
+    one depth-first search along the corner edges from each medial vertex
+    not yet reached."""
+    n, corner = Fm.n, Fm.corner
+    seen = [False] * n
+    components = Fm.free_loops
+    for root in range(n):
+        if seen[root]:
+            continue
+        components += 1
+        seen[root] = True
+        stack = [root]
+        while stack:
+            k = stack.pop()
+            for t in corner[4 * k : 4 * k + 4]:
+                if not seen[t >> 2]:
+                    seen[t >> 2] = True
+                    stack.append(t >> 2)
+    return components
 
 
 def split_components_oracle(M, T):

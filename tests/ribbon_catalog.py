@@ -52,6 +52,13 @@ def with_isolated(G, k=1):
     return RibbonGraph(list(G.vertices) + [[]] * k, G.edges)
 
 
+def disjoint_union(G, H):
+    """``G`` and ``H`` side by side, ``H``'s edges numbered after ``G``'s."""
+    shift = 2 * G.n
+    vertices = list(G.vertices) + [[h + shift for h in rot] for rot in H.vertices]
+    return RibbonGraph(vertices, _edges([e.sign for e in G.edges + H.edges]))
+
+
 def _sign_tag(signs):
     return "".join("p" if s == 1 else "m" for s in signs)
 

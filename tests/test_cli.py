@@ -263,6 +263,33 @@ def test_stdout_pinned(capsys, tmp_path, command, name, code, digest):
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+def _ribbon_sample():
+    """24 seeded graphs with 1-6 edges; every third a disjoint union,
+    every fourth with one or two isolated vertices."""
+    rng = random.Random(53)
+    graphs = []
+    for i in range(24):
+        G = cat.random_ribbon(rng, max_edges=3 if i % 3 == 0 else 6, max_vertices=4)
+        if i % 3 == 0:
+            G = cat.disjoint_union(G, cat.random_ribbon(rng, max_edges=3))
+        if i % 4 == 0:
+            G = cat.with_isolated(G, 1 + i % 8 // 4)
+        graphs.append(G)
+    return graphs
+
+
+# sha256 of the exit codes and stdout, as recorded before ``medial`` counted
+# the components in its pass over the rotations
+def test_ribbon_commands_pinned_on_a_seeded_sample(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for G in _ribbon_sample():
+        path = write(tmp_path, "in.json", G.to_json())
+        for what in ("medial", "dm", "verify-t63"):
+            code, out, _ = run(capsys, "ribbon", what, path)
+            digest.update(b"%d\n" % code + out.encode())
+    assert digest.hexdigest() == "3c2b7561b7f206f3c81881a4a379bd12a87731dd0042d723b94672fff1e6eccc"
+
+
 class TestApply:
     def test_twist_fixed_point(self, capsys, tmp_path):
         path = write(tmp_path, "pair.json", {"n": 2, "feasible": [[1], [2]]})

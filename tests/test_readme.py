@@ -1,10 +1,13 @@
 """The README against the code it documents: the Budgets cap sentence
-against the cap constants, and the CLI table against the parser."""
+against the cap constants, the CLI table against the parser, and the
+value-type sentence against the classes declared with ``_value_type``."""
 
 import argparse
+import ast
 import pathlib
 import re
 
+import twuality
 from twuality.cli import build_parser
 from twuality.multimatroid import LIFT_CAP, MULTIMATROID_CAP, ORBIT_VIA_LIFT_CAPS
 from twuality.orbit_engine import ORBIT_CAPS, STABILIZER_CAPS
@@ -48,3 +51,21 @@ def test_cli_table_lists_the_parser_commands():
         expected.update([f"{name} {sub}" for sub in what[0]] if what else [name])
     assert len(rows) == len(set(rows))
     assert set(rows) == expected
+
+
+def test_value_type_sentence_names_the_value_types():
+    """The backticked names in the README's "The value types (...)"
+    sentence are exactly the classes of the package decorated with
+    ``_value_type``, each named once."""
+    sentence = re.search(r"The value types \(([^)]*)\)", " ".join(README.split())).group(1)
+    named = re.findall(r"`(\w+)`", sentence)
+    decorated = set()
+    for path in pathlib.Path(twuality.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "_value_type"
+                for d in node.decorator_list
+            ):
+                decorated.add(node.name)
+    assert len(named) == len(set(named))
+    assert set(named) == decorated

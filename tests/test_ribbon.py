@@ -1,6 +1,7 @@
 import collections
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from twuality import (
     BudgetError,
     ConsistencyError,
+    MedialLiftReport,
     Multimatroid,
     Projection,
+    RibbonEdge,
     RibbonGraph,
     SetSystem,
     TransversalTriple,
@@ -38,6 +41,7 @@ from oracles import (
     boundary_oracle,
     component_count,
     kept_splits_oracle,
+    medial_components_oracle,
     medial_lift_oracle,
     medial_oracle,
     quasi_trees_oracle,
@@ -232,7 +236,21 @@ class TestMedial:
     def test_frozen(self):
         G = cat.with_isolated(cat.theta([1, -1, 1]))
         assert_frozen(G, "vertices", "edges")
+        assert_frozen(G.edges[0], "ends", "sign", "label")
+        assert not hasattr(G.edges[0], "__dict__")  # slotted, as the catalog holds many
         assert_frozen(medial(G), "edges", "corner", "pairs", "free_loops", "components")
+
+    def test_edges_compare_hash_and_pickle_as_values(self):
+        G = cat.theta([1, -1, 1])
+        copy = RibbonGraph.from_json(json.loads(json.dumps(G.to_json())))
+        assert copy.edges == G.edges and copy.edges is not G.edges
+        assert len({*G.edges, *copy.edges}) == G.n
+        assert {e: e.label for e in G.edges}[copy.edges[1]] == 2
+        assert RibbonEdge((1, 2), 1, 1) != RibbonEdge((1, 2), -1, 1) != RibbonEdge((2, 1), -1, 1)
+        for e in G.edges:
+            back = pickle.loads(pickle.dumps(e))
+            assert back == e and hash(back) == hash(e) and type(back) is RibbonEdge
+        assert repr(G.edges[1]) == "RibbonEdge(ends=(3, 4), sign=-1, label=2)"
 
     def test_twisted_loop_structure(self):
         Fm = medial(cat.twisted_loop())
@@ -272,6 +290,42 @@ class TestMedial:
             split_components(Fm, ())
         with pytest.raises(ValidationError):
             split_components(Fm, ("purple",))
+
+
+class TestMedialComponents:
+    """``medial`` counts the medial's components in its pass over the
+    rotations; ``medial_components_oracle`` searches the corner edges of
+    the medial it built, and ``component_count`` joins the vertices of
+    ``G`` along its edges."""
+
+    @staticmethod
+    def check(G):
+        Fm = medial(G)
+        assert Fm.components == medial_components_oracle(Fm) == component_count(G), G
+
+    def test_catalog(self):
+        for G in cat.enumerate_all():
+            self.check(G)
+
+    def test_catalog_padded_with_isolated_vertices(self):
+        for G in cat.enumerate_all():
+            for k in (1, 2, 3):
+                self.check(cat.with_isolated(G, k))
+
+    def test_disjoint_unions_with_six_to_eight_edges(self):
+        """Two to six summands of one to three edges each, some with
+        isolated vertices, their rotations then shuffled."""
+        rng = random.Random(47)
+        for _ in range(150):
+            left, G = rng.randint(6, 8), RibbonGraph([], [])
+            while left:
+                m = rng.randint(1, min(3, left))
+                G, left = cat.disjoint_union(G, cat.random_ribbon(rng, max_edges=m, min_edges=m)), left - m
+            if rng.getrandbits(1):
+                G = cat.with_isolated(G, rng.randint(1, 2))
+            assert 6 <= G.n <= 8
+            self.check(G)
+            self.check(RibbonGraph(rng.sample(G.vertices, len(G.vertices)), G.edges))
 
 
 def _canonical(payload):
@@ -447,6 +501,11 @@ class TestBridgeIdentity:
 
 
 class TestMedialLiftAgreement:
+    def test_report_is_frozen(self):
+        for report in (verify_medial_lift(cat.twisted_loop()), MedialLiftReport(False, ((1, 3),), ())):
+            assert_frozen(report, "equal", "only_medial", "only_lift")
+            assert not hasattr(report, "__dict__")
+
     def test_loops(self, vf_cache):
         for G in (cat.twisted_loop(), cat.untwisted_loop()):
             report = verify_medial_lift(G, vf_cache=vf_cache)
