@@ -48,6 +48,7 @@ from .twuality_group import (
     PLUS,
     STAR,
     TwualityElement,
+    _parse_ints,
     act,
     apply_flip,
     flip_mul,
@@ -69,7 +70,7 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a ``JSONDecodeError``, or an integer literal too long for ``int``
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ValidationError(f"{path} nests its JSON too deeply") from None
@@ -120,11 +121,7 @@ def _parse_ops(text: str, n: int):
     """Left-to-right operation list: flip-word tokens with braces, plus
     permutations in cycle or one-line notation."""
     ops = []
-    pos = 0
     for m in _OPS_SCANNER.finditer(text):
-        if text[pos : m.start()].strip():
-            raise ValidationError(f"bad operation token {text[pos:m.start()].strip()!r}")
-        pos = m.end()
         if m.group("junk"):
             raise ValidationError(f"bad operation token {m.group('junk')!r}")
         if m.group("cycles") or m.group("oneline"):
@@ -135,12 +132,10 @@ def _parse_ops(text: str, n: int):
         for ch in word:
             step = {"1": ONE, "*": STAR, "+": PLUS, "~": BAR}[ch]
             flip = flip_mul(step, flip)
-        elems = [int(x) for x in re.split(r"[,\s]+", body.strip()) if x]
+        elems = _parse_ints(body, f"bad operation token {m.group(0)!r}")
         if len(set(elems)) != len(elems):
             raise ValidationError(f"repeated element in {m.group(0)!r}")
         ops.append(("flip", flip, elems))
-    if text[pos:].strip():
-        raise ValidationError(f"bad operation token {text[pos:].strip()!r}")
     return ops
 
 
@@ -150,7 +145,7 @@ def _parse_triple(text: str | None, n: int) -> TransversalTriple:
     try:
         data = json.loads(text)
         tau = TransversalTriple.from_json(data if isinstance(data, dict) else {"roles": data})
-    except (json.JSONDecodeError, ValidationError) as exc:
+    except (ValueError, RecursionError, ValidationError) as exc:
         raise ValidationError(f"bad transversal triple {text!r}: {exc}") from None
     if tau.n != n:
         raise ValidationError(f"triple covers {tau.n} classes, expected {n}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BudgetError, ConsistencyError, ValidationError
@@ -45,7 +44,7 @@ ORBIT_VIA_LIFT_CAPS = {"full": 4, "iota": 7}
 MAX_CLASSES = 10
 
 
-@dataclass(frozen=True)
+@_value_type()
 class Carrier:
     """An (n, 3)-carrier: classes ``1..n``, each with members ``(i, 1..3)``."""
 
@@ -398,7 +397,7 @@ def is_tight(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     return False, {"basis": list(b), "class": k + 1, "non_bases": non_bases}
 
 
-@dataclass(frozen=True)
+@_value_type()
 class Restriction:
     """Independence structure induced on a subset of the carrier."""
 

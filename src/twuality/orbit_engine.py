@@ -79,7 +79,9 @@ class OrbitReport:
     ``families`` (each element's ``feasible_sets()``, decoded from its
     truth table) are built when first read.  ``canonical_json`` needs only
     the forms and word texts; ``to_json`` reads no form, so the two decode
-    each family independently.
+    each family independently.  It is a frozen dataclass, not a slotted
+    ``_value_type``: each ``functools.cached_property`` view is stored in
+    the instance ``__dict__``.
     """
 
     seed: SetSystem
@@ -148,7 +150,7 @@ class StabilizerHit:
         return data
 
 
-@dataclass(frozen=True)
+@_value_type()
 class UniformizationResult:
     """Conjugating vector ``hvec`` and the system it produces, which is
     fixed by the uniform vector of ``g`` together with ``mu``."""

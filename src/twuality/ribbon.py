@@ -288,15 +288,15 @@ def _kept_splits(Fm: FourRegularGraph, options: Sequence[Sequence[tuple[int, int
     cycle when ``end[x] == y`` and otherwise links the two far ends; on
     return those two entries are restored, so a prefix is split once.
 
-    The last two vertices take no call per prefix.  Once all but the last
-    vertex are joined, its four tags end the two paths still open, which
-    pair them as one of its three pairings: a transition closes two cycles
-    if it is that pairing, else one.  That pairing is known from the
-    partner ``end[t0]`` of the vertex's first tag ``t0``, and
-    ``two[t - t0]`` holds the bits of the last vertex's options that pair
-    ``t0`` with ``t``.  At vertex ``n - 2`` each option's two pairs are
-    joined, the kept options of the last vertex are read off ``two`` and
-    shifted to the prefix's index, and the joins are undone.
+    A medial component whose vertices are all joined has all its tags
+    paired, so it has closed a cycle, and the last vertex closes one or two
+    more.  So the walk stops at a prefix that has closed ``target`` cycles
+    (one per component but the free loops); at vertex ``n - 2`` only the
+    last vertex's component is open, so a kept prefix has closed
+    ``target - 1``.  The last vertex's tags end the two open paths, and
+    each of its options but the one pairing them that way closes one:
+    ``two[t - t0]`` holds the options pairing its first tag ``t0`` with
+    ``t``, so ``every ^ two[end[t0] - t0]`` is read off at the prefix's index.
     """
     n, pairs, end = Fm.n, Fm.pairs, list(Fm.corner)
     if not n:
@@ -327,12 +327,11 @@ def _kept_splits(Fm: FourRegularGraph, options: Sequence[Sequence[tuple[int, int
                 count += 1
             else:
                 end[eu], end[ev] = ev, eu
-            if k < second:
-                walk(k + 1, index | offset, count)
-            elif count == target - 2:
-                table |= two[end[t0] - t0] << (index | offset)
-            elif count == target - 1:
-                table |= (every ^ two[end[t0] - t0]) << (index | offset)
+            if count < target:
+                if k < second:
+                    walk(k + 1, index | offset, count)
+                else:
+                    table |= (every ^ two[end[t0] - t0]) << (index | offset)
             if eu != v:
                 end[eu], end[ev] = u, v
             if ex != y:

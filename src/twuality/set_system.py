@@ -358,7 +358,7 @@ def sorted_systems(tables: Iterable[int], n: int) -> tuple[SetSystem, ...]:
     return tuple(SetSystem.from_table(n, t) for t in _canonical_order(tables, n)[0])
 
 
-@dataclass(frozen=True)
+@_value_type()
 class DeltaMatroidWitness:
     """Outcome of the symmetric-exchange check.
 

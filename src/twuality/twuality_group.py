@@ -22,7 +22,6 @@ layer accepts left-to-right operation lists and converts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
@@ -200,18 +199,22 @@ class Perm:
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
+def _parse_ints(text: str, message: str) -> list[int]:
+    """The comma- or space-separated integers of ``text``; ``message`` on a part
+    ``int`` refuses, as one of more than ``sys.get_int_max_str_digits()`` digits."""
+    try:
+        return [int(p) for p in re.split(r"[,\s]+", text.strip()) if p]
+    except ValueError:
+        raise ValidationError(message) from None
+
+
 def parse_perm(text: str, n: int) -> Perm:
     """Parse either one-line ``[2,1,3]`` or cycle ``(1 2)(3)`` notation."""
     text = text.strip()
     if text.startswith("["):
-        body = text[1:-1] if text.endswith("]") else None
-        if body is None:
+        if not text.endswith("]"):
             raise ValidationError(f"unterminated one-line permutation {text!r}")
-        parts = [p for p in re.split(r"[,\s]+", body.strip()) if p]
-        try:
-            images = [int(p) for p in parts]
-        except ValueError:
-            raise ValidationError(f"bad one-line permutation {text!r}") from None
+        images = _parse_ints(text[1:-1], f"bad one-line permutation {text!r}")
         if len(images) != n:
             raise ValidationError(f"permutation has length {len(images)}, expected {n}")
         return Perm(images)
@@ -221,11 +224,7 @@ def parse_perm(text: str, n: int) -> Perm:
         images = list(range(1, n + 1))
         seen: set[int] = set()
         for group in _CYCLE_RE.findall(text):
-            parts = [p for p in re.split(r"[,\s]+", group.strip()) if p]
-            try:
-                cyc = [int(p) for p in parts]
-            except ValueError:
-                raise ValidationError(f"bad cycle {group!r}") from None
+            cyc = _parse_ints(group, f"bad cycle {group!r}")
             for i in cyc:
                 if not 1 <= i <= n:
                     raise ValidationError(f"cycle entry {i} out of range 1..{n}")
@@ -267,7 +266,7 @@ def uniform_flip(g: tuple[Flip, ...]) -> Flip | None:
     return None
 
 
-@dataclass(frozen=True)
+@_value_type()
 class TwualityElement:
     """A pair (flip vector, permutation) of the semidirect product."""
 

@@ -45,6 +45,12 @@ from oracles import check_report_oracle
 ss = SetSystem.from_sets
 
 
+# a --tau nested deeper than the JSON decoder recurses, and one holding an
+# integer literal longer than ``int`` converts (sys.get_int_max_str_digits)
+DEEP_TAU = "[" * 50_000
+LONG_TAU = "[[1,2," + "1" * 5000 + "]]"
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
@@ -70,9 +76,12 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+CONE = {"n": 3, "feasible": [[3], [1, 3], [2, 3]]}
+
+
 @pytest.fixture()
 def cone_file(tmp_path):
-    return write(tmp_path, "cone.json", {"n": 3, "feasible": [[3], [1, 3], [2, 3]]})
+    return write(tmp_path, "cone.json", CONE)
 
 
 @pytest.fixture()
@@ -572,7 +581,9 @@ class TestMultimatroidCommands:
         assert run(capsys, "orbit-via-lift", path, *options, "--format", "text") == (0, expected, "")
 
     @pytest.mark.parametrize(
-        "tau", ["5", "[5]", '{"roles": 5}', '{"slots": []}', '[[1, 2, 3], [2, 1, 3], [true, 2, 3]]']
+        "tau",
+        ["5", "[5]", '{"roles": 5}', '{"slots": []}', '[[1, 2, 3], [2, 1, 3], [true, 2, 3]]', DEEP_TAU, LONG_TAU],
+        ids=lambda tau: {DEEP_TAU: "deep", LONG_TAU: "long-literal"}.get(tau, tau),
     )
     def test_lift_rejects_malformed_tau(self, capsys, cone_file, tau):
         code, out, err = run(capsys, "lift", cone_file, "--tau", tau)
@@ -784,6 +795,14 @@ class TestModuleEntryPoint:
         assert run_module("check", cone_file) == run(capsys, "check", cone_file)
 
 
+_DM = ["ribbon", "dm", FILE]
+_MU = ["uniformize", FILE, "--gvec", "*,+,+", "--g", "~", "--mu"]
+
+
+def _ribbon(vertices, edges):
+    return {"vertices": vertices, "edges": edges}
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize(
         "argv, payload",
@@ -822,6 +841,76 @@ class TestInputBoundary:
         code, out, err = run(capsys, "check", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "argv, payload, message",
+        [
+            (_DM, _ribbon([[1, 2]], [{"ends": [1, 2], "sign": 1}]), "edge object missing key 'label'"),
+            (_DM, _ribbon([[1, 1]], [[[1, 1], 1, 1]]), "edge ends [1, 1] must be two distinct half-edges"),
+            (_DM, _ribbon([[1, 2]], [[[1, 2], 1, 1.0]]), "edge label 1.0 must be an integer"),
+            (_DM, _ribbon([[0, 2]], [[[0, 2], 1, 1]]), "half-edge id 0 must be a positive integer"),
+            (
+                _DM,
+                _ribbon([[1, 2]], [[[1, 2], 1, 1], [[2, 1], 1, 2]]),
+                "a half-edge appears twice among the edge ends",
+            ),
+            (["check", FILE], {"n": 2, "feasible": [[1], 2]}, "each feasible set must be a list"),
+            (["mm-check", FILE], {"n": 1, "bases": [[[1]]]}, "carrier element [1] must be an [index, role] pair"),
+            (["mm-check", FILE], {"n": 2, "bases": [[[1, 1], [1, 2]]]}, "basis [[1, 1], [1, 2]] visits class 1 twice"),
+            (_MU + ["[1,2"], CONE, "unterminated one-line permutation '[1,2'"),
+            (_MU + ["[1,x,3]"], CONE, "bad one-line permutation '[1,x,3]'"),
+            (_MU + ["(1 2)x"], CONE, "bad cycle notation '(1 2)x'"),
+            (_MU + ["(1 x)"], CONE, "bad cycle '1 x'"),
+            (["lift", FILE, "--sigma", "[2,1"], CONE, "unterminated one-line permutation '[2,1'"),
+            (["lift", FILE, "--sigma", "[2,1,y]"], CONE, "bad one-line permutation '[2,1,y]'"),
+            (["lift", FILE, "--sigma", "(1 2) 3"], CONE, "bad cycle notation '(1 2) 3'"),
+            (["lift", FILE, "--sigma", "(1 2)(3 z)"], CONE, "bad cycle '3 z'"),
+            (["check", FILE, "--threads", "0"], CONE, "--threads must be positive"),
+            (["apply", FILE, "--ops", "*{1,1}"], CONE, "repeated element in '*{1,1}'"),
+        ],
+    )
+    def test_each_check_names_its_fault(self, capsys, tmp_path, argv, payload, message):
+        path = write(tmp_path, "in.json", payload)
+        assert run(capsys, *with_file(argv, path)) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["apply", FILE, "--ops", "+{2} *{" + "1" * 5000 + "}"], "bad operation token '*{111"),
+            (["lift", FILE, "--tau", DEEP_TAU], "bad transversal triple '[[["),
+            (["lift", FILE, "--tau", LONG_TAU], "bad transversal triple '[[1,2,111"),
+            (["extract", FILE, "--sigma", "[1]", "--tau", DEEP_TAU], "bad transversal triple '[[["),
+            (["extract", FILE, "--sigma", "[1]", "--tau", LONG_TAU], "bad transversal triple '[[1,2,111"),
+            (["orbit-via-lift", FILE, "--tau", DEEP_TAU], "bad transversal triple '[[["),
+            (["orbit-via-lift", FILE, "--tau", LONG_TAU], "bad transversal triple '[[1,2,111"),
+        ],
+        ids=[
+            "ops-long-literal",
+            *(f"{command}-{kind}" for command in ("lift", "extract", "ovl") for kind in ("deep", "long-literal")),
+        ],
+    )
+    def test_over_deep_or_over_long_option_is_one_error_line(self, capsys, tmp_path, argv, message):
+        payload = lift(ss(1, [()])).to_json() if argv[0] == "extract" else CONE
+        code, out, err = run(capsys, *with_file(argv, write(tmp_path, "in.json", payload)))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["check", FILE], '{"n": ' + "1" * 5000 + ', "feasible": []}'),
+            (["ribbon", "dm", FILE], '{"vertices": [[1, 2]], "edges": [[[1, 2], 1, ' + "1" * 5000 + "]]}"),
+        ],
+        ids=["ground-size", "edge-label"],
+    )
+    def test_over_long_integer_literal_in_a_file_is_one_error_line(self, capsys, tmp_path, argv, text):
+        """Written as raw text: ``json.dumps`` cannot write the literal,
+        since ``str`` of such an ``int`` hits the same limit."""
+        path = tmp_path / "in.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *with_file(argv, str(path)))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit") and err.count("\n") == 1
 
     def test_ground_size_checked_before_sets(self, capsys, tmp_path):
         path = write(tmp_path, "big.json", {"n": 99, "feasible": [[1]]})
@@ -862,7 +951,7 @@ _EDGES = st.lists(st.one_of(st.tuples(st.lists(_SMALL, max_size=3), _SMALL, _SMA
 _RIBBONS = st.fixed_dictionaries(
     {"vertices": st.one_of(st.lists(st.lists(_SMALL, max_size=4), max_size=3), _JSON), "edges": st.one_of(_EDGES, _JSON)}
 )
-_TAU = st.one_of(st.just("[[1,2,3]]"), _JSON.map(json.dumps))
+_TAU = st.one_of(st.just("[[1,2,3]]"), st.sampled_from([DEEP_TAU, LONG_TAU]), _JSON.map(json.dumps))
 # (input strategy, argument list); a trailing --tau takes a drawn value
 _COMMANDS = [
     (_SET_SYSTEMS, ["check", FILE]),

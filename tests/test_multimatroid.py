@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -123,6 +124,12 @@ class TestTypes:
         assert_frozen(TransversalTriple(((1, 2, 3), (2, 1, 3))), "roles")
         assert_frozen(Projection(Perm((2, 1))), "relabel")
 
+    def test_repr_and_json(self):
+        assert repr(TransversalTriple(((1, 2, 3), (2, 1, 3)))) == "TransversalTriple([[1, 2, 3], [2, 1, 3]])"
+        assert repr(Projection(Perm((2, 1)))) == "Projection([2, 1])"
+        assert Projection(Perm((2, 3, 1))).to_json() == [2, 3, 1]
+        assert repr(Multimatroid(2, [(2, 1), (1, 2)])) == "Multimatroid(2, [(1, 2), (2, 1)])"
+
     def test_triple_validation_and_json(self):
         tau = TransversalTriple(((1, 2, 3), (2, 1, 3)))
         assert tau.slot_of(2, 1) == 2
@@ -214,7 +221,28 @@ class TestTypes:
             Z.carrier.skew_class(True)
 
 
+REF = [TransversalTriple.reference(n) for n in range(4)]
+ID = [Projection.identity(n) for n in range(4)]
+
+
 class TestLiftExtract:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: lift(ss(2, [()]), REF[3]), "triple/projection size must match the ground size"),
+            (lambda: lift(ss(2, [()]), None, ID[1]), "triple/projection size must match the ground size"),
+            (lambda: extract(Multimatroid(1, [(1,)]), REF[2], ID[1]), "triple/projection size must match the carrier"),
+            (lambda: extract(Multimatroid(1, [(1,)]), REF[1], ID[2]), "triple/projection size must match the carrier"),
+            (lambda: triple_word(REF[2], (STAR,), ID[2]), "size mismatch"),
+            (lambda: triple_word(REF[2], (STAR, PLUS), ID[3]), "size mismatch"),
+            (lambda: orbit_via_lift(ss(1, [()]), mode="all"), "mode must be 'full' or 'iota', got 'all'"),
+        ],
+        ids=["lift-tau", "lift-sigma", "extract-tau", "extract-sigma", "word-gvec", "word-sigma", "ovl-mode"],
+    )
+    def test_size_or_mode_mismatch_is_a_validation_error(self, call, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
     def test_singleton_lift_example(self):
         Z = lift(ss(1, [()]))
         assert Z.bases == {(1,), (3,)}

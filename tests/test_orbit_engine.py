@@ -434,6 +434,10 @@ class TestStabilizerSearch:
             assert act(h.element, D) == D
             assert any(f is not ONE for f in h.element.gvec)
 
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValidationError, match="^stabilizer mode must be 'all' or 'uniform', got 'iota'$"):
+            stabilizer_search(D_FLAT, mode="iota")
+
     def test_hit_is_a_frozen_flat_value(self):
         hits = stabilizer_search(D_FLAT, mode="all")
         for h in (hits[0], next(h for h in hits if h.uniform is not None)):
@@ -589,6 +593,10 @@ class TestCycleCondition:
     def test_rejects_identity_target(self):
         with pytest.raises(ValidationError):
             cycle_condition((STAR,), Perm.identity(1), ONE)
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValidationError, match="^flip vector and permutation must have equal length$"):
+            cycle_condition((STAR, PLUS), Perm.identity(3), BAR)
 
 
 class TestUniformize:

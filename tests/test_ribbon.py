@@ -426,9 +426,12 @@ class TestKeptSplits:
     """``_kept_splits`` against one split per choice from scratch
     (``kept_splits_oracle``), for both option sets: the transition
     matroid's three roles and the quasi-trees' black/white pairs.  The walk
-    reads its last two vertices inline and keeps a direct rule for one
-    vertex, so the sizes cover none, one and two vertices, free loops, and
-    seeded graphs past the 6 edges of the other random tests."""
+    reads its last vertex inline, keeps a direct rule for one vertex and
+    stops a prefix once it has closed as many cycles as the medial has
+    components, so the sizes cover none, one and two vertices, free loops,
+    seeded graphs past the 6 edges of the other random tests, and
+    disconnected graphs, whose prefixes close cycles before the last
+    vertex."""
 
     @staticmethod
     def check(G, transition=True):
@@ -463,6 +466,32 @@ class TestKeptSplits:
             self.check(cat.with_isolated(G, i % 2), transition=i < 2)
         for G in (cat.bouquet([1, -1] * 4, interleaved=True), cat.bouquet([-1] * 7, interleaved=True)):
             self.check(G, transition=False)
+
+    def test_last_vertex_alone_in_its_component(self):
+        """A loop summed after a graph of 5-7 edges is the last medial
+        vertex and its own component: every other component is closed at
+        vertex ``n - 2``.  Summed first, the graph's vertices are the last
+        and one component, open until the last vertex."""
+        rng = random.Random(33)
+        for i in range(6):
+            m = 5 + i % 3
+            G = cat.random_ribbon(rng, max_edges=m, max_vertices=3, min_edges=m)
+            for loop in (cat.untwisted_loop(), cat.twisted_loop()):
+                for U in (cat.disjoint_union(G, loop), cat.disjoint_union(loop, G)):
+                    assert medial(U).components >= 2
+                    self.check(U, transition=m < 7 or i == 2)
+
+    def test_disconnected_graphs_with_isolated_vertices(self):
+        """Two or three summands, 6-8 edges in all, padded with 1-2
+        isolated vertices, which are free loops of the medial."""
+        rng = random.Random(34)
+        for i in range(9):
+            left, G = 6 + i % 3, RibbonGraph([], [])
+            while left:
+                m = min(left, rng.randint(2, 4))
+                H = cat.random_ribbon(rng, max_edges=m, max_vertices=2, min_edges=m)
+                G, left = cat.disjoint_union(G, H), left - m
+            self.check(cat.with_isolated(G, 1 + i % 2), transition=G.n < 8 or i == 2)
 
 
 class TestBridgeIdentity:

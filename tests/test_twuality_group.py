@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -28,6 +29,7 @@ from twuality import (
     sd_inv,
     sd_mul,
     uniform_flip,
+    vec_mul,
     vec_reindex,
 )
 
@@ -146,6 +148,7 @@ class TestReduceWord:
         assert reduce_word("**") is ONE
         assert reduce_word("+*+") is BAR
         assert reduce_word("*+*+*+") is ONE
+        assert reduce_word(" +\t* + ") is BAR
 
     def test_rejects_other_letters(self):
         with pytest.raises(ValidationError):
@@ -219,7 +222,27 @@ class TestVecReindex:
         assert vec_reindex(vec_reindex(g, p2), p1) == vec_reindex(g, p1 * p2)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Perm((2, 1)) * Perm((1, 2, 3)), "permutation size mismatch"),
+        (lambda: vec_mul((STAR, PLUS), (STAR,)), "flip-vector length mismatch"),
+        (lambda: vec_reindex((STAR, PLUS), Perm.identity(3)), "flip-vector / permutation length mismatch"),
+        (lambda: TwualityElement((STAR,), Perm.identity(2)), "flip vector and permutation must have equal length"),
+    ],
+    ids=["perm-mul", "vec-mul", "vec-reindex", "element"],
+)
+def test_length_mismatch_is_a_validation_error(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestSemidirectProduct:
+    def test_operators_and_json(self):
+        assert STAR * PLUS is flip_mul(STAR, PLUS) is STAR_PLUS
+        a = TwualityElement((STAR, PLUS_STAR, ONE), Perm((3, 1, 2)))
+        assert a.to_json() == {"gvec": ["*", "+*", "1"], "perm": [3, 1, 2]}
+
     @given(st.integers(0, 6), st.data())
     def test_inverse_law(self, n, data):
         x = data.draw(elements(n))
