@@ -27,7 +27,7 @@ import json
 import re
 import sys
 
-from .errors import BudgetError, ConsistencyError, ValidationError
+from .errors import BudgetError, ConsistencyError, ValidationError, quoted
 from .multimatroid import (
     Multimatroid,
     Projection,
@@ -123,7 +123,7 @@ def _parse_ops(text: str, n: int):
     ops = []
     for m in _OPS_SCANNER.finditer(text):
         if m.group("junk"):
-            raise ValidationError(f"bad operation token {m.group('junk')!r}")
+            raise ValidationError(f"bad operation token {quoted(m.group('junk'))}")
         if m.group("cycles") or m.group("oneline"):
             ops.append(("perm", parse_perm(m.group(0), n)))
             continue
@@ -132,9 +132,9 @@ def _parse_ops(text: str, n: int):
         for ch in word:
             step = {"1": ONE, "*": STAR, "+": PLUS, "~": BAR}[ch]
             flip = flip_mul(step, flip)
-        elems = _parse_ints(body, f"bad operation token {m.group(0)!r}")
+        elems = _parse_ints(body, f"bad operation token {quoted(m.group(0))}")
         if len(set(elems)) != len(elems):
-            raise ValidationError(f"repeated element in {m.group(0)!r}")
+            raise ValidationError(f"repeated element in {quoted(m.group(0))}")
         ops.append(("flip", flip, elems))
     return ops
 
@@ -146,7 +146,7 @@ def _parse_triple(text: str | None, n: int) -> TransversalTriple:
         data = json.loads(text)
         tau = TransversalTriple.from_json(data if isinstance(data, dict) else {"roles": data})
     except (ValueError, RecursionError, ValidationError) as exc:
-        raise ValidationError(f"bad transversal triple {text!r}: {exc}") from None
+        raise ValidationError(f"bad transversal triple {quoted(text)}: {exc}") from None
     if tau.n != n:
         raise ValidationError(f"triple covers {tau.n} classes, expected {n}")
     return tau

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the quoting of an
+offending value in their messages."""
+
+#: the most characters of an offending value that an error message quotes
+QUOTE_LIMIT = 80
+
+
+def quoted(value) -> str:
+    """``repr(value)``, cut to its first ``QUOTE_LIMIT`` characters and
+    ``…`` when longer, so an error line stays short whatever it names.  A
+    string is cut before its ``repr``, so its quotes stay whole."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= QUOTE_LIMIT else repr(value[:QUOTE_LIMIT]) + "…"
+    text = repr(value)
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "…"
 
 
 class TwualityError(Exception):

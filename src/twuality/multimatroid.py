@@ -16,7 +16,7 @@ import functools
 import itertools
 from typing import Iterable, Iterator
 
-from .errors import BudgetError, ConsistencyError, ValidationError
+from .errors import BudgetError, ConsistencyError, ValidationError, quoted
 from .set_system import (
     SetSystem,
     _exchange_failures,
@@ -73,10 +73,10 @@ class TransversalTriple:
         try:
             roles = tuple(tuple(r) for r in roles)
         except TypeError:
-            raise ValidationError(f"roles {roles!r} must be a list of slot lists") from None
+            raise ValidationError(f"roles {quoted(roles)} must be a list of slot lists") from None
         for r in roles:
             if any(type(s) is not int for s in r) or sorted(r) != [1, 2, 3]:
-                raise ValidationError(f"class roles {list(r)} must be a permutation of (1, 2, 3)")
+                raise ValidationError(f"class roles {quoted(list(r))} must be a permutation of (1, 2, 3)")
         object.__setattr__(self, "roles", roles)
 
     @staticmethod
@@ -509,6 +509,20 @@ def _role_steps(table: int, roles) -> int:
         a, b, c = roles[k]
         table = slots[a - 1] << d | slots[b - 1] << 2 * d | slots[c - 1] << 3 * d
     return table
+
+
+def _is_reference_lift(table: int, n: int) -> bool:
+    """``_role_steps(table, ((1, 2, 3),) * n) == table``, decided class by
+    class: no entry has digit ``k`` 0, and the digit-3 entries are the XOR
+    of the digit-1 and digit-2 ones.  That is the class-``k`` step's fixed
+    point, so a table passing every class is fixed by all steps; and each
+    step, linear in its own digit, keeps the relation at every other class,
+    so the steps' result passes every class."""
+    for k, zero in enumerate(_zeros(n)):
+        s0, s1, s2, s3 = _split(table, k, zero)
+        if s0 or s3 != s1 ^ s2:
+            return False
+    return True
 
 
 def _keep_slots(table: int, k: int, zero: int, role_pairs) -> list[int]:

@@ -26,10 +26,11 @@ remaining pairing.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Sequence
 
 from .errors import BudgetError, ConsistencyError, ValidationError
-from .multimatroid import Multimatroid, _check_class_count, _role_steps, _zeros
+from .multimatroid import Multimatroid, _check_class_count, _is_reference_lift, _role_steps, _zeros
 from .set_system import MAX_GROUND, SetSystem, VF_SAFE_DEFAULT_CAP
 from .set_system import _exchange_failures, _is_binary, _value_type, _vf_safety
 
@@ -50,10 +51,8 @@ class RibbonEdge:
 
 def _canon_rotation(rot: Sequence[int]) -> tuple[int, ...]:
     rot = tuple(rot)
-    if not rot:
-        return rot
-    k = rot.index(min(rot))
-    return rot[k:] + rot[:k]
+    k = rot.index(min(rot)) if rot else 0
+    return rot[k:] + rot[:k] if k else rot
 
 
 @_value_type(init=False, repr=False, eq=False)
@@ -65,23 +64,31 @@ class RibbonGraph:
     edges: tuple[RibbonEdge, ...]
 
     def __init__(self, vertices: Sequence[Sequence[int]], edges: Sequence):
+        """One pass over the edges checks each and places it in the slot
+        of its label; a label out of range or taken fails the bijection,
+        reported after the pass, so an earlier edge's fault comes first.
+        The half-edge ids get one type-and-minimum test; only when it
+        fails does the per-id loop run, to name the first bad id (an
+        ``int`` subclass other than ``bool`` passes it)."""
         if not isinstance(vertices, (list, tuple)) or not all(
             isinstance(rot, (list, tuple)) for rot in vertices
         ):
             raise ValidationError(f"vertices {vertices!r} must be a list of rotation lists")
         if not isinstance(edges, (list, tuple)):
             raise ValidationError(f"edges {edges!r} must be a list")
-        norm_edges = []
+        n = len(edges)
+        slots, misplaced = [None] * n, False
+        set_ends, set_sign, set_label = RibbonEdge.ends.__set__, RibbonEdge.sign.__set__, RibbonEdge.label.__set__
         for e in edges:
-            if isinstance(e, RibbonEdge):
+            if isinstance(e, (list, tuple)) and len(e) == 3:
+                ends, sign, label = e
+            elif isinstance(e, RibbonEdge):
                 ends, sign, label = e.ends, e.sign, e.label
             elif isinstance(e, dict):
                 try:
                     ends, sign, label = e["ends"], e["sign"], e["label"]
                 except KeyError as missing:
                     raise ValidationError(f"edge object missing key {missing}") from None
-            elif isinstance(e, (list, tuple)) and len(e) == 3:
-                ends, sign, label = e
             else:
                 raise ValidationError(f"edge {e!r} must be [ends, sign, label]")
             if not isinstance(ends, (list, tuple)) or len(ends) != 2 or ends[0] == ends[1]:
@@ -90,25 +97,30 @@ class RibbonGraph:
                 raise ValidationError(f"edge sign must be +1 or -1, got {sign!r}")
             if type(label) is not int:
                 raise ValidationError(f"edge label {label!r} must be an integer")
-            norm_edges.append(RibbonEdge(tuple(ends), sign, label))
-        norm_edges.sort(key=lambda e: e.label)
-        n = len(norm_edges)
-        if [e.label for e in norm_edges] != list(range(1, n + 1)):
+            if 0 < label <= n and slots[label - 1] is None:
+                slots[label - 1] = edge = object.__new__(RibbonEdge)
+                set_ends(edge, tuple(ends))
+                set_sign(edge, sign)
+                set_label(edge, label)
+            else:
+                misplaced = True
+        if misplaced:
             raise ValidationError("edge labels must be a bijection onto 1..#edges")
-        rot_ids = [h for rot in vertices for h in rot]
-        end_ids = [h for e in norm_edges for h in e.ends]
-        for h in rot_ids + end_ids:
-            if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-                raise ValidationError(f"half-edge id {h!r} must be a positive integer")
-        if len(set(rot_ids)) != len(rot_ids):
+        rot_ids = list(itertools.chain.from_iterable(vertices))
+        end_ids = [h for e in slots for h in e.ends]
+        if {*map(type, rot_ids), *map(type, end_ids)} - {int} or min(rot_ids + end_ids, default=1) < 1:
+            for h in rot_ids + end_ids:
+                if not isinstance(h, int) or isinstance(h, bool) or h < 1:
+                    raise ValidationError(f"half-edge id {h!r} must be a positive integer")
+        rot_set, end_set = set(rot_ids), set(end_ids)
+        if len(rot_set) != len(rot_ids):
             raise ValidationError("a half-edge appears twice in the rotations")
-        if len(set(end_ids)) != len(end_ids):
+        if len(end_set) != len(end_ids):
             raise ValidationError("a half-edge appears twice among the edge ends")
-        if set(rot_ids) != set(end_ids):
+        if rot_set != end_set:
             raise ValidationError("rotations and edge ends must use the same half-edges")
-        vertices = tuple(_canon_rotation(rot) for rot in vertices)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", tuple(norm_edges))
+        object.__setattr__(self, "vertices", tuple(map(_canon_rotation, vertices)))
+        object.__setattr__(self, "edges", tuple(slots))
 
     @property
     def n(self) -> int:
@@ -144,11 +156,18 @@ _TRANSITION_OFFSETS = {
 _SLOT_NAMES = ("before", "after")
 
 
-@functools.cache
 def _vertex_pairs(k: int, sign: int):
-    """``FourRegularGraph.pairs[k]`` of an edge with ``sign``, shared by all medials."""
+    """``FourRegularGraph.pairs[k]`` of an edge with ``sign``."""
     offsets = _TRANSITION_OFFSETS[sign]
     return tuple(((4 * k + a, 4 * k + b), (4 * k + c, 4 * k + d)) for (a, b), (c, d) in offsets)
+
+
+@functools.cache
+def _pairs_by_position(n: int):
+    """Per edge position ``k < n``, ``(None, _vertex_pairs(k, 1),
+    _vertex_pairs(k, -1))``: a row indexed by the edge's sign.  Built once
+    per edge count, for any count, and shared by all medials with it."""
+    return tuple((None, _vertex_pairs(k, 1), _vertex_pairs(k, -1)) for k in range(n))
 
 
 @_value_type(init=False, repr=False, eq=False)
@@ -160,8 +179,9 @@ class FourRegularGraph:
     ``4k + 2j + slot``.  ``corner[t]`` is the tag that a corner edge joins
     to ``t``; ``pairs[k][role]`` holds the two tag pairs of transition
     ``role`` (0 black, 1 white, 2 crossing) at vertex ``k``, each pair
-    lesser tag first, one ``map`` over the shared ``_vertex_pairs``;
-    ``components`` counts the components of the medial, free loops
+    lesser tag first, read by sign off the edge position's row of the
+    ``_pairs_by_position`` table that all medials with as many edges
+    share; ``components`` counts the components of the medial, free loops
     included.  It is handed in, not checked: ``medial``, the one
     constructor, counts it during its pass over the rotations."""
 
@@ -176,7 +196,8 @@ class FourRegularGraph:
     ):
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "corner", tuple(corner))
-        object.__setattr__(self, "pairs", tuple(map(_vertex_pairs, range(len(edges)), [e.sign for e in edges])))
+        rows = _pairs_by_position(len(edges))
+        object.__setattr__(self, "pairs", tuple([row[e.sign] for row, e in zip(rows, edges)]))
         object.__setattr__(self, "free_loops", free_loops)
         object.__setattr__(self, "components", components)
 
@@ -419,18 +440,24 @@ class MedialLiftReport:
     lift of the quasi-tree system at the black/white/crossing triple: the
     bases on one side only, each side in sorted order, both empty when
     ``equal``.  ``to_json`` writes a basis ``b`` as its ``[class, role]``
-    pairs."""
+    pairs.  ``verify_medial_lift`` hands every equal graph the one shared
+    ``_EQUAL_REPORT``; the type is frozen, so sharing it is safe."""
 
     equal: bool
     only_medial: tuple[tuple[int, ...], ...]
     only_lift: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
+        if self is _EQUAL_REPORT:
+            return {"equal": True, "only_medial": [], "only_lift": []}
         return {
             "equal": self.equal,
             "only_medial": [[[i, r] for i, r in enumerate(b, start=1)] for b in self.only_medial],
             "only_lift": [[[i, r] for i, r in enumerate(b, start=1)] for b in self.only_lift],
         }
+
+
+_EQUAL_REPORT = MedialLiftReport(True, (), ())
 
 
 def verify_medial_lift(
@@ -447,15 +474,20 @@ def verify_medial_lift(
     below ``k`` are by then packed into index bits below ``k``, so the last
     step leaves the truth table of ``D``.  It is checked as
     ``delta_matroid_of`` checks it: vf-safety is the hypothesis of the
-    lift.  The lift is then ``_role_steps`` at the reference roles run on
-    ``M`` itself, not on ``D`` placed set by set.  That is the same table:
-    each class step rebuilds the entries with a crossing digit from those
+    lift.  The lift is ``_role_steps`` at the reference roles run on ``M``
+    itself, not on ``D`` placed set by set.  That is the same table: each
+    class step rebuilds the entries with a crossing digit from those
     without one, so the result depends only on the black/white entries of
-    ``M``, and those are ``_spread`` of the ``D`` read off them.  So the
-    systems with a crossing check the lift's dual twists against the
-    medial; the black/white half is checked against a half-edge boundary
-    tracer in the tests.  Equal tables give the report at once; only a
-    mismatch builds the two difference tables and decodes their bases."""
+    ``M``, and those are ``_spread`` of the ``D`` read off them.  So ``M``
+    equals the lift iff ``_role_steps`` fixes it, which
+    ``_is_reference_lift`` decides class by class: at every class ``k``,
+    no entry of ``M`` has digit 0 and the crossing entries are the XOR of
+    the black and white ones.  The systems with a crossing thus check the
+    lift's dual twists against the medial; the black/white half is checked
+    against a half-edge boundary tracer in the tests.  An equal graph
+    builds nothing and gets the shared ``_EQUAL_REPORT``; only a mismatch
+    runs ``_role_steps``, builds the two difference tables and decodes
+    their bases."""
     n = G.n
     if n > max_e:
         raise BudgetError.capped("verification", f"{max_e} edges", n, 3, "transition systems")
@@ -464,9 +496,9 @@ def verify_medial_lift(
         d = 1 << 2 * k
         table = (table >> d & zero) | (table >> 2 * d & zero) << (1 << k)
     _checked_delta_matroid(G, SetSystem.from_table(n, table), vf_cache)
+    if _is_reference_lift(medial_table, n):
+        return _EQUAL_REPORT
     lifted = _role_steps(medial_table, ((1, 2, 3),) * n)
-    if lifted == medial_table:
-        return MedialLiftReport(True, (), ())
     diffs = medial_table & ~lifted, lifted & ~medial_table
     only = [Multimatroid.from_table(n, t).sorted_bases() if t else () for t in diffs]
     return MedialLiftReport(False, *only)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from typing import Iterable
 
-from .errors import ValidationError
+from .errors import ValidationError, quoted
 from .set_system import _HALVES, SetSystem, _value_type, mask_of, relabel
 
 
@@ -106,7 +106,7 @@ def flip_pow(g: Flip, m: int) -> Flip:
 def parse_flip(token: str) -> Flip:
     f = _BY_TOKEN.get(token)
     if f is None:
-        raise ValidationError(f"unknown flip token {token!r}")
+        raise ValidationError(f"unknown flip token {quoted(token)}")
     return f
 
 
@@ -213,18 +213,18 @@ def parse_perm(text: str, n: int) -> Perm:
     text = text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
-            raise ValidationError(f"unterminated one-line permutation {text!r}")
-        images = _parse_ints(text[1:-1], f"bad one-line permutation {text!r}")
+            raise ValidationError(f"unterminated one-line permutation {quoted(text)}")
+        images = _parse_ints(text[1:-1], f"bad one-line permutation {quoted(text)}")
         if len(images) != n:
             raise ValidationError(f"permutation has length {len(images)}, expected {n}")
         return Perm(images)
     if text == "" or text.startswith("("):
         if re.sub(_CYCLE_RE, "", text).strip():
-            raise ValidationError(f"bad cycle notation {text!r}")
+            raise ValidationError(f"bad cycle notation {quoted(text)}")
         images = list(range(1, n + 1))
         seen: set[int] = set()
         for group in _CYCLE_RE.findall(text):
-            cyc = _parse_ints(group, f"bad cycle {group!r}")
+            cyc = _parse_ints(group, f"bad cycle {quoted(group)}")
             for i in cyc:
                 if not 1 <= i <= n:
                     raise ValidationError(f"cycle entry {i} out of range 1..{n}")
@@ -234,7 +234,7 @@ def parse_perm(text: str, n: int) -> Perm:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a - 1] = b
         return Perm(images)
-    raise ValidationError(f"unrecognized permutation syntax {text!r}")
+    raise ValidationError(f"unrecognized permutation syntax {quoted(text)}")
 
 
 # ---------------------------------------------------------------------------

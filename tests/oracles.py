@@ -94,6 +94,11 @@ compared against.
   it took before: ``D(G)`` extracted from the transition matroid, placed
   set by set and dual-twisted class by class on choice tuples.  The
   library runs the lift's class step on the transition table itself.
+* ``lift_rebuild_oracle``: the comparison ``verify_medial_lift`` made
+  before, from a transition table: the whole lifted table rebuilt by
+  ``_role_steps`` at the reference roles and compared with the table, the
+  report built on every call.  The library decides equality class by
+  class and runs ``_role_steps`` only on a mismatch.
 * ``is_multimatroid_oracle``: every independent set filtered by
   compatibility for each transversal, then every pair of the survivors
   tried for augmentation.  The library tests the table bits of the
@@ -147,6 +152,7 @@ from twuality.multimatroid import (
     Projection,
     Restriction,
     TransversalTriple,
+    _role_steps,
     all_triples,
     extract,
     lift,
@@ -876,6 +882,16 @@ def medial_lift_oracle(G):
     bases = Zm.bases
     only = tuple(sorted(bases - lifted)), tuple(sorted(lifted - bases))
     return MedialLiftReport(bases == lifted, *only)
+
+
+def lift_rebuild_oracle(table, n):
+    """The ``MedialLiftReport`` of a transition table ``table`` on ``n``
+    classes against its lift, by rebuilding the lift: ``_role_steps`` at
+    the reference roles, then the bases on each side only."""
+    lifted = _role_steps(table, ((1, 2, 3),) * n)
+    diffs = table & ~lifted, lifted & ~table
+    only = [Multimatroid.from_table(n, t).sorted_bases() if t else () for t in diffs]
+    return MedialLiftReport(lifted == table, *only)
 
 
 def _compatible(I, T):

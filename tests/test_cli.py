@@ -36,6 +36,7 @@ import twuality
 from twuality import set_system
 from twuality.multimatroid import PERM3
 from twuality.cli import _text_lines, build_parser, main
+from twuality.errors import QUOTE_LIMIT, quoted
 
 import ribbon_catalog as cat
 from conftest import set_systems, vf_walk_families
@@ -876,13 +877,13 @@ class TestInputBoundary:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["apply", FILE, "--ops", "+{2} *{" + "1" * 5000 + "}"], "bad operation token '*{111"),
-            (["lift", FILE, "--tau", DEEP_TAU], "bad transversal triple '[[["),
-            (["lift", FILE, "--tau", LONG_TAU], "bad transversal triple '[[1,2,111"),
-            (["extract", FILE, "--sigma", "[1]", "--tau", DEEP_TAU], "bad transversal triple '[[["),
-            (["extract", FILE, "--sigma", "[1]", "--tau", LONG_TAU], "bad transversal triple '[[1,2,111"),
-            (["orbit-via-lift", FILE, "--tau", DEEP_TAU], "bad transversal triple '[[["),
-            (["orbit-via-lift", FILE, "--tau", LONG_TAU], "bad transversal triple '[[1,2,111"),
+            (["apply", FILE, "--ops", "+{2} *{" + "1" * 5000 + "}"], "bad operation token '*{" + "1" * 78 + "'…\n"),
+            (["lift", FILE, "--tau", DEEP_TAU], "bad transversal triple '" + "[" * 80 + "'…: "),
+            (["lift", FILE, "--tau", LONG_TAU], "bad transversal triple '[[1,2," + "1" * 74 + "'…: "),
+            (["extract", FILE, "--sigma", "[1]", "--tau", DEEP_TAU], "bad transversal triple '" + "[" * 80 + "'…: "),
+            (["extract", FILE, "--sigma", "[1]", "--tau", LONG_TAU], "bad transversal triple '[[1,2," + "1" * 74 + "'…: "),
+            (["orbit-via-lift", FILE, "--tau", DEEP_TAU], "bad transversal triple '" + "[" * 80 + "'…: "),
+            (["orbit-via-lift", FILE, "--tau", LONG_TAU], "bad transversal triple '[[1,2," + "1" * 74 + "'…: "),
         ],
         ids=[
             "ops-long-literal",
@@ -890,10 +891,70 @@ class TestInputBoundary:
         ],
     )
     def test_over_deep_or_over_long_option_is_one_error_line(self, capsys, tmp_path, argv, message):
+        """The line quotes the first ``QUOTE_LIMIT`` characters of the
+        argument, then ``…``; the decoder's reason follows a triple's."""
         payload = lift(ss(1, [()])).to_json() if argv[0] == "extract" else CONE
         code, out, err = run(capsys, *with_file(argv, write(tmp_path, "in.json", payload)))
         assert code == 1 and out == ""
-        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and len(err) < 300
+
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["apply", FILE, "--ops"], "x" * 200, "bad operation token {}"),
+            (["apply", FILE, "--ops"], "*{" + "1," * 99 + "1}", "repeated element in {}"),
+            (_MU, "[" + "1," * 100, "unterminated one-line permutation {}"),
+            (_MU, "[" + "x," * 100 + "]", "bad one-line permutation {}"),
+            (_MU, "(1 2)" + "x" * 200, "bad cycle notation {}"),
+            (_MU, "(" + "1 " * 100 + "x)", "bad cycle {}"),
+            (_MU, "z" * 200, "unrecognized permutation syntax {}"),
+            (["lift", FILE, "--sigma"], "z" * 200, "unrecognized permutation syntax {}"),
+            (["lift", FILE, "--tau"], "[" * 81, "bad transversal triple {}: "),
+            (["uniformize", FILE, "--gvec", "*,+,+", "--mu", "[1,2,3]", "--g"], "x" * 200, "unknown flip token {}"),
+            (["uniformize", FILE, "--mu", "[1,2,3]", "--g", "~", "--gvec"], "*,+," + "x" * 200, "unknown flip token {}"),
+        ],
+        ids=[
+            "ops-junk", "ops-repeated", "mu-unterminated", "mu-one-line", "mu-notation",
+            "mu-cycle", "mu-syntax", "sigma-syntax", "tau", "g", "gvec",
+        ],
+    )
+    def test_long_argument_is_quoted_up_to_the_bound(self, capsys, tmp_path, argv, text, message):
+        """Each message that quotes an argument, or a token or cycle of
+        it, quotes its first ``QUOTE_LIMIT`` characters and then ``…``."""
+        path = write(tmp_path, "in.json", CONE)
+        cycle = text[1:-1] if message.startswith("bad cycle {") else text.removeprefix("*,+,")
+        code, out, err = run(capsys, *with_file(argv, path), text)
+        assert code == 1 and out == ""
+        assert err.startswith("error: " + message.format(repr(cycle[:80]) + "…")) and err.count("\n") == 1
+        assert len(err) < 300
+
+    @pytest.mark.parametrize(
+        "roles, reason",
+        [
+            ([[1, 2, 3]] + [5] * 100, "roles {} must be a list of slot lists"),
+            ([[1, 2, 3], [5] * 100], "class roles {} must be a permutation of (1, 2, 3)"),
+        ],
+        ids=["roles", "class-roles"],
+    )
+    def test_long_triple_reason_is_cut_at_the_bound(self, capsys, tmp_path, roles, reason):
+        """The triple's own reason quotes the first 80 characters of the
+        ``repr`` of what it refuses, then ``…``."""
+        text = json.dumps(roles)
+        refused = roles if reason.startswith("roles") else roles[1]
+        reason = reason.format(repr(refused)[:80] + "…")
+        code, out, err = run(capsys, "lift", write(tmp_path, "in.json", CONE), "--tau", text)
+        assert (code, out) == (1, "")
+        assert err == f"error: bad transversal triple {text[:80]!r}…: {reason}\n"
+
+    def test_quote_bound(self):
+        """80 characters are quoted whole, as before the bound; one more
+        and the quote stops at 80.  A string is cut before its ``repr``,
+        any other value after."""
+        assert QUOTE_LIMIT == 80
+        text = "'a\"" + "b" * 77
+        assert quoted(text) == repr(text) and quoted(text + "c") == repr(text) + "…"
+        value = ["x" * 76]  # its repr is 80 characters
+        assert quoted(value) == repr(value) and quoted(value + [2]) == repr(value + [2])[:80] + "…"
 
     @pytest.mark.parametrize(
         "argv, text",

@@ -41,6 +41,7 @@ from oracles import (
     boundary_oracle,
     component_count,
     kept_splits_oracle,
+    lift_rebuild_oracle,
     medial_components_oracle,
     medial_lift_oracle,
     medial_oracle,
@@ -644,11 +645,12 @@ class TestOneSplitWalk:
                 assert D == extract(Zm, *ref), G
 
     def test_one_split_walk_and_one_vf_check_per_call(self, monkeypatch):
-        """One call runs ``_kept_splits`` once, the vf-safety check once and
-        the lift's class step ``_role_steps`` once, on the transition table,
-        with or without a cache: calling ``lift`` instead would repeat the
-        vf-safety check and spread ``D`` (``_spread``).  A vf-safe system
-        needs no exchange walk of its own."""
+        """One call runs ``_kept_splits`` once and the vf-safety check
+        once, with or without a cache: calling ``lift`` instead would
+        repeat the vf-safety check and spread ``D`` (``_spread``).  A
+        vf-safe system needs no exchange walk of its own.  An equal graph
+        runs no ``_role_steps`` and gets the shared report; a mismatch,
+        forced by flipping one bit of the walk's table, runs it once."""
         counts = collections.Counter()
 
         def count(module, name):
@@ -674,7 +676,16 @@ class TestOneSplitWalk:
         for G in graphs:
             for cache in (None, {}):
                 counts.clear()
-                assert verify_medial_lift(G, vf_cache=cache).equal, G
+                report = verify_medial_lift(G, vf_cache=cache)
+                assert report is ribbon._EQUAL_REPORT, G
+                assert counts == {"_kept_splits": 1, "_vf_safety": 1}, (G, counts)
+        walk = ribbon._kept_splits
+        # the all-crossing system, bit 4**n - 1, holds no black/white entry of D(G)
+        monkeypatch.setattr(ribbon, "_kept_splits", lambda Fm, options: walk(Fm, options) ^ 1 << (4**Fm.n - 1))
+        for G in graphs:
+            if G.n:
+                counts.clear()
+                assert not verify_medial_lift(G, vf_cache={}).equal, G
                 assert counts == {"_kept_splits": 1, "_vf_safety": 1, "_role_steps": 1}, (G, counts)
 
 
@@ -685,13 +696,15 @@ class TestClassStepOnTheTransitionTable:
 
     def test_reports_match_the_oracle(self, vf_cache):
         """The whole <=3-edge catalog, seeded random graphs with 4-6 edges
-        and interleaved bouquets."""
+        and interleaved bouquets, against both oracles: the lift built
+        from ``D(G)`` and the lift rebuilt from the transition table."""
         graphs = itertools.chain(
             cat.enumerate_all(), _random_graphs(31, 100, 4, 6), _interleaved_bouquets()
         )
         for G in graphs:
             report = verify_medial_lift(G, vf_cache=vf_cache)
             assert report.equal and report == medial_lift_oracle(G), G
+            assert report == lift_rebuild_oracle(transition_matroid(medial(G)).table, G.n), G
 
     def test_forced_mismatch_matches_the_oracle(self, monkeypatch, vf_cache):
         """With one bit of a transition system that has a crossing flipped
@@ -708,6 +721,7 @@ class TestClassStepOnTheTransitionTable:
             flip[0] = 1 << sum(r << 2 * k for k, r in enumerate(choice))
             report = verify_medial_lift(G, vf_cache=vf_cache)
             assert not report.equal and report == medial_lift_oracle(G), (G, choice)
+            assert report == lift_rebuild_oracle(transition_matroid(medial(G)).table, G.n), (G, choice)
             assert report.only_medial + report.only_lift == (tuple(choice),), (G, choice)
 
     def test_one_medial_and_one_transition_matroid_per_call(self, monkeypatch, vf_cache):
@@ -732,3 +746,41 @@ class TestClassStepOnTheTransitionTable:
             counts.clear()
             assert verify_medial_lift(G, vf_cache=vf_cache).equal, G
             assert counts == {"medial": 1, "transition_matroid": 1}, (G, counts)
+
+
+def _no_digit_zero(n):
+    """The ``4**n``-bit mask of the indices with no base-4 digit 0."""
+    return sum(1 << i for i in range(4**n) if all(i >> 2 * k & 3 for k in range(n)))
+
+
+class TestPerClassLiftTest:
+    """``multimatroid._is_reference_lift``, the class-by-class test that
+    ``verify_medial_lift`` makes, against ``lift_rebuild_oracle``, which
+    rebuilds the whole lift and compares."""
+
+    def test_seeded_tables(self):
+        """Per ``n <= 5``: random tables, random tables with no digit 0,
+        true lifts of random truth tables, and those lifts with 1-3 bits
+        flipped.  Both verdicts occur at every ``n >= 1``."""
+        rng = random.Random(47)
+        for n in range(6):
+            size, no_zero, ref = 4**n, _no_digit_zero(n), ((1, 2, 3),) * n
+            verdicts = collections.Counter()
+            for _ in range(60):
+                lifted = multimatroid._role_steps(multimatroid._spread(rng.getrandbits(1 << n), n), ref)
+                flipped = lifted
+                for i in rng.sample(range(size), rng.randint(1, min(3, size))):
+                    flipped ^= 1 << i
+                raw = rng.getrandbits(size)
+                for table in (raw, raw & no_zero, lifted, flipped):
+                    verdict = multimatroid._is_reference_lift(table, n)
+                    assert verdict == lift_rebuild_oracle(table, n).equal, (n, table)
+                    verdicts[verdict] += 1
+            assert verdicts[True] and (verdicts[False] or n == 0), (n, verdicts)
+
+    def test_catalog_transition_tables(self):
+        """Every transition table of the <=3-edge catalog is a lift."""
+        for G in cat.enumerate_all():
+            table = transition_matroid(medial(G)).table
+            assert multimatroid._is_reference_lift(table, G.n), G
+            assert lift_rebuild_oracle(table, G.n).equal, G
