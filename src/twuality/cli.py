@@ -1,9 +1,15 @@
 """Command-line surface.
 
 Every subcommand reads canonical JSON files and writes canonical JSON to
-stdout (``--format text`` switches to a human-readable sketch).  Each
-declares the kind of file it reads, and ``main`` loads that file before
-the subcommand parses any other option.  Identical
+stdout (``--format text`` switches to a human-readable sketch).  One
+command table (``_COMMANDS``) holds each command's function, the kind of
+file it reads, its positional words and its options; ``_parse`` reads
+argv once against it, with argparse's syntax (options anywhere after the
+command word, ``--name value`` or ``--name=value``, unique prefixes,
+``--``, negative numbers as values, the last of a repeated option
+winning, ``-h``) and argparse's error wording, each offending word quoted
+to ``errors.QUOTE_LIMIT`` characters.  ``main`` reads the file as bytes
+and loads it before the subcommand parses any option's value.  Identical
 inputs produce byte-identical outputs.  Exit codes: 0 ok, 1 validation
 error, 2 budget exceeded, 3 a verification subcommand found a concrete
 counterexample (which is always printed), 4 internal error: a
@@ -21,13 +27,14 @@ whose words apply rightmost-first.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
-from .errors import BudgetError, ConsistencyError, ValidationError, quoted
+from .errors import BudgetError, ConsistencyError, ValidationError, clipped, quoted
 from .multimatroid import (
     Multimatroid,
     Projection,
@@ -57,19 +64,21 @@ from .twuality_group import (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ValidationError(f"{message}\n{self.format_usage()}")
-
-
 def _load_json(path: str) -> dict:
+    """The JSON value of the file at ``path``, read as bytes and decoded
+    here; ``\r\n`` and ``\r`` become ``\n`` as a text-mode read makes them,
+    so values and error positions are those of such a read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
     except ValueError as exc:  # a ``JSONDecodeError``, or an integer literal too long for ``int``
         raise ValidationError(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
@@ -261,60 +270,275 @@ def _cmd_ribbon(G, args) -> tuple[dict, int]:
     return report.to_json(), 0 if report.equal else 3
 
 
-@functools.cache
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--max-n", type=int, default=None, help="override the hard budget cap")
-    common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; output is independent of it")
+class _Opt(NamedTuple):
+    """One option of the command table.  ``type`` is ``int`` or ``str``
+    for an option that takes a value (one of ``choices`` when given), or
+    ``None`` for a flag that stores ``const``."""
 
-    parser = _Parser(prog="twuality", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    dest: str
+    default: object = None
+    type: type | None = str
+    choices: tuple = ()
+    const: object = None
+    required: bool = False
+    help: str = ""
 
-    def add(name, fn, kind=SetSystem, **kw):
-        p = sub.add_parser(name, parents=[common], **kw)
-        p.add_argument("file")
-        p.set_defaults(fn=fn, kind=kind)
-        return p
 
-    add("check", _cmd_check, help="properness / normality / exchange axiom / vf-safety report")
-    p = add("apply", _cmd_apply, help="apply a left-to-right operation string")
-    p.add_argument("--ops", required=True)
-    p = add("orbit", _cmd_orbit, help="breadth-first orbit enumeration")
-    p.add_argument("--iota", action="store_const", const="iota", default="full", dest="mode", help="flips only, no relabeling")
-    p = add("selftwual", _cmd_selftwual, help="search for stabilizing group elements")
-    p.add_argument("--uniform-only", action="store_const", const="uniform", default="all", dest="mode")
-    p = add("uniformize", _cmd_uniformize, help="conjugate a stabilizer into a uniform one")
-    p.add_argument("--gvec", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--g", required=True)
-    p = add("lift", _cmd_lift, help="lift a vf-safe system to its 3-matroid")
-    p.add_argument("--tau")
-    p.add_argument("--sigma")
-    p = add("extract", _cmd_extract, Multimatroid, help="extract the set system of a 3-matroid")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--sigma", required=True)
-    add("mm-check", _cmd_mm_check, Multimatroid, help="multimatroid axioms and tightness report")
-    p = add("orbit-via-lift", _cmd_orbit_via_lift, help="orbit through lift extractions")
-    p.add_argument("--iota", action="store_const", const="iota", default="full", dest="mode")
-    p.add_argument("--tau")
-    p.add_argument("--sigma")
-    p = sub.add_parser("ribbon", parents=[common], help="ribbon-graph commands")
-    p.add_argument("what", choices=("dm", "medial", "verify-t63"))
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_ribbon, kind=RibbonGraph)
-    return parser
+_HELP = _Opt("help", type=None, help="show this help message and exit")
+_TOP = {"-h": _HELP, "--help": _HELP}  # the only options before the command word
+_COMMON = {
+    **_TOP,
+    "--format": _Opt("format", "json", choices=("json", "text")),
+    "--max-n": _Opt("max_n", type=int, help="override the hard budget cap"),
+    "--threads": _Opt("threads", 1, int, help="accepted for compatibility; output is independent of it"),
+}
+_IOTA = {"--iota": _Opt("mode", "full", None, const="iota", help="flips only, no relabeling")}
+_TRIPLE = {"--tau": _Opt("tau"), "--sigma": _Opt("sigma")}
+
+
+class _Command:
+    """One row of the command table: the function, the kind of file it
+    reads, its options by option string (the common ones first) and its
+    positional words as ``(dest, choices)``: ``file``, after ``what`` when
+    ``what`` lists the choices of a word before it."""
+
+    def __init__(self, fn, kind, help, options=None, what=()):
+        self.fn, self.kind, self.help = fn, kind, help
+        self.options = {**_COMMON, **(options or {})}
+        self.positionals = ((("what", what),) if what else ()) + (("file", ()),)
+        self.defaults = {opt.dest: opt.default for opt in self.options.values() if opt is not _HELP}
+        self.defaults.update(fn=fn, kind=kind)
+        self.required = [(option, opt.dest) for option, opt in self.options.items() if opt.required]
+
+
+_COMMANDS = {
+    "check": _Command(_cmd_check, SetSystem, "properness / normality / exchange axiom / vf-safety report"),
+    "apply": _Command(
+        _cmd_apply, SetSystem, "apply a left-to-right operation string", {"--ops": _Opt("ops", required=True)}
+    ),
+    "orbit": _Command(_cmd_orbit, SetSystem, "breadth-first orbit enumeration", _IOTA),
+    "selftwual": _Command(
+        _cmd_selftwual,
+        SetSystem,
+        "search for stabilizing group elements",
+        {"--uniform-only": _Opt("mode", "all", None, const="uniform")},
+    ),
+    "uniformize": _Command(
+        _cmd_uniformize,
+        SetSystem,
+        "conjugate a stabilizer into a uniform one",
+        {"--gvec": _Opt("gvec", required=True), "--mu": _Opt("mu", required=True), "--g": _Opt("g", required=True)},
+    ),
+    "lift": _Command(_cmd_lift, SetSystem, "lift a vf-safe system to its 3-matroid", _TRIPLE),
+    "extract": _Command(
+        _cmd_extract,
+        Multimatroid,
+        "extract the set system of a 3-matroid",
+        {"--tau": _Opt("tau", required=True), "--sigma": _Opt("sigma", required=True)},
+    ),
+    "mm-check": _Command(_cmd_mm_check, Multimatroid, "multimatroid axioms and tightness report"),
+    "orbit-via-lift": _Command(_cmd_orbit_via_lift, SetSystem, "orbit through lift extractions", {**_IOTA, **_TRIPLE}),
+    "ribbon": _Command(_cmd_ribbon, RibbonGraph, "ribbon-graph commands", what=("dm", "medial", "verify-t63")),
+}
+
+# argparse's test for a negative number, which is a positional word and so a value
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class _Help(Exception):
+    """``-h`` or ``--help`` was given; the argument is the help text."""
+
+
+def _metavar(word: str, choices) -> str:
+    """How usage and help name a value: its choices, else ``word``."""
+    return "{%s}" % ",".join(choices) if choices else word
+
+
+def _spelled(option: str, opt: _Opt) -> str:
+    """An option as usage and help write it, with a metavar when it takes a value."""
+    return option if opt.type is None else f"{option} {_metavar(opt.dest.upper(), opt.choices)}"
+
+
+def _usage(name: str | None) -> str:
+    """The usage line of command ``name``, or of the program when ``None``."""
+    if name is None:
+        return "usage: twuality [-h] {%s} ..." % ",".join(_COMMANDS)
+    command = _COMMANDS[name]
+    spelled = [(_spelled(o, opt), opt.required) for o, opt in command.options.items() if opt is not _HELP]
+    options = [text if required else f"[{text}]" for text, required in spelled]
+    words = [_metavar(dest, choices) for dest, choices in command.positionals]
+    return " ".join(["usage: twuality", name, "[-h]", *options, *words])
+
+
+def _help(name: str | None) -> str:
+    """The usage line, a description, then a line per command, or per
+    positional word and option of command ``name``."""
+    if name is None:
+        about, rows = __doc__.splitlines()[0], [(command, entry.help) for command, entry in _COMMANDS.items()]
+    else:
+        command = _COMMANDS[name]
+        rows = [(_metavar(dest, choices), "") for dest, choices in command.positionals]
+        options = [("-h, --help" if o == "--help" else _spelled(o, opt), opt.help) for o, opt in command.options.items()]
+        rows += options[1:]  # "-h" and "--help" share one row
+        about = command.help
+    return "\n".join([_usage(name), "", about, ""] + [f"  {left:<24}{right}".rstrip() for left, right in rows]) + "\n"
+
+
+def _refuse(message: str, name: str | None) -> ValidationError:
+    """An argv error in argparse's words, then the usage line of the
+    program (``name`` None) or of command ``name``."""
+    return ValidationError(f"{message}\n{_usage(name)}")
+
+
+def _read_option(word: str, options: dict, name: str | None):
+    """What argparse reads ``word`` as: ``None`` for a positional word
+    (a negative number among them), else ``(option string, explicit value
+    or None)``, the option string ``None`` for an unknown option.  A
+    unique prefix of an option string names it; ``--name=value`` and
+    ``-hVALUE`` carry an explicit value."""
+    if word[:1] != "-" or word == "-":
+        return None
+    if word in options:
+        return word, None
+    head, eq, value = word.partition("=")
+    if eq and head in options:
+        return head, value
+    if word[1] == "-":
+        prefix, explicit = (head, value) if eq else (word, None)
+        hits = [(option, explicit) for option in options if option.startswith(prefix)]
+    else:
+        hits = [(word[:2], word[2:])] if word[:2] in options else []
+    if len(hits) > 1:
+        matches = ", ".join(option for option, _ in hits)
+        raise _refuse(f"ambiguous option: {clipped(word)} could match {matches}", name)
+    if hits:
+        return hits[0]
+    return None if _NEGATIVE_NUMBER.match(word) or " " in word else (None, None)
+
+
+def _checked(label: str, word: str, choices, name: str | None) -> str:
+    """``word``, refused unless it is one of ``choices``."""
+    if word not in choices:
+        listed = ", ".join(map(repr, choices))
+        raise _refuse(f"argument {label}: invalid choice: {quoted(word)} (choose from {listed})", name)
+    return word
+
+
+def _value(option: str, opt: _Opt, text: str, name: str | None):
+    """The value ``text`` gives an option that takes one, refused as
+    argparse refuses it."""
+    if opt.type is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _refuse(f"argument {option}: invalid int value: {quoted(text)}", name) from None
+    return _checked(option, text, opt.choices, name) if opt.choices else text
+
+
+def _flag(option: str, opt: _Opt, explicit: str | None, name: str | None):
+    """The value of a flag; ``-h`` or ``--help`` raises ``_Help``.  A flag
+    takes no value: argparse reads each ``h`` after ``-h`` as ``-h``
+    again, and refuses whatever else follows."""
+    if explicit and option[1] != "-":
+        explicit = explicit.lstrip("h") or None
+    if explicit is not None:
+        label = "-h/--help" if opt is _HELP else option
+        raise _refuse(f"argument {label}: ignored explicit argument {quoted(explicit)}", name)
+    if opt is _HELP:
+        raise _Help(_help(name))
+    return opt.const
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The arguments of ``argv`` as argparse's two-level parse read them:
+    the command word, then the command's function, kind of file,
+    positional words and the value of each option.  Raises
+    ``ValidationError`` with argparse's wording and a usage line, or
+    ``_Help``."""
+    extras = []  # unrecognized words, in argv order
+    for at, word in enumerate(argv):
+        hit = None if word == "--" else _read_option(word, _TOP, None)
+        if hit is None:
+            break
+        if hit[0] is None:
+            extras.append(word)
+        else:
+            _flag(hit[0], _HELP, hit[1], None)
+    else:
+        raise _refuse("the following arguments are required: command", None)
+    if argv[at:] == ["--"]:  # a ``--`` with nothing after it names no command
+        raise _refuse("the following arguments are required: command", None)
+    name = _checked("command", word, _COMMANDS, None)
+    return _parse_command(name, argv[at + 1 :], extras)
+
+
+def _parse_command(name: str, words: list[str], extras: list[str]) -> SimpleNamespace:
+    """The namespace of command ``name`` from the words after it.  Options
+    may come anywhere, abbreviated to a unique prefix, as ``--name value``
+    or ``--name=value``; the last of an option given twice wins; every word
+    after the first ``--`` is positional.  Every word is read before any
+    is taken, so an ambiguous option is refused first, as argparse does."""
+    command = _COMMANDS[name]
+    hits, marker = [], False
+    for word in words:
+        if marker or word == "--":
+            hits.append(None if marker else word)
+            marker = True
+        else:
+            hits.append(_read_option(word, command.options, name))
+    values, seen, filled = dict(command.defaults), set(), 0
+    # a ``--`` next to a positional word is dropped, else it is unrecognized
+    after_positional = stray = False
+    at = 0
+    while at < len(words):
+        word, hit = words[at], hits[at]
+        at += 1
+        if hit is None and filled < len(command.positionals):
+            dest, choices = command.positionals[filled]
+            values[dest] = _checked(dest, word, choices, name) if choices else word
+            filled += 1
+            after_positional, stray = True, False
+        elif hit == "--":
+            stray = not after_positional
+        elif hit is None or hit[0] is None:
+            extras.extend(("--", word) if stray else (word,))
+            after_positional = stray = False
+        else:
+            after_positional = False
+            option, explicit = hit
+            opt = command.options[option]
+            if opt.type is None:
+                values[opt.dest] = _flag(option, opt, explicit, name)
+            else:
+                if explicit is None:
+                    if at == len(words) or hits[at] is not None:
+                        raise _refuse(f"argument {option}: expected one argument", name)
+                    explicit = words[at]
+                    at += 1
+                values[opt.dest] = _value(option, opt, explicit, name)
+            seen.add(opt.dest)
+    if stray:
+        extras.append("--")
+    missing = [dest for dest, _ in command.positionals[filled:]]
+    missing += [option for option, dest in command.required if dest not in seen]
+    if missing:
+        raise _refuse(f"the following arguments are required: {', '.join(missing)}", name)
+    if extras:
+        raise _refuse(f"unrecognized arguments: {clipped(' '.join(extras))}", None)
+    return SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
         if args.threads < 1:
             raise ValidationError("--threads must be positive")
         if args.max_n is not None and args.max_n < 0:
             raise ValidationError("--max-n must be non-negative")
         payload, code = args.fn(args.kind.from_json(_load_json(args.file)), args)
+    except _Help as shown:
+        sys.stdout.write(str(shown))
+        return 0
     except ValidationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -5,14 +5,19 @@ offending value in their messages."""
 QUOTE_LIMIT = 80
 
 
+def clipped(text: str) -> str:
+    """``text`` cut to its first ``QUOTE_LIMIT`` characters and ``…`` when
+    longer: for a message that names words of the command line as typed."""
+    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "…"
+
+
 def quoted(value) -> str:
     """``repr(value)``, cut to its first ``QUOTE_LIMIT`` characters and
     ``…`` when longer, so an error line stays short whatever it names.  A
     string is cut before its ``repr``, so its quotes stay whole."""
     if isinstance(value, str):
         return repr(value) if len(value) <= QUOTE_LIMIT else repr(value[:QUOTE_LIMIT]) + "…"
-    text = repr(value)
-    return text if len(text) <= QUOTE_LIMIT else text[:QUOTE_LIMIT] + "…"
+    return clipped(repr(value))
 
 
 class TwualityError(Exception):

@@ -138,7 +138,7 @@ class Projection:
 
 def _check_class_count(n) -> None:
     if type(n) is not int or not 0 <= n <= MAX_CLASSES:
-        raise ValidationError(f"class count must be an integer in 0..{MAX_CLASSES}, got {n!r}")
+        raise ValidationError(f"class count must be an integer in 0..{MAX_CLASSES}, got {quoted(n)}")
 
 
 def _index(choice: Iterable[int]) -> int:
@@ -260,16 +260,16 @@ class Multimatroid:
         table = 0
         for raw in data["bases"]:
             if not isinstance(raw, list) or len(raw) != n:
-                raise ValidationError(f"basis {raw!r} must list one member per class")
+                raise ValidationError(f"basis {quoted(raw)} must list one member per class")
             index = seen = 0
             for pair in raw:
                 if not (isinstance(pair, list) and len(pair) == 2):
-                    raise ValidationError(f"carrier element {pair!r} must be an [index, role] pair")
+                    raise ValidationError(f"carrier element {quoted(pair)} must be an [index, role] pair")
                 i, r = pair
                 if not (type(i) is int and 1 <= i <= n and type(r) is int and r in (1, 2, 3)):
-                    raise ValidationError(f"carrier element {pair!r} out of range")
+                    raise ValidationError(f"carrier element {quoted(pair)} out of range")
                 if seen >> i & 1:
-                    raise ValidationError(f"basis {raw!r} visits class {i} twice")
+                    raise ValidationError(f"basis {quoted(raw)} visits class {i} twice")
                 seen |= 1 << i
                 index |= r << 2 * (i - 1)
             if table >> index & 1:
@@ -417,9 +417,9 @@ def restrict(Z: Multimatroid, X: Iterable[tuple[int, int]]) -> Restriction:
         try:
             i, r = pair
         except (TypeError, ValueError):
-            raise ValidationError(f"carrier element {pair!r} must be an (index, role) pair") from None
+            raise ValidationError(f"carrier element {quoted(pair)} must be an (index, role) pair") from None
         if not (type(i) is int and 1 <= i <= Z.n and type(r) is int and r in (1, 2, 3)):
-            raise ValidationError(f"carrier element {pair!r} out of range")
+            raise ValidationError(f"carrier element {quoted(pair)} out of range")
         allowed[i - 1].add(r)
     independents = _independents(Z)
     inside, extendable = independents, 0

@@ -29,7 +29,7 @@ import functools
 import itertools
 from typing import Sequence
 
-from .errors import BudgetError, ConsistencyError, ValidationError
+from .errors import BudgetError, ConsistencyError, ValidationError, quoted
 from .multimatroid import Multimatroid, _check_class_count, _is_reference_lift, _role_steps, _zeros
 from .set_system import MAX_GROUND, SetSystem, VF_SAFE_DEFAULT_CAP
 from .set_system import _exchange_failures, _is_binary, _value_type, _vf_safety
@@ -73,9 +73,9 @@ class RibbonGraph:
         if not isinstance(vertices, (list, tuple)) or not all(
             isinstance(rot, (list, tuple)) for rot in vertices
         ):
-            raise ValidationError(f"vertices {vertices!r} must be a list of rotation lists")
+            raise ValidationError(f"vertices {quoted(vertices)} must be a list of rotation lists")
         if not isinstance(edges, (list, tuple)):
-            raise ValidationError(f"edges {edges!r} must be a list")
+            raise ValidationError(f"edges {quoted(edges)} must be a list")
         n = len(edges)
         slots, misplaced = [None] * n, False
         set_ends, set_sign, set_label = RibbonEdge.ends.__set__, RibbonEdge.sign.__set__, RibbonEdge.label.__set__
@@ -90,13 +90,13 @@ class RibbonGraph:
                 except KeyError as missing:
                     raise ValidationError(f"edge object missing key {missing}") from None
             else:
-                raise ValidationError(f"edge {e!r} must be [ends, sign, label]")
+                raise ValidationError(f"edge {quoted(e)} must be [ends, sign, label]")
             if not isinstance(ends, (list, tuple)) or len(ends) != 2 or ends[0] == ends[1]:
-                raise ValidationError(f"edge ends {ends!r} must be two distinct half-edges")
+                raise ValidationError(f"edge ends {quoted(ends)} must be two distinct half-edges")
             if type(sign) is not int or sign not in (1, -1):
-                raise ValidationError(f"edge sign must be +1 or -1, got {sign!r}")
+                raise ValidationError(f"edge sign must be +1 or -1, got {quoted(sign)}")
             if type(label) is not int:
-                raise ValidationError(f"edge label {label!r} must be an integer")
+                raise ValidationError(f"edge label {quoted(label)} must be an integer")
             if 0 < label <= n and slots[label - 1] is None:
                 slots[label - 1] = edge = object.__new__(RibbonEdge)
                 set_ends(edge, tuple(ends))
@@ -111,7 +111,7 @@ class RibbonGraph:
         if {*map(type, rot_ids), *map(type, end_ids)} - {int} or min(rot_ids + end_ids, default=1) < 1:
             for h in rot_ids + end_ids:
                 if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-                    raise ValidationError(f"half-edge id {h!r} must be a positive integer")
+                    raise ValidationError(f"half-edge id {quoted(h)} must be a positive integer")
         rot_set, end_set = set(rot_ids), set(end_ids)
         if len(rot_set) != len(rot_ids):
             raise ValidationError("a half-edge appears twice in the rotations")

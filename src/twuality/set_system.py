@@ -50,7 +50,7 @@ from enum import Enum
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator
 
-from .errors import BudgetError, ConsistencyError, ValidationError
+from .errors import BudgetError, ConsistencyError, ValidationError, quoted
 
 MAX_GROUND = 16
 
@@ -63,7 +63,7 @@ def _iter_checked(items, what: str) -> Iterator:
     try:
         return iter(items)
     except TypeError:
-        raise ValidationError(f"{what} must be iterable, got {items!r}") from None
+        raise ValidationError(f"{what} must be iterable, got {quoted(items)}") from None
 
 
 def mask_of(members: Iterable[int], n: int) -> int:
@@ -71,7 +71,7 @@ def mask_of(members: Iterable[int], n: int) -> int:
     mask = 0
     for i in _iter_checked(members, "a subset"):
         if not isinstance(i, int) or isinstance(i, bool):
-            raise ValidationError(f"element {i!r} is not an integer")
+            raise ValidationError(f"element {quoted(i)} is not an integer")
         if not 1 <= i <= n:
             raise ValidationError(f"element {i} out of range 1..{n}")
         bit = 1 << (i - 1)
@@ -272,11 +272,11 @@ class SetSystem:
 
     def __init__(self, n: int, masks: Iterable[int] = ()):
         if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_GROUND:
-            raise ValidationError(f"ground size must be an integer in 0..{MAX_GROUND}, got {n!r}")
+            raise ValidationError(f"ground size must be an integer in 0..{MAX_GROUND}, got {quoted(n)}")
         table = 0
         for m in _iter_checked(masks, "the masks"):
             if type(m) is not int or m < 0 or m >> n:
-                raise ValidationError(f"mask {m!r} does not encode a subset of [{n}]")
+                raise ValidationError(f"mask {quoted(m)} does not encode a subset of [{n}]")
             table |= 1 << m
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", table)
@@ -339,7 +339,7 @@ class SetSystem:
             raise ValidationError("set-system object needs 'n' and 'feasible'")
         n = data["n"]
         if not isinstance(n, int) or isinstance(n, bool) or not 0 <= n <= MAX_GROUND:
-            raise ValidationError(f"'n' must be an integer in 0..{MAX_GROUND}, got {n!r}")
+            raise ValidationError(f"'n' must be an integer in 0..{MAX_GROUND}, got {quoted(n)}")
         fam = data["feasible"]
         if not isinstance(fam, list):
             raise ValidationError("'feasible' must be a list of lists")

@@ -126,8 +126,12 @@ compared against.
   first, joining open paths at their ends and undoing each join on the
   way back, and reads the last vertex's kept options off the pairing of
   the two paths still open.
+* ``argparse_oracle``: the command line parsed by argparse, a top-level
+  parser with one subparser per command.  The CLI reads argv once off its
+  command table, with argparse's syntax and error wording.
 """
 
+import argparse
 import collections
 import itertools
 import math
@@ -157,7 +161,20 @@ from twuality.multimatroid import (
     extract,
     lift,
 )
+from twuality.cli import (
+    _cmd_apply,
+    _cmd_check,
+    _cmd_extract,
+    _cmd_lift,
+    _cmd_mm_check,
+    _cmd_orbit,
+    _cmd_orbit_via_lift,
+    _cmd_ribbon,
+    _cmd_selftwual,
+    _cmd_uniformize,
+)
 from twuality.ribbon import (
+    RibbonGraph,
     TRANSITION_NAMES,
     MedialLiftReport,
     medial,
@@ -1092,3 +1109,62 @@ def transition_matroid_oracle(M):
         if split_components_oracle(M, names) == k_full:
             bases.append(choice)
     return Multimatroid(M.n, bases)
+
+
+class ArgparseRefusal(Exception):
+    """An argv error of ``argparse_oracle``: the message, then argparse's
+    usage text."""
+
+
+class _RefusingParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise ArgparseRefusal(f"{message}\n{self.format_usage()}")
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The parser the CLI built before its command table: common options
+    from a parent parser, one subparser per command setting ``fn`` and
+    ``kind``.  ``parse_args`` returns the namespace, raises
+    ``ArgparseRefusal`` on bad argv, and prints help and exits 0 on
+    ``-h``."""
+    common = _RefusingParser(add_help=False)
+    common.add_argument("--format", choices=("json", "text"), default="json")
+    common.add_argument("--max-n", type=int, default=None, help="override the hard budget cap")
+    common.add_argument("--threads", type=int, default=1, help="accepted for compatibility; output is independent of it")
+
+    parser = _RefusingParser(prog="twuality", description="Command-line surface.")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_RefusingParser)
+
+    def add(name, fn, kind=SetSystem, **kw):
+        p = sub.add_parser(name, parents=[common], **kw)
+        p.add_argument("file")
+        p.set_defaults(fn=fn, kind=kind)
+        return p
+
+    add("check", _cmd_check, help="properness / normality / exchange axiom / vf-safety report")
+    p = add("apply", _cmd_apply, help="apply a left-to-right operation string")
+    p.add_argument("--ops", required=True)
+    p = add("orbit", _cmd_orbit, help="breadth-first orbit enumeration")
+    p.add_argument("--iota", action="store_const", const="iota", default="full", dest="mode", help="flips only, no relabeling")
+    p = add("selftwual", _cmd_selftwual, help="search for stabilizing group elements")
+    p.add_argument("--uniform-only", action="store_const", const="uniform", default="all", dest="mode")
+    p = add("uniformize", _cmd_uniformize, help="conjugate a stabilizer into a uniform one")
+    p.add_argument("--gvec", required=True)
+    p.add_argument("--mu", required=True)
+    p.add_argument("--g", required=True)
+    p = add("lift", _cmd_lift, help="lift a vf-safe system to its 3-matroid")
+    p.add_argument("--tau")
+    p.add_argument("--sigma")
+    p = add("extract", _cmd_extract, Multimatroid, help="extract the set system of a 3-matroid")
+    p.add_argument("--tau", required=True)
+    p.add_argument("--sigma", required=True)
+    add("mm-check", _cmd_mm_check, Multimatroid, help="multimatroid axioms and tightness report")
+    p = add("orbit-via-lift", _cmd_orbit_via_lift, help="orbit through lift extractions")
+    p.add_argument("--iota", action="store_const", const="iota", default="full", dest="mode")
+    p.add_argument("--tau")
+    p.add_argument("--sigma")
+    p = sub.add_parser("ribbon", parents=[common], help="ribbon-graph commands")
+    p.add_argument("what", choices=("dm", "medial", "verify-t63"))
+    p.add_argument("file")
+    p.set_defaults(fn=_cmd_ribbon, kind=RibbonGraph)
+    return parser

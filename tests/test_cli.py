@@ -33,10 +33,10 @@ from twuality import (
     twist,
 )
 import twuality
-from twuality import set_system
+from twuality import cli, set_system
 from twuality.multimatroid import PERM3
-from twuality.cli import _text_lines, build_parser, main
-from twuality.errors import QUOTE_LIMIT, quoted
+from twuality.cli import _text_lines, main
+from twuality.errors import QUOTE_LIMIT, ValidationError, quoted
 
 import ribbon_catalog as cat
 from conftest import set_systems, vf_walk_families
@@ -69,6 +69,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """``python -m twuality`` in a fresh interpreter: exit code, stdout, stderr."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(twuality.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "twuality", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def run_json(capsys, *argv):
@@ -775,19 +784,230 @@ class TestHarness:
         assert RibbonGraph.from_json(json.loads(json.dumps(G.to_json()))).to_json() == G.to_json()
 
 
+# a value each option of the command table accepts
+_VALUES = {
+    "--format": "text",
+    "--max-n": "3",
+    "--threads": "2",
+    "--ops": "*{1}",
+    "--gvec": "*,+,+",
+    "--mu": "[1,2,3]",
+    "--g": "~",
+    "--tau": "[[1,2,3]]",
+    "--sigma": "[1]",
+}
+_ORACLE = oracles.argparse_oracle()
+
+
+def _options(name):
+    """The options of command ``name`` other than help, by option string."""
+    return {option: opt for option, opt in cli._COMMANDS[name].options.items() if option not in ("-h", "--help")}
+
+
+def _required(name):
+    """Each required option of command ``name`` with its value."""
+    return [word for option, opt in _options(name).items() if opt.required for word in (option, _VALUES[option])]
+
+
+def _base(name):
+    """The shortest valid argv of command ``name``: its words, then each
+    required option with its value."""
+    return [name] + (["dm"] if name == "ribbon" else []) + ["in.json"] + _required(name)
+
+
+def _abbreviation(name, option):
+    """The shortest prefix of ``option`` that no other option of ``name``
+    starts with, else ``option`` itself (``--g`` begins ``--gvec``)."""
+    others = [o for o in cli._COMMANDS[name].options if o != option]
+    prefixes = (option[:k] for k in range(3, len(option)) if not any(o.startswith(option[:k]) for o in others))
+    return next(prefixes, option)
+
+
+def _valid_argv():
+    """Every command and option: each option after and before the file, as
+    ``--name value``, ``--name=value`` and its shortest abbreviation; a
+    ``--`` before the file, negative values, and an option given twice."""
+    cases = []
+    for name in cli._COMMANDS:
+        base = _base(name)
+        words = base[: len(base) - len(_required(name))]
+        cases += [base, [name] + _required(name) + ["--"] + words[1:]]
+        for option, opt in _options(name).items():
+            short = _abbreviation(name, option)
+            if opt.type is None:
+                cases += [base + [option], base + [short], base[:1] + [option] + base[1:]]
+                continue
+            value = _VALUES[option]
+            cases += [
+                base + [option, value],
+                base + [f"{option}={value}"],
+                base + [short, value],
+                base + [f"{short}={value}"],
+                base[:1] + [option, value] + base[1:],
+            ]
+        cases += [
+            base + ["--max-n", "-1"],
+            base + ["--threads", "-3"],
+            base + ["--format", "text", "--format", "json"],
+            base + ["--max-n", "2", "--max-n=5"],
+        ]
+    cases += [["lift", "in.json", "--sigma", "-1"], ["apply", "in.json", "--ops", "-1 x"], ["check", "-1"]]
+    cases += [["check", "in.json", "--"], ["check", "--", "-x"], ["ribbon", "verify-t63", "--", "in.json"]]
+    return cases
+
+
+def _bad_argv():
+    """Argv that argparse refuses: missing, unknown, ambiguous and extra
+    arguments, bad choices, bad ints, an option missing its value, a flag
+    given a value, and ``--`` in each place it can stand."""
+    cases = [
+        [],
+        ["frobnicate", "in.json"],
+        ["--max-n", "3", "check", "in.json"],
+        ["--frob", "check", "in.json", "--frob2"],
+        ["--"],
+        ["--", "check", "in.json"],
+        ["--help=1"],
+        ["-hx"],
+        ["ribbon"],
+        ["ribbon", "foo", "in.json"],
+        ["ribbon", "dm", "in.json", "medial"],
+        ["lift", "in.json", "--t"],
+        ["lift", "in.json", "--t=5"],
+        ["lift", "in.json", "--s", "[1]", "--max-n", "x", "--t"],
+        ["check", "in.json", "--=x"],
+        ["check", "in.json", "-x"],
+        ["check", "in.json", "-1"],
+        ["check", "in.json", "-"],
+        ["check", "in.json", "---x"],
+        ["check", "in.json", "--max-n", "-x"],
+        ["check", "in.json", "--max-n", "-1e3"],
+        ["check", "in.json", "--max-n", "-.5"],
+        ["check", "in.json", "--max-n", "--", "3"],
+        ["check", "in.json", "--max-n", "1", "--max-n", "x"],
+        ["check", "in.json", "--format="],
+        ["check", "in.json", "--format", "-1"],
+        ["check", "in.json", "g", "--", "h"],
+        ["check", "in.json", "--max-n", "3", "--"],
+        ["check", "in.json", "--", "--max-n"],
+        ["check", "--frob", "--"],
+        ["check", "-h=x"],
+        ["check", "-hhx"],
+        ["orbit", "in.json", "--iota", "--"],
+        ["orbit", "in.json", "--iota="],
+        ["extract", "in.json"],
+        ["uniformize", "in.json", "--g", "~"],
+    ]
+    for name in cli._COMMANDS:
+        base = _base(name)
+        cases += [[name], base + ["extra"], base + ["--frob"], base + ["--help=x"]]
+        for option, opt in _options(name).items():
+            if opt.type is None:
+                cases.append(base + [f"{option}=1"])
+                continue
+            cases += [base + [option], base + [option, "--frob"]]
+            if opt.type is int or opt.choices:
+                cases += [base + [option, "x"], base + [f"{_abbreviation(name, option)}=1.5"]]
+    return cases
+
+
+class TestArgv:
+    """The command table's parse against ``oracles.argparse_oracle``, the
+    argparse parser it replaced."""
+
+    def test_valid_argv_parses_as_argparse_did(self):
+        """The namespace of each valid argv, ``command`` aside."""
+        cases = _valid_argv()
+        assert len(cases) > 200
+        differ = []
+        for argv in cases:
+            expected = vars(_ORACLE.parse_args(argv))
+            del expected["command"]
+            if vars(cli._parse(argv)) != expected:
+                differ.append(argv)
+        assert differ == []
+
+    def test_bad_argv_is_refused_in_argparse_words(self, capsys):
+        """Exit 1, nothing on stdout, argparse's ``error:`` line word for
+        word, then its usage on one line."""
+        cases = _bad_argv()
+        assert len(cases) > 100
+        differ = []
+        for argv in cases:
+            with pytest.raises(oracles.ArgparseRefusal) as refusal:
+                _ORACLE.parse_args(argv)
+            message, usage = str(refusal.value).split("\n", 1)
+            if run(capsys, *argv) != (1, "", f"error: {message}\n{' '.join(usage.split())}\n"):
+                differ.append(argv)
+        assert differ == []
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--he"], ["-hh"], ["--frob", "-h"], *([name, "--help"] for name in cli._COMMANDS)]
+    )
+    def test_help_is_written_to_stdout(self, capsys, argv):
+        """``-h`` or ``--help``, or an abbreviation, writes the help to
+        stdout and exits 0: the usage line, then a line per command, or
+        per option of the command, as argparse's help does."""
+        with pytest.raises(SystemExit) as done, contextlib.redirect_stdout(io.StringIO()):
+            _ORACLE.parse_args(argv)
+        assert done.value.code == 0
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        name = argv[-2] if argv[-1] == "--help" else None
+        assert out.startswith(cli._usage(name) + "\n\n")
+        listed = cli._COMMANDS if name is None else _options(name)
+        assert all(f"\n  {word}" in out for word in listed)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--threads=--"], "argument --threads: invalid int value: '--'"),
+            (["--max-n=--"], "argument --max-n: invalid int value: '--'"),
+            (["--format=--"], "argument --format: invalid choice: '--' (choose from 'json', 'text')"),
+        ],
+    )
+    def test_dashes_given_with_equals_are_the_value(self, capsys, cone_file, argv, message):
+        """``--name=--`` gives ``--`` as the value.  argparse dropped it and
+        stored an empty list, which ended in a traceback or, for
+        ``--format``, in the text format."""
+        code, out, err = run(capsys, "check", cone_file, *argv)
+        assert (code, out) == (1, "") and err.startswith(f"error: {message}\nusage: twuality check ")
+
+    def test_dashes_given_with_equals_reach_the_command(self, capsys, cone_file):
+        assert run(capsys, "apply", cone_file, "--ops=--") == (1, "", "error: bad operation token '--'\n")
+
+    @pytest.mark.parametrize(
+        "argv, head",
+        [
+            (
+                ["uniformize", FILE, "--gvec", "*,+,+", "--mu", "[1,2,3]", "--g", "~", "--max-n", "x" * 5000],
+                "argument --max-n: invalid int value: '" + "x" * 80 + "'…",
+            ),
+            (["check", FILE, "--" + "x" * 5000], "unrecognized arguments: --" + "x" * 78 + "…"),
+            (["check", FILE] + ["x"] * 5000, "unrecognized arguments: " + "x " * 40 + "…"),
+            (["lift", FILE, "--t=" + "x" * 5000], "ambiguous option: --t=" + "x" * 76 + "… could match --threads, --tau"),
+            (["check", FILE, "--format", "x" * 5000], "argument --format: invalid choice: '" + "x" * 80 + "'… (choose"),
+            (["ribbon", "x" * 5000, FILE], "argument what: invalid choice: '" + "x" * 80 + "'… (choose"),
+            (["x" * 5000, FILE], "argument command: invalid choice: '" + "x" * 80 + "'… (choose"),
+            (["orbit", FILE, "--iota=" + "x" * 5000], "argument --iota: ignored explicit argument '" + "x" * 80 + "'…\n"),
+        ],
+        ids=["bad-int", "unknown-option", "many-extras", "ambiguous", "format", "what", "command", "flag-value"],
+    )
+    def test_long_argv_word_is_quoted_up_to_the_bound(self, capsys, cone_file, argv, head):
+        """The ``error:`` line quotes the first ``QUOTE_LIMIT`` characters
+        of the word it refuses, then ``…``, and stays under 300
+        characters; the usage line follows."""
+        code, out, err = run(capsys, *with_file(argv, cone_file))
+        line, usage = err.split("\n", 1)
+        assert (code, out) == (1, "") and (line + "\n").startswith(f"error: {head}")
+        assert len(line) < 300 and usage.startswith("usage: twuality") and usage.count("\n") == 1
+
+
 class TestModuleEntryPoint:
     def test_python_m_twuality(self, tmp_path, capsys, cone_file):
         """``python -m twuality`` in a fresh interpreter: a malformed file
         exits 1 with one ``error:`` line and no traceback, and a valid
         ``check`` exits 0 with the stdout of ``main`` in-process."""
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(twuality.__file__)))
-
-        def run_module(*argv):
-            done = subprocess.run(
-                [sys.executable, "-m", "twuality", *argv], capture_output=True, text=True, env=env, timeout=60
-            )
-            return done.returncode, done.stdout, done.stderr
-
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
         code, out, err = run_module("check", str(bad))
@@ -802,6 +1022,15 @@ _MU = ["uniformize", FILE, "--gvec", "*,+,+", "--g", "~", "--mu"]
 
 def _ribbon(vertices, edges):
     return {"vertices": vertices, "edges": edges}
+
+
+# values of a file too long to quote whole: 20,000 members, 200 members, 200 characters
+_MANY_KEYS = {str(k): 1 for k in range(20_000)}
+_MANY_ONES = [1] * 20_000
+_MANY_PAIRS = [[1, 1]] * 20_000
+_KEYS_200 = {str(k): 1 for k in range(200)}
+_ONES_200 = [1] * 200
+_X_200 = "x" * 200
 
 
 class TestInputBoundary:
@@ -842,6 +1071,36 @@ class TestInputBoundary:
         code, out, err = run(capsys, "check", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"n": 1,\r\n "feasible": [[1]]}\r\n',
+            b'{"n": 1,\r "feasible": [[1]]}\r',
+            b'{"n": 1,\r\n\r "feasible": [[1]],\r\n oops}',
+            b'{"n": 1,\r\n "feasible": [["\r\n"]]}',
+            b'{"n": 1,\r\n "feasible": [["\r"]]}',
+            b'{"n": 1,\r\n "feasible": [[1]]}\r\n\xff',
+            b'\xef\xbb\xbf{"n": 0, "feasible": []}',
+        ],
+        ids=["crlf", "cr", "crlf-error", "crlf-in-string", "cr-in-string", "crlf-not-utf8", "bom"],
+    )
+    def test_file_reads_as_a_text_mode_read(self, tmp_path, content):
+        """The file is read as bytes and decoded here; its value, or the
+        decoder's message with its positions, is that of ``json.load`` on
+        the file opened in text mode, where ``\\r\\n`` and ``\\r`` read as
+        ``\\n``."""
+        path = tmp_path / "in.json"
+        path.write_bytes(content)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                expected = json.load(fh)
+        except ValueError as exc:  # a ``JSONDecodeError`` or a ``UnicodeDecodeError``
+            with pytest.raises(ValidationError) as refused:
+                cli._load_json(str(path))
+            assert str(refused.value).endswith(f": {exc}")
+        else:
+            assert cli._load_json(str(path)) == expected
 
     @pytest.mark.parametrize(
         "argv, payload, message",
@@ -973,21 +1232,52 @@ class TestInputBoundary:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv, payload, value, message",
+        [
+            (_DM, _ribbon(_MANY_KEYS, []), _MANY_KEYS, "vertices {} must be a list of rotation lists"),
+            (_DM, _ribbon([], _KEYS_200), _KEYS_200, "edges {} must be a list"),
+            (_DM, _ribbon([], [_X_200]), _X_200, "edge {} must be [ends, sign, label]"),
+            (_DM, _ribbon([], [[_ONES_200, 1, 1]]), _ONES_200, "edge ends {} must be two distinct half-edges"),
+            (_DM, _ribbon([], [[[1, 2], _ONES_200, 1]]), _ONES_200, "edge sign must be +1 or -1, got {}"),
+            (_DM, _ribbon([], [[[1, 2], 1, _ONES_200]]), _ONES_200, "edge label {} must be an integer"),
+            (_DM, _ribbon([[_X_200]], [[[1, 2], 1, 1]]), _X_200, "half-edge id {} must be a positive integer"),
+            (["check", FILE], {"n": _MANY_ONES, "feasible": []}, _MANY_ONES, "'n' must be an integer in 0..16, got {}"),
+            (["check", FILE], {"n": 2, "feasible": [[_X_200]]}, _X_200, "element {} is not an integer"),
+            (["mm-check", FILE], {"n": _ONES_200, "bases": []}, _ONES_200, "class count must be an integer in 0..10, got {}"),
+            (["mm-check", FILE], {"n": 1, "bases": [_MANY_PAIRS]}, _MANY_PAIRS, "basis {} must list one member per class"),
+            (["mm-check", FILE], {"n": 1, "bases": [[_ONES_200]]}, _ONES_200, "carrier element {} must be an [index, role] pair"),
+            (["mm-check", FILE], {"n": 1, "bases": [[[1, _X_200]]]}, [1, _X_200], "carrier element {} out of range"),
+        ],
+        ids=[
+            "vertices", "edges", "edge", "edge-ends", "sign", "label", "half-edge",
+            "n", "element", "class-count", "basis", "carrier", "carrier-range",
+        ],
+    )
+    def test_long_file_value_is_quoted_up_to_the_bound(self, capsys, tmp_path, argv, payload, value, message):
+        """A message that quotes a value read from the file quotes the
+        first ``QUOTE_LIMIT`` characters of its ``repr`` (of a text, of the
+        text), then ``…``: one short line, however large the value."""
+        cut = repr(value[:80]) if isinstance(value, str) else repr(value)[:80]
+        code, out, err = run(capsys, *with_file(argv, write(tmp_path, "in.json", payload)))
+        assert (code, out, err) == (1, "", "error: " + message.format(cut + "…") + "\n")
+        assert len(err) < 300
+
     def test_ground_size_checked_before_sets(self, capsys, tmp_path):
         path = write(tmp_path, "big.json", {"n": 99, "feasible": [[1]]})
         assert run(capsys, "check", path)[2] == "error: 'n' must be an integer in 0..16, got 99\n"
 
     def test_parser_reuse_matches_fresh_parser(self, capsys, cone_file):
+        """The calls in turn in one process print what each prints in a
+        fresh interpreter, so no call leaves a changed table default for
+        the next."""
         calls = [
             ("orbit", cone_file, "--iota"),
             ("orbit", cone_file),
             ("check", cone_file, "--format", "text"),
             ("check", cone_file),
         ]
-        fresh = []
-        for argv in calls:
-            build_parser.cache_clear()
-            fresh.append(run(capsys, *argv))
+        fresh = [run_module(*argv) for argv in calls]
         assert [run(capsys, *argv) for argv in calls] == fresh
         assert fresh[0] != fresh[1] and fresh[2] != fresh[3]
 

@@ -504,6 +504,16 @@ class TestRestrict:
         with pytest.raises(ValidationError):
             restrict(Z, 5)
 
+    @pytest.mark.parametrize(
+        "pair, message",
+        [((1,) * 100, "carrier element {} must be an (index, role) pair"), ((1, 10**200), "carrier element {} out of range")],
+        ids=["pair", "range"],
+    )
+    def test_long_pair_is_quoted_up_to_the_bound(self, pair, message):
+        with pytest.raises(ValidationError) as refused:
+            restrict(Multimatroid(1, [(1,)]), [pair])
+        assert str(refused.value) == message.format(repr(pair)[:80] + "…")
+
     @pytest.mark.parametrize("pair", [(1, True), (1, 1.0), (True, 1)])
     def test_rejects_bool_and_non_int_members(self, pair):
         with pytest.raises(ValidationError):

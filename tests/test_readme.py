@@ -1,14 +1,14 @@
 """The README against the code it documents: the Budgets cap sentence
-against the cap constants, the CLI table against the parser, and the
-value-type sentence against the classes declared with ``_value_type``."""
+against the cap constants, the CLI table against the command table, and
+the value-type sentence against the classes declared with
+``_value_type``."""
 
-import argparse
 import ast
 import pathlib
 import re
 
 import twuality
-from twuality.cli import build_parser
+from twuality.cli import _COMMANDS
 from twuality.multimatroid import LIFT_CAP, MULTIMATROID_CAP, ORBIT_VIA_LIFT_CAPS
 from twuality.orbit_engine import ORBIT_CAPS, STABILIZER_CAPS
 from twuality.ribbon import MEDIAL_LIFT_CAP, QUASI_TREE_CAP, TRANSITION_MATROID_CAP
@@ -41,14 +41,13 @@ def test_budget_caps_match_the_constants():
 
 def test_cli_table_lists_the_parser_commands():
     """Each row of the table names one command, the words before ``FILE``,
-    with the ``ribbon`` subcommands spelled out; the parser has exactly
-    those."""
+    with the ``ribbon`` subcommands spelled out; the command table has
+    exactly those."""
     rows = re.findall(r"^\| `([^`]*?) FILE\b", _section("Command-line interface"), re.M)
-    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     expected = set()
-    for name, parser in commands.choices.items():
-        what = [a.choices for a in parser._actions if a.dest == "what"]
-        expected.update([f"{name} {sub}" for sub in what[0]] if what else [name])
+    for name, command in _COMMANDS.items():
+        what = dict(command.positionals).get("what", ())
+        expected.update([f"{name} {sub}" for sub in what] or [name])
     assert len(rows) == len(set(rows))
     assert set(rows) == expected
 

@@ -113,6 +113,25 @@ class TestSetSystemType:
         with pytest.raises(ValidationError):
             ss(2, [5])
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda big: SetSystem(big, []), "ground size must be an integer in 0..16, got {}"),
+            (lambda big: SetSystem(2, [big]), "mask {} does not encode a subset of [2]"),
+            (lambda big: SetSystem(2, big), "the masks must be iterable, got {}"),
+            (lambda big: ss(2, big), "the sets must be iterable, got {}"),
+            (lambda big: ss(2, [big]), "a subset must be iterable, got {}"),
+        ],
+        ids=["ground-size", "mask", "masks", "sets", "subset"],
+    )
+    def test_long_value_is_quoted_up_to_the_bound(self, make, message):
+        """A value with a 201-character ``repr`` is quoted to its first 80
+        characters, then ``…``."""
+        big = 10**200
+        with pytest.raises(ValidationError) as refused:
+            make(big)
+        assert str(refused.value) == message.format(repr(big)[:80] + "…")
+
     def test_json_round_trip(self):
         D = ss(3, [(3,), (1, 3), (2, 3)])
         data = D.to_json()

@@ -1,9 +1,11 @@
 """The library imports nothing outside the standard library and itself,
 uses every name it imports, and its source parses at the oldest Python it
-supports."""
+supports; the command line loads no argument parser."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 import twuality
@@ -70,3 +72,12 @@ def test_every_import_is_used():
         for name in unused_imports(path)
     }
     assert unused == UNUSED_IMPORT_EXEMPT
+
+
+def test_cli_import_leaves_argparse_unloaded():
+    """``twuality.cli`` reads argv off its own command table: importing it,
+    in a fresh interpreter, loads no ``argparse``."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = "import sys, twuality.cli; print('argparse' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n")
