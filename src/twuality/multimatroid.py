@@ -52,7 +52,7 @@ class Carrier:
 
     def skew_class(self, i: int) -> tuple[tuple[int, int], ...]:
         if type(i) is not int or not 1 <= i <= self.n:
-            raise ValidationError(f"class index {i!r} out of range 1..{self.n}")
+            raise ValidationError(f"class index {quoted(i)} out of range 1..{self.n}")
         return ((i, 1), (i, 2), (i, 3))
 
     def elements(self) -> tuple[tuple[int, int], ...]:
@@ -208,7 +208,7 @@ class Multimatroid:
         for b in _iter_checked(bases, "the bases"):
             b = tuple(_iter_checked(b, "a basis"))
             if len(b) != n or any(type(r) is not int or not 1 <= r <= 3 for r in b):
-                raise ValidationError(f"basis {b} is not a transversal choice on {n} classes")
+                raise ValidationError(f"basis {quoted(b)} is not a transversal choice on {n} classes")
             table |= 1 << _index(b)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "table", table)
@@ -554,7 +554,7 @@ def triple_flip(tau: TransversalTriple, g: Flip, i: int) -> TransversalTriple:
     and 2, loop complementation swaps 2 and 3, the dual twist swaps 1 and
     3, and composites act as the corresponding slot permutations."""
     if type(i) is not int or not 1 <= i <= tau.n:
-        raise ValidationError(f"class index {i!r} out of range 1..{tau.n}")
+        raise ValidationError(f"class index {quoted(i)} out of range 1..{tau.n}")
     new_roles = tuple(g.perm[slot - 1] for slot in tau.roles[i - 1])
     return TransversalTriple(tau.roles[: i - 1] + (new_roles,) + tau.roles[i:])
 
@@ -624,7 +624,7 @@ def _orbit_via_lift_tables(
     table is swapped once per position (``_swap_adjacent``) and a new one
     kept and swapped in turn."""
     if mode not in ORBIT_VIA_LIFT_CAPS:
-        raise ValidationError(f"mode must be 'full' or 'iota', got {mode!r}")
+        raise ValidationError(f"mode must be 'full' or 'iota', got {quoted(mode)}")
     cap = ORBIT_VIA_LIFT_CAPS[mode] if max_n is None else max_n
     if D.n > cap:
         raise BudgetError.capped(f"orbit_via_lift({mode})", f"n <= {cap}", D.n, 6, "triples")

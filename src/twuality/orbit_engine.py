@@ -29,13 +29,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import reduce
 
-from .errors import BudgetError, ConsistencyError, ValidationError
+from .errors import BudgetError, ConsistencyError, ValidationError, quoted
 from .set_system import (
-    RibbonLoopClass,
     SetSystem,
     VF_SAFE_DEFAULT_CAP,
     _HALVES,
@@ -44,10 +42,8 @@ from .set_system import (
     _swap_adjacent,
     _systems_text,
     _value_type,
-    classify_element,
     is_vf_safe,
     loop_complement,
-    min_max_matroids,
     twist,
     twist1,  # noqa: F401  (unused; perfbench's self-test checks that its tracer patches this import)
 )
@@ -241,7 +237,7 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
     state: the states, their words and so the JSON are unchanged.
     """
     if mode not in ORBIT_CAPS:
-        raise ValidationError(f"orbit mode must be 'full' or 'iota', got {mode!r}")
+        raise ValidationError(f"orbit mode must be 'full' or 'iota', got {quoted(mode)}")
     cap = ORBIT_CAPS[mode] if max_n is None else max_n
     n = D.n
     if n > cap:
@@ -287,7 +283,7 @@ def stabilizer_search(
     level costs one flip per table.
     """
     if mode not in STABILIZER_CAPS:
-        raise ValidationError(f"stabilizer mode must be 'all' or 'uniform', got {mode!r}")
+        raise ValidationError(f"stabilizer mode must be 'all' or 'uniform', got {quoted(mode)}")
     cap = STABILIZER_CAPS[mode] if max_n is None else max_n
     n = D.n
     if n > cap:
@@ -412,28 +408,21 @@ def uniformize(
 def normalize_rep(D: SetSystem, max_n: int = VF_SAFE_DEFAULT_CAP) -> SetSystem:
     """Orbit representative that is normal with no feasible singletons.
 
-    Twists by the least minimum-cardinality feasible set, then applies
-    loop complementation at every element whose singleton is feasible.
-    The output is checked to classify every element as an orientable
-    ribbon loop; a violation is reported as a warning rather than assumed
-    away.
+    Twists by the least feasible set, which shortlex order makes a set of
+    least cardinality, then applies loop complementation at every element
+    whose singleton is feasible.  Every element of the result is then an
+    orientable ribbon loop: with ``∅`` feasible and no singleton feasible,
+    ``∅`` is the only minimum-cardinality set, so no element meets one; the
+    twist at ``i`` makes ``{i}`` feasible and ``∅`` infeasible, so ``{i}``
+    is a minimum-cardinality set that holds ``i``.  The result lies in the
+    orbit of a vf-safe ``D``, so it is a delta-matroid, as that
+    classification asks.
     """
     if not is_vf_safe(D, max_n=max_n):
         raise ValidationError("normalize_rep requires a vf-safe delta-matroid")
-    dmin, _ = min_max_matroids(D)
-    normal = twist(D, dmin.feasible_sets()[0])
+    normal = twist(D, D.feasible_sets()[0])
     singles = [i for i in range(1, D.n + 1) if normal.has_mask(1 << (i - 1))]
     rep = loop_complement(normal, singles)
     if not rep.is_normal or any(rep.has_mask(1 << (i - 1)) for i in range(1, D.n + 1)):
         raise ConsistencyError("normalized representative is not normal/singleton-free")
-    bad = [
-        i
-        for i in range(1, D.n + 1)
-        if classify_element(rep, i) is not RibbonLoopClass.ORIENTABLE_LOOP
-    ]
-    if bad:
-        warnings.warn(
-            f"normalized representative has non-orientable elements {bad}: {rep!r}",
-            stacklevel=2,
-        )
     return rep

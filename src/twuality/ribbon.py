@@ -284,7 +284,7 @@ def split_components(Fm: FourRegularGraph, T: Sequence[str]) -> int:
         raise ValidationError(f"transition system must choose at all {Fm.n} medial vertices")
     for name in T:
         if name not in TRANSITION_NAMES:
-            raise ValidationError(f"unknown transition {name!r}")
+            raise ValidationError(f"unknown transition {quoted(name)}")
     end = list(Fm.corner)
     count = Fm.free_loops
     for pairs, name in zip(Fm.pairs, T):

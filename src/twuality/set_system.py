@@ -73,7 +73,7 @@ def mask_of(members: Iterable[int], n: int) -> int:
         if not isinstance(i, int) or isinstance(i, bool):
             raise ValidationError(f"element {quoted(i)} is not an integer")
         if not 1 <= i <= n:
-            raise ValidationError(f"element {i} out of range 1..{n}")
+            raise ValidationError(f"element {quoted(i)} out of range 1..{n}")
         bit = 1 << (i - 1)
         if mask & bit:
             raise ValidationError(f"duplicate element {i}")

@@ -125,7 +125,7 @@ def reduce_word(word: str | Iterable[str]) -> Flip:
         elif ch == "+":
             out = flip_mul(out, PLUS)
         else:
-            raise ValidationError(f"word letter must be '*' or '+', got {ch!r}")
+            raise ValidationError(f"word letter must be '*' or '+', got {quoted(ch)}")
     return out
 
 
@@ -139,10 +139,10 @@ class Perm:
         try:
             images = tuple(images)
         except TypeError:
-            raise ValidationError(f"permutation images {images!r} must be iterable") from None
+            raise ValidationError(f"permutation images {quoted(images)} must be iterable") from None
         n = len(images)
         if not {*map(type, images)} <= {int} or sorted(images) != list(range(1, n + 1)):
-            raise ValidationError(f"{list(images)} is not a permutation of 1..{n}")
+            raise ValidationError(f"{quoted(list(images))} is not a permutation of 1..{n}")
         object.__setattr__(self, "images", images)
 
     @staticmethod
@@ -227,7 +227,7 @@ def parse_perm(text: str, n: int) -> Perm:
             cyc = _parse_ints(group, f"bad cycle {quoted(group)}")
             for i in cyc:
                 if not 1 <= i <= n:
-                    raise ValidationError(f"cycle entry {i} out of range 1..{n}")
+                    raise ValidationError(f"cycle entry {quoted(i)} out of range 1..{n}")
                 if i in seen:
                     raise ValidationError(f"element {i} repeated across cycles")
                 seen.add(i)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import settings, strategies as st
 
-from twuality import SetSystem, set_system
+from twuality import SetSystem, ValidationError, set_system
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -36,6 +36,16 @@ def assert_frozen(value, *names):
         value.extra = None
     with pytest.raises(AttributeError):
         del value.extra
+
+
+def assert_quoted_up_to_the_bound(call, value, message):
+    """``call(value)`` raises a ``ValidationError`` whose message is
+    ``message`` with the first 80 characters of the ``repr`` of ``value``
+    (of a text, of the text) and ``…`` in place of ``{}``."""
+    with pytest.raises(ValidationError) as refused:
+        call(value)
+    cut = repr(value[:80]) if isinstance(value, str) else repr(value)[:80]
+    assert str(refused.value) == message.format(cut + "…")
 
 
 def subset_of(n):

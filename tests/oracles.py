@@ -22,6 +22,12 @@ compared against.
   forest in at most two edges, ``O(n**2)`` splits of the medial.  The
   library keeps the black/white splits that keep the component count, in
   one depth-first walk over all ``2**n``.
+* ``normalize_rep_oracle``: the orbit representative by the route it
+  took before: the twist by the first set of ``min_max_matroids``' lower
+  matroid, loop complementation at the feasible singletons, then
+  ``classify_element`` on every element and a warning for any that is
+  not an orientable ribbon loop.  The library twists by the least
+  feasible set and proves the classification instead of running it.
 * ``check_report_oracle``: the ``check`` report by the route it took
   before, the exchange walk on every input and then vf-safety.  The
   library decides vf-safety first and walks exchange only on a refusal.
@@ -135,20 +141,24 @@ import argparse
 import collections
 import itertools
 import math
+import warnings
 from collections import deque
 
 from twuality import (
     FLIPS,
     ONE,
     Perm,
+    RibbonLoopClass,
     STAR,
     STAR_PLUS,
     SetSystem,
     StabilizerHit,
     TwualityElement,
     act,
+    classify_element,
     is_delta_matroid,
     is_vf_safe,
+    min_max_matroids,
     uniform_flip,
 )
 from twuality.multimatroid import (
@@ -607,6 +617,19 @@ def vf_safe_oracle(D):
                     seen.add(nxt)
                     queue.append(nxt)
     return True
+
+
+def normalize_rep_oracle(D):
+    """``normalize_rep(D)`` for a vf-safe ``D``, each element of the result
+    classified, with a warning naming those that are not orientable ribbon
+    loops."""
+    dmin, _ = min_max_matroids(D)
+    normal = twist(D, dmin.feasible_sets()[0])
+    rep = loop_complement(normal, [i for i in range(1, D.n + 1) if normal.has_mask(1 << (i - 1))])
+    bad = [i for i in range(1, D.n + 1) if classify_element(rep, i) is not RibbonLoopClass.ORIENTABLE_LOOP]
+    if bad:
+        warnings.warn(f"normalized representative has non-orientable elements {bad}: {rep!r}", stacklevel=2)
+    return rep
 
 
 def check_report_oracle(D):

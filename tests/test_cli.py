@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 
@@ -1015,6 +1016,14 @@ class TestModuleEntryPoint:
         assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
         assert run_module("check", cone_file) == run(capsys, "check", cone_file)
 
+    def test_main_module_in_process(self, capsys, monkeypatch, cone_file):
+        """``twuality.__main__`` run as ``__main__`` in this process reads
+        ``sys.argv`` and exits with the code and output of ``main``."""
+        monkeypatch.setattr(sys, "argv", ["twuality", "check", cone_file])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_module("twuality", run_name="__main__")
+        assert (done.value.code, *capsys.readouterr()) == run(capsys, "check", cone_file)
+
 
 _DM = ["ribbon", "dm", FILE]
 _MU = ["uniformize", FILE, "--gvec", "*,+,+", "--g", "~", "--mu"]
@@ -1031,6 +1040,8 @@ _MANY_PAIRS = [[1, 1]] * 20_000
 _KEYS_200 = {str(k): 1 for k in range(200)}
 _ONES_200 = [1] * 200
 _X_200 = "x" * 200
+# an integer of 4,001 digits, under the limit ``int`` converts
+_BIG = 10**4000
 
 
 class TestInputBoundary:
@@ -1127,6 +1138,8 @@ class TestInputBoundary:
             (["lift", FILE, "--sigma", "(1 2)(3 z)"], CONE, "bad cycle '3 z'"),
             (["check", FILE, "--threads", "0"], CONE, "--threads must be positive"),
             (["apply", FILE, "--ops", "*{1,1}"], CONE, "repeated element in '*{1,1}'"),
+            (["uniformize", FILE, "--gvec", "1,1", "--mu", "[1,2,3]", "--g", "~"], CONE, "flip vector has 2 entries, expected 3"),
+            (_MU + ["(1 5)"], CONE, "cycle entry 5 out of range 1..3"),
         ],
     )
     def test_each_check_names_its_fault(self, capsys, tmp_path, argv, payload, message):
@@ -1158,33 +1171,40 @@ class TestInputBoundary:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1 and len(err) < 300
 
     @pytest.mark.parametrize(
-        "argv, text, message",
+        "argv, text, value, message",
         [
-            (["apply", FILE, "--ops"], "x" * 200, "bad operation token {}"),
-            (["apply", FILE, "--ops"], "*{" + "1," * 99 + "1}", "repeated element in {}"),
-            (_MU, "[" + "1," * 100, "unterminated one-line permutation {}"),
-            (_MU, "[" + "x," * 100 + "]", "bad one-line permutation {}"),
-            (_MU, "(1 2)" + "x" * 200, "bad cycle notation {}"),
-            (_MU, "(" + "1 " * 100 + "x)", "bad cycle {}"),
-            (_MU, "z" * 200, "unrecognized permutation syntax {}"),
-            (["lift", FILE, "--sigma"], "z" * 200, "unrecognized permutation syntax {}"),
-            (["lift", FILE, "--tau"], "[" * 81, "bad transversal triple {}: "),
-            (["uniformize", FILE, "--gvec", "*,+,+", "--mu", "[1,2,3]", "--g"], "x" * 200, "unknown flip token {}"),
-            (["uniformize", FILE, "--mu", "[1,2,3]", "--g", "~", "--gvec"], "*,+," + "x" * 200, "unknown flip token {}"),
+            (["apply", FILE, "--ops"], "x" * 200, "x" * 200, "bad operation token {}"),
+            (["apply", FILE, "--ops"], "*{" + "1," * 99 + "1}", "*{" + "1," * 99 + "1}", "repeated element in {}"),
+            (_MU, "[" + "1," * 100, "[" + "1," * 100, "unterminated one-line permutation {}"),
+            (_MU, "[" + "x," * 100 + "]", "[" + "x," * 100 + "]", "bad one-line permutation {}"),
+            (_MU, "(1 2)" + "x" * 200, "(1 2)" + "x" * 200, "bad cycle notation {}"),
+            (_MU, "(" + "1 " * 100 + "x)", "1 " * 100 + "x", "bad cycle {}"),
+            (_MU, "z" * 200, "z" * 200, "unrecognized permutation syntax {}"),
+            (["lift", FILE, "--sigma"], "z" * 200, "z" * 200, "unrecognized permutation syntax {}"),
+            (["lift", FILE, "--tau"], "[" * 81, "[" * 81, "bad transversal triple {}: "),
+            (["uniformize", FILE, "--gvec", "*,+,+", "--mu", "[1,2,3]", "--g"], "x" * 200, "x" * 200, "unknown flip token {}"),
+            (["uniformize", FILE, "--mu", "[1,2,3]", "--g", "~", "--gvec"], "*,+," + "x" * 200, "x" * 200, "unknown flip token {}"),
+            (["apply", FILE, "--ops"], f"*{{{_BIG}}}", _BIG, "element {} out of range 1..3"),
+            (_MU, f"(1 {_BIG})", _BIG, "cycle entry {} out of range 1..3"),
+            (_MU, f"[1,2,{_BIG}]", [1, 2, _BIG], "{} is not a permutation of 1..3"),
+            (["lift", FILE, "--sigma"], f"[1,2,{_BIG}]", [1, 2, _BIG], "{} is not a permutation of 1..3"),
         ],
         ids=[
             "ops-junk", "ops-repeated", "mu-unterminated", "mu-one-line", "mu-notation",
             "mu-cycle", "mu-syntax", "sigma-syntax", "tau", "g", "gvec",
+            "ops-element", "mu-cycle-entry", "mu-images", "sigma-images",
         ],
     )
-    def test_long_argument_is_quoted_up_to_the_bound(self, capsys, tmp_path, argv, text, message):
-        """Each message that quotes an argument, or a token or cycle of
-        it, quotes its first ``QUOTE_LIMIT`` characters and then ``…``."""
+    def test_long_argument_is_quoted_up_to_the_bound(self, capsys, tmp_path, argv, text, value, message):
+        """Each message that quotes an argument, a token or cycle of it, or
+        an integer or image list read from it, quotes the first
+        ``QUOTE_LIMIT`` characters of its ``repr`` (of a text, of the text)
+        and then ``…``."""
         path = write(tmp_path, "in.json", CONE)
-        cycle = text[1:-1] if message.startswith("bad cycle {") else text.removeprefix("*,+,")
+        cut = repr(value[:80]) if isinstance(value, str) else repr(value)[:80]
         code, out, err = run(capsys, *with_file(argv, path), text)
         assert code == 1 and out == ""
-        assert err.startswith("error: " + message.format(repr(cycle[:80]) + "…")) and err.count("\n") == 1
+        assert err.startswith("error: " + message.format(cut + "…")) and err.count("\n") == 1
         assert len(err) < 300
 
     @pytest.mark.parametrize(
@@ -1248,10 +1268,11 @@ class TestInputBoundary:
             (["mm-check", FILE], {"n": 1, "bases": [_MANY_PAIRS]}, _MANY_PAIRS, "basis {} must list one member per class"),
             (["mm-check", FILE], {"n": 1, "bases": [[_ONES_200]]}, _ONES_200, "carrier element {} must be an [index, role] pair"),
             (["mm-check", FILE], {"n": 1, "bases": [[[1, _X_200]]]}, [1, _X_200], "carrier element {} out of range"),
+            (["check", FILE], {"n": 3, "feasible": [[_BIG]]}, _BIG, "element {} out of range 1..3"),
         ],
         ids=[
             "vertices", "edges", "edge", "edge-ends", "sign", "label", "half-edge",
-            "n", "element", "class-count", "basis", "carrier", "carrier-range",
+            "n", "element", "class-count", "basis", "carrier", "carrier-range", "element-range",
         ],
     )
     def test_long_file_value_is_quoted_up_to_the_bound(self, capsys, tmp_path, argv, payload, value, message):

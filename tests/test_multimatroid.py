@@ -39,7 +39,7 @@ from twuality import (
 )
 
 import ribbon_catalog
-from conftest import assert_frozen
+from conftest import assert_frozen, assert_quoted_up_to_the_bound
 from oracles import (
     _compatible,
     choices_oracle,
@@ -580,6 +580,20 @@ class TestTripleOperations:
             triple_flip(TransversalTriple.reference(2), STAR, 3)
         with pytest.raises(ValidationError):
             triple_flip(TransversalTriple.reference(2), STAR, True)
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [
+        (lambda b: Multimatroid(2, [b]), (1,) * 5000, "basis {} is not a transversal choice on 2 classes"),
+        (multimatroid.Carrier(3).skew_class, "x" * 5000, "class index {} out of range 1..3"),
+        (lambda i: triple_flip(TransversalTriple.reference(2), STAR, i), "x" * 5000, "class index {} out of range 1..2"),
+        (lambda mode: orbit_via_lift(SetSystem(1, [0]), mode=mode), "x" * 5000, "mode must be 'full' or 'iota', got {}"),
+    ],
+    ids=["basis", "skew-class", "triple-flip", "mode"],
+)
+def test_long_argument_is_quoted_up_to_the_bound(call, value, message):
+    assert_quoted_up_to_the_bound(call, value, message)
 
 
 class TestLiftInvariance:

@@ -42,11 +42,12 @@ from twuality.orbit_engine import _orbit_tries, _relabel_buckets
 from twuality.set_system import BITMAP_GROUND, _is_binary, _swap_adjacent, fold_flip, loop_complement1, relabel, twist1
 
 import ribbon_catalog as cat
-from conftest import assert_frozen, set_systems
+from conftest import assert_frozen, assert_quoted_up_to_the_bound, set_systems
 from oracles import (
     binary_table_oracle,
     burnside_class_count,
     burnside_orbit_count,
+    normalize_rep_oracle,
     orbit_oracle,
     orbit_walk_oracle,
     stabilizer_oracle,
@@ -187,6 +188,8 @@ class TestOrbit:
     def test_mode_validation(self):
         with pytest.raises(ValidationError):
             orbit(ss(1, [()]), mode="both")
+        message = "orbit mode must be 'full' or 'iota', got {}"
+        assert_quoted_up_to_the_bound(lambda mode: orbit(ss(1, [()]), mode=mode), "x" * 5000, message)
 
 
 class TestOrbitCensus:
@@ -437,6 +440,8 @@ class TestStabilizerSearch:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValidationError, match="^stabilizer mode must be 'all' or 'uniform', got 'iota'$"):
             stabilizer_search(D_FLAT, mode="iota")
+        message = "stabilizer mode must be 'all' or 'uniform', got {}"
+        assert_quoted_up_to_the_bound(lambda mode: stabilizer_search(D_FLAT, mode=mode), "x" * 5000, message)
 
     def test_hit_is_a_frozen_flat_value(self):
         hits = stabilizer_search(D_FLAT, mode="all")
@@ -709,3 +714,23 @@ class TestNormalizeRep:
                 warnings.simplefilter("error")
                 rep = normalize_rep(D)
             assert rep in set(orbit(D, mode="full").elements)
+
+    def test_matches_oracle_on_every_vf_safe_family(self):
+        """Every vf-safe family over [n], n <= 4 (the unsafe ones are
+        refused): the twist by the least set gives the oracle's
+        representative, and the oracle, which classifies every element of
+        it, warns on none: each is an orientable ribbon loop, as
+        ``normalize_rep``'s docstring proves."""
+        safe = 0
+        for n in range(5):
+            for table in range(1 << (1 << n)):
+                D = SetSystem.from_table(n, table)
+                try:
+                    rep = normalize_rep(D)
+                except ValidationError:
+                    continue
+                safe += 1
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert normalize_rep_oracle(D) == rep, D
+        assert safe == 3_925

@@ -35,7 +35,7 @@ from twuality import (
 from twuality import multimatroid, ribbon, set_system
 
 import ribbon_catalog as cat
-from conftest import assert_frozen
+from conftest import assert_frozen, assert_quoted_up_to_the_bound
 from oracles import (
     binary_quasi_tree_system,
     boundary_oracle,
@@ -291,6 +291,7 @@ class TestMedial:
             split_components(Fm, ())
         with pytest.raises(ValidationError):
             split_components(Fm, ("purple",))
+        assert_quoted_up_to_the_bound(lambda name: split_components(Fm, (name,)), "x" * 5000, "unknown transition {}")
 
 
 class TestMedialComponents:

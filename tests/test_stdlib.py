@@ -1,6 +1,7 @@
 """The library imports nothing outside the standard library and itself,
 uses every name it imports, and its source parses at the oldest Python it
-supports; the command line loads no argument parser."""
+supports; the command line loads no argument parser; no error it raises
+for bad input quotes a value whole."""
 
 import ast
 import os
@@ -72,6 +73,24 @@ def test_every_import_is_used():
         for name in unused_imports(path)
     }
     assert unused == UNUSED_IMPORT_EXEMPT
+
+
+def test_no_validation_error_quotes_with_repr():
+    """No f-string passed to a raised ``ValidationError`` converts a value
+    with ``!r``, whose text has no bound: ``errors.quoted`` cuts it to
+    ``QUOTE_LIMIT`` characters."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name) and exc.func.id == "ValidationError":
+                sites += [
+                    f"{path.name}:{value.lineno}"
+                    for arg in exc.args
+                    for value in ast.walk(arg)
+                    if isinstance(value, ast.FormattedValue) and value.conversion == ord("r")
+                ]
+    assert not sites
 
 
 def test_cli_import_leaves_argparse_unloaded():

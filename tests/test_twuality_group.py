@@ -33,7 +33,7 @@ from twuality import (
     vec_reindex,
 )
 
-from conftest import assert_frozen, set_systems
+from conftest import assert_frozen, assert_quoted_up_to_the_bound, set_systems
 from oracles import FLIP_WORDS, act_oracle, flip_oracle
 
 ss = SetSystem.from_sets
@@ -154,6 +154,9 @@ class TestReduceWord:
         with pytest.raises(ValidationError):
             reduce_word("*~")
 
+    def test_long_letter_is_quoted_up_to_the_bound(self):
+        assert_quoted_up_to_the_bound(lambda ch: reduce_word(["*", ch]), "x" * 5000, "word letter must be '*' or '+', got {}")
+
     @given(st.lists(st.sampled_from("*+"), max_size=6), set_systems(max_n=3), st.integers(1, 3))
     def test_letterwise_application_matches(self, word, D, i):
         assume(i <= D.n)
@@ -174,6 +177,14 @@ class TestPerm:
     def test_rejects_non_int_images_and_non_iterables(self, images):
         with pytest.raises(ValidationError):
             Perm(images)
+
+    @pytest.mark.parametrize(
+        "images, message",
+        [([1] * 5000, "{} is not a permutation of 1..5000"), (10**200, "permutation images {} must be iterable")],
+        ids=["images", "not-iterable"],
+    )
+    def test_long_images_are_quoted_up_to_the_bound(self, images, message):
+        assert_quoted_up_to_the_bound(Perm, images, message)
 
     def test_compose_and_inverse(self):
         p = Perm((2, 3, 1))
