@@ -47,8 +47,7 @@ from .multimatroid import (
 )
 from .orbit_engine import orbit, stabilizer_search, uniformize
 from .ribbon import RibbonGraph, delta_matroid_of, medial, verify_medial_lift
-from .set_system import SetSystem, VF_SAFE_DEFAULT_CAP, _canonical_order, _exchange_witness, _systems_text
-from .set_system import _vf_safety
+from .set_system import SetSystem, _canonical_order, _exchange_witness, _systems_text, _vf_safety
 from .twuality_group import (
     BAR,
     ONE,
@@ -71,18 +70,18 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
+    except OSError as exc:  # its text names the path again, so only its number and reason
+        raise ValidationError(f"cannot read {clipped(path)}: [Errno {exc.errno}] {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+        raise ValidationError(f"{clipped(path)} is not UTF-8 text: {exc}") from None
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except ValueError as exc:  # a ``JSONDecodeError``, or an integer literal too long for ``int``
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from None
+        raise ValidationError(f"{clipped(path)} is not valid JSON: {exc}") from None
     except RecursionError:
-        raise ValidationError(f"{path} nests its JSON too deeply") from None
+        raise ValidationError(f"{clipped(path)} nests its JSON too deeply") from None
 
 
 def _emit(payload, fmt: str) -> None:
@@ -175,9 +174,8 @@ def _parse_gvec(text: str, n: int):
 
 
 def _cmd_check(D, args) -> tuple[dict, int]:
-    cap = args.max_n if args.max_n is not None else VF_SAFE_DEFAULT_CAP
     # the closure walks exchange on D first, and its failure table is the witness's
-    vf_safe, bad = _vf_safety(D, cap, None)
+    vf_safe, bad = _vf_safety(D, args.max_n, None)
     witness = _exchange_witness(D, bad)
     payload = {
         "n": D.n,
@@ -227,8 +225,7 @@ def _cmd_uniformize(D, args) -> tuple[dict, int]:
 def _cmd_lift(D, args) -> tuple[str, int]:
     tau = _parse_triple(args.tau, D.n)
     sigma = _parse_projection(args.sigma, D.n)
-    kwargs = {} if args.max_n is None else {"max_n": args.max_n}
-    return lift(D, tau, sigma, **kwargs).canonical_json(), 0
+    return lift(D, tau, sigma, max_n=args.max_n).canonical_json(), 0
 
 
 def _cmd_extract(Z, args) -> tuple[dict, int]:
@@ -238,9 +235,8 @@ def _cmd_extract(Z, args) -> tuple[dict, int]:
 
 
 def _cmd_mm_check(Z, args) -> tuple[dict, int]:
-    kwargs = {} if args.max_n is None else {"max_n": args.max_n}
-    ok, witness = is_multimatroid(Z, **kwargs)
-    tight, tight_witness = is_tight(Z, **kwargs)
+    ok, witness = is_multimatroid(Z, max_n=args.max_n)
+    tight, tight_witness = is_tight(Z, max_n=args.max_n)
     return {
         "n": Z.n,
         "multimatroid": ok,
@@ -263,10 +259,9 @@ def _cmd_orbit_via_lift(D, args) -> tuple[str, int]:
 def _cmd_ribbon(G, args) -> tuple[dict, int]:
     if args.what == "medial":
         return medial(G).to_json(), 0
-    kwargs = {} if args.max_n is None else {"max_e": args.max_n}
     if args.what == "dm":
-        return delta_matroid_of(G, **kwargs).to_json(), 0
-    report = verify_medial_lift(G, **kwargs)
+        return delta_matroid_of(G, max_e=args.max_n).to_json(), 0
+    report = verify_medial_lift(G, max_e=args.max_n)
     return report.to_json(), 0 if report.equal else 3
 
 

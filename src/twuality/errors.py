@@ -32,10 +32,18 @@ class BudgetError(TwualityError):
     """An exhaustive routine was asked to exceed its hard cap."""
 
     @classmethod
-    def capped(cls, name: str, cap: str, n: int, base: int, work: str) -> "BudgetError":
-        """``name`` is capped at ``cap`` and was asked for ``n``, which would
-        take ``base**n`` units of ``work``; the message names them."""
-        return cls(f"{name} capped at {cap}, got {n} ({base}^{n} = {base**n:,} {work})")
+    def check(cls, name: str, n: int, max_n, default: int, size, work: str, unit: str = "n <= {}") -> None:
+        """The one budget gate: refuse ``n`` above ``name``'s cap ``max_n``
+        (``None`` means ``default``; else a non-negative ``int``, not a
+        ``bool``), naming the cap by ``unit`` and the ``work`` refused:
+        ``size^n`` units for an int ``size``, else ``size(n)``."""
+        if max_n is None:
+            max_n = default
+        elif type(max_n) is not int or max_n < 0:
+            raise ValidationError(f"{name} cap must be None or a non-negative int, got {quoted(max_n)}")
+        if n > max_n:
+            amount = size(n) if callable(size) else f"{size}^{n} = {size**n:,}"
+            raise cls(f"{name} capped at {unit.format(max_n)}, got {n} ({amount} {work})")
 
 
 class ConsistencyError(TwualityError):

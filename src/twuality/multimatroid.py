@@ -308,7 +308,7 @@ def _augmentation_failure(table: int, T: tuple[int, ...]) -> dict:
     raise ConsistencyError(f"transversal {list(T)} induces a matroid after all")
 
 
-def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
+def is_multimatroid(Z: Multimatroid, max_n: int | None = None):
     """Check both multimatroid axioms on the independents spanned by the
     bases; returns ``(flag, witness)`` with the first failure found.
 
@@ -338,10 +338,10 @@ def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     needs ``X + u``, ``X + y`` or ``X + u + y``.  Only the first failing
     transversal is scanned pair by pair, for its witness.  Axiom 2 is
     three masked table ops per class; its witness is the least failing
-    independent set as a tuple.
+    independent set as a tuple.  ``max_n`` caps ``Z.n``; ``None`` means
+    ``MULTIMATROID_CAP``.
     """
-    if Z.n > max_n:
-        raise BudgetError.capped("is_multimatroid", f"n <= {max_n}", Z.n, 3, "transversals")
+    BudgetError.check("is_multimatroid", Z.n, max_n, MULTIMATROID_CAP, 3, "transversals")
     n = Z.n
     independents = _independents(Z)
     if not independents:
@@ -372,14 +372,14 @@ def is_multimatroid(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
     return True, None
 
 
-def is_tight(Z: Multimatroid, max_n: int = MULTIMATROID_CAP):
+def is_tight(Z: Multimatroid, max_n: int | None = None):
     """Exactly one of the three one-class replacements of every basis must
     fail to be a basis; returns ``(flag, witness)``.  Per class ``k``,
     ``_split`` gathers each line of replacements at its digit-0 entry, in
     ``p_r`` for role ``r``; a line fails when it holds a basis but not
-    exactly two.  The witness is the least failing basis as a tuple."""
-    if Z.n > max_n:
-        raise BudgetError.capped("is_tight", f"n <= {max_n}", Z.n, 3, "transversals")
+    exactly two.  The witness is the least failing basis as a tuple.
+    ``max_n`` caps ``Z.n``; ``None`` means ``MULTIMATROID_CAP``."""
+    BudgetError.check("is_tight", Z.n, max_n, MULTIMATROID_CAP, 3, "transversals")
     n, table = Z.n, Z.table
     failing, bad = [], 0
     for k, zero in enumerate(_zeros(n)):
@@ -442,7 +442,7 @@ def lift(
     D: SetSystem,
     tau: TransversalTriple | None = None,
     sigma: Projection | None = None,
-    max_n: int = LIFT_CAP,
+    max_n: int | None = None,
     vf_cache: dict | None = None,
 ) -> Multimatroid:
     """The 3-matroid whose bases are the transversals ``B`` with the slot-2
@@ -453,17 +453,17 @@ def lift(
     ``D`` by its inverse.  ``_spread`` then sets the table bit
     with digit 2 at the classes of each feasible set and 1 elsewhere, and
     ``_role_steps`` gains each class's third slot and moves the slots to
-    their roles under ``tau``.
+    their roles under ``tau``.  ``max_n`` caps ``D.n``; ``None`` means
+    ``LIFT_CAP``.
     """
     n = D.n
-    if n > max_n:
-        raise BudgetError.capped("lift", f"n <= {max_n}", n, 3, "transversals")
+    BudgetError.check("lift", n, max_n, LIFT_CAP, 3, "transversals")
     _check_class_count(n)
     tau = TransversalTriple.reference(n) if tau is None else tau
     sigma = Projection.identity(n) if sigma is None else sigma
     if tau.n != n or sigma.n != n:
         raise ValidationError("triple/projection size must match the ground size")
-    if not is_vf_safe(D, max_n=max(n, 1), cache=vf_cache):
+    if not is_vf_safe(D, max_n=n, cache=vf_cache):
         raise ValidationError("lift requires a vf-safe delta-matroid")
     table = D.table
     if not sigma.relabel.is_identity():
@@ -625,13 +625,11 @@ def _orbit_via_lift_tables(
     kept and swapped in turn."""
     if mode not in ORBIT_VIA_LIFT_CAPS:
         raise ValidationError(f"mode must be 'full' or 'iota', got {quoted(mode)}")
-    cap = ORBIT_VIA_LIFT_CAPS[mode] if max_n is None else max_n
-    if D.n > cap:
-        raise BudgetError.capped(f"orbit_via_lift({mode})", f"n <= {cap}", D.n, 6, "triples")
     n = D.n
+    BudgetError.check(f"orbit_via_lift({mode})", n, max_n, ORBIT_VIA_LIFT_CAPS[mode], 6, "triples")
     tau = TransversalTriple.reference(n) if tau is None else tau
     sigma = Projection.identity(n) if sigma is None else sigma
-    Z = lift(D, tau, sigma, max_n=max(n, 1), vf_cache=vf_cache)
+    Z = lift(D, tau, sigma, max_n=n, vf_cache=vf_cache)
     seen = _extracted_tables(Z)
     if mode == "full":
         todo = list(seen)

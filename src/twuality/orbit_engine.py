@@ -35,7 +35,6 @@ from functools import reduce
 from .errors import BudgetError, ConsistencyError, ValidationError, quoted
 from .set_system import (
     SetSystem,
-    VF_SAFE_DEFAULT_CAP,
     _HALVES,
     _canonical_order,
     _plain_changes,
@@ -238,12 +237,9 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
     """
     if mode not in ORBIT_CAPS:
         raise ValidationError(f"orbit mode must be 'full' or 'iota', got {quoted(mode)}")
-    cap = ORBIT_CAPS[mode] if max_n is None else max_n
     n = D.n
-    if n > cap:
-        raise BudgetError(
-            f"orbit({mode}) capped at n <= {cap}, got {n} (up to {_group_size(n, mode)} elements)"
-        )
+    size = lambda k: f"up to {_group_size(k, mode)}"
+    BudgetError.check(f"orbit({mode})", n, max_n, ORBIT_CAPS[mode], size, "elements")
     tries = _orbit_tries(n, mode)
     paths: dict[int, str] = {D.table: ""}  # per state, its word text
     queue = [D.table]
@@ -284,13 +280,9 @@ def stabilizer_search(
     """
     if mode not in STABILIZER_CAPS:
         raise ValidationError(f"stabilizer mode must be 'all' or 'uniform', got {quoted(mode)}")
-    cap = STABILIZER_CAPS[mode] if max_n is None else max_n
     n = D.n
-    if n > cap:
-        raise BudgetError(
-            f"stabilizer_search({mode}) capped at n <= {cap}, got {n}"
-            f" ({_group_size(n, mode)} group elements)"
-        )
+    size = lambda k: _group_size(k, mode)
+    BudgetError.check(f"stabilizer_search({mode})", n, max_n, STABILIZER_CAPS[mode], size, "group elements")
     if mode == "uniform":
         gvecs = [(g,) * n for g in FLIPS[1:]] if n else []
         targets = [D.table] * 5
@@ -405,7 +397,7 @@ def uniformize(
     return UniformizationResult(hvec, target_system, g, mu)
 
 
-def normalize_rep(D: SetSystem, max_n: int = VF_SAFE_DEFAULT_CAP) -> SetSystem:
+def normalize_rep(D: SetSystem, max_n: int | None = None) -> SetSystem:
     """Orbit representative that is normal with no feasible singletons.
 
     Twists by the least feasible set, which shortlex order makes a set of
@@ -416,7 +408,8 @@ def normalize_rep(D: SetSystem, max_n: int = VF_SAFE_DEFAULT_CAP) -> SetSystem:
     twist at ``i`` makes ``{i}`` feasible and ``∅`` infeasible, so ``{i}``
     is a minimum-cardinality set that holds ``i``.  The result lies in the
     orbit of a vf-safe ``D``, so it is a delta-matroid, as that
-    classification asks.
+    classification asks.  ``max_n`` is ``is_vf_safe``'s cap; ``None``
+    means ``VF_SAFE_DEFAULT_CAP``.
     """
     if not is_vf_safe(D, max_n=max_n):
         raise ValidationError("normalize_rep requires a vf-safe delta-matroid")

@@ -362,16 +362,16 @@ def _kept_splits(Fm: FourRegularGraph, options: Sequence[Sequence[tuple[int, int
     return table
 
 
-def transition_matroid(Fm: FourRegularGraph, max_v: int = TRANSITION_MATROID_CAP) -> Multimatroid:
+def transition_matroid(Fm: FourRegularGraph, max_v: int | None = None) -> Multimatroid:
     """3-matroid on one skew class per medial vertex whose bases are the
     transition systems preserving the component count.  Roles follow the
     fixed order black = 1, white = 2, crossing = 3; the base-table bit of
-    a system is the sum of role·4^k over the medial vertices ``k``."""
+    a system is the sum of role·4^k over the medial vertices ``k``.
+    ``max_v`` caps the medial vertices; ``None`` means ``TRANSITION_MATROID_CAP``."""
     n = Fm.n
-    if n > max_v:
-        raise BudgetError.capped(
-            "transition matroid", f"{max_v} medial vertices", n, 3, "transition systems"
-        )
+    BudgetError.check(
+        "transition matroid", n, max_v, TRANSITION_MATROID_CAP, 3, "transition systems", "{} medial vertices"
+    )
     _check_class_count(n)
     return Multimatroid.from_table(n, _kept_splits(Fm, _transition_options(n)))
 
@@ -389,21 +389,21 @@ def boundary_components(G: RibbonGraph) -> int:
     return split_components(Fm, all_white(Fm))
 
 
-def _quasi_tree_system(G: RibbonGraph, max_e: int) -> SetSystem:
+def _quasi_tree_system(G: RibbonGraph, max_e: int | None) -> SetSystem:
     """Spanning quasi-trees of ``G``: ``A`` is one when the medial's split
     white on ``A``, black elsewhere, keeps the component count, i.e. ``(V, A)``
     has as many boundary walks as ``G`` has components (then as many components, too)."""
-    if G.n > max_e:
-        raise BudgetError.capped("quasi-tree enumeration", f"{max_e} edges", G.n, 2, "edge subsets")
+    BudgetError.check("quasi-tree enumeration", G.n, max_e, QUASI_TREE_CAP, 2, "edge subsets", "{} edges")
     if G.n > MAX_GROUND:
         raise ValidationError(f"ground size must be an integer in 0..{MAX_GROUND}, got {G.n}")
     options = [((0, 0), (1, 1 << k)) for k in range(G.n)]
     return SetSystem.from_table(G.n, _kept_splits(medial(G), options))
 
 
-def spanning_quasi_trees(G: RibbonGraph, max_e: int = QUASI_TREE_CAP) -> tuple[tuple[int, ...], ...]:
+def spanning_quasi_trees(G: RibbonGraph, max_e: int | None = None) -> tuple[tuple[int, ...], ...]:
     """Label sets of spanning subgraphs with as many components as ``G``,
-    each component having exactly one boundary walk, in shortlex order."""
+    each component having exactly one boundary walk, in shortlex order.
+    ``max_e`` caps the edges; ``None`` means ``QUASI_TREE_CAP``."""
     return _quasi_tree_system(G, max_e).feasible_sets()
 
 
@@ -414,7 +414,7 @@ def _checked_delta_matroid(G: RibbonGraph, D: SetSystem, vf_cache: dict | None) 
     reported first.  ``_vf_safety`` gives a refusal with its failure table,
     so the walk runs here only after a refusal by the binary certificate."""
     if G.n <= VF_SAFE_DEFAULT_CAP:
-        ok, bad = _vf_safety(D, VF_SAFE_DEFAULT_CAP, vf_cache)
+        ok, bad = _vf_safety(D, None, vf_cache)
         fault = "is not vf-safe"
     else:
         ok, fault = _is_binary(D.table, D.n), "is not binary"
@@ -427,10 +427,11 @@ def _checked_delta_matroid(G: RibbonGraph, D: SetSystem, vf_cache: dict | None) 
 
 
 def delta_matroid_of(
-    G: RibbonGraph, max_e: int = QUASI_TREE_CAP, vf_cache: dict | None = None
+    G: RibbonGraph, max_e: int | None = None, vf_cache: dict | None = None
 ) -> SetSystem:
     """Set system of spanning quasi-tree label sets; checked to satisfy
-    symmetric exchange and vf-safety (above the vf-safe cap, as binary)."""
+    symmetric exchange and vf-safety (above the vf-safe cap, as binary).
+    ``max_e`` caps the edges; ``None`` means ``QUASI_TREE_CAP``."""
     return _checked_delta_matroid(G, _quasi_tree_system(G, max_e), vf_cache)
 
 
@@ -461,7 +462,7 @@ _EQUAL_REPORT = MedialLiftReport(True, (), ())
 
 
 def verify_medial_lift(
-    G: RibbonGraph, max_e: int = MEDIAL_LIFT_CAP, vf_cache: dict | None = None
+    G: RibbonGraph, max_e: int | None = None, vf_cache: dict | None = None
 ) -> MedialLiftReport:
     """Compare the transition matroid of the medial with the lift of
     ``D(G)`` at the black/white/crossing triple, from one walk of the
@@ -487,11 +488,11 @@ def verify_medial_lift(
     against a half-edge boundary tracer in the tests.  An equal graph
     builds nothing and gets the shared ``_EQUAL_REPORT``; only a mismatch
     runs ``_role_steps``, builds the two difference tables and decodes
-    their bases."""
+    their bases.  ``max_e`` caps the edges; ``None`` means
+    ``MEDIAL_LIFT_CAP``."""
     n = G.n
-    if n > max_e:
-        raise BudgetError.capped("verification", f"{max_e} edges", n, 3, "transition systems")
-    medial_table = table = transition_matroid(medial(G), max_v=max_e).table
+    BudgetError.check("verification", n, max_e, MEDIAL_LIFT_CAP, 3, "transition systems", "{} edges")
+    medial_table = table = transition_matroid(medial(G), max_v=n).table
     for k, zero in enumerate(_zeros(n)):
         d = 1 << 2 * k
         table = (table >> d & zero) | (table >> 2 * d & zero) << (1 << k)

@@ -82,7 +82,9 @@ def mask_of(members: Iterable[int], n: int) -> int:
 
 
 def members_of(mask: int) -> tuple[int, ...]:
-    """Decode a bit mask into the ascending tuple of its elements."""
+    """Decode a bit mask, a non-negative ``int``, into its elements in order."""
+    if type(mask) is not int or mask < 0:
+        raise ValidationError(f"a mask must be a non-negative int, got {quoted(mask)}")
     return tuple(k + 1 for k in _masks_of_table(mask))
 
 
@@ -707,7 +709,7 @@ def _is_binary(table: int, n: int) -> bool:
 
 def is_vf_safe(
     D: SetSystem,
-    max_n: int = VF_SAFE_DEFAULT_CAP,
+    max_n: int | None = None,
     cache: dict | None = None,
 ) -> bool:
     """Whether every system reachable from ``D`` by single-element twists
@@ -734,19 +736,19 @@ def is_vf_safe(
     needs ``is_delta_matroid`` only on a ``False``.
 
     An optional ``cache`` dict memoizes verdicts across calls, one entry per
-    family asked about, keyed by ``(n, truth table)``.
+    family asked about, keyed by ``(n, truth table)``.  ``max_n`` caps
+    ``D.n``; ``None`` means ``VF_SAFE_DEFAULT_CAP``.
     """
     return _vf_safety(D, max_n, cache)[0]
 
 
-def _vf_safety(D: SetSystem, max_n: int, cache: dict | None) -> tuple[bool, int]:
+def _vf_safety(D: SetSystem, max_n: int | None, cache: dict | None) -> tuple[bool, int]:
     """``is_vf_safe(D, max_n, cache)`` and the exchange failure table of
     ``D`` (``_exchange_failures``), which ``_exchange_witness`` turns into
     ``is_delta_matroid(D)``: 0 with a ``True`` verdict or an improper ``D``.
     A ``False`` read from the cache walks exchange on ``D`` once for it."""
     n, table = D.n, D.table
-    if n > max_n:
-        raise BudgetError.capped("vf-safe closure", f"n <= {max_n}", n, 3, "twist classes")
+    BudgetError.check("vf-safe closure", n, max_n, VF_SAFE_DEFAULT_CAP, 3, "twist classes")
     safe = cache.get((n, table)) if cache is not None else None
     if safe is not None:
         return safe, 0 if safe else _exchange_failures(table, n)

@@ -132,6 +132,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", "/nonexistent/zzz.json")
         assert code == 1 and "cannot read" in err
 
+    def test_missing_file_names_path_errno_and_reason(self, capsys):
+        """The ``OSError`` part is its number and reason: its own text would
+        name the path a second time."""
+        assert run(capsys, "check", "/nonexistent/zzz.json") == (
+            1,
+            "",
+            "error: cannot read /nonexistent/zzz.json: [Errno 2] No such file or directory\n",
+        )
+
     @staticmethod
     def _old_route_inputs():
         """Seeded quasi-tree systems and their group translates, which are
@@ -754,10 +763,32 @@ class TestHarness:
         assert code == 1 and out == ""
         assert err == "error: --max-n must be non-negative\n"
 
+    @pytest.mark.parametrize(
+        "argv, payload, head",
+        [
+            (["check", FILE], CONE, "vf-safe closure capped at n <= 0"),
+            (["orbit", FILE], CONE, "orbit(full) capped at n <= 0"),
+            (["selftwual", FILE], CONE, "stabilizer_search(all) capped at n <= 0"),
+            (["lift", FILE], CONE, "lift capped at n <= 0"),
+            (["mm-check", FILE], {"n": 1, "bases": [[[1, 1]]]}, "is_multimatroid capped at n <= 0"),
+            (["orbit-via-lift", FILE], CONE, "orbit_via_lift(full) capped at n <= 0"),
+            (["ribbon", "dm", FILE], cat.twisted_loop().to_json(), "quasi-tree enumeration capped at 0 edges"),
+            (["ribbon", "verify-t63", FILE], cat.twisted_loop().to_json(), "verification capped at 0 edges"),
+        ],
+        ids=["check", "orbit", "selftwual", "lift", "mm-check", "orbit-via-lift", "ribbon-dm", "verify-t63"],
+    )
+    def test_max_n_reaches_the_engine(self, capsys, tmp_path, argv, payload, head):
+        """``--max-n 0`` is passed to the command's engine as its cap: a
+        nonempty input is refused, naming cap 0."""
+        path = write(tmp_path, "in.json", payload)
+        code, out, err = run(capsys, *with_file(argv, path), "--max-n", "0")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"budget exceeded: {head}, got ") and err.count("\n") == 1
+
     def test_internal_error_exit_code(self, capsys, tmp_path, monkeypatch):
         import twuality.cli as cli_mod
 
-        def broken(G):
+        def broken(G, max_e=None):
             raise ConsistencyError("quasi-tree family fails symmetric exchange")
 
         monkeypatch.setattr(cli_mod, "delta_matroid_of", broken)
@@ -1082,6 +1113,34 @@ class TestInputBoundary:
         code, out, err = run(capsys, "check", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    def test_long_path_is_clipped_to_the_bound(self, capsys):
+        """A 5,000-character path that cannot be opened is named once, by
+        its first ``QUOTE_LIMIT`` characters and ``…``."""
+        path = "a/" * 2497 + "x.json"
+        code, out, err = run(capsys, "check", path)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: cannot read {path[:80]}…: [Errno ") and err.count("\n") == 1
+        assert len(err) < 300
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe", "is not UTF-8 text: "),
+            (b"[" * 100_000, "nests its JSON too deeply"),
+            (b"{", "is not valid JSON: "),
+        ],
+        ids=["not-utf8", "deep-nesting", "not-json"],
+    )
+    def test_long_path_of_a_bad_file_is_clipped_to_the_bound(self, capsys, tmp_path, content, message):
+        """A readable file at a path over ``QUOTE_LIMIT`` characters: each
+        message names the path by its first 80 characters and ``…``."""
+        path = tmp_path / ("d" * 100) / "in.json"
+        path.parent.mkdir()
+        path.write_bytes(content)
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {str(path)[:80]}… {message}") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "content",

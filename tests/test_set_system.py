@@ -27,6 +27,7 @@ from twuality import (
     twist,
 )
 from twuality import set_system
+from twuality.errors import quoted
 import ribbon_catalog as cat
 from conftest import assert_frozen, set_systems, subset_of, vf_walk_families
 import oracles
@@ -304,6 +305,14 @@ class TestTruthTable:
         assert [members_of(m) for m in range(1 << 16)] == [
             oracles.members_of_oracle(m) for m in range(1 << 16)
         ]
+
+    @pytest.mark.parametrize("mask", [-1, -6, True, False, 5.0, "5", None, -(10**200)])
+    def test_members_of_refuses_what_is_not_a_mask(self, mask):
+        """A negative ``int`` or any other type is refused with one quoted
+        message, not decoded: ``-1`` once read as ``(1,)``, ``-6`` as ``(2, 3)``."""
+        with pytest.raises(ValidationError) as refused:
+            members_of(mask)
+        assert str(refused.value) == f"a mask must be a non-negative int, got {quoted(mask)}"
 
     @given(set_systems(max_n=5))
     def test_flips_match_frozenset_reference(self, D):

@@ -93,6 +93,29 @@ def test_no_validation_error_quotes_with_repr():
     assert not sites
 
 
+def budget_raises_outside_the_gate():
+    """``module:line`` of each ``raise`` outside ``errors.py`` of
+    ``BudgetError``, a call of it or a call of one of its attributes."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            target = exc.func if isinstance(exc, ast.Call) else exc
+            if isinstance(target, ast.Attribute):
+                target = target.value
+            if isinstance(target, ast.Name) and target.id == "BudgetError":
+                sites.append(f"{path.name}:{node.lineno}")
+    return sites
+
+
+def test_every_budget_refusal_goes_through_the_gate():
+    """Each cap is decided and its refusal worded by ``BudgetError.check``
+    alone, which raises itself: no module builds a ``BudgetError`` to raise."""
+    assert budget_raises_outside_the_gate() == []
+
+
 def test_cli_import_leaves_argparse_unloaded():
     """``twuality.cli`` reads argv off its own command table: importing it,
     in a fresh interpreter, loads no ``argparse``."""
