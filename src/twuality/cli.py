@@ -1,9 +1,10 @@
 """Command-line surface.
 
-Every subcommand reads canonical JSON files and writes canonical JSON to
-stdout (``--format text`` switches to a human-readable sketch).  One
-command table (``_COMMANDS``) holds each command's function, the kind of
-file it reads, its positional words and its options; ``_parse`` reads
+Every subcommand reads canonical JSON files and returns its result as
+canonical JSON text, which ``main`` alone writes to stdout; ``--format
+text`` writes the sketch of that text's value instead.  One command
+table (``_COMMANDS``) holds each command's function, the kind of file it
+reads, its positional words and its options; ``_parse`` reads
 argv once against it, with argparse's syntax (options anywhere after the
 command word, ``--name value`` or ``--name=value``, unique prefixes,
 ``--``, negative numbers as values, the last of a repeated option
@@ -84,17 +85,8 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"{clipped(path)} nests its JSON too deeply") from None
 
 
-def _emit(payload, fmt: str) -> None:
-    if fmt == "json":
-        if isinstance(payload, str):  # canonical JSON text the command wrote itself
-            text = payload
-        else:  # every payload is a tree built by a ``to_json``, so no cycle check
-            text = json.dumps(payload, sort_keys=True, separators=(",", ":"), check_circular=False)
-        sys.stdout.write(text)  # two writes: no copy of a large text
-        sys.stdout.write("\n")
-        return
-    for line in _text_lines(json.loads(payload) if isinstance(payload, str) else payload, ""):
-        sys.stdout.write(line + "\n")
+# the canonical text of a tree built by a ``to_json``, which holds no cycle
+_canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _text_lines(value, indent):
@@ -102,15 +94,12 @@ def _text_lines(value, indent):
     or a list of scalars (empty or not), follows its ``key:`` or ``-`` as
     compact JSON; a dict or a list holding containers opens a block below
     it, one level deeper."""
-    # a payload may hold tuples where its JSON holds arrays
     if isinstance(value, dict):
         items = ((f"{key}:", value[key]) for key in sorted(value))
     else:
         items = (("-", inner) for inner in value)
     for head, inner in items:
-        if isinstance(inner, dict) or (
-            isinstance(inner, (list, tuple)) and any(isinstance(x, (dict, list, tuple)) for x in inner)
-        ):
+        if isinstance(inner, dict) or (isinstance(inner, list) and any(isinstance(x, (dict, list)) for x in inner)):
             yield indent + head
             yield from _text_lines(inner, indent + "  ")
         else:
@@ -173,7 +162,7 @@ def _parse_gvec(text: str, n: int):
     return tuple(parse_flip(t) for t in tokens)
 
 
-def _cmd_check(D, args) -> tuple[dict, int]:
+def _cmd_check(D, args) -> tuple[str, int]:
     # the closure walks exchange on D first, and its failure table is the witness's
     vf_safe, bad = _vf_safety(D, args.max_n, None)
     witness = _exchange_witness(D, bad)
@@ -185,10 +174,10 @@ def _cmd_check(D, args) -> tuple[dict, int]:
         "witness": witness.to_json(),
         "vf_safe": vf_safe,
     }
-    return payload, 0
+    return _canonical(payload), 0
 
 
-def _cmd_apply(D, args) -> tuple[dict, int]:
+def _cmd_apply(D, args) -> tuple[str, int]:
     for op in _parse_ops(args.ops, D.n):
         if op[0] == "perm":
             D = act(TwualityElement((ONE,) * D.n, op[1]), D)
@@ -196,7 +185,7 @@ def _cmd_apply(D, args) -> tuple[dict, int]:
             _, flip, elems = op
             for i in elems:
                 D = apply_flip(D, flip, i)
-    return D.to_json(), 0
+    return _canonical(D.to_json()), 0
 
 
 def _cmd_orbit(D, args) -> tuple[str, int]:
@@ -215,11 +204,11 @@ def _cmd_selftwual(D, args) -> tuple[str, int]:
     return '{"count":%d,"hits":[%s]}' % (len(hits), ",".join(texts)), 0
 
 
-def _cmd_uniformize(D, args) -> tuple[dict, int]:
+def _cmd_uniformize(D, args) -> tuple[str, int]:
     gvec = _parse_gvec(args.gvec, D.n)
     mu = parse_perm(args.mu, D.n)
     g = parse_flip(args.g)
-    return uniformize(D, gvec, mu, g).to_json(), 0
+    return _canonical(uniformize(D, gvec, mu, g).to_json()), 0
 
 
 def _cmd_lift(D, args) -> tuple[str, int]:
@@ -228,22 +217,23 @@ def _cmd_lift(D, args) -> tuple[str, int]:
     return lift(D, tau, sigma, max_n=args.max_n).canonical_json(), 0
 
 
-def _cmd_extract(Z, args) -> tuple[dict, int]:
+def _cmd_extract(Z, args) -> tuple[str, int]:
     tau = _parse_triple(args.tau, Z.n)
     sigma = _parse_projection(args.sigma, Z.n)
-    return extract(Z, tau, sigma).to_json(), 0
+    return _canonical(extract(Z, tau, sigma).to_json()), 0
 
 
-def _cmd_mm_check(Z, args) -> tuple[dict, int]:
+def _cmd_mm_check(Z, args) -> tuple[str, int]:
     ok, witness = is_multimatroid(Z, max_n=args.max_n)
     tight, tight_witness = is_tight(Z, max_n=args.max_n)
-    return {
+    payload = {
         "n": Z.n,
         "multimatroid": ok,
         "witness": witness,
         "tight": tight,
         "tight_witness": tight_witness,
-    }, 0
+    }
+    return _canonical(payload), 0
 
 
 def _cmd_orbit_via_lift(D, args) -> tuple[str, int]:
@@ -256,13 +246,13 @@ def _cmd_orbit_via_lift(D, args) -> tuple[str, int]:
     return '{"elements":%s,"size":%d}' % (_systems_text(forms, D.n), len(forms)), 0
 
 
-def _cmd_ribbon(G, args) -> tuple[dict, int]:
+def _cmd_ribbon(G, args) -> tuple[str, int]:
     if args.what == "medial":
-        return medial(G).to_json(), 0
+        return _canonical(medial(G).to_json()), 0
     if args.what == "dm":
-        return delta_matroid_of(G, max_e=args.max_n).to_json(), 0
+        return _canonical(delta_matroid_of(G, max_e=args.max_n).to_json()), 0
     report = verify_medial_lift(G, max_e=args.max_n)
-    return report.to_json(), 0 if report.equal else 3
+    return _canonical(report.to_json()), 0 if report.equal else 3
 
 
 class _Opt(NamedTuple):
@@ -530,7 +520,7 @@ def main(argv=None) -> int:
             raise ValidationError("--threads must be positive")
         if args.max_n is not None and args.max_n < 0:
             raise ValidationError("--max-n must be non-negative")
-        payload, code = args.fn(args.kind.from_json(_load_json(args.file)), args)
+        text, code = args.fn(args.kind.from_json(_load_json(args.file)), args)
     except _Help as shown:
         sys.stdout.write(str(shown))
         return 0
@@ -543,7 +533,11 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         sys.stderr.write(f"internal error: {exc}\n")
         return 4
-    _emit(payload, args.format)
+    if args.format == "json":
+        sys.stdout.write(text)  # two writes: no copy of a large text
+        sys.stdout.write("\n")
+    else:
+        sys.stdout.writelines(line + "\n" for line in _text_lines(json.loads(text), ""))
     return code
 
 

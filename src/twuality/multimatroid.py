@@ -618,17 +618,15 @@ def _orbit_via_lift_tables(
     """The truth tables of ``orbit_via_lift``, unordered: one lift, the
     extractions at the identity projection over all transversal triples
     with each distinct extracted table visited once (``_extracted_tables``),
-    then every table relabeled by ``sigma`` (iota mode; skipped at the
-    identity) or, in full mode, the set closed under the ``n - 1``
-    adjacent transpositions, which generate all ``n!`` projections: each
-    table is swapped once per position (``_swap_adjacent``) and a new one
-    kept and swapped in turn."""
-    if mode not in ORBIT_VIA_LIFT_CAPS:
+    then every table relabeled by ``sigma`` (iota mode; skipped when it is
+    ``None`` or the identity) or, in full mode, the set closed under the
+    ``n - 1`` adjacent transpositions, which generate all ``n!``
+    projections: each table is swapped once per position
+    (``_swap_adjacent``) and a new one kept and swapped in turn."""
+    if not isinstance(mode, str) or mode not in ORBIT_VIA_LIFT_CAPS:
         raise ValidationError(f"mode must be 'full' or 'iota', got {quoted(mode)}")
     n = D.n
     BudgetError.check(f"orbit_via_lift({mode})", n, max_n, ORBIT_VIA_LIFT_CAPS[mode], 6, "triples")
-    tau = TransversalTriple.reference(n) if tau is None else tau
-    sigma = Projection.identity(n) if sigma is None else sigma
     Z = lift(D, tau, sigma, max_n=n, vf_cache=vf_cache)
     seen = _extracted_tables(Z)
     if mode == "full":
@@ -640,6 +638,6 @@ def _orbit_via_lift_tables(
                 if s not in seen:
                     seen.add(s)
                     todo.append(s)
-    elif not sigma.relabel.is_identity():
+    elif sigma is not None and not sigma.relabel.is_identity():
         seen = {relabel(t, n, sigma.relabel.images) for t in seen}
     return seen

@@ -235,7 +235,7 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
     ``h.s``, and skipping it drops only a lookup that would find a known
     state: the states, their words and so the JSON are unchanged.
     """
-    if mode not in ORBIT_CAPS:
+    if not isinstance(mode, str) or mode not in ORBIT_CAPS:
         raise ValidationError(f"orbit mode must be 'full' or 'iota', got {quoted(mode)}")
     n = D.n
     size = lambda k: f"up to {_group_size(k, mode)}"
@@ -278,7 +278,7 @@ def stabilizer_search(
     next level, in ``itertools.product`` order of the vectors, so each
     level costs one flip per table.
     """
-    if mode not in STABILIZER_CAPS:
+    if not isinstance(mode, str) or mode not in STABILIZER_CAPS:
         raise ValidationError(f"stabilizer mode must be 'all' or 'uniform', got {quoted(mode)}")
     n = D.n
     size = lambda k: _group_size(k, mode)

@@ -345,14 +345,14 @@ class SetSystem:
         fam = data["feasible"]
         if not isinstance(fam, list):
             raise ValidationError("'feasible' must be a list of lists")
-        masks = []
+        table = 0
         for s in fam:
             if not isinstance(s, list):
                 raise ValidationError("each feasible set must be a list")
-            masks.append(mask_of(s, n))
-        if len(set(masks)) != len(masks):
+            table |= 1 << mask_of(s, n)
+        if table.bit_count() != len(fam):
             raise ValidationError("duplicate feasible sets")
-        return cls(n, masks)
+        return cls.from_table(n, table)
 
 
 def sorted_systems(tables: Iterable[int], n: int) -> tuple[SetSystem, ...]:

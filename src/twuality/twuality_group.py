@@ -104,7 +104,7 @@ def flip_pow(g: Flip, m: int) -> Flip:
 
 
 def parse_flip(token: str) -> Flip:
-    f = _BY_TOKEN.get(token)
+    f = _BY_TOKEN.get(token) if isinstance(token, str) else None
     if f is None:
         raise ValidationError(f"unknown flip token {quoted(token)}")
     return f

@@ -744,6 +744,64 @@ def test_orbit_stdout_equals_list_payload(tmp_path_factory, case):
     assert out.getvalue() == expected
 
 
+# a valid argv of each command, and of each ``ribbon`` word, with the payload of its file
+_VALID_CALLS = {
+    "check": (["check", FILE], CONE),
+    "apply": (["apply", FILE, "--ops", "*{1} +{2} (1 2)"], CONE),
+    "orbit": (["orbit", FILE], CONE),
+    "selftwual": (["selftwual", FILE], CONE),
+    "uniformize": (["uniformize", FILE, "--gvec", "*,+,+", "--mu", "[1,2,3]", "--g", "~"], CONE),
+    "lift": (["lift", FILE], CONE),
+    "extract": (
+        ["extract", FILE, "--tau", "[[2,1,3],[1,3,2],[3,2,1]]", "--sigma", "[3,1,2]"],
+        lift(SetSystem.from_json(CONE)).to_json(),
+    ),
+    "mm-check": (["mm-check", FILE], {"n": 2, "bases": [[[1, 1], [2, 1]], [[1, 2], [2, 2]]]}),
+    "orbit-via-lift": (["orbit-via-lift", FILE, "--iota", "--sigma", "[2,3,1]"], CONE),
+    "ribbon dm": (["ribbon", "dm", FILE], cat.theta((1, -1, 1)).to_json()),
+    "ribbon medial": (["ribbon", "medial", FILE], cat.bouquet((1, -1, 1), interleaved=True).to_json()),
+    "ribbon verify-t63": (["ribbon", "verify-t63", FILE], cat.theta((1, -1, 1)).to_json()),
+}
+
+
+def test_valid_calls_cover_every_command_and_ribbon_word():
+    ribbon_words = cli._COMMANDS["ribbon"].positionals[0][1]
+    assert {argv[0] for argv, _ in _VALID_CALLS.values()} == set(cli._COMMANDS)
+    assert [argv[1] for argv, _ in _VALID_CALLS.values() if argv[0] == "ribbon"] == list(ribbon_words)
+
+
+class TestOnePayloadKind:
+    """Every command returns canonical JSON text, which ``main`` writes as
+    it is or, for ``--format text``, as the sketch of its value."""
+
+    @pytest.mark.parametrize("call", _VALID_CALLS)
+    def test_command_returns_canonical_text_and_exit_code(self, call):
+        argv, payload = _VALID_CALLS[call]
+        args = cli._parse(with_file(argv, "in.json"))
+        text, code = args.fn(args.kind.from_json(payload), args)
+        assert (type(text), type(code)) == (str, int)
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("call", _VALID_CALLS)
+    def test_text_format_sketches_the_json_output(self, capsys, tmp_path, call):
+        argv, payload = _VALID_CALLS[call]
+        argv = with_file(argv, write(tmp_path, "in.json", payload))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        sketch = "".join(line + "\n" for line in _text_lines(json.loads(out), ""))
+        assert run(capsys, *argv, "--format", "text") == (0, sketch, "")
+
+    @pytest.mark.parametrize("call", ["apply", "extract", "uniformize", "ribbon medial"])
+    def test_max_n_is_checked_and_otherwise_ignored(self, capsys, tmp_path, call):
+        """The four commands that run no capped routine write the same
+        bytes and exit code under ``--max-n 0``."""
+        argv, payload = _VALID_CALLS[call]
+        argv = with_file(argv, write(tmp_path, "in.json", payload))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out
+        assert run(capsys, *argv, "--max-n", "0") == (code, out, "")
+
+
 class TestHarness:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")

@@ -28,6 +28,8 @@ from twuality import (
     loop_complement,
     normalize_rep,
     orbit,
+    orbit_via_lift,
+    parse_flip,
     parse_perm,
     sd_identity,
     delta_matroid_of,
@@ -38,6 +40,7 @@ from twuality import (
     twist,
     uniformize,
 )
+from twuality.errors import quoted
 from twuality.orbit_engine import _orbit_tries, _relabel_buckets
 from twuality.set_system import BITMAP_GROUND, _is_binary, _swap_adjacent, fold_flip, loop_complement1, relabel, twist1
 
@@ -190,6 +193,25 @@ class TestOrbit:
             orbit(ss(1, [()]), mode="both")
         message = "orbit mode must be 'full' or 'iota', got {}"
         assert_quoted_up_to_the_bound(lambda mode: orbit(ss(1, [()]), mode=mode), "x" * 5000, message)
+
+
+@pytest.mark.parametrize("value", [[], {}], ids=["list", "dict"])
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda mode: orbit(D_FLAT, mode=mode), "orbit mode must be 'full' or 'iota', got {}"),
+        (lambda mode: stabilizer_search(D_FLAT, mode=mode), "stabilizer mode must be 'all' or 'uniform', got {}"),
+        (lambda mode: orbit_via_lift(D_FLAT, mode=mode), "mode must be 'full' or 'iota', got {}"),
+        (parse_flip, "unknown flip token {}"),
+    ],
+    ids=["orbit", "stabilizer_search", "orbit_via_lift", "parse_flip"],
+)
+def test_unhashable_selector_is_one_validation_error(call, message, value):
+    """A mode or a flip token that is not a string, an unhashable one
+    among them, is refused as a wrong string is, with the same message."""
+    with pytest.raises(ValidationError) as refused:
+        call(value)
+    assert str(refused.value) == message.format(quoted(value))
 
 
 class TestOrbitCensus:

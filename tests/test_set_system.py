@@ -149,6 +149,23 @@ class TestSetSystemType:
         # ascending order within a set is canonical on output, not required on input
         assert SetSystem.from_json({"n": 2, "feasible": [[2, 1]]}).feasible_sets() == ((1, 2),)
 
+    @pytest.mark.parametrize(
+        "feasible, message",
+        [
+            ([[1], [2], [1]], "duplicate feasible sets"),
+            ([[1], [1], [3]], "element 3 out of range 1..2"),
+            ([[1], [1], 5], "each feasible set must be a list"),
+            ([[], [1, 1], []], "duplicate element 1"),
+        ],
+        ids=["duplicate", "duplicate-then-range", "duplicate-then-not-a-list", "bad-set-then-duplicate"],
+    )
+    def test_json_checks_every_set_before_duplicates(self, feasible, message):
+        """Each set is checked in file order, and a duplicate is reported
+        only once every set has passed."""
+        with pytest.raises(ValidationError) as refused:
+            SetSystem.from_json({"n": 2, "feasible": feasible})
+        assert str(refused.value) == message
+
     def test_frozen(self):
         D = ss(3, [(3,), (1, 3), (2, 3)])
         assert_frozen(D, "n", "table")

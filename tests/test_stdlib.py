@@ -116,6 +116,21 @@ def test_every_budget_refusal_goes_through_the_gate():
     assert budget_raises_outside_the_gate() == []
 
 
+def test_cli_serializes_through_one_path():
+    """In ``cli.py``, ``json.dumps`` is read once by ``_canonical``, which
+    writes each command's canonical text, and once by ``_text_lines``,
+    which writes the scalars of ``--format text``: nothing else serializes."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    readers = [
+        stmt.targets[0].id if isinstance(stmt, ast.Assign) else getattr(stmt, "name", ast.unparse(stmt))
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and node.attr == "dumps" and ast.unparse(node.value) == "json"
+    ]
+    assert sorted(readers) == ["_canonical", "_text_lines"]
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "json"]
+
+
 def test_cli_import_leaves_argparse_unloaded():
     """``twuality.cli`` reads argv off its own command table: importing it,
     in a fresh interpreter, loads no ``argparse``."""
