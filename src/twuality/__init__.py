@@ -5,16 +5,13 @@ constructions."""
 from .errors import BudgetError, ConsistencyError, TwualityError, ValidationError
 from .set_system import (
     DeltaMatroidWitness,
-    RibbonLoopClass,
     SetSystem,
-    classify_element,
     dual_twist,
     is_delta_matroid,
     is_vf_safe,
     loop_complement,
     mask_of,
     members_of,
-    min_max_matroids,
     twist,
 )
 from .twuality_group import (
@@ -60,7 +57,6 @@ from .multimatroid import (
     Projection,
     Restriction,
     TransversalTriple,
-    all_triples,
     extract,
     is_multimatroid,
     is_tight,

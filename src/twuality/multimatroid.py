@@ -571,12 +571,6 @@ def triple_word(
     return tau
 
 
-def all_triples(n: int) -> Iterator[TransversalTriple]:
-    """All ``6**n`` transversal triples, lexicographic in the role tables."""
-    for combo in itertools.product(PERM3, repeat=n):
-        yield TransversalTriple(combo)
-
-
 #: the (slot-1 role, slot-2 role) pair of each role table in ``PERM3``
 _SLOT_ROLES = tuple((p.index(1) + 1, p.index(2) + 1) for p in PERM3)
 

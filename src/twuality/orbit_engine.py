@@ -218,7 +218,9 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
     Every step is a few whole-table int ops on the truth table ``s``: a
     twist or a relabeling is the delta swap ``d = ((s >> shift) ^ s) &
     mask``, ``s ^ d ^ (d << shift)``, and a loop complementation XORs the
-    lower half into the upper, ``s ^ ((s & mask) << shift)``.
+    lower half into the upper, ``d = (s & mask) << shift``, ``s ^ d``.  A
+    try whose ``d`` is 0 yields ``s`` itself, a known state, so the walk
+    skips it.
 
     A state tries only the generators that ``_orbit_tries`` lists for the
     last generator of its word.  The words are those of the walk that
@@ -250,9 +252,14 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
         for swap, mask, shift, token, g in tries[last]:
             if swap:
                 d = ((s >> shift) ^ s) & mask
+                if not d:
+                    continue
                 t = s ^ d ^ (d << shift)
             else:
-                t = s ^ ((s & mask) << shift)
+                d = (s & mask) << shift
+                if not d:
+                    continue
+                t = s ^ d
             if t not in paths:
                 paths[t] = base + token
                 push(t)

@@ -46,7 +46,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
-from enum import Enum
 from operator import getitem, itemgetter
 from typing import Iterable, Iterator
 
@@ -384,12 +383,6 @@ class DeltaMatroidWitness:
         return {"reason": self.reason, "X": list(self.X), "Y": list(self.Y), "u": self.u}
 
 
-class RibbonLoopClass(Enum):
-    NOT_RIBBON_LOOP = "not-ribbon-loop"
-    ORIENTABLE_LOOP = "orientable-loop"
-    NON_ORIENTABLE_LOOP = "non-orientable-loop"
-
-
 # ---------------------------------------------------------------------------
 # truth tables and the single-element flips on them, shared by every engine
 
@@ -621,40 +614,6 @@ def _exchange_witness(D: SetSystem, bad: int) -> DeltaMatroidWitness:
     ordered = sorted(D.masks, key=_shortlex_table(D.n)[1].__getitem__)
     x, y, ub = _exchange_failure(ordered, bad, D.table, D.n)
     return DeltaMatroidWitness(False, "exchange", members_of(x), members_of(y), ub.bit_length())
-
-
-def min_max_matroids(D: SetSystem) -> tuple[SetSystem, SetSystem]:
-    """Restrict the family to its minimum- and maximum-cardinality sets."""
-    if not D.is_proper:
-        raise ValidationError("improper set system has no lower/upper matroid")
-    masks = D.masks
-    sizes = [m.bit_count() for m in masks]
-    lo, hi = min(sizes), max(sizes)
-    dmin = SetSystem(D.n, (m for m in masks if m.bit_count() == lo))
-    dmax = SetSystem(D.n, (m for m in masks if m.bit_count() == hi))
-    return dmin, dmax
-
-
-def classify_element(D: SetSystem, i: int) -> RibbonLoopClass:
-    """Ribbon-loop trichotomy for element ``i`` of a delta-matroid.
-
-    ``i`` is a ribbon loop when it meets no minimum-cardinality feasible
-    set; a ribbon loop is non-orientable when it is again a ribbon loop
-    after twisting at ``i``, and orientable otherwise.
-    """
-    bit = mask_of((i,), D.n)
-    if not is_delta_matroid(D).valid:
-        raise ValidationError("classify_element requires a delta-matroid")
-
-    def ribbon_loop(system: SetSystem) -> bool:
-        dmin, _ = min_max_matroids(system)
-        return all(not m & bit for m in dmin.masks)
-
-    if not ribbon_loop(D):
-        return RibbonLoopClass.NOT_RIBBON_LOOP
-    if ribbon_loop(twist(D, (i,))):
-        return RibbonLoopClass.NON_ORIENTABLE_LOOP
-    return RibbonLoopClass.ORIENTABLE_LOOP
 
 
 # ---------------------------------------------------------------------------

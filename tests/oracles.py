@@ -22,6 +22,11 @@ compared against.
   forest in at most two edges, ``O(n**2)`` splits of the medial.  The
   library keeps the black/white splits that keep the component count, in
   one depth-first walk over all ``2**n``.
+* ``min_max_matroids``, ``classify_element``: the lower and upper
+  matroids of a family, its sets of least and of greatest size, and the
+  ``RibbonLoopClass`` of an element of a delta-matroid, read off the
+  lower matroids of the family and of its twist at the element.
+  ``normalize_rep_oracle`` runs them; the library has neither.
 * ``normalize_rep_oracle``: the orbit representative by the route it
   took before: the twist by the first set of ``min_max_matroids``' lower
   matroid, loop complementation at the feasible singletons, then
@@ -89,6 +94,8 @@ compared against.
   component count and a traced boundary count, one edge subset at a
   time.  The library keeps the black/white splits of the medial that
   keep the component count, in one depth-first walk.
+* ``all_triples``: the ``6**n`` transversal triples, which
+  ``orbit_via_lift_oracle`` walks one by one.
 * ``orbit_via_lift_oracle``: one ``extract`` per transversal triple, each
   scanning every basis.  The library walks the classes once over a
   ``4**n``-bit table of the bases, sharing prefixes.
@@ -143,31 +150,30 @@ import itertools
 import math
 import warnings
 from collections import deque
+from enum import Enum
 
 from twuality import (
     FLIPS,
     ONE,
     Perm,
-    RibbonLoopClass,
     STAR,
     STAR_PLUS,
     SetSystem,
     StabilizerHit,
     TwualityElement,
+    ValidationError,
     act,
-    classify_element,
     is_delta_matroid,
     is_vf_safe,
-    min_max_matroids,
     uniform_flip,
 )
 from twuality.multimatroid import (
+    PERM3,
     Multimatroid,
     Projection,
     Restriction,
     TransversalTriple,
     _role_steps,
-    all_triples,
     extract,
     lift,
 )
@@ -619,6 +625,46 @@ def vf_safe_oracle(D):
     return True
 
 
+def min_max_matroids(D):
+    """Restrict the family to its minimum- and maximum-cardinality sets."""
+    if not D.is_proper:
+        raise ValidationError("improper set system has no lower/upper matroid")
+    masks = D.masks
+    sizes = [m.bit_count() for m in masks]
+    lo, hi = min(sizes), max(sizes)
+    dmin = SetSystem(D.n, (m for m in masks if m.bit_count() == lo))
+    dmax = SetSystem(D.n, (m for m in masks if m.bit_count() == hi))
+    return dmin, dmax
+
+
+class RibbonLoopClass(Enum):
+    NOT_RIBBON_LOOP = "not-ribbon-loop"
+    ORIENTABLE_LOOP = "orientable-loop"
+    NON_ORIENTABLE_LOOP = "non-orientable-loop"
+
+
+def classify_element(D, i):
+    """Ribbon-loop trichotomy for element ``i`` of a delta-matroid.
+
+    ``i`` is a ribbon loop when it meets no minimum-cardinality feasible
+    set; a ribbon loop is non-orientable when it is again a ribbon loop
+    after twisting at ``i``, and orientable otherwise.
+    """
+    bit = mask_of((i,), D.n)
+    if not is_delta_matroid(D).valid:
+        raise ValidationError("classify_element requires a delta-matroid")
+
+    def ribbon_loop(system):
+        dmin, _ = min_max_matroids(system)
+        return all(not m & bit for m in dmin.masks)
+
+    if not ribbon_loop(D):
+        return RibbonLoopClass.NOT_RIBBON_LOOP
+    if ribbon_loop(twist(D, (i,))):
+        return RibbonLoopClass.NON_ORIENTABLE_LOOP
+    return RibbonLoopClass.ORIENTABLE_LOOP
+
+
 def normalize_rep_oracle(D):
     """``normalize_rep(D)`` for a vf-safe ``D``, each element of the result
     classified, with a warning naming those that are not orientable ribbon
@@ -792,6 +838,12 @@ def orbit_walk_oracle(table, n, mode):
                 paths[t] = base + (token,)
                 queue.append(t)
     return paths
+
+
+def all_triples(n):
+    """All ``6**n`` transversal triples, lexicographic in the role tables."""
+    for combo in itertools.product(PERM3, repeat=n):
+        yield TransversalTriple(combo)
 
 
 def orbit_via_lift_oracle(D, tau=None, sigma=None, mode="full", vf_cache=None):

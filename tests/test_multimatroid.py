@@ -20,7 +20,6 @@ from twuality import (
     TwualityElement,
     ValidationError,
     act,
-    all_triples,
     apply_flip,
     extract,
     flip_mul,
@@ -42,6 +41,7 @@ import ribbon_catalog
 from conftest import assert_frozen, assert_quoted_up_to_the_bound
 from oracles import (
     _compatible,
+    all_triples,
     choices_oracle,
     down_closure,
     extract_oracle,

@@ -10,18 +10,15 @@ from twuality import (
     ONE,
     PLUS,
     STAR,
-    RibbonLoopClass,
     SetSystem,
     ValidationError,
     BudgetError,
     apply_flip,
-    classify_element,
     dual_twist,
     is_delta_matroid,
     is_vf_safe,
     loop_complement,
     members_of,
-    min_max_matroids,
     reduce_word,
     spanning_quasi_trees,
     twist,
@@ -31,7 +28,15 @@ from twuality.errors import quoted
 import ribbon_catalog as cat
 from conftest import assert_frozen, set_systems, subset_of, vf_walk_families
 import oracles
-from oracles import canonical_key_oracle, first_exchange_failure, shortlex_key, vf_safe_oracle
+from oracles import (
+    RibbonLoopClass,
+    canonical_key_oracle,
+    classify_element,
+    first_exchange_failure,
+    min_max_matroids,
+    shortlex_key,
+    vf_safe_oracle,
+)
 
 ss = SetSystem.from_sets
 
