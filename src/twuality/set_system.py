@@ -18,12 +18,13 @@ table's shared member tuples.  Orbits and ``sorted_systems`` sort many
 tables at once through ``_canonical_order``, and orbit reports and the
 ``orbit-via-lift`` command write their JSON text off the forms it hands
 back (``_systems_text`` through ``_families_text``, their one reader).
-Up to ``BITMAP_GROUND`` elements these read per-byte lookup tables,
-built once per ground size: a family becomes its rank bitmap by
-one lookup per byte of its truth table, the bitmap one int sort key by
-four int ops and its JSON text by one lookup per byte of the bitmap, the
-lookups one C-level pass over the bytes of all the families.  Above it
-they sort and join rank lists.
+Up to ``BITMAP_GROUND`` elements all the tables are packed into one int,
+a lane each, and one Beneš network of delta swaps, routed once per
+ground size, turns every lane into the family's rank bitmap; a few
+whole-int ops more give every lane its int sort key, read back in one
+pass over typed lanes.  The JSON text is one lookup per byte of each
+bitmap, in one C-level pass over the bytes of all the bitmaps.  Above
+it they sort and join rank lists.
 
 Operations:
 
@@ -45,9 +46,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import re
+import struct
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from operator import getitem, itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetError, ConsistencyError, ValidationError, quoted
 
@@ -127,52 +131,129 @@ def _member_texts(n: int) -> tuple[str, ...]:
     return tuple("[" + ",".join(map(str, m)) + "]" for m in _shortlex_table(n)[0])
 
 
-#: the largest ground size whose families are ordered and written through
-#: the per-byte tables of ``_bitmap_tables``; larger ones use rank lists
+#: the largest ground size whose families are ordered by ``_canonical_order``'s
+#: bit-permutation kernel and written through ``_bitmap_texts``; larger
+#: ones use rank lists
 BITMAP_GROUND = 8
+
+#: per lane width in bytes, the format code of an unsigned int of that
+#: size, for ``struct`` (standard sizes) and ``memoryview.cast`` (native)
+_LANE_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _lane_bytes(values: Sequence[int], width: int, order: str) -> bytes:
+    """The ints ``values``, each below ``2**(8 * width)``, as consecutive
+    ``width``-byte lanes in byte order ``order``: one ``struct.pack`` for
+    the widths of ``_LANE_CODES``, and ``int.to_bytes`` per value
+    otherwise."""
+    code = _LANE_CODES.get(width)
+    if code is None:
+        return b"".join(map(int.to_bytes, values, itertools.repeat(width), itertools.repeat(order)))
+    return struct.pack("%s%d%s" % ("<" if order == "little" else ">", len(values), code), *values)
+
+
+def _lanes(data: bytes, width: int) -> list[int]:
+    """The ``width``-byte lanes of ``data``, in ``sys.byteorder``, as ints:
+    one ``memoryview`` cast for the widths of ``_LANE_CODES``, and
+    ``int.from_bytes`` per lane otherwise, split off by one regex pass."""
+    code = _LANE_CODES.get(width)
+    if code is None:
+        lanes = re.findall(b".{%d}" % width, data, re.DOTALL)
+        return list(map(int.from_bytes, lanes, itertools.repeat(sys.byteorder)))
+    return memoryview(data).cast(code).tolist()
+
+
+def _pair_lanes(low: bytes, high: bytes, width: int) -> bytearray:
+    """The ``2 * width``-byte lanes, in ``sys.byteorder``, whose low and
+    high halves are the ``width``-byte lanes of ``low`` and ``high``,
+    copied one strided slice per byte of a lane."""
+    pairs = bytearray(2 * len(low))
+    halves = (low, high) if sys.byteorder == "little" else (high, low)
+    for start, data in zip((0, width), halves):
+        for j in range(width):
+            pairs[start + j::2 * width] = data[j::width]
+    return pairs
+
+
+def _benes(perm: list[int]) -> list[tuple[int, int]]:
+    """A Beneš network for the permutation ``x -> perm[x]`` of the bits of
+    a ``len(perm) = 2**k``-bit word, ``k >= 1``, as ``2k - 1`` delta swaps
+    ``(shift, mask)``, each ``d = ((w >> shift) ^ w) & mask; w ^= d ^ (d <<
+    shift)`` (Beneš 1964; Knuth, TAOCP 4A, 7.1.3).
+
+    The outer swaps, at half the width ``h``, send one bit of each pair
+    ``x, x + h`` to each half and bring one bit of each target pair from
+    each half; the looping algorithm picks the half of every bit of a cycle
+    that alternates between the two kinds of pairs.  Each half is then
+    routed on its own, and their stages share one mask."""
+    size = len(perm)
+    if size == 2:
+        return [(1, perm[0])]
+    h = size >> 1
+    source = [0] * size
+    for x, y in enumerate(perm):
+        source[y] = x
+    side = [None] * size
+    for x in range(h):
+        while side[x] is None:
+            side[x], side[x ^ h] = 0, 1
+            x = source[perm[x ^ h] ^ h]  # the other bit of its target pair goes low
+    halves = [[0] * h, [0] * h]
+    for x, y in enumerate(perm):
+        halves[side[x]][x & (h - 1)] = y & (h - 1)
+    first = sum(side[x] << x for x in range(h))
+    last = sum(side[x] << perm[x] for x in range(size) if perm[x] < h)
+    inner = [(shift, low | high << h) for (shift, low), (_, high) in zip(_benes(halves[0]), _benes(halves[1]))]
+    return [(h, first), *inner, (h, last)]
 
 
 @functools.cache
-def _bitmap_tables(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[str, ...], ...]]:
-    """Per-byte lookup tables of the rank bitmap of families over [n],
-    ``n <= BITMAP_GROUND``.
+def _rank_network(n: int) -> tuple[tuple[int, int], ...]:
+    """The delta swaps of ``_benes`` that move bit ``X`` of a truth table
+    over [n], ``n <= BITMAP_GROUND``, to bit ``m - 1 - rank[X]`` of the
+    family's rank bitmap (``m = 2**n``, ``rank`` the shortlex rank), in a
+    lane of ``max(m, 8)`` bits whose padding bits stay put; swaps with an
+    empty mask are dropped."""
+    m = 1 << n
+    rank = _shortlex_table(n)[1]
+    perm = [m - 1 - rank[x] for x in range(m)] + list(range(m, 8))
+    return tuple((shift, mask) for shift, mask in _benes(perm) if mask)
+
+
+@functools.cache
+def _bitmap_texts(n: int, sep: str) -> tuple[tuple[str, ...], ...]:
+    """Per-byte lookup tables of the JSON text of families over [n], ``n
+    <= BITMAP_GROUND``, read off their rank bitmaps, for the separator
+    ``sep`` of ``_families_text``.
 
     The rank bitmap ``R`` of a family is the ``m = 2**n``-bit int with bit
     ``m - 1 - r`` set for each shortlex rank ``r`` of its sets: rank 0 is
     the top bit, so ``R.to_bytes(.., "big")`` lists the ranks in ascending
-    order.  ``rows[j][v]`` is the bitmap of the masks ``8j + b`` for the set
-    bits ``b`` of ``v``, so ``R`` is the sum of the rows at the bytes of the
-    truth table, little-endian (no two rows share a bit).  ``texts[j][v]``
-    is the JSON text of the sets at the bits of ``v`` as byte ``j`` of
-    big-endian ``R``, each with a leading comma.  A table of ``m < 8``
-    bits is one byte, with ``2**m`` values.  Each entry is one OR or one
-    concatenation onto an entry built before it: the entry at ``v``
-    without its lowest bit (``rows``) or its top bit (``texts``)."""
+    order.  ``texts[j][v]`` is the JSON text of the sets at the bits of
+    ``v`` as byte ``j`` of big-endian ``R``, each with a leading comma,
+    which is ``sep`` for byte 0.  A bitmap of ``m < 8`` bits is one byte,
+    with ``2**m`` values.  Each entry is one concatenation onto the entry
+    at ``v`` without its top bit."""
     m = 1 << n
     width = min(m, 8)
     size = 1 << width
-    rank = _shortlex_table(n)[1]
     members = _member_texts(n)
-    rows, texts = [], []
+    texts = []
     for j in range(max(m >> 3, 1)):
-        bits = [1 << (m - 1 - rank[8 * j + b]) for b in range(width)]
-        row = [0] * size
-        for v in range(1, size):
-            row[v] = row[v & (v - 1)] | bits[(v & -v).bit_length() - 1]
-        rows.append(tuple(row))
         pieces = ["," + members[8 * j + width - 1 - b] for b in range(width)]
         text = [""] * size
         for v in range(1, size):
             top = v.bit_length() - 1
             text[v] = pieces[top] + text[v ^ 1 << top]
         texts.append(tuple(text))
-    return tuple(rows), tuple(texts)
+    texts[0] = tuple(sep + text[1:] for text in texts[0])
+    return tuple(texts)
 
 
 def _canonical_order(tables: Iterable[int], n: int) -> tuple[list[int], list]:
     """The truth tables over [n] in canonical order, and per table its
     order form: the rank bitmap ``R`` for ``n <= BITMAP_GROUND`` (see
-    ``_bitmap_tables``), the ascending rank list above, off which
+    ``_bitmap_texts``), the ascending rank list above, off which
     ``_families_text``, the forms' one reader, writes the family.
 
     Families compare as their ascending rank lists.  Let ``r`` be the least
@@ -187,38 +268,63 @@ def _canonical_order(tables: Iterable[int], n: int) -> tuple[list[int], list]:
     ``H_B`` has its bit: ``H_A < H_B``.  In the second every bit of
     ``H_B`` is a bit of ``H_A``, and if the two are equal, ``R_B < R_A``.
     So keys compare as the families do.  The empty family, a prefix of
-    every family, gets the negative key ``-2**(2m)`` from the same formula.
+    every family, would get the negative key ``-2**(2m)``.
+
+    The kernel works on all the tables at once.  They are packed into one
+    int, a lane of ``max(m, 8)`` bits each (``_lane_bytes``), and the
+    delta swaps of ``_rank_network`` turn every lane into its ``R``.  Then
+    ``FULL ^ ((R & ~(R - ONES)) - ONES) ^ R``, for ``FULL`` and ``ONES``
+    each lane's ``full`` and ``1``, is every lane's ``H``: ``R & ~(R - 1)``
+    is the ``low`` of a nonzero ``R``, and neither subtraction borrows out
+    of a nonzero lane.  A zero lane would, so empty families are taken out
+    first and put first, as their key orders them.  The lanes of ``R`` and
+    ``H`` are paired into lanes of twice the width (``_pair_lanes``) and
+    read back in one pass (``_lanes``) as the keys ``H << 8 * width | R``,
+    which order as ``H << m | R`` does, since ``R < 2**m``; each sorted
+    key's low ``m`` bits are its bitmap.
     """
     if n > BITMAP_GROUND:
         entries = sorted(((shortlex_ranks(t, n), t) for t in tables), key=itemgetter(0))
         return [t for _, t in entries], [r for r, _ in entries]
     m = 1 << n
-    nbytes, full = max(m >> 3, 1), (1 << m) - 1
-    rows = _bitmap_tables(n)[0]
+    width, order, full = max(m >> 3, 1), sys.byteorder, (1 << m) - 1
     tables = list(tables)
-    packed = b"".join(map(int.to_bytes, tables, itertools.repeat(nbytes), itertools.repeat("little")))
-    bitmaps = list(map(sum, zip(*[map(getitem, itertools.cycle(rows), packed)] * nbytes)))
-    keys = [(full ^ ((R & -R) - 1) ^ R) << m | R for R in bitmaps]
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return [tables[i] for i in order], [bitmaps[i] for i in order]
+    empty = tables.count(0)
+    if empty:
+        tables = [t for t in tables if t]
+
+    def each_lane(value: int) -> int:
+        return int.from_bytes(value.to_bytes(width, order) * len(tables), order)
+
+    R = int.from_bytes(_lane_bytes(tables, width, order), order)
+    for shift, mask in _rank_network(n):
+        d = ((R >> shift) ^ R) & each_lane(mask)
+        R ^= d ^ (d << shift)
+    ones = each_lane(1)
+    H = each_lane(full) ^ ((R & ~(R - ones)) - ones) ^ R
+    size = width * len(tables)
+    keys = _lanes(_pair_lanes(R.to_bytes(size, order), H.to_bytes(size, order), width), 2 * width)
+    ranked = sorted(range(len(keys)), key=keys.__getitem__)
+    return [0] * empty + [tables[i] for i in ranked], [0] * empty + [keys[i] & full for i in ranked]
 
 
-def _families_text(forms: Iterable, n: int, sep: str) -> str:
+def _families_text(forms: Sequence, n: int, sep: str) -> str:
     """The families at the order forms of ``_canonical_order``, each its
     sets' JSON text comma-separated, joined by ``sep``, which holds a
     character no set text holds (a quote): one join of the members at the
-    ranks, or of ``_bitmap_tables`` texts over the packed big-endian
-    bitmaps, where the byte-0 texts carry ``sep`` for their leading comma
-    and a ``replace`` drops the comma of a family with no set there."""
+    ranks, or of ``_bitmap_texts`` over the bitmaps packed big-endian
+    (``_lane_bytes``), where the byte-0 texts carry ``sep`` for their
+    leading comma and a ``replace`` drops the comma of a family with no
+    set there.  The texts are cached per separator; every caller passes
+    one of few."""
     if n > BITMAP_GROUND:
         members = _member_texts(n)
         # an itemgetter of one index returns the item alone
         return sep.join(",".join(itemgetter(*r)(members)) if len(r) > 1 else members[r[0]] if r else ""
                         for r in forms)
     nbytes = max(1 << n >> 3, 1)
-    first, *rest = _bitmap_tables(n)[1]
-    texts = ([sep + text[1:] for text in first], *rest)
-    packed = b"".join(map(int.to_bytes, forms, itertools.repeat(nbytes), itertools.repeat("big")))
+    texts = _bitmap_texts(n, sep)
+    packed = _lane_bytes(forms, nbytes, "big")
     step = nbytes << 12  # 4,096 families a piece, so that peak memory stays that of the text
     pieces = ["".join(map(getitem, itertools.cycle(texts), packed[i:i + step])).replace(sep + ",", sep)
               for i in range(0, len(packed), step)] or [sep]

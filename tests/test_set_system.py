@@ -295,6 +295,75 @@ class TestCanonicalOrder:
         assert set_system.sorted_systems({D.table for D in systems}, n) == expected
 
 
+def bitmap_oracle(table, n):
+    """The rank bitmap of a family: bit ``2**n - 1 - r`` for each shortlex
+    rank ``r`` of its sets."""
+    m = 1 << n
+    ranks = {x: r for r, x in enumerate(sorted(range(m), key=shortlex_key))}
+    return sum(1 << (m - 1 - ranks[x]) for x in set_system._masks_of_table(table))
+
+
+def run_network(word, stages):
+    """``word`` through the delta swaps ``(shift, mask)``."""
+    for shift, mask in stages:
+        d = ((word >> shift) ^ word) & mask
+        word ^= d ^ (d << shift)
+    return word
+
+
+class TestRankKernel:
+    """The bit-permutation kernel of ``_canonical_order`` on its own:
+    the Beneš network, the lanes, and the generic lane route."""
+
+    @pytest.mark.parametrize("size", [2, 4, 8, 16, 64])
+    def test_benes_routes_any_permutation(self, size, rng):
+        for _ in range(20):
+            perm = list(range(size))
+            rng.shuffle(perm)
+            stages = set_system._benes(perm)
+            assert len(stages) == 2 * size.bit_length() - 3
+            for x in range(size):
+                assert run_network(1 << x, stages) == 1 << perm[x]
+
+    @pytest.mark.parametrize("n", range(set_system.BITMAP_GROUND + 1))
+    def test_stages_send_each_bit_to_its_rank(self, n):
+        m = 1 << n
+        rank = set_system._shortlex_table(n)[1]
+        stages = set_system._rank_network(n)
+        assert len(stages) <= 2 * max(n, 3) - 1
+        for x in range(m):
+            assert run_network(1 << x, stages) == 1 << (m - 1 - rank[x])
+        for x in range(m, 8):  # the padding bits of a one-byte lane
+            assert run_network(1 << x, stages) == 1 << x
+
+    @pytest.mark.parametrize("n", range(set_system.BITMAP_GROUND + 1))
+    def test_lanes_do_not_interact(self, n, rng):
+        m = 1 << n
+        full = (1 << m) - 1
+        edges = [0, full, 1, 1 << (m - 1), full ^ 1, full >> 1]
+        for _ in range(10):
+            batch = [rng.choice(edges) if rng.random() < 0.6 else 1 << rng.randrange(m) for _ in range(40)]
+            batch += [rng.getrandbits(m) for _ in range(5)]
+            rng.shuffle(batch)
+            ordered, forms = set_system._canonical_order(batch, n)
+            assert ordered == oracle_order(batch, n)
+            assert forms == [bitmap_oracle(t, n) for t in ordered]
+
+    @pytest.mark.parametrize("order", ["little", "big"])
+    @pytest.mark.parametrize("n", range(set_system.BITMAP_GROUND + 1))
+    def test_generic_lanes_match_typed_lanes(self, n, order, rng, monkeypatch):
+        m = 1 << n
+        batch = [0, (1 << m) - 1, 1] + [rng.getrandbits(m) & rng.getrandbits(m) for _ in range(60)]
+        rng.shuffle(batch)
+        typed = set_system._canonical_order(batch, n)
+        sep = '],"n":%d},{"feasible":[' % n
+        text = set_system._families_text(typed[1], n, sep)
+        monkeypatch.setattr(set_system, "_LANE_CODES", {})
+        monkeypatch.setattr(set_system.sys, "byteorder", order)
+        assert set_system._canonical_order(batch, n) == typed
+        assert set_system._families_text(typed[1], n, sep) == text
+
+
 class TestTruthTable:
     @given(st.integers(0, 5).flatmap(lambda n: st.tuples(st.just(n), st.frozensets(subset_of(n)))))
     def test_table_round_trip(self, case):

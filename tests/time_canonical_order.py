@@ -1,0 +1,120 @@
+"""Time the canonical-order layer of orbit reports on seeded orbits.
+
+For each ground size n = 3..8 and each orbit mode (``iota``, ``full``)
+it draws seeded systems, runs ``orbit`` on them and keeps the tables each
+orbit hands to ``set_system._canonical_order``, in the BFS order the walk
+found them.  It then prints, per n and mode, the best of ``--repeat``
+timings of ``_canonical_order`` over those tables and of ``_systems_text``
+over the forms it returns.  At n = 9 and 10, above ``BITMAP_GROUND``, it
+also times both layers with ``BITMAP_GROUND`` raised to 10, so that the
+bitmap route runs there, against the rank-list route that serves them::
+
+    python tests/time_canonical_order.py [--src DIR] [--seed S] [--repeat R]
+
+``--src`` is the ``src`` directory to import ``twuality`` from (default:
+this checkout's), so the same pools can be timed on another checkout.  It
+needs only the standard library, and takes one to two minutes, so the suite
+does not run it (no ``test_`` prefix).  Times are process CPU seconds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: per n, how many orbits of each mode to keep, and the largest orbit kept
+POOLS = {3: (40, 10**9), 4: (10, 1296), 5: (6, 3888), 6: (3, 5832), 7: (2, 10**9), 8: (2, 10**9), 9: (2, 10**9), 10: (1, 10**9)}
+
+
+def orbit_tables(twuality, D, mode: str) -> list[int]:
+    """The tables ``orbit(D, mode)`` sorts, in the order it passes them."""
+    engine, seen = twuality.orbit_engine, []
+    order = engine._canonical_order
+
+    def record(tables, n):
+        seen.append(list(tables))
+        return order(seen[-1], n)
+
+    engine._canonical_order = record
+    try:
+        twuality.orbit(D, mode, max_n=10)
+    finally:
+        engine._canonical_order = order
+    return seen[0]
+
+
+def pool(twuality, n: int, mode: str, seed: int) -> list[list[int]]:
+    """Seeded orbits over [n].  Up to 6 elements, of random systems of one
+    to three sets whose orbit has at most the pool's size; above, of a
+    random single set or pair ``{X, X ^ {i}}`` (orbits of ``3**n``
+    elements)."""
+    count, largest = POOLS[n]
+    rng = random.Random(f"{seed}/{n}/{mode}")
+    out = []
+    while len(out) < count:
+        if n <= 6:
+            masks = rng.sample(range(1 << n), rng.randint(1, 3))
+        else:
+            x = rng.randrange(1 << n)
+            masks = [x, x ^ 1 << rng.randrange(n)][:rng.randint(1, 2)]
+        tables = orbit_tables(twuality, twuality.SetSystem(n, masks), mode)
+        if len(tables) <= largest:
+            out.append(tables)
+    return out
+
+
+def best(run, repeat: int) -> float:
+    """The least process CPU time of ``repeat`` calls of ``run``."""
+    times = []
+    for _ in range(repeat):
+        start = time.process_time()
+        run()
+        times.append(time.process_time() - start)
+    return min(times)
+
+
+def layer_times(set_system, orbits: list[list[int]], n: int, repeat: int) -> tuple[float, float]:
+    """Best times of ``_canonical_order`` and ``_systems_text`` over ``orbits``."""
+    forms = [set_system._canonical_order(tables, n)[1] for tables in orbits]
+    order = best(lambda: [set_system._canonical_order(tables, n) for tables in orbits], repeat)
+    text = best(lambda: [set_system._systems_text(f, n) for f in forms], repeat)
+    return order, text
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(ROOT / "src"))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--repeat", type=int, default=7)
+    args = parser.parse_args(argv)
+    sys.path.insert(0, args.src)
+    import twuality
+    from twuality import set_system
+
+    print(f"twuality from {args.src}, seed {args.seed}, best of {args.repeat}, ms of CPU time")
+    for n in range(3, 11):
+        for mode in ("iota", "full"):
+            orbits = pool(twuality, n, mode, args.seed)
+            label = f"n={n:<2} {mode:<4} orbits={len(orbits):<2} elements={sum(map(len, orbits)):>6,}"
+            if n <= set_system.BITMAP_GROUND:
+                order, text = layer_times(set_system, orbits, n, args.repeat)
+                print(f"{label}  order {order * 1e3:8.2f}  text {text * 1e3:8.2f}")
+                continue
+            ranks = layer_times(set_system, orbits, n, args.repeat)
+            ground, set_system.BITMAP_GROUND = set_system.BITMAP_GROUND, 10
+            try:
+                bitmaps = layer_times(set_system, orbits, n, args.repeat)
+            finally:
+                set_system.BITMAP_GROUND = ground
+            print(f"{label}  order {ranks[0] * 1e3:8.2f}  text {ranks[1] * 1e3:8.2f}  (rank lists)"
+                  f"  bitmap route: order {bitmaps[0] * 1e3:8.2f}  text {bitmaps[1] * 1e3:8.2f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
