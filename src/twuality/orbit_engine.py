@@ -15,11 +15,13 @@ its kind.  Each state's witness word is kept as its JSON text, one string
 concatenation per new state.  The states are sorted by
 ``set_system._canonical_order``, which also hands back each element's
 order form (its rank bitmap up to 8 elements); the report writes its
-canonical JSON text from the word texts and the whole orbit's family
-text, which ``_systems_text`` writes off those forms, and builds words,
-systems, families and the ``to_json`` tree only when they are read.  The
-stabilizer search walks the relabelings of a system one adjacent
-transposition at a time and the flip vectors one element at a time.
+canonical JSON text in one join of the word texts and the pieces of the
+whole orbit's family text, which ``_systems_pieces`` writes off those
+forms, and builds words, systems, families and the ``to_json`` tree only
+when they are read.  The stabilizer search walks the relabelings of a
+system one adjacent transposition at a time, over a plain-change list
+kept per ground size, and the flip vectors one element at a time, each
+table split once into the six tables of the next level.
 Budgets are hard caps: a partial orbit is semantically wrong, so
 exceeding a cap raises, naming the work refused, instead of truncating.
 """
@@ -38,8 +40,7 @@ from .set_system import (
     _HALVES,
     _canonical_order,
     _plain_changes,
-    _swap_adjacent,
-    _systems_text,
+    _systems_pieces,
     _value_type,
     is_vf_safe,
     loop_complement,
@@ -68,8 +69,9 @@ class OrbitReport:
     """A generator-closed orbit with one witness word per element.
 
     Per element in canonical order it holds the truth table, the witness
-    word as JSON text (``',"*1","+2"'``, each token with a leading comma)
-    and the order form it was sorted by (``set_system._canonical_order``).
+    word as JSON text, its tokens' texts comma-separated with no brackets
+    (``'"*1","+2"'``, and ``''`` for the seed), and the order form it was
+    sorted by (``set_system._canonical_order``).
     ``words``, ``elements``, the ``SetSystem``-keyed ``paths`` and
     ``families`` (each element's ``feasible_sets()``, decoded from its
     truth table) are built when first read.  ``canonical_json`` needs only
@@ -91,7 +93,7 @@ class OrbitReport:
 
     @functools.cached_property
     def words(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tuple(w[2:-1].split('","')) if w else () for w in self.word_texts)
+        return tuple(tuple(w[1:-1].split('","')) if w else () for w in self.word_texts)
 
     @functools.cached_property
     def elements(self) -> tuple[SetSystem, ...]:
@@ -116,12 +118,13 @@ class OrbitReport:
 
     def canonical_json(self) -> str:
         """``json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))``,
-        written from the family texts of the whole orbit (``_systems_text``)
-        and the word texts, whose leading commas one ``replace`` drops:
-        no token holds a bracket."""
-        elements = _systems_text(self.forms, self.seed.n)
-        paths = ("[" + "],[".join(self.word_texts) + "]").replace("[,", "[")
-        return '{"elements":%s,"mode":"%s","paths":[%s],"size":%d}' % (elements, self.mode, paths, self.size)
+        one join of the pieces of the whole orbit's family text
+        (``_systems_pieces``) and of the paths, the word texts joined
+        between brackets."""
+        return "".join([
+            '{"elements":', *_systems_pieces(self.forms, self.seed.n),
+            ',"mode":"', self.mode, '","paths":[[', "],[".join(self.word_texts), ']],"size":', str(self.size), "}",
+        ])
 
 
 @_value_type()
@@ -187,7 +190,9 @@ def _orbit_tries(n: int, mode: str) -> tuple[tuple[tuple, ...], ...]:
     other elements, disjoint swaps) and, when ``g`` is a swap, every flip.
     An entry is ``(swap, mask, shift, text, index)``, one step of the walk
     (see ``orbit``): ``swap`` is true for a delta swap (twist, relabeling),
-    ``text`` the generator's token as it ends a word text of ``OrbitReport``.
+    ``text`` the generator's token as it ends a word text of ``OrbitReport``
+    after another token, with a leading comma, which the seed's children
+    drop.
     """
     halves = _HALVES[n]
     steps = []  # (swap, mask, shift, token text, elements moved)
@@ -213,7 +218,8 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
     """Breadth-first closure of ``D`` under single-element flips (and, in
     full mode, adjacent relabeling transpositions), in the generator order
     ``*1, +1, *2, +2, ..`` and then the swaps ``(1 2), (2 3), ..``; each
-    new table's witness word is its parent's plus the generator.
+    new table's witness word is its parent's plus the generator, one
+    concatenation of their texts (the seed's children drop the comma).
 
     Every step is a few whole-table int ops on the truth table ``s``: a
     twist or a relabeling is the delta swap ``d = ((s >> shift) ^ s) &
@@ -261,7 +267,7 @@ def orbit(D: SetSystem, mode: str = "iota", max_n: int | None = None) -> OrbitRe
                     continue
                 t = s ^ d
             if t not in paths:
-                paths[t] = base + token
+                paths[t] = base + token if base else token[1:]
                 push(t)
                 mark(g)
     tables, forms = _canonical_order(paths, n)
@@ -283,7 +289,8 @@ def stabilizer_search(
     mode the tables ``g^-1.D`` are built one element at a time: each table
     flipped at element ``k + 1`` by the inverse of every flip gives the
     next level, in ``itertools.product`` order of the vectors, so each
-    level costs one flip per table.
+    level costs one split per table, into the six tables of its
+    children (``_inverse_flip_level``).
     """
     if not isinstance(mode, str) or mode not in STABILIZER_CAPS:
         raise ValidationError(f"stabilizer mode must be 'all' or 'uniform', got {quoted(mode)}")
@@ -298,7 +305,7 @@ def stabilizer_search(
     else:  # level k holds g^-1.D for the vectors on the first k elements
         targets = [D.table]
         for k in range(n):
-            targets = [_flip_table(t, n, k, g.inverse()) for t in targets for g in FLIPS]
+            targets = _inverse_flip_level(targets, n, k)
         gvecs = itertools.islice(itertools.product(FLIPS, repeat=n), 1, None)
         del targets[0]  # the first vector is the identity
     by_image = _relabel_buckets(D.table, n)
@@ -311,20 +318,53 @@ def stabilizer_search(
     return hits
 
 
+def _inverse_flip_level(targets: list[int], n: int, k: int) -> list[int]:
+    """Per table ``t`` of ``targets``, in order, the six tables
+    ``_flip_table(t, n, k, g.inverse())`` for ``g`` in ``FLIPS`` order.
+
+    The table is split once into the three slots of ``_flip_table``,
+    ``a`` (the sets without ``e = k + 1``), ``b`` (those with it) and
+    ``c = a ^ b``; the inverse of ``g`` sends the slots ``g.perm[0]`` and
+    ``g.perm[1]`` to the sets without and with ``e``, which for ``1, *,
+    +, *+, +*, ~`` are ``(a, b), (b, a), (a, c), (b, c), (c, a), (c,
+    b)``."""
+    half, shift = _HALVES[n][k], 1 << k
+    level = []
+    push = level.extend
+    for t in targets:
+        a = t & half
+        b = (t >> shift) & half
+        c = a ^ b
+        a_hi, b_hi, c_hi = a << shift, b << shift, c << shift
+        push((a | b_hi, b | a_hi, a | c_hi, b | c_hi, c | a_hi, c | b_hi))
+    return level
+
+
+@functools.cache
+def _plain_change_list(n: int) -> tuple[int, ...]:
+    """``_plain_changes(n)``, kept per ``n``."""
+    return tuple(_plain_changes(n))
+
+
 def _relabel_buckets(table: int, n: int) -> dict[int, list[tuple[int, ...]]]:
     """The one-line images of the permutations ``p`` of [n], keyed by
     ``relabel(table, n, p.images)``.  ``images`` is the inverse of ``pos``,
-    which takes the plain changes, so each swap in ``pos`` composes
-    ``images`` with ``(k+1 k+2)`` on the left: one ``_swap_adjacent`` of
-    the image table."""
+    which takes the plain changes (``_plain_change_list``), so each swap
+    in ``pos`` composes ``images`` with ``(k+1 k+2)`` on the left: the
+    delta swap of ``_swap_adjacent`` on the image table, written inline
+    with the shift and mask of each ``k`` made once per call."""
+    halves = _HALVES[n]
+    swaps = [(1 << k, ~halves[k] & halves[k + 1]) for k in range(n - 1)]
     pos = list(range(n))
     images = list(range(1, n + 1))
     by_image = {table: [tuple(images)]}
-    for k in _plain_changes(n):
+    for k in _plain_change_list(n):
         i, j = pos[k], pos[k + 1]
         pos[k], pos[k + 1] = j, i
         images[i], images[j] = images[j], images[i]
-        table = _swap_adjacent(table, n, k)
+        shift, mask = swaps[k]
+        d = ((table >> shift) ^ table) & mask
+        table ^= d ^ (d << shift)
         by_image.setdefault(table, []).append(tuple(images))
     return by_image
 

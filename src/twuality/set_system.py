@@ -17,14 +17,15 @@ off its truth table, and ``SetSystem.feasible_sets`` turns them into the
 table's shared member tuples.  Orbits and ``sorted_systems`` sort many
 tables at once through ``_canonical_order``, and orbit reports and the
 ``orbit-via-lift`` command write their JSON text off the forms it hands
-back (``_systems_text`` through ``_families_text``, their one reader).
+back (``_systems_pieces`` through ``_family_pieces``, their one reader).
 Up to ``BITMAP_GROUND`` elements all the tables are packed into one int,
 a lane each, and one Beneš network of delta swaps, routed once per
 ground size, turns every lane into the family's rank bitmap; a few
 whole-int ops more give every lane its int sort key, read back in one
 pass over typed lanes.  The JSON text is one lookup per byte of each
-bitmap, in one C-level pass over the bytes of all the bitmaps.  Above
-it they sort and join rank lists.
+bitmap, in one C-level pass over the bytes of all the bitmaps, and only
+the families with no set of rank below 8, one run at the end of the
+order, need an edit after it.  Above it they sort and join rank lists.
 
 Operations:
 
@@ -254,7 +255,7 @@ def _canonical_order(tables: Iterable[int], n: int) -> tuple[list[int], list]:
     """The truth tables over [n] in canonical order, and per table its
     order form: the rank bitmap ``R`` for ``n <= BITMAP_GROUND`` (see
     ``_bitmap_texts``), the ascending rank list above, off which
-    ``_families_text``, the forms' one reader, writes the family.
+    ``_family_pieces``, the forms' one reader, writes the family.
 
     Families compare as their ascending rank lists.  Let ``r`` be the least
     rank in which families ``A != B`` differ, say ``r`` in ``A``.  If ``B``
@@ -308,35 +309,64 @@ def _canonical_order(tables: Iterable[int], n: int) -> tuple[list[int], list]:
     return [0] * empty + [tables[i] for i in ranked], [0] * empty + [keys[i] & full for i in ranked]
 
 
-def _families_text(forms: Sequence, n: int, sep: str) -> str:
+def _family_pieces(forms: Sequence, n: int, sep: str) -> list[str]:
     """The families at the order forms of ``_canonical_order``, each its
     sets' JSON text comma-separated, joined by ``sep``, which holds a
-    character no set text holds (a quote): one join of the members at the
-    ranks, or of ``_bitmap_texts`` over the bitmaps packed big-endian
-    (``_lane_bytes``), where the byte-0 texts carry ``sep`` for their
-    leading comma and a ``replace`` drops the comma of a family with no
-    set there.  The texts are cached per separator; every caller passes
-    one of few."""
+    character no set text holds (a quote), as a few pieces of text for a
+    caller to join once: one join of the members at the ranks, or, up to
+    ``BITMAP_GROUND`` elements, one join of ``_bitmap_texts`` over the
+    bitmaps packed big-endian (``_lane_bytes``) per 4,096 families.
+
+    The byte-0 texts carry ``sep`` for their leading comma, so a family
+    with a set in byte 0 (a rank below 8) needs no edit, and one with none
+    keeps its first set's comma, which a ``replace`` drops.  In canonical
+    order the families with none form one tail: families compare as their
+    ascending rank lists, so they sort by least rank first, and every
+    family with a rank below 8 comes before every family without one,
+    except the empty family, a prefix of every family, which comes first.
+    The first family's ``sep``, and its comma if it has one, are cut from
+    its own text, and one ``find`` over the bytes 0 of the other bitmaps
+    finds where the tail starts; only the tail is searched.  A second
+    empty family, from a repeated table, starts the tail, where its text,
+    ``sep`` alone, needs no edit.  The texts are cached per separator;
+    every caller passes one of few."""
     if n > BITMAP_GROUND:
         members = _member_texts(n)
         # an itemgetter of one index returns the item alone
-        return sep.join(",".join(itemgetter(*r)(members)) if len(r) > 1 else members[r[0]] if r else ""
-                        for r in forms)
+        return [sep.join(",".join(itemgetter(*r)(members)) if len(r) > 1 else members[r[0]] if r else ""
+                         for r in forms)]
     nbytes = max(1 << n >> 3, 1)
     texts = _bitmap_texts(n, sep)
     packed = _lane_bytes(forms, nbytes, "big")
+    tail = packed[0::nbytes].find(0, 1)
+    head = nbytes * tail if tail >= 0 else len(packed)
+
+    def text(start: int, stop: int) -> str:
+        return "".join(map(getitem, itertools.cycle(texts), packed[start:stop]))
+
     step = nbytes << 12  # 4,096 families a piece, so that peak memory stays that of the text
-    pieces = ["".join(map(getitem, itertools.cycle(texts), packed[i:i + step])).replace(sep + ",", sep)
-              for i in range(0, len(packed), step)] or [sep]
-    pieces[0] = pieces[0][len(sep):]
-    return "".join(pieces)
+    pieces = [text(0, nbytes)[len(sep):].lstrip(",")]
+    pieces += [text(i, min(i + step, head)) for i in range(nbytes, head, step)]
+    pieces += [text(i, i + step).replace(sep + ",", sep) for i in range(head, len(packed), step)]
+    return pieces
 
 
-def _systems_text(forms: Iterable, n: int) -> str:
+def _families_text(forms: Sequence, n: int, sep: str) -> str:
+    """The text of ``_family_pieces``, joined."""
+    return "".join(_family_pieces(forms, n, sep))
+
+
+def _systems_pieces(forms: Sequence, n: int) -> list[str]:
+    """The pieces of ``_systems_text``, ``_family_pieces`` between the
+    brackets, for a caller that joins them into a larger text once."""
+    return ['[{"feasible":[', *_family_pieces(forms, n, '],"n":%d},{"feasible":[' % n), '],"n":%d}]' % n]
+
+
+def _systems_text(forms: Sequence, n: int) -> str:
     """The canonical JSON text of ``[D.to_json() for D in systems]`` for
     one or more systems over [n], at their order forms from
-    ``_canonical_order``."""
-    return '[{"feasible":[%s],"n":%d}]' % (_families_text(forms, n, '],"n":%d},{"feasible":[' % n), n)
+    ``_canonical_order``: one join of ``_systems_pieces``."""
+    return "".join(_systems_pieces(forms, n))
 
 
 def _refuse_set(self, name, value):

@@ -41,8 +41,18 @@ from twuality import (
     uniformize,
 )
 from twuality.errors import quoted
-from twuality.orbit_engine import _orbit_tries, _relabel_buckets
-from twuality.set_system import BITMAP_GROUND, _is_binary, _swap_adjacent, fold_flip, loop_complement1, relabel, twist1
+from twuality.orbit_engine import _inverse_flip_level, _orbit_tries, _plain_change_list, _relabel_buckets
+from twuality.set_system import (
+    BITMAP_GROUND,
+    _is_binary,
+    _plain_changes,
+    _swap_adjacent,
+    fold_flip,
+    loop_complement1,
+    relabel,
+    twist1,
+)
+from twuality.twuality_group import _INV, _flip_table
 
 import ribbon_catalog as cat
 from conftest import assert_frozen, assert_quoted_up_to_the_bound, set_systems
@@ -128,6 +138,19 @@ class TestOrbit:
         rep = orbit(D, mode=mode)
         expected = json.dumps(rep.to_json(), sort_keys=True, separators=(",", ":"))
         assert rep.canonical_json() == expected
+
+    @pytest.mark.parametrize("mode", ["iota", "full"])
+    @pytest.mark.parametrize("n", range(6))
+    def test_canonical_json_is_dumps_on_seeded_orbits(self, n, mode, rng):
+        """The one-join writer on seeded orbits of up to 5 elements, of one
+        to four sets or none, whose iota orbit has at most 1,000 elements."""
+        kept = 0
+        while kept < 4:
+            D = SetSystem(n, rng.sample(range(1 << n), rng.randint(0, min(1 << n, 4))))
+            if orbit(D, mode="iota").size <= 1000:
+                rep = orbit(D, mode=mode)
+                assert rep.canonical_json() == json.dumps(rep.to_json(), sort_keys=True, separators=(",", ":"))
+                kept += 1
 
     @pytest.mark.parametrize("mode", ["iota", "full"])
     @pytest.mark.parametrize("D", [D_CONE, ss(4, [(), (1, 2), (1, 3), (2, 4), (1, 2, 3, 4)])], ids=["3", "4"])
@@ -533,6 +556,26 @@ class TestStabilizerSearch:
         hits = [h.to_json() for h in stabilizer_search(D, mode="uniform")]
         assert hits
         assert hits == [h.to_json() for h in stabilizer_oracle(D, "uniform")]
+
+    def test_inverse_flip_slots_follow_the_inverses(self):
+        """The slot pairs ``_inverse_flip_level`` writes per flip, in
+        ``FLIPS`` order, are those that ``_flip_table`` reads off ``_INV``
+        for the flip's inverse."""
+        slots = ["abc"[i - 1] + "abc"[j - 1] for i, j, _ in (_INV[g.inverse().index].perm for g in FLIPS)]
+        assert slots == ["ab", "ba", "ac", "bc", "ca", "cb"]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_inverse_flip_level_matches_flip_table(self, n, rng):
+        full = (1 << (1 << n)) - 1
+        tables = [0, full, 1, full ^ 1] + [rng.getrandbits(1 << n) for _ in range(12)]
+        for k in range(n):
+            expected = [_flip_table(t, n, k, g.inverse()) for t in tables for g in FLIPS]
+            assert _inverse_flip_level(tables, n, k) == expected
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_plain_change_list_is_cached_plain_changes(self, n):
+        assert list(_plain_change_list(n)) == list(_plain_changes(n))
+        assert _plain_change_list(n) is _plain_change_list(n)
 
     @pytest.mark.parametrize("n", range(8))
     def test_relabel_buckets_match_permutations(self, n, rng):

@@ -285,6 +285,34 @@ class TestCanonicalOrder:
         tables = list(dict.fromkeys(tables))
         assert_canonical_order(tables, n)
 
+    @pytest.mark.parametrize("n", range(set_system.BITMAP_GROUND + 1))
+    def test_families_text_at_the_tail_boundary(self, n, rng):
+        """``_families_text`` replaces only in the tail of families with no
+        set of rank below 8; batches with no tail, all tail, the empty
+        family alone, before a tail family or repeated, and a head and a
+        tail each longer than one 4,096-family piece."""
+        m = 1 << n
+        rank = set_system._shortlex_table(n)[1]
+        low = [x for x in range(m) if rank[x] < 8]
+        high = [x for x in range(m) if rank[x] >= 8]
+
+        def family(masks, most):
+            return sum(1 << x for x in rng.sample(masks, rng.randint(1, min(most, len(masks)))))
+
+        batches = [[0], [family(low, 3) for _ in range(30)] + [family(low, 1) | family(high or low, m)]]
+        if high:  # from four elements on
+            tail = [family(high, 4) for _ in range(30)]
+            batches += [tail, [0] + tail[:1], [0, 0] + tail, tail + batches[1]]
+        if len(high) >= 24:  # from five elements on: over 4,096 distinct tail families
+            big = {family(high, 6) for _ in range(9000)} | {family(low, 8) | family(high, 2) for _ in range(6000)}
+            batches.append([0, *big])
+        for tables in batches:
+            assert_canonical_order(tables, n)
+        if len(high) >= 24:
+            heads = set_system._lane_bytes(set_system._canonical_order(batches[-1], n)[1], max(m >> 3, 1), "big")
+            boundary = heads[0::max(m >> 3, 1)].find(0, 1)
+            assert boundary > 4096 and len(batches[-1]) - boundary > 4096
+
     @pytest.mark.parametrize("n", range(11))
     def test_sorted_systems_match_tuple_key(self, n, rng):
         full = 1 << n

@@ -1,13 +1,18 @@
-"""Time the canonical-order layer of orbit reports on seeded orbits.
+"""Time the canonical-order and report layers of orbits and stabilizers
+on seeded systems.
 
 For each ground size n = 3..8 and each orbit mode (``iota``, ``full``)
 it draws seeded systems, runs ``orbit`` on them and keeps the tables each
 orbit hands to ``set_system._canonical_order``, in the BFS order the walk
-found them.  It then prints, per n and mode, the best of ``--repeat``
-timings of ``_canonical_order`` over those tables and of ``_systems_text``
-over the forms it returns.  At n = 9 and 10, above ``BITMAP_GROUND``, it
-also times both layers with ``BITMAP_GROUND`` raised to 10, so that the
-bitmap route runs there, against the rank-list route that serves them::
+found them, and the report.  It then prints, per n and mode, the best of
+``--repeat`` timings of ``_canonical_order`` over those tables, of
+``_systems_text`` over the forms it returns and of the reports'
+``OrbitReport.canonical_json``.  At n = 9 and 10, above
+``BITMAP_GROUND``, it also times the first two with ``BITMAP_GROUND``
+raised to 10, so that the bitmap route runs there, against the rank-list
+route that serves them.  Last it times ``stabilizer_search`` over the same
+systems, in ``all`` mode up to its cap (n = 5) and in ``uniform`` mode up
+to 8::
 
     python tests/time_canonical_order.py [--src DIR] [--seed S] [--repeat R]
 
@@ -31,8 +36,9 @@ ROOT = Path(__file__).resolve().parent.parent
 POOLS = {3: (40, 10**9), 4: (10, 1296), 5: (6, 3888), 6: (3, 5832), 7: (2, 10**9), 8: (2, 10**9), 9: (2, 10**9), 10: (1, 10**9)}
 
 
-def orbit_tables(twuality, D, mode: str) -> list[int]:
-    """The tables ``orbit(D, mode)`` sorts, in the order it passes them."""
+def orbit_tables(twuality, D, mode: str) -> tuple[list[int], object]:
+    """The tables ``orbit(D, mode)`` sorts, in the order it passes them,
+    and the report."""
     engine, seen = twuality.orbit_engine, []
     order = engine._canonical_order
 
@@ -42,17 +48,17 @@ def orbit_tables(twuality, D, mode: str) -> list[int]:
 
     engine._canonical_order = record
     try:
-        twuality.orbit(D, mode, max_n=10)
+        report = twuality.orbit(D, mode, max_n=10)
     finally:
         engine._canonical_order = order
-    return seen[0]
+    return seen[0], report
 
 
-def pool(twuality, n: int, mode: str, seed: int) -> list[list[int]]:
-    """Seeded orbits over [n].  Up to 6 elements, of random systems of one
-    to three sets whose orbit has at most the pool's size; above, of a
-    random single set or pair ``{X, X ^ {i}}`` (orbits of ``3**n``
-    elements)."""
+def pool(twuality, n: int, mode: str, seed: int) -> list[tuple[list[int], object]]:
+    """Seeded orbits over [n], each as its tables and its report.  Up to 6
+    elements, of random systems of one to three sets whose orbit has at
+    most the pool's size; above, of a random single set or pair ``{X, X ^
+    {i}}`` (orbits of ``3**n`` elements)."""
     count, largest = POOLS[n]
     rng = random.Random(f"{seed}/{n}/{mode}")
     out = []
@@ -62,9 +68,9 @@ def pool(twuality, n: int, mode: str, seed: int) -> list[list[int]]:
         else:
             x = rng.randrange(1 << n)
             masks = [x, x ^ 1 << rng.randrange(n)][:rng.randint(1, 2)]
-        tables = orbit_tables(twuality, twuality.SetSystem(n, masks), mode)
+        tables, report = orbit_tables(twuality, twuality.SetSystem(n, masks), mode)
         if len(tables) <= largest:
-            out.append(tables)
+            out.append((tables, report))
     return out
 
 
@@ -97,13 +103,18 @@ def main(argv: list[str]) -> int:
     from twuality import set_system
 
     print(f"twuality from {args.src}, seed {args.seed}, best of {args.repeat}, ms of CPU time")
+    systems = {}
     for n in range(3, 11):
         for mode in ("iota", "full"):
-            orbits = pool(twuality, n, mode, args.seed)
+            entries = pool(twuality, n, mode, args.seed)
+            orbits = [tables for tables, _ in entries]
+            reports = [report for _, report in entries]
+            systems.setdefault(n, []).extend(report.seed for report in reports)
             label = f"n={n:<2} {mode:<4} orbits={len(orbits):<2} elements={sum(map(len, orbits)):>6,}"
+            written = best(lambda: [report.canonical_json() for report in reports], args.repeat)
             if n <= set_system.BITMAP_GROUND:
                 order, text = layer_times(set_system, orbits, n, args.repeat)
-                print(f"{label}  order {order * 1e3:8.2f}  text {text * 1e3:8.2f}")
+                print(f"{label}  order {order * 1e3:8.2f}  text {text * 1e3:8.2f}  canonical_json {written * 1e3:8.2f}")
                 continue
             ranks = layer_times(set_system, orbits, n, args.repeat)
             ground, set_system.BITMAP_GROUND = set_system.BITMAP_GROUND, 10
@@ -111,8 +122,14 @@ def main(argv: list[str]) -> int:
                 bitmaps = layer_times(set_system, orbits, n, args.repeat)
             finally:
                 set_system.BITMAP_GROUND = ground
-            print(f"{label}  order {ranks[0] * 1e3:8.2f}  text {ranks[1] * 1e3:8.2f}  (rank lists)"
-                  f"  bitmap route: order {bitmaps[0] * 1e3:8.2f}  text {bitmaps[1] * 1e3:8.2f}")
+            print(f"{label}  order {ranks[0] * 1e3:8.2f}  text {ranks[1] * 1e3:8.2f}  canonical_json {written * 1e3:8.2f}"
+                  f"  (rank lists)  bitmap route: order {bitmaps[0] * 1e3:8.2f}  text {bitmaps[1] * 1e3:8.2f}")
+    search = twuality.orbit_engine.stabilizer_search
+    for n, seeds in sorted(systems.items()):
+        for mode in ("all", "uniform"):
+            if n <= twuality.orbit_engine.STABILIZER_CAPS[mode]:
+                took = best(lambda: [search(D, mode) for D in seeds], args.repeat)
+                print(f"n={n:<2} stabilizer_search {mode:<7} systems={len(seeds):<2}  {took * 1e3:8.2f}")
     return 0
 
 
