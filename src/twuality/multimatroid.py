@@ -19,9 +19,9 @@ from typing import Iterable, Iterator
 from .errors import BudgetError, ConsistencyError, ValidationError, quoted
 from .set_system import (
     SetSystem,
+    _HALVES,
     _exchange_failures,
     _iter_checked,
-    _swap_adjacent,
     _value_type,
     _zero_masks,
     is_vf_safe,
@@ -216,10 +216,11 @@ class Multimatroid:
     @classmethod
     def from_table(cls, n: int, table: int) -> "Multimatroid":
         """Trusted constructor: ``table`` must be a base table on
-        ``n <= MAX_CLASSES`` classes."""
+        ``n <= MAX_CLASSES`` classes.  The slots are written through their
+        member descriptors, past the refusing ``__setattr__``."""
         Z = object.__new__(cls)
-        object.__setattr__(Z, "n", n)
-        object.__setattr__(Z, "table", table)
+        _set_n(Z, n)
+        _set_table(Z, table)
         return Z
 
     @property
@@ -279,6 +280,10 @@ class Multimatroid:
 
     def __repr__(self):
         return f"Multimatroid({self.n}, {list(self.sorted_bases())})"
+
+
+#: the slot writers of ``Multimatroid``, for ``from_table``
+_set_n, _set_table = Multimatroid.n.__set__, Multimatroid.table.__set__
 
 
 def _independents(Z: Multimatroid) -> int:
@@ -511,18 +516,30 @@ def _role_steps(table: int, roles) -> int:
     return table
 
 
-def _is_reference_lift(table: int, n: int) -> bool:
-    """``_role_steps(table, ((1, 2, 3),) * n) == table``, decided class by
-    class: no entry has digit ``k`` 0, and the digit-3 entries are the XOR
-    of the digit-1 and digit-2 ones.  That is the class-``k`` step's fixed
-    point, so a table passing every class is fixed by all steps; and each
-    step, linear in its own digit, keeps the relation at every other class,
-    so the steps' result passes every class."""
+def _reference_extract(table: int, n: int) -> tuple[int, bool]:
+    """The truth table ``extract`` reads off ``table`` at the reference
+    triple and the identity projection, and whether ``table`` is fixed by
+    ``_role_steps`` at the reference roles, in one pass over the classes.
+
+    The extraction steps a running table: per class ``k`` one shift and
+    mask moves the digit-1 entries to digit 0 and the digit-2 ones there
+    and up by ``2**k``, and drops the others; the digits below ``k`` are
+    by then packed into index bits below ``k``.  The fixed-point test
+    reads the untouched ``table``, which still holds the entries with a
+    digit 0 or 3 below ``k`` that the running table has dropped: no entry
+    has digit ``k`` 0, and the digit-3 entries are the XOR of the digit-1
+    and digit-2 ones.  That is the class-``k`` step's fixed point, so a
+    table passing every class is fixed by all steps; and each step, linear
+    in its own digit, keeps the relation at every other class, so the
+    steps' result passes every class."""
+    extracted, fixed = table, True
     for k, zero in enumerate(_zeros(n)):
-        s0, s1, s2, s3 = _split(table, k, zero)
-        if s0 or s3 != s1 ^ s2:
-            return False
-    return True
+        d = 1 << 2 * k
+        extracted = (extracted >> d & zero) | (extracted >> 2 * d & zero) << (1 << k)
+        if fixed:
+            s1, s2, s3 = table >> d & zero, table >> 2 * d & zero, table >> 3 * d & zero
+            fixed = not table & zero and s3 == s1 ^ s2
+    return extracted, fixed
 
 
 def _keep_slots(table: int, k: int, zero: int, role_pairs) -> list[int]:
@@ -577,14 +594,25 @@ _SLOT_ROLES = tuple((p.index(1) + 1, p.index(2) + 1) for p in PERM3)
 
 def _extracted_tables(Z: Multimatroid) -> set[int]:
     """The truth tables of ``extract(Z, tau, identity)`` over all ``6**n``
-    triples ``tau``, one class at a time: the next level is the
-    ``_keep_slots`` steps of the six role tables on every distinct table
-    of this one.  Each later step depends only on the table, so keeping
-    the distinct tables is exact, and each is stepped once instead of
-    once per triple prefix reaching it."""
+    triples ``tau``, one class at a time: each distinct table of a level
+    is split once into its digit-``k`` slots ``s1, s2, s3`` (``_split``),
+    and its six children are the ``_keep_slots`` steps of ``_SLOT_ROLES``,
+    written inline: slot ``r1`` at index bit ``k`` clear, ``r2`` set.
+    Each later step depends only on the table, so keeping the distinct
+    tables is exact, and each is stepped once instead of once per triple
+    prefix reaching it."""
     level = {Z.table}
     for k, zero in enumerate(_zeros(Z.n)):
-        level = {c for t in level for c in _keep_slots(t, k, zero, _SLOT_ROLES)}
+        d, shift = 1 << 2 * k, 1 << k
+        step: set[int] = set()
+        push = step.update
+        for t in level:
+            s1 = t >> d & zero
+            s2 = t >> 2 * d & zero
+            s3 = t >> 3 * d & zero
+            h1, h2, h3 = s1 << shift, s2 << shift, s3 << shift
+            push((s1 | h2, s1 | h3, s2 | h1, s3 | h1, s2 | h3, s3 | h2))
+        level = step
     return level
 
 
@@ -615,8 +643,11 @@ def _orbit_via_lift_tables(
     then every table relabeled by ``sigma`` (iota mode; skipped when it is
     ``None`` or the identity) or, in full mode, the set closed under the
     ``n - 1`` adjacent transpositions, which generate all ``n!``
-    projections: each table is swapped once per position
-    (``_swap_adjacent``) and a new one kept and swapped in turn."""
+    projections.  The closure walks its own growing list: each table is
+    swapped once per position and a new one kept and appended, the delta
+    swap of ``_swap_adjacent`` written inline with the shift and mask of
+    each position made once per call.  It closes any set of tables, not
+    only a union of flip-orbits."""
     if not isinstance(mode, str) or mode not in ORBIT_VIA_LIFT_CAPS:
         raise ValidationError(f"mode must be 'full' or 'iota', got {quoted(mode)}")
     n = D.n
@@ -624,14 +655,17 @@ def _orbit_via_lift_tables(
     Z = lift(D, tau, sigma, max_n=n, vf_cache=vf_cache)
     seen = _extracted_tables(Z)
     if mode == "full":
+        halves = _HALVES[n]
+        swaps = [(1 << k, ~halves[k] & halves[k + 1]) for k in range(n - 1)]
         todo = list(seen)
-        while todo:
-            t = todo.pop()
-            for k in range(n - 1):
-                s = _swap_adjacent(t, n, k)
+        keep, push = seen.add, todo.append
+        for t in todo:
+            for shift, mask in swaps:
+                d = ((t >> shift) ^ t) & mask
+                s = t ^ d ^ (d << shift)
                 if s not in seen:
-                    seen.add(s)
-                    todo.append(s)
+                    keep(s)
+                    push(s)
     elif sigma is not None and not sigma.relabel.is_identity():
         seen = {relabel(t, n, sigma.relabel.images) for t in seen}
     return seen

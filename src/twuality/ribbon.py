@@ -30,7 +30,7 @@ import itertools
 from typing import Sequence
 
 from .errors import BudgetError, ConsistencyError, ValidationError, quoted
-from .multimatroid import Multimatroid, _check_class_count, _is_reference_lift, _role_steps, _zeros
+from .multimatroid import Multimatroid, _check_class_count, _reference_extract, _role_steps
 from .set_system import MAX_GROUND, SetSystem, VF_SAFE_DEFAULT_CAP
 from .set_system import _exchange_failures, _is_binary, _value_type, _vf_safety
 
@@ -183,7 +183,9 @@ class FourRegularGraph:
     ``_pairs_by_position`` table that all medials with as many edges
     share; ``components`` counts the components of the medial, free loops
     included.  It is handed in, not checked: ``medial``, the one
-    constructor, counts it during its pass over the rotations."""
+    constructor, counts it during its pass over the rotations.  The slots
+    are written through their member descriptors, bound once in
+    ``_FOUR_REGULAR_SLOTS``."""
 
     edges: tuple[RibbonEdge, ...]
     corner: tuple[int, ...]
@@ -194,12 +196,13 @@ class FourRegularGraph:
     def __init__(
         self, edges: tuple[RibbonEdge, ...], corner: Sequence[int], free_loops: int, components: int
     ):
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "corner", tuple(corner))
+        set_edges, set_corner, set_pairs, set_free_loops, set_components = _FOUR_REGULAR_SLOTS
+        set_edges(self, edges)
+        set_corner(self, tuple(corner))
         rows = _pairs_by_position(len(edges))
-        object.__setattr__(self, "pairs", tuple([row[e.sign] for row, e in zip(rows, edges)]))
-        object.__setattr__(self, "free_loops", free_loops)
-        object.__setattr__(self, "components", components)
+        set_pairs(self, tuple([row[e.sign] for row, e in zip(rows, edges)]))
+        set_free_loops(self, free_loops)
+        set_components(self, components)
 
     @property
     def n(self) -> int:
@@ -228,6 +231,12 @@ class FourRegularGraph:
             "corner_edges": pairs_json((t, c) for t, c in enumerate(self.corner) if t < c),
             "free_loops": self.free_loops,
         }
+
+
+#: the slot writers of ``FourRegularGraph``, in field order
+_FOUR_REGULAR_SLOTS = tuple(
+    getattr(FourRegularGraph, name).__set__ for name in ("edges", "corner", "pairs", "free_loops", "components")
+)
 
 
 def medial(G: RibbonGraph) -> FourRegularGraph:
@@ -468,36 +477,31 @@ def verify_medial_lift(
     ``D(G)`` at the black/white/crossing triple, from one walk of the
     medial's splits.
 
-    ``D(G)`` is read off the transition table ``M``, as ``extract`` at
-    that triple: per class ``k`` one shift-and-mask step moves the black
-    entries (digit ``k`` is 1) to digit 0 and the white ones (digit 2)
-    there and up by ``2**k``, and drops the crossing ones.  The digits
-    below ``k`` are by then packed into index bits below ``k``, so the last
-    step leaves the truth table of ``D``.  It is checked as
-    ``delta_matroid_of`` checks it: vf-safety is the hypothesis of the
-    lift.  The lift is ``_role_steps`` at the reference roles run on ``M``
-    itself, not on ``D`` placed set by set.  That is the same table: each
-    class step rebuilds the entries with a crossing digit from those
-    without one, so the result depends only on the black/white entries of
-    ``M``, and those are ``_spread`` of the ``D`` read off them.  So ``M``
-    equals the lift iff ``_role_steps`` fixes it, which
-    ``_is_reference_lift`` decides class by class: at every class ``k``,
-    no entry of ``M`` has digit 0 and the crossing entries are the XOR of
-    the black and white ones.  The systems with a crossing thus check the
-    lift's dual twists against the medial; the black/white half is checked
-    against a half-edge boundary tracer in the tests.  An equal graph
+    One pass over the classes of the transition table ``M``
+    (``_reference_extract``) reads ``D(G)`` off ``M``, as ``extract`` at
+    that triple, and decides whether ``M`` is the lift.  ``D(G)`` is
+    checked as ``delta_matroid_of`` checks it: vf-safety is the hypothesis
+    of the lift.  The lift is ``_role_steps`` at the reference roles run
+    on ``M`` itself, not on ``D`` placed set by set.  That is the same
+    table: each class step rebuilds the entries with a crossing digit from
+    those without one, so the result depends only on the black/white
+    entries of ``M``, and those are ``_spread`` of the ``D`` read off
+    them.  So ``M`` equals the lift iff ``_role_steps`` fixes it, which
+    ``_reference_extract`` decides class by class.  The systems with a
+    crossing thus check the lift's dual twists against the medial; the
+    black/white half is checked against a half-edge boundary tracer in
+    the tests.  ``medial`` and ``transition_matroid`` are called through
+    this module's names, which the bench's tracer wraps.  An equal graph
     builds nothing and gets the shared ``_EQUAL_REPORT``; only a mismatch
     runs ``_role_steps``, builds the two difference tables and decodes
     their bases.  ``max_e`` caps the edges; ``None`` means
     ``MEDIAL_LIFT_CAP``."""
     n = G.n
     BudgetError.check("verification", n, max_e, MEDIAL_LIFT_CAP, 3, "transition systems", "{} edges")
-    medial_table = table = transition_matroid(medial(G), max_v=n).table
-    for k, zero in enumerate(_zeros(n)):
-        d = 1 << 2 * k
-        table = (table >> d & zero) | (table >> 2 * d & zero) << (1 << k)
+    medial_table = transition_matroid(medial(G), max_v=n).table
+    table, is_lift = _reference_extract(medial_table, n)
     _checked_delta_matroid(G, SetSystem.from_table(n, table), vf_cache)
-    if _is_reference_lift(medial_table, n):
+    if is_lift:
         return _EQUAL_REPORT
     lifted = _role_steps(medial_table, ((1, 2, 3),) * n)
     diffs = medial_table & ~lifted, lifted & ~medial_table

@@ -420,10 +420,12 @@ class SetSystem:
 
     @classmethod
     def from_table(cls, n: int, table: int) -> "SetSystem":
-        """Trusted constructor: ``table`` must be a truth table over [n]."""
+        """Trusted constructor: ``table`` must be a truth table over [n].
+        The slots are written through their member descriptors
+        (``_set_n``, ``_set_table``), past the refusing ``__setattr__``."""
         D = object.__new__(cls)
-        object.__setattr__(D, "n", n)
-        object.__setattr__(D, "table", table)
+        _set_n(D, n)
+        _set_table(D, table)
         return D
 
     @classmethod
@@ -465,8 +467,11 @@ class SetSystem:
         return f"SetSystem({self.n}, [{fam}])"
 
     def to_json(self) -> dict:
-        members = _shortlex_table(self.n)[0]
-        ranks = shortlex_ranks(self.table, self.n)
+        """The canonical file format: the sets in shortlex order, read off
+        one lookup of the shortlex table, sorting the ranks of the set bits
+        as ``shortlex_ranks`` does."""
+        members, rank = _shortlex_table(self.n)
+        ranks = sorted(itertools.compress(rank, _table_bytes(self.table)))
         return {"n": self.n, "feasible": [list(members[r]) for r in ranks]}
 
     @classmethod
@@ -490,9 +495,20 @@ class SetSystem:
         return cls.from_table(n, table)
 
 
+#: the slot writers of ``SetSystem``, for its trusted constructors
+_set_n, _set_table = SetSystem.n.__set__, SetSystem.table.__set__
+
+
 def sorted_systems(tables: Iterable[int], n: int) -> tuple[SetSystem, ...]:
-    """The systems with the given truth tables over [n], in canonical order."""
-    return tuple(SetSystem.from_table(n, t) for t in _canonical_order(tables, n)[0])
+    """The systems with the given truth tables over [n], in canonical
+    order: the objects made in one comprehension, their slots written as
+    ``SetSystem.from_table`` writes them."""
+    order = _canonical_order(tables, n)[0]
+    systems = [object.__new__(SetSystem) for _ in order]
+    for D, t in zip(systems, order):
+        _set_n(D, n)
+        _set_table(D, t)
+    return tuple(systems)
 
 
 @_value_type()

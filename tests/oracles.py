@@ -112,6 +112,13 @@ compared against.
   ``_role_steps`` at the reference roles and compared with the table, the
   report built on every call.  The library decides equality class by
   class and runs ``_role_steps`` only on a mismatch.
+* ``is_reference_lift_oracle``: the class-by-class lift test
+  ``verify_medial_lift`` made through its own helper, each class split
+  by ``_split``.  The library makes it in the pass that extracts
+  ``D(G)``, on the untouched transition table.
+* ``extracted_tables_oracle``: the extractions over all transversal
+  triples, one ``_keep_slots`` call per table and class.  The library
+  splits each table of a level once and writes the six children inline.
 * ``is_multimatroid_oracle``: every independent set filtered by
   compatibility for each transversal, then every pair of the survivors
   tried for augmentation.  The library tests the table bits of the
@@ -173,7 +180,11 @@ from twuality.multimatroid import (
     Projection,
     Restriction,
     TransversalTriple,
+    _SLOT_ROLES,
+    _keep_slots,
     _role_steps,
+    _split,
+    _zeros,
     extract,
     lift,
 )
@@ -984,6 +995,27 @@ def lift_rebuild_oracle(table, n):
     diffs = table & ~lifted, lifted & ~table
     only = [Multimatroid.from_table(n, t).sorted_bases() if t else () for t in diffs]
     return MedialLiftReport(lifted == table, *only)
+
+
+def is_reference_lift_oracle(table, n):
+    """``_role_steps(table, ((1, 2, 3),) * n) == table``, decided class by
+    class: no entry has digit ``k`` 0, and the digit-3 entries are the XOR
+    of the digit-1 and digit-2 ones."""
+    for k, zero in enumerate(_zeros(n)):
+        s0, s1, s2, s3 = _split(table, k, zero)
+        if s0 or s3 != s1 ^ s2:
+            return False
+    return True
+
+
+def extracted_tables_oracle(Z):
+    """The truth tables of ``extract(Z, tau, identity)`` over all ``6**n``
+    triples: per class, the ``_keep_slots`` steps of the six role tables
+    on every distinct table of the level."""
+    level = {Z.table}
+    for k, zero in enumerate(_zeros(Z.n)):
+        level = {c for t in level for c in _keep_slots(t, k, zero, _SLOT_ROLES)}
+    return level
 
 
 def _compatible(I, T):

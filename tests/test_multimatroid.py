@@ -45,6 +45,7 @@ from oracles import (
     choices_oracle,
     down_closure,
     extract_oracle,
+    extracted_tables_oracle,
     is_multimatroid_oracle,
     is_tight_oracle,
     lift_oracle,
@@ -679,6 +680,20 @@ class TestOrbitCharacterizations:
             ident = Projection.identity(Z.n)
             expected = {extract(Z, tau, ident).table for tau in all_triples(Z.n)}
             assert multimatroid._extracted_tables(Z) == expected, Z
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_extracted_tables_match_keep_slots_oracle(self, n, vf_cache):
+        """The level written six children per split against the per-table
+        ``_keep_slots`` form (``extracted_tables_oracle``): seeded lifts
+        with random triples and projections, and random ``4**n``-bit
+        tables, which unlike a lift may hold any digit anywhere."""
+        rng = random.Random(f"extracted/{n}")
+        for _ in range(3 if n < 6 else 1):
+            D = rand_system(rng, n, vf_cache) if n else ss(0, [()])
+            Z = lift(D, rand_triple(rng, n), rand_projection(rng, n), vf_cache=vf_cache)
+            dense, sparse = rng.getrandbits(4**n), rng.getrandbits(4**n) & rng.getrandbits(4**n)
+            for W in (Z, Multimatroid.from_table(n, dense), Multimatroid.from_table(n, sparse)):
+                assert multimatroid._extracted_tables(W) == extracted_tables_oracle(W), W
 
     @pytest.mark.parametrize("n", range(6))
     def test_full_mode_walk_matches_permutations(self, n, rng, vf_cache, monkeypatch):

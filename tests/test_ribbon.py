@@ -40,6 +40,7 @@ from oracles import (
     binary_quasi_tree_system,
     boundary_oracle,
     component_count,
+    is_reference_lift_oracle,
     kept_splits_oracle,
     lift_rebuild_oracle,
     medial_components_oracle,
@@ -755,7 +756,7 @@ def _no_digit_zero(n):
 
 
 class TestPerClassLiftTest:
-    """``multimatroid._is_reference_lift``, the class-by-class test that
+    """``is_reference_lift_oracle``, the class-by-class test that
     ``verify_medial_lift`` makes, against ``lift_rebuild_oracle``, which
     rebuilds the whole lift and compares."""
 
@@ -774,14 +775,44 @@ class TestPerClassLiftTest:
                     flipped ^= 1 << i
                 raw = rng.getrandbits(size)
                 for table in (raw, raw & no_zero, lifted, flipped):
-                    verdict = multimatroid._is_reference_lift(table, n)
+                    verdict = is_reference_lift_oracle(table, n)
                     assert verdict == lift_rebuild_oracle(table, n).equal, (n, table)
                     verdicts[verdict] += 1
+            assert verdicts[True] and (verdicts[False] or n == 0), (n, verdicts)
+
+    def test_fused_pass_matches_role_steps_and_extract(self):
+        """``multimatroid._reference_extract`` against ``_role_steps`` at
+        the reference roles and against ``extract`` at the reference triple,
+        per ``n <= 5``: random tables, random tables with no digit 0, true
+        lifts, and lifts with 1-4 bits flipped, anywhere or only at entries
+        with a digit 0 or 3 below a random class ``k``.  Extraction drops
+        those entries before class ``k``, so the fixed-point test must read
+        the untouched table.  Both verdicts occur at every ``n >= 1``."""
+        rng = random.Random(53)
+        for n in range(6):
+            size, no_zero, ref = 4**n, _no_digit_zero(n), ((1, 2, 3),) * n
+            reference, identity = TransversalTriple.reference(n), Projection.identity(n)
+            verdicts = collections.Counter()
+            for _ in range(40):
+                lifted = multimatroid._role_steps(multimatroid._spread(rng.getrandbits(1 << n), n), ref)
+                k = rng.randrange(1, n) if n > 1 else 1
+                below = [i for i in range(size) if any((i >> 2 * j & 3) in (0, 3) for j in range(k))]
+                tables = [rng.getrandbits(size), rng.getrandbits(size) & no_zero, lifted]
+                for sites in (range(size), below):
+                    broken = lifted
+                    for i in rng.sample(sites, min(rng.randint(1, 4), len(sites))):
+                        broken ^= 1 << i
+                    tables.append(broken)
+                for table in tables:
+                    extracted, is_lift = multimatroid._reference_extract(table, n)
+                    assert is_lift == (multimatroid._role_steps(table, ref) == table), (n, table)
+                    assert extracted == extract(Multimatroid.from_table(n, table), reference, identity).table
+                    verdicts[is_lift] += 1
             assert verdicts[True] and (verdicts[False] or n == 0), (n, verdicts)
 
     def test_catalog_transition_tables(self):
         """Every transition table of the <=3-edge catalog is a lift."""
         for G in cat.enumerate_all():
             table = transition_matroid(medial(G)).table
-            assert multimatroid._is_reference_lift(table, G.n), G
+            assert is_reference_lift_oracle(table, G.n), G
             assert lift_rebuild_oracle(table, G.n).equal, G
