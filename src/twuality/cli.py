@@ -48,7 +48,7 @@ from .multimatroid import (
 )
 from .orbit_engine import orbit, stabilizer_search, uniformize
 from .ribbon import RibbonGraph, delta_matroid_of, medial, verify_medial_lift
-from .set_system import SetSystem, _canonical_order, _exchange_witness, _systems_text, _vf_safety
+from .set_system import SetSystem, _canonical_order, _exchange_witness, _systems_pieces, _vf_safety
 from .twuality_group import (
     BAR,
     ONE,
@@ -238,12 +238,12 @@ def _cmd_mm_check(Z, args) -> tuple[str, int]:
 
 def _cmd_orbit_via_lift(D, args) -> tuple[str, int]:
     """``{"elements": [D.to_json() ...], "size": ...}`` over the systems of
-    ``orbit_via_lift``, as canonical text written off their order forms,
-    as ``orbit`` writes its elements: no ``SetSystem`` is built."""
+    ``orbit_via_lift``, one join of ``_systems_pieces`` over their order
+    forms, as ``orbit`` writes its elements: no ``SetSystem`` is built."""
     tau = _parse_triple(args.tau, D.n)
     sigma = _parse_projection(args.sigma, D.n)
     forms = _canonical_order(_orbit_via_lift_tables(D, tau, sigma, args.mode, args.max_n), D.n)[1]
-    return '{"elements":%s,"size":%d}' % (_systems_text(forms, D.n), len(forms)), 0
+    return "".join(['{"elements":', *_systems_pieces(forms, D.n), ',"size":%d}' % len(forms)]), 0
 
 
 def _cmd_ribbon(G, args) -> tuple[str, int]:

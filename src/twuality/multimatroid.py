@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 from .errors import BudgetError, ConsistencyError, ValidationError, quoted
 from .set_system import (
     SetSystem,
-    _HALVES,
+    _adjacent_swaps,
     _exchange_failures,
     _iter_checked,
     _value_type,
@@ -29,11 +29,6 @@ from .set_system import (
     sorted_systems,
 )
 from .twuality_group import Flip, Perm
-
-#: the six role permutations in lexicographic order
-PERM3: tuple[tuple[int, int, int], ...] = tuple(
-    sorted(itertools.permutations((1, 2, 3)))
-)
 
 MULTIMATROID_CAP = 6
 LIFT_CAP = 8
@@ -588,16 +583,12 @@ def triple_word(
     return tau
 
 
-#: the (slot-1 role, slot-2 role) pair of each role table in ``PERM3``
-_SLOT_ROLES = tuple((p.index(1) + 1, p.index(2) + 1) for p in PERM3)
-
-
 def _extracted_tables(Z: Multimatroid) -> set[int]:
     """The truth tables of ``extract(Z, tau, identity)`` over all ``6**n``
     triples ``tau``, one class at a time: each distinct table of a level
     is split once into its digit-``k`` slots ``s1, s2, s3`` (``_split``),
-    and its six children are the ``_keep_slots`` steps of ``_SLOT_ROLES``,
-    written inline: slot ``r1`` at index bit ``k`` clear, ``r2`` set.
+    and its six children, the ``_keep_slots`` steps of the six role pairs,
+    are written inline: slot ``r1`` at index bit ``k`` clear, ``r2`` set.
     Each later step depends only on the table, so keeping the distinct
     tables is exact, and each is stepped once instead of once per triple
     prefix reaching it."""
@@ -645,9 +636,8 @@ def _orbit_via_lift_tables(
     ``n - 1`` adjacent transpositions, which generate all ``n!``
     projections.  The closure walks its own growing list: each table is
     swapped once per position and a new one kept and appended, the delta
-    swap of ``_swap_adjacent`` written inline with the shift and mask of
-    each position made once per call.  It closes any set of tables, not
-    only a union of flip-orbits."""
+    swaps of ``_adjacent_swaps`` written inline.  It closes any set of
+    tables, not only a union of flip-orbits."""
     if not isinstance(mode, str) or mode not in ORBIT_VIA_LIFT_CAPS:
         raise ValidationError(f"mode must be 'full' or 'iota', got {quoted(mode)}")
     n = D.n
@@ -655,8 +645,7 @@ def _orbit_via_lift_tables(
     Z = lift(D, tau, sigma, max_n=n, vf_cache=vf_cache)
     seen = _extracted_tables(Z)
     if mode == "full":
-        halves = _HALVES[n]
-        swaps = [(1 << k, ~halves[k] & halves[k + 1]) for k in range(n - 1)]
+        swaps = _adjacent_swaps(n)
         todo = list(seen)
         keep, push = seen.add, todo.append
         for t in todo:

@@ -19,9 +19,9 @@ canonical JSON text in one join of the word texts and the pieces of the
 whole orbit's family text, which ``_systems_pieces`` writes off those
 forms, and builds words, systems, families and the ``to_json`` tree only
 when they are read.  The stabilizer search walks the relabelings of a
-system one adjacent transposition at a time, over a plain-change list
-kept per ground size, and the flip vectors one element at a time, each
-table split once into the six tables of the next level.
+system one adjacent transposition at a time (``_relabelings``, kept per
+ground size), and in both modes the flip vectors one element at a time,
+each table split once into the six tables of the next level.
 Budgets are hard caps: a partial orbit is semantically wrong, so
 exceeding a cap raises, naming the work refused, instead of truncating.
 """
@@ -38,8 +38,9 @@ from .errors import BudgetError, ConsistencyError, ValidationError, quoted
 from .set_system import (
     SetSystem,
     _HALVES,
+    _adjacent_swaps,
     _canonical_order,
-    _plain_changes,
+    _relabelings,
     _systems_pieces,
     _value_type,
     is_vf_safe,
@@ -53,7 +54,6 @@ from .twuality_group import (
     ONE,
     Perm,
     TwualityElement,
-    _flip_table,
     act,
     flip_mul,
     flip_pow,
@@ -194,16 +194,14 @@ def _orbit_tries(n: int, mode: str) -> tuple[tuple[tuple, ...], ...]:
     after another token, with a leading comma, which the seed's children
     drop.
     """
-    halves = _HALVES[n]
     steps = []  # (swap, mask, shift, token text, elements moved)
-    for k, half in enumerate(halves):
+    for k, half in enumerate(_HALVES[n]):
         steps.append((True, half, 1 << k, f',"*{k + 1}"', {k}))
         steps.append((False, half, 1 << k, f',"+{k + 1}"', {k}))
     flips = len(steps)
-    if mode == "full":  # the delta swap of ``set_system._swap_adjacent``
-        for k in range(n - 1):
-            swap = f',"({k + 1} {k + 2})"'
-            steps.append((True, ~halves[k] & halves[k + 1], 1 << k, swap, {k, k + 1}))
+    if mode == "full":
+        for k, (shift, mask) in enumerate(_adjacent_swaps(n)):
+            steps.append((True, mask, shift, f',"({k + 1} {k + 2})"', {k, k + 1}))
     moved = [step[4] for step in steps]
     entries = [(*step[:4], h) for h, step in enumerate(steps)]
 
@@ -285,12 +283,12 @@ def stabilizer_search(
     the ``n!`` relabelings of ``D`` are bucketed by image once
     (``_relabel_buckets``), and each vector ``g`` (in the fixed flip order)
     emits the permutations in the bucket of ``g^-1.D``, made ``Perm``s in
-    lexicographic one-line order when the bucket is first hit.  In ``all``
-    mode the tables ``g^-1.D`` are built one element at a time: each table
-    flipped at element ``k + 1`` by the inverse of every flip gives the
-    next level, in ``itertools.product`` order of the vectors, so each
-    level costs one split per table, into the six tables of its
-    children (``_inverse_flip_level``).
+    lexicographic one-line order when the bucket is first hit.  The tables
+    ``g^-1.D`` are built one element at a time, in ``itertools.product``
+    order of the vectors: each table of a level is split once into the six
+    tables of its children, flipped at element ``k + 1`` by the inverse of
+    every flip (``_inverse_flip_level``); in ``uniform`` mode target ``j``
+    keeps its child by flip ``j + 1``, the ``[1::7]`` of the level.
     """
     if not isinstance(mode, str) or mode not in STABILIZER_CAPS:
         raise ValidationError(f"stabilizer mode must be 'all' or 'uniform', got {quoted(mode)}")
@@ -301,7 +299,7 @@ def stabilizer_search(
         gvecs = [(g,) * n for g in FLIPS[1:]] if n else []
         targets = [D.table] * 5
         for k in range(n):
-            targets = [_flip_table(t, n, k, g.inverse()) for t, g in zip(targets, FLIPS[1:])]
+            targets = _inverse_flip_level(targets, n, k)[1::7]
     else:  # level k holds g^-1.D for the vectors on the first k elements
         targets = [D.table]
         for k in range(n):
@@ -340,32 +338,15 @@ def _inverse_flip_level(targets: list[int], n: int, k: int) -> list[int]:
     return level
 
 
-@functools.cache
-def _plain_change_list(n: int) -> tuple[int, ...]:
-    """``_plain_changes(n)``, kept per ``n``."""
-    return tuple(_plain_changes(n))
-
-
 def _relabel_buckets(table: int, n: int) -> dict[int, list[tuple[int, ...]]]:
     """The one-line images of the permutations ``p`` of [n], keyed by
-    ``relabel(table, n, p.images)``.  ``images`` is the inverse of ``pos``,
-    which takes the plain changes (``_plain_change_list``), so each swap
-    in ``pos`` composes ``images`` with ``(k+1 k+2)`` on the left: the
-    delta swap of ``_swap_adjacent`` on the image table, written inline
-    with the shift and mask of each ``k`` made once per call."""
-    halves = _HALVES[n]
-    swaps = [(1 << k, ~halves[k] & halves[k + 1]) for k in range(n - 1)]
-    pos = list(range(n))
-    images = list(range(1, n + 1))
-    by_image = {table: [tuple(images)]}
-    for k in _plain_change_list(n):
-        i, j = pos[k], pos[k + 1]
-        pos[k], pos[k + 1] = j, i
-        images[i], images[j] = images[j], images[i]
-        shift, mask = swaps[k]
+    ``relabel(table, n, p.images)``: the table stepped through the walk of
+    ``_relabelings``, one delta swap a step."""
+    by_image: dict[int, list[tuple[int, ...]]] = {}
+    for (shift, mask), images in zip(*_relabelings(n)):
         d = ((table >> shift) ^ table) & mask
         table ^= d ^ (d << shift)
-        by_image.setdefault(table, []).append(tuple(images))
+        by_image.setdefault(table, []).append(images)
     return by_image
 
 

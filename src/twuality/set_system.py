@@ -5,9 +5,10 @@ subsets of ``{1, .., n}``.  Subsets are encoded as bit masks (element ``i``
 is bit ``i - 1``) and a family as its truth table, the ``2**n``-bit int
 whose bit ``X`` is set iff ``X`` is feasible, so each single-element flip
 and each adjacent transposition of the ground set is a few whole-table
-integer ops.  Ground sizes are capped at 16; the exhaustive routines
-elsewhere in the package are exponential in ``n`` and 16 already exceeds
-every scale they are meant for.
+integer ops; ``_relabelings`` walks a table through all ``n!``
+relabelings, one transposition a step.  Ground sizes are capped at 16;
+the exhaustive routines elsewhere in the package are exponential in ``n``
+and 16 already exceeds every scale they are meant for.
 
 Canonical order lists sets by cardinality, then lexicographically
 (shortlex), and families by the sorted list of their sets.  One table per
@@ -225,7 +226,7 @@ def _rank_network(n: int) -> tuple[tuple[int, int], ...]:
 def _bitmap_texts(n: int, sep: str) -> tuple[tuple[str, ...], ...]:
     """Per-byte lookup tables of the JSON text of families over [n], ``n
     <= BITMAP_GROUND``, read off their rank bitmaps, for the separator
-    ``sep`` of ``_families_text``.
+    ``sep`` of ``_family_pieces``.
 
     The rank bitmap ``R`` of a family is the ``m = 2**n``-bit int with bit
     ``m - 1 - r`` set for each shortlex rank ``r`` of its sets: rank 0 is
@@ -351,22 +352,12 @@ def _family_pieces(forms: Sequence, n: int, sep: str) -> list[str]:
     return pieces
 
 
-def _families_text(forms: Sequence, n: int, sep: str) -> str:
-    """The text of ``_family_pieces``, joined."""
-    return "".join(_family_pieces(forms, n, sep))
-
-
 def _systems_pieces(forms: Sequence, n: int) -> list[str]:
-    """The pieces of ``_systems_text``, ``_family_pieces`` between the
-    brackets, for a caller that joins them into a larger text once."""
-    return ['[{"feasible":[', *_family_pieces(forms, n, '],"n":%d},{"feasible":[' % n), '],"n":%d}]' % n]
-
-
-def _systems_text(forms: Sequence, n: int) -> str:
     """The canonical JSON text of ``[D.to_json() for D in systems]`` for
     one or more systems over [n], at their order forms from
-    ``_canonical_order``: one join of ``_systems_pieces``."""
-    return "".join(_systems_pieces(forms, n))
+    ``_canonical_order``, as ``_family_pieces`` between the brackets, for
+    a caller that joins them into a larger text once."""
+    return ['[{"feasible":[', *_family_pieces(forms, n, '],"n":%d},{"feasible":[' % n), '],"n":%d}]' % n]
 
 
 def _refuse_set(self, name, value):
@@ -579,29 +570,48 @@ def dual_twist1(table: int, n: int, k: int) -> int:
     return table ^ ((table >> shift) & half)
 
 
+@functools.cache
+def _adjacent_swaps(n: int) -> tuple[tuple[int, int], ...]:
+    """Per ``k < n - 1``, the delta swap ``(shift, mask)`` of the
+    transposition ``(k+1 k+2)`` on a truth table over [n], kept per ``n``."""
+    halves = _HALVES[n]
+    return tuple((1 << k, ~halves[k] & halves[k + 1]) for k in range(n - 1))
+
+
 def _swap_adjacent(table: int, n: int, k: int) -> int:
     """Relabel by the transposition ``(k+1 k+2)``, a delta swap of the table."""
-    t = ((table >> (1 << k)) ^ table) & ~_HALVES[n][k] & _HALVES[n][k + 1]
-    return table ^ t ^ (t << (1 << k))
+    shift, mask = _adjacent_swaps(n)[k]
+    d = ((table >> shift) ^ table) & mask
+    return table ^ d ^ (d << shift)
 
 
-def _plain_changes(n: int) -> Iterator[int]:
-    """Steinhaus–Johnson–Trotter: the ``n! - 1`` swaps of positions ``k``
-    and ``k + 1`` that walk ``n`` items through every order.  The last
-    item sweeps end to end; between sweeps the others take one step.  As
-    ``_swap_adjacent`` steps they walk a table through its ``n!``
-    relabelings, one delta swap each instead of a bubble sort."""
-    if n < 2:
-        return
-    inner = _plain_changes(n - 1)
-    leftward = True
-    while True:
-        yield from range(n - 2, -1, -1) if leftward else range(n - 1)
-        k = next(inner, None)
-        if k is None:
-            return
-        yield k + 1 if leftward else k  # the last item sits at the left end
-        leftward = not leftward
+@functools.cache
+def _relabelings(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+    """The walk of a truth table over [n] through its ``n!`` relabelings,
+    kept per ``n``, as two parallel tuples: per step the delta swap
+    ``(shift, mask)`` from the previous relabeling, a shared pair of
+    ``_adjacent_swaps``, and the one-line ``images`` reached, the identity
+    first with the empty swap ``(0, 0)``.  The swaps are the plain
+    changes of Steinhaus–Johnson–Trotter at positions ``k, k + 1`` of an
+    arrangement ``pos``: the last item sweeps end to end, and between
+    sweeps the others take one step of their own walk, one position
+    further right while it sits at the left end.  ``images``, the inverse
+    of ``pos``, is composed with ``(k+1 k+2)`` on the left."""
+    changes: list[int] = []
+    for m in range(2, n + 1):
+        sweeps = (range(m - 2, -1, -1), range(m - 1))
+        walk = list(sweeps[0])
+        for i, k in enumerate(changes):
+            walk += (k + 1 - i % 2, *sweeps[1 - i % 2])
+        changes = walk
+    pos, images = list(range(n)), list(range(1, n + 1))
+    reached = [tuple(images)]
+    for k in changes:
+        i, j = pos[k], pos[k + 1]
+        pos[k], pos[k + 1] = j, i
+        images[i], images[j] = images[j], images[i]
+        reached.append(tuple(images))
+    return ((0, 0), *map(_adjacent_swaps(n).__getitem__, changes)), tuple(reached)
 
 
 def relabel(table: int, n: int, images: Iterable[int]) -> int:

@@ -81,6 +81,10 @@ compared against.
 * ``twist``, ``loop_complement``, ``dual_twist``: the bulk operations
   read directly off their definitions, the parity rules by interval
   counting.  The library folds single-element flips.
+* ``plain_changes_oracle``: the Steinhaus–Johnson–Trotter swap
+  positions as the recursive generator the library ran per call.  The
+  library keeps the walk per ground size as delta swaps with the one-line
+  images they reach.
 * ``stabilizer_oracle``: one action per group element.  The library
   matches relabelings of the system by their image, walking them one
   adjacent transposition at a time and the flip vectors one element at a
@@ -95,7 +99,9 @@ compared against.
   time.  The library keeps the black/white splits of the medial that
   keep the component count, in one depth-first walk.
 * ``all_triples``: the ``6**n`` transversal triples, which
-  ``orbit_via_lift_oracle`` walks one by one.
+  ``orbit_via_lift_oracle`` walks one by one, their role tables the six
+  ``PERM3`` in lexicographic order, and ``SLOT_ROLES`` the roles each
+  puts in slots 1 and 2.
 * ``orbit_via_lift_oracle``: one ``extract`` per transversal triple, each
   scanning every basis.  The library walks the classes once over a
   ``4**n``-bit table of the bases, sharing prefixes.
@@ -175,12 +181,10 @@ from twuality import (
     uniform_flip,
 )
 from twuality.multimatroid import (
-    PERM3,
     Multimatroid,
     Projection,
     Restriction,
     TransversalTriple,
-    _SLOT_ROLES,
     _keep_slots,
     _role_steps,
     _split,
@@ -255,6 +259,23 @@ def relabel_mask(images, mask):
         if mask >> i & 1:
             out |= 1 << (img - 1)
     return out
+
+
+def plain_changes_oracle(n):
+    """Steinhaus–Johnson–Trotter: the ``n! - 1`` swaps of positions ``k``
+    and ``k + 1`` that walk ``n`` items through every order.  The last
+    item sweeps end to end; between sweeps the others take one step."""
+    if n < 2:
+        return
+    inner = plain_changes_oracle(n - 1)
+    leftward = True
+    while True:
+        yield from range(n - 2, -1, -1) if leftward else range(n - 1)
+        k = next(inner, None)
+        if k is None:
+            return
+        yield k + 1 if leftward else k  # the last item sits at the left end
+        leftward = not leftward
 
 
 def _submasks(mask):
@@ -851,6 +872,13 @@ def orbit_walk_oracle(table, n, mode):
     return paths
 
 
+#: the six role permutations in lexicographic order
+PERM3 = tuple(sorted(itertools.permutations((1, 2, 3))))
+
+#: the (slot-1 role, slot-2 role) pair of each role table in ``PERM3``
+SLOT_ROLES = tuple((p.index(1) + 1, p.index(2) + 1) for p in PERM3)
+
+
 def all_triples(n):
     """All ``6**n`` transversal triples, lexicographic in the role tables."""
     for combo in itertools.product(PERM3, repeat=n):
@@ -1014,7 +1042,7 @@ def extracted_tables_oracle(Z):
     on every distinct table of the level."""
     level = {Z.table}
     for k, zero in enumerate(_zeros(Z.n)):
-        level = {c for t in level for c in _keep_slots(t, k, zero, _SLOT_ROLES)}
+        level = {c for t in level for c in _keep_slots(t, k, zero, SLOT_ROLES)}
     return level
 
 

@@ -35,14 +35,13 @@ from twuality import (
 )
 import twuality
 from twuality import cli, set_system
-from twuality.multimatroid import PERM3
 from twuality.cli import _text_lines, main
 from twuality.errors import QUOTE_LIMIT, ValidationError, quoted
 
 import ribbon_catalog as cat
 from conftest import set_systems, vf_walk_families
 import oracles
-from oracles import check_report_oracle
+from oracles import PERM3, check_report_oracle
 
 ss = SetSystem.from_sets
 
@@ -1257,6 +1256,8 @@ class TestInputBoundary:
             (["apply", FILE, "--ops", "*{1,1}"], CONE, "repeated element in '*{1,1}'"),
             (["uniformize", FILE, "--gvec", "1,1", "--mu", "[1,2,3]", "--g", "~"], CONE, "flip vector has 2 entries, expected 3"),
             (_MU + ["(1 5)"], CONE, "cycle entry 5 out of range 1..3"),
+            (["check", FILE], {"n": 2, "feasible": {}}, "'feasible' must be a list of lists"),
+            (["lift", FILE, "--tau", "[[1,2,3]]"], CONE, "triple covers 1 classes, expected 3"),
         ],
     )
     def test_each_check_names_its_fault(self, capsys, tmp_path, argv, payload, message):

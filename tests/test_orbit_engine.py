@@ -41,11 +41,12 @@ from twuality import (
     uniformize,
 )
 from twuality.errors import quoted
-from twuality.orbit_engine import _inverse_flip_level, _orbit_tries, _plain_change_list, _relabel_buckets
+from twuality.orbit_engine import _inverse_flip_level, _orbit_tries, _relabel_buckets
 from twuality.set_system import (
     BITMAP_GROUND,
+    _adjacent_swaps,
     _is_binary,
-    _plain_changes,
+    _relabelings,
     _swap_adjacent,
     fold_flip,
     loop_complement1,
@@ -63,6 +64,7 @@ from oracles import (
     normalize_rep_oracle,
     orbit_oracle,
     orbit_walk_oracle,
+    plain_changes_oracle,
     stabilizer_oracle,
     transport_oracle,
 )
@@ -573,9 +575,24 @@ class TestStabilizerSearch:
             assert _inverse_flip_level(tables, n, k) == expected
 
     @pytest.mark.parametrize("n", range(9))
-    def test_plain_change_list_is_cached_plain_changes(self, n):
-        assert list(_plain_change_list(n)) == list(_plain_changes(n))
-        assert _plain_change_list(n) is _plain_change_list(n)
+    def test_plain_change_list_is_cached_plain_changes(self, n, rng):
+        """The relabeling walk of ``_relabelings`` is kept per ``n``, holds
+        every permutation once with the identity first, swaps at the
+        positions of the plain-change generator it replaced, and steps a
+        random table to ``relabel(table, n, images)`` at every step."""
+        walk = _relabelings(n)
+        assert walk is _relabelings(n)
+        steps, reached = walk
+        assert len(steps) == len(reached)
+        assert (steps[0], reached[0]) == ((0, 0), tuple(range(1, n + 1)))
+        assert sorted(reached) == list(itertools.permutations(range(1, n + 1)))
+        swaps = _adjacent_swaps(n)
+        assert [swaps.index(step) for step in steps[1:]] == list(plain_changes_oracle(n))
+        start = table = rng.getrandbits(1 << n)
+        for (shift, mask), images in zip(steps, reached):
+            d = ((table >> shift) ^ table) & mask
+            table ^= d ^ (d << shift)
+            assert table == relabel(start, n, images), images
 
     @pytest.mark.parametrize("n", range(8))
     def test_relabel_buckets_match_permutations(self, n, rng):

@@ -228,12 +228,12 @@ def oracle_text(table, n):
 
 def assert_canonical_order(tables, n):
     """``_canonical_order`` against the tuple key, and the families' text
-    read off its forms, joined by an orbit report's separator
-    (``_families_text``)."""
+    read off its forms, joined by an orbit report's separator (the pieces
+    of ``_family_pieces``, joined)."""
     ordered, forms = set_system._canonical_order(tables, n)
     assert ordered == oracle_order(tables, n)
     sep = '],"n":%d},{"feasible":[' % n
-    assert set_system._families_text(forms, n, sep) == sep.join(oracle_text(t, n) for t in ordered)
+    assert "".join(set_system._family_pieces(forms, n, sep)) == sep.join(oracle_text(t, n) for t in ordered)
 
 
 @st.composite
@@ -255,7 +255,7 @@ def related_tables(draw, max_n):
 
 
 class TestCanonicalOrder:
-    """The rank-bitmap route of ``_canonical_order`` and ``_families_text``
+    """The rank-bitmap route of ``_canonical_order`` and ``_family_pieces``
     (``n <= BITMAP_GROUND``) and the rank-list route above it, against the
     tuple key."""
 
@@ -287,7 +287,7 @@ class TestCanonicalOrder:
 
     @pytest.mark.parametrize("n", range(set_system.BITMAP_GROUND + 1))
     def test_families_text_at_the_tail_boundary(self, n, rng):
-        """``_families_text`` replaces only in the tail of families with no
+        """``_family_pieces`` replaces only in the tail of families with no
         set of rank below 8; batches with no tail, all tail, the empty
         family alone, before a tail family or repeated, and a head and a
         tail each longer than one 4,096-family piece."""
@@ -385,11 +385,11 @@ class TestRankKernel:
         rng.shuffle(batch)
         typed = set_system._canonical_order(batch, n)
         sep = '],"n":%d},{"feasible":[' % n
-        text = set_system._families_text(typed[1], n, sep)
+        text = "".join(set_system._family_pieces(typed[1], n, sep))
         monkeypatch.setattr(set_system, "_LANE_CODES", {})
         monkeypatch.setattr(set_system.sys, "byteorder", order)
         assert set_system._canonical_order(batch, n) == typed
-        assert set_system._families_text(typed[1], n, sep) == text
+        assert "".join(set_system._family_pieces(typed[1], n, sep)) == text
 
 
 class TestTruthTable:
@@ -464,6 +464,23 @@ class TestRelabel:
         images = r.sample(range(1, D.n + 1), D.n)
         out = SetSystem.from_table(D.n, set_system.relabel(D.table, D.n, images))
         assert out == self.reference(D, images)
+
+    @pytest.mark.parametrize("n", range(set_system.MAX_GROUND + 1))
+    def test_swap_table_relabels_by_each_transposition(self, n, rng):
+        """Each ``(shift, mask)`` of ``_adjacent_swaps``, kept per ``n``, is
+        the delta swap of ``(k+1 k+2)``, checked mask by mask."""
+        swaps = set_system._adjacent_swaps(n)
+        assert swaps is set_system._adjacent_swaps(n) and len(swaps) == max(n - 1, 0)
+        full = (1 << (1 << n)) - 1
+        tables = [1, sum(1 << m for m in {rng.randrange(1 << n) for _ in range(64)})]
+        if n <= 10:  # dense tables too, while a table has at most 1,024 sets
+            tables += [full, full ^ 1, rng.getrandbits(1 << n)]
+        for k, (shift, mask) in enumerate(swaps):
+            images = [*range(1, k + 1), k + 2, k + 1, *range(k + 3, n + 1)]
+            for table in tables:
+                d = ((table >> shift) ^ table) & mask
+                moved = sum(1 << oracles.relabel_mask(images, m) for m in set_system._masks_of_table(table))
+                assert table ^ d ^ (d << shift) == moved == set_system._swap_adjacent(table, n, k)
 
 
 class TestTwist:

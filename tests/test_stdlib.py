@@ -1,8 +1,8 @@
 """The library imports nothing outside the standard library and itself,
-uses every name it imports, exports only names that something uses, and
-its source parses at the oldest Python it supports; the command line
-loads no argument parser; no error it raises for bad input quotes a value
-whole."""
+uses every name it imports, reads every name it defines, exports only
+names that something uses, and its source parses at the oldest Python it
+supports; the command line loads no argument parser; no error it raises
+for bad input quotes a value whole."""
 
 import ast
 import os
@@ -200,6 +200,47 @@ def test_every_export_has_a_user():
         if user not in users or not reads_name(REPO / user, name)
     ]
     assert not unused
+
+
+def module_names(tree):
+    """The names a module binds at its top level by assignment, ``def`` or
+    ``class``; imports are left to ``test_every_import_is_used``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name))
+
+
+def unread_names():
+    """``module.name`` for each top-level name of a package module that no
+    package module reads outside a ``def`` or ``class`` of that name: its
+    own module, or one that imports it from there.  Exported names and
+    dunders are left out."""
+    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    exempt = set(exported_names())
+    users = {}  # (module, name) -> the (module, local name) pairs that may read it
+    for stem, tree in trees.items():
+        users.update({(stem, name): [(stem, name)] for name in module_names(tree)})
+    for stem, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    users.get((node.module, alias.name), []).append((stem, alias.asname or alias.name))
+    return [
+        f"{stem}.{name}"
+        for (stem, name), readers in users.items()
+        if name not in exempt and not (name.startswith("__") and name.endswith("__"))
+        and not any(reads_name(PACKAGE / f"{user}.py", local) for user, local in readers)
+    ]
+
+
+def test_every_name_has_a_reader():
+    """Each top-level name of a package module is read by the package, so
+    a wrapper left beside its replacement, or a constant whose last reader
+    went, fails here."""
+    assert unread_names() == []
 
 
 def test_no_validation_error_quotes_with_repr():

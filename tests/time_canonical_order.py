@@ -5,18 +5,20 @@ For each ground size n = 3..8 and each orbit mode (``iota``, ``full``)
 it draws seeded systems, runs ``orbit`` on them and keeps the tables each
 orbit hands to ``set_system._canonical_order``, in the BFS order the walk
 found them, and the report.  It then prints, per n and mode, the best of
-``--repeat`` timings of ``_canonical_order`` over those tables, of
-``_systems_text`` over the forms it returns and of the reports'
-``OrbitReport.canonical_json``.  At n = 9 and 10, above
+``--repeat`` timings of ``_canonical_order`` over those tables, of the
+text of ``_systems_pieces`` over the forms it returns, joined, and of the
+reports' ``OrbitReport.canonical_json``.  At n = 9 and 10, above
 ``BITMAP_GROUND``, it also times the first two with ``BITMAP_GROUND``
 raised to 10, so that the bitmap route runs there, against the rank-list
 route that serves them.  Then it times ``stabilizer_search`` over the same
 systems, in ``all`` mode up to its cap (n = 5) and in ``uniform`` mode up
-to 8.  Last come the lift route's layers: ``_orbit_via_lift_tables`` and
-``SetSystem.to_json`` over the sorted elements on the quasi-tree systems
-of seeded ribbon graphs, moved by a random group element (full mode at
-n = 3 and 4, iota mode at n = 3..5), and ``verify_medial_lift`` over the
-benchmark's catalog of ribbon graphs with at most 3 edges::
+to 8, and its relabeling layer, ``_relabel_buckets``, over the same
+systems for n = 3..8.  Last come the lift route's layers:
+``_orbit_via_lift_tables`` and ``SetSystem.to_json`` over the sorted
+elements on the quasi-tree systems of seeded ribbon graphs, moved by a
+random group element (full mode at n = 3 and 4, iota mode at n = 3..5),
+and ``verify_medial_lift`` over the benchmark's catalog of ribbon graphs
+with at most 3 edges::
 
     python tests/time_canonical_order.py [--src DIR] [--seed S] [--repeat R]
 
@@ -103,10 +105,11 @@ def best(run, repeat: int) -> float:
 
 
 def layer_times(set_system, orbits: list[list[int]], n: int, repeat: int) -> tuple[float, float]:
-    """Best times of ``_canonical_order`` and ``_systems_text`` over ``orbits``."""
+    """Best times of ``_canonical_order`` and of the joined text of
+    ``_systems_pieces`` over ``orbits``."""
     forms = [set_system._canonical_order(tables, n)[1] for tables in orbits]
     order = best(lambda: [set_system._canonical_order(tables, n) for tables in orbits], repeat)
-    text = best(lambda: [set_system._systems_text(f, n) for f in forms], repeat)
+    text = best(lambda: ["".join(set_system._systems_pieces(f, n)) for f in forms], repeat)
     return order, text
 
 
@@ -175,6 +178,10 @@ def main(argv: list[str]) -> int:
             if n <= twuality.orbit_engine.STABILIZER_CAPS[mode]:
                 took = best(lambda: [search(D, mode) for D in seeds], args.repeat)
                 print(f"n={n:<2} stabilizer_search {mode:<7} systems={len(seeds):<2}  {took * 1e3:8.2f}")
+        if n <= 8:
+            buckets = twuality.orbit_engine._relabel_buckets
+            took = best(lambda: [buckets(D.table, n) for D in seeds], args.repeat)
+            print(f"n={n:<2} _relabel_buckets         systems={len(seeds):<2}  {took * 1e3:8.2f}")
     lift_route_times(twuality, args.seed, args.repeat)
     return 0
 
